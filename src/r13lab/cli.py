@@ -154,8 +154,9 @@ def _positive_int(cfg: dict, key: str) -> int:
 
 def _finite_float(cfg: dict, key: str) -> float:
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -405,7 +406,8 @@ def run_converge(cfg: dict, out_dir: Path, args) -> int:
     model = resolve_model(_require_model(cfg))
     levels = cfg["levels"]
     if (not isinstance(levels, (list, tuple))
-            or not all(isinstance(n, int) and n > 0 for n in levels)):
+            or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
+                       for n in levels)):
         raise ConfigError("'levels' must be a list of positive element counts")
     table = convergence_study(
         model, _wall_from_config(cfg), levels,

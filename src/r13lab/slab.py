@@ -22,6 +22,7 @@ pressure constraint.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,21 +190,20 @@ class ScalarSpace:
         vals, _ = _lagrange(self.local_nodes, np.array([xi]))
         return self.element_dofs(e), vals[:, 0]
 
-    def evaluate(self, coeffs: np.ndarray, x: np.ndarray):
-        """Field values and x-derivatives at arbitrary points in [0, 1]."""
+    def locate(self, x: np.ndarray):
+        """(element dofs of shape (len(x), n_local), basis values, basis
+        x-derivatives of shape (n_local, len(x))) at points in [0, 1]."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         n = self.mesh.n_elements
         elems = np.minimum((x * n).astype(int), n - 1)
-        xi = x * n - elems
-        vals = np.empty_like(x)
-        ders = np.empty_like(x)
-        for e in np.unique(elems):
-            mask = elems == e
-            bv, bd = self.tabulate(xi[mask])
-            local = coeffs[self.element_dofs(e)]
-            vals[mask] = local @ bv
-            ders[mask] = local @ bd
-        return vals, ders
+        bv, bd = self.tabulate(x * n - elems)
+        return self.all_element_dofs()[elems], bv, bd
+
+    def evaluate(self, coeffs: np.ndarray, x: np.ndarray):
+        """Field values and x-derivatives at arbitrary points in [0, 1]."""
+        dofs, bv, bd = self.locate(x)
+        local = coeffs[dofs].T
+        return (local * bv).sum(axis=0), (local * bd).sum(axis=0)
 
     def all_element_dofs(self) -> np.ndarray:
         """(n_elements, n_local) global dof indices."""
@@ -427,6 +427,15 @@ def _gauss01(q: int):
     return 0.5 * (pts + 1.0), 0.5 * wts
 
 
+def _csr(rows: list, cols: list, vals: list, shape: tuple) -> sp.csr_matrix:
+    """Sum COO triplet chunks into a CSR matrix (empty chunks allowed)."""
+    if not rows:
+        return sp.csr_matrix(shape)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape).tocsr()
+
+
 class SlabAssembly:
     """Assembled form matrices and load machinery for one configuration.
 
@@ -438,8 +447,8 @@ class SlabAssembly:
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
                  formulation: str = "nonmaxwell", coeffs: BoundaryCoeffs | None = None):
-        if kn <= 0:
-            raise ValueError("Kn must be positive")
+        if not (np.isfinite(kn) and kn > 0):
+            raise ValueError(f"Kn must be positive and finite, got {kn!r}")
         if formulation == "maxwell" and not model.is_maxwell:
             raise ValueError("grouped degenerate solve requires a Maxwell-type model")
         if formulation == "nonmaxwell" and not model.is_maxwell:
@@ -466,6 +475,8 @@ class SlabAssembly:
         self._bdry = _boundary_forms(self.coeffs)
         self._forms: dict[str, sp.csr_matrix] = {}
         self._factorizations: dict = {}
+        self._a_operator: sp.csr_matrix | None = None
+        self._monitor_ops = None
         qpts, qwts = _gauss01(mesh.degree + 1)
         self._tab = {kind: ScalarSpace(mesh, kind).tabulate(qpts)
                      for kind in ("cg", "dg")}
@@ -514,22 +525,21 @@ class SlabAssembly:
         return mvv, mvd, mdv, mdd
 
     def _scatter(self, c1: str, c2: str, elem: np.ndarray, rows, cols, vals):
-        s1, s2 = self.spaces[c1], self.spaces[c2]
-        o1, o2 = self.offsets[c1], self.offsets[c2]
-        for e in range(self.mesh.n_elements):
-            gd1 = o1 + s1.element_dofs(e)
-            gd2 = o2 + s2.element_dofs(e)
-            rows.append(np.repeat(gd1, len(gd2)))
-            cols.append(np.tile(gd2, len(gd1)))
-            vals.append(elem.ravel())
+        """Append one element matrix, repeated on every element, as COO."""
+        gd1 = self.offsets[c1] + self.spaces[c1].all_element_dofs()
+        gd2 = self.offsets[c2] + self.spaces[c2].all_element_dofs()
+        rows.append(np.repeat(gd1, gd2.shape[1], axis=1).ravel())
+        cols.append(np.tile(gd2, (1, gd1.shape[1])).ravel())
+        vals.append(np.tile(elem.ravel(), self.mesh.n_elements))
 
-    def _assemble_form(self, name: str) -> sp.csr_matrix:
-        g1, g2 = FORM_GROUPS[name]
-        m1, m2 = _GROUP_DIM[g1], _GROUP_DIM[g2]
-        kern = _probe_volume_kernel(self._vol[name], g1, g2)
+    def _scatter_kernel(self, kern: np.ndarray, comps1, comps2):
+        """COO triplets (rows, cols, vals) of the volume integral of a
+        constant pointwise kernel acting on (values, derivatives) of comps1
+        (rows) and comps2 (columns)."""
+        m1, m2 = len(comps1), len(comps2)
         rows, cols, vals = [], [], []
-        for i, c1 in enumerate(GROUPS[g1]):
-            for jj, c2 in enumerate(GROUPS[g2]):
+        for i, c1 in enumerate(comps1):
+            for jj, c2 in enumerate(comps2):
                 kvv = kern[i, jj]
                 kvd = kern[i, m2 + jj]
                 kdv = kern[m1 + i, jj]
@@ -539,6 +549,12 @@ class SlabAssembly:
                 mvv, mvd, mdv, mdd = self._pair_blocks(c1, c2)
                 elem = kvv * mvv + kvd * mvd + kdv * mdv + kdd * mdd
                 self._scatter(c1, c2, elem, rows, cols, vals)
+        return rows, cols, vals
+
+    def _assemble_form(self, name: str) -> sp.csr_matrix:
+        g1, g2 = FORM_GROUPS[name]
+        kern = _probe_volume_kernel(self._vol[name], g1, g2)
+        rows, cols, vals = self._scatter_kernel(kern, GROUPS[g1], GROUPS[g2])
         for wall in (0, 1):
             bk = _probe_boundary_kernel(self._bdry[name], g1, g2, WALL_FRAMES[wall])
             for i, c1 in enumerate(GROUPS[g1]):
@@ -551,35 +567,16 @@ class SlabAssembly:
                     rows.append(np.repeat(self.offsets[c1] + gd1, len(gd2)))
                     cols.append(np.tile(self.offsets[c2] + gd2, len(gd1)))
                     vals.append(block.ravel())
-        if not rows:
-            return sp.csr_matrix((self.ndof, self.ndof))
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof))
-        return mat.tocsr()
+        return _csr(rows, cols, vals, (self.ndof, self.ndof))
 
     def _assemble_mass(self) -> sp.csr_matrix:
         """Probe <U, M V> through the state module (rho = p - theta)."""
-        kern = np.zeros((len(COMPONENTS), len(COMPONENTS)))
-        states = []
-        for i in range(len(COMPONENTS)):
-            comp = np.zeros(len(COMPONENTS))
-            comp[i] = 1.0
-            states.append(_state_from_components(comp))
-        for i, ui in enumerate(states):
-            for jj, uj in enumerate(states):
-                kern[i, jj] = mass_inner(ui, uj)
-        rows, cols, vals = [], [], []
-        for i, c1 in enumerate(COMPONENTS):
-            for jj, c2 in enumerate(COMPONENTS):
-                if kern[i, jj] == 0.0:
-                    continue
-                mvv, _, _, _ = self._pair_blocks(c1, c2)
-                self._scatter(c1, c2, kern[i, jj] * mvv, rows, cols, vals)
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof))
-        return mat.tocsr()
+        m = len(COMPONENTS)
+        states = [_state_from_components(unit) for unit in np.eye(m)]
+        kern = np.zeros((2 * m, 2 * m))
+        kern[:m, :m] = [[mass_inner(ui, uj) for uj in states] for ui in states]
+        return _csr(*self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
+                    (self.ndof, self.ndof))
 
     # -- loads ---------------------------------------------------------------
 
@@ -628,14 +625,19 @@ class SlabAssembly:
 
         Coercive grouping: all ten forms in their saddle arrangement on
         (s, u, sigma, theta).  Grouped degenerate formulation: only the
-        (a, c, d) block on (sigma, s).
+        (a, c, d) block on (sigma, s).  Built on the first call and cached;
+        every caller shares the returned matrix, so none may modify it.
         """
-        f = self._forms
-        if self.formulation == "nonmaxwell":
-            return (f["a"].T + f["j"] + f["j"].T + f["f"].T
-                    - f["c"] + f["c"].T - f["b"].T + f["b"] + f["e"] - f["e"].T
-                    + f["d"].T + f["z"] + f["z"].T + f["h"].T).tocsr()
-        return (f["a"].T + f["c"].T - f["c"] + f["d"].T).tocsr()
+        if self._a_operator is None:
+            f = self._forms
+            if self.formulation == "nonmaxwell":
+                a = (f["a"].T + f["j"] + f["j"].T + f["f"].T
+                     - f["c"] + f["c"].T - f["b"].T + f["b"] + f["e"] - f["e"].T
+                     + f["d"].T + f["z"] + f["z"].T + f["h"].T)
+            else:
+                a = f["a"].T + f["c"].T - f["c"] + f["d"].T
+            self._a_operator = a.tocsr()
+        return self._a_operator
 
     def steady_system(self):
         """(matrix with multiplier row, rhs builder) for the steady solve."""
@@ -646,7 +648,7 @@ class SlabAssembly:
             core = (self.a_operator()
                     - f["b"].T - f["e"].T + f["g"]   # constraint couplings, flux rows
                     - f["b"] - f["e"] + f["g"].T)    # velocity / temperature rows
-        pm = self._pressure_mean_vector()
+        pm = self._integral_vector("p")
         mat = sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
         return mat
 
@@ -657,28 +659,20 @@ class SlabAssembly:
         f = self._forms
         return (self.a_operator() + f["g"] - f["g"].T).tocsr()
 
-    def _pressure_mean_vector(self) -> np.ndarray:
-        """Integral functional of the pressure component."""
-        out = np.zeros(self.ndof)
-        space = self.spaces["p"]
+    def _integral_vector(self, component: str) -> np.ndarray:
+        """Integral functional of one component."""
+        space = self.spaces[component]
         vals, _ = self._tab[space.kind]
-        elem = vals @ self._qwts
-        for e in range(self.mesh.n_elements):
-            out[self.offsets["p"] + space.element_dofs(e)] += elem
-        return out
+        dofs = self.offsets[component] + space.all_element_dofs().ravel()
+        return np.bincount(dofs, np.tile(vals @ self._qwts, self.mesh.n_elements),
+                           minlength=self.ndof)
 
     def t1_gram(self) -> sp.csr_matrix:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
-        rows, cols, vals = [], [], []
-        for comp in COMPONENTS:
-            if comp == "p":
-                continue
-            mvv, _, _, mdd = self._pair_blocks(comp, comp)
-            self._scatter(comp, comp, mvv + mdd, rows, cols, vals)
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof))
-        return mat.tocsr()
+        primary = [float(c != "p") for c in COMPONENTS]
+        kern = np.diag(primary + primary)
+        return _csr(*self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
+                    (self.ndof, self.ndof))
 
 
 def _state_from_components(comp: np.ndarray) -> StateVector:
@@ -893,65 +887,77 @@ def _quadratic_kernel(q, dim: int) -> np.ndarray:
     return kern
 
 
-def _monitor_kernels(assembly: SlabAssembly):
-    """Constant quadratic kernels of the volume monitor densities.
+# Monitor forms on the coefficient vector x: b_diag = x.a.x, w1 = x.w1.x,
+# mass = mass.x (integral of rho = p - theta), and traces @ x gives the
+# (wall, value | derivative, component) traces at both walls.
+_MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces")
 
-    Probed once per assembly from the pointwise definitions: the energy
-    kernel from the mass-weighted inner product, the production kernel
-    from the bulk dissipation integrand in (values, derivatives).
+
+def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
+    """Monitor operators of an assembly, built on first use and cached.
+
+    W comes from the pointwise w1 integrand by polarization, not from the
+    bilinear forms, so b_diag = i_bdry - w1 stays an independent check.
     """
-    cached = getattr(assembly, "_monitor_kernel_cache", None)
-    if cached is not None:
-        return cached
-    model, kn = assembly.model, assembly.kn
-    k_energy = _quadratic_kernel(
-        lambda v: mass_inner(_state_from_components(v), _state_from_components(v)),
-        len(COMPONENTS))
-    k_w1 = _quadratic_kernel(
-        lambda v: _w1_integrand(model, kn, v[:13], v[13:]), 2 * len(COMPONENTS))
-    cached = (k_energy, k_w1)
-    assembly._monitor_kernel_cache = cached
-    return cached
+    if assembly._monitor_ops is not None:
+        return assembly._monitor_ops
+    model, kn, m = assembly.model, assembly.kn, len(COMPONENTS)
+    k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[:m], v[m:]), 2 * m)
+    # One component's rows at a time keeps the COO temporaries small.
+    w1 = sp.vstack([_csr(*assembly._scatter_kernel(k_w1[[i, m + i]], (c,), COMPONENTS),
+                         (assembly.ndof, assembly.ndof))[assembly.dofs(c)]
+                    for i, c in enumerate(COMPONENTS)], format="csr")
+    rows, cols, vals = [], [], []
+    for i, name in enumerate(COMPONENTS):
+        dofs, bv, bd = assembly.spaces[name].locate(np.array([0.0, 1.0]))
+        for w, k in np.ndindex(2, 2):
+            rows.append(np.full(dofs.shape[1], (2 * w + k) * m + i))
+            cols.append(assembly.offsets[name] + dofs[w])
+            vals.append((bv, bd)[k][:, w])
+    assembly._monitor_ops = _MonitorOperators(
+        a=assembly.a_operator(), w1=w1,
+        mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
+        traces=_csr(rows, cols, vals, (4 * m, assembly.ndof)))
+    return assembly._monitor_ops
 
 
 def monitors(state: DiscreteState, assembly: SlabAssembly,
              wall: WallData | None = None,
              residual: float = 0.0, residual_rel: float = 0.0) -> SolveMonitors:
-    """Quadrature evaluation of all energy monitors of one state."""
+    """All energy monitors of one state.
+
+    Volume monitors are quadratic and linear forms of the assembly's
+    monitor operators; the wall monitors are evaluated pointwise from the
+    value and derivative traces.
+    """
     if wall is None:
         wall = WallData.homogeneous()
     model, kn = assembly.model, assembly.kn
-    qpts, qwts = _gauss01(assembly.mesh.degree + 2)
-    h = assembly.mesh.h
-    k_energy, k_w1 = _monitor_kernels(assembly)
-    vals, ders = state.sample_grid(qpts)
-    both = np.concatenate([vals, ders])
-    wq = qwts * h
-    energy = 0.5 * float(np.einsum("ieq,ij,jeq,q->", vals, k_energy, vals, wq))
-    w1 = float(np.einsum("ieq,ij,jeq,q->", both, k_w1, both, wq))
+    ops = _monitor_operators(assembly)
+    x = state.coefficients
+    energy = 0.5 * float(x @ (assembly.mass_matrix() @ x))
+    w1 = float(x @ (ops.w1 @ x))
     # Entropy density is the reference constant minus the energy density.
     h0 = entropy_density(_state_from_components(np.zeros(len(COMPONENTS))))
     entropy = h0 - energy
-    mass = float(((vals[0] - vals[1]) * wq).sum())
+    mass = float(ops.mass @ x)
+    traces = (ops.traces @ x).reshape(2, 2, len(COMPONENTS))
     i_bdry = wall_load = f1 = f2_trace = 0.0
-    for w in (0, 1):
-        xw = np.array([0.0 if w == 0 else 1.0])
-        vals, ders = state.sample(xw)
-        frame = WALL_FRAMES[w]
+    for w, frame in enumerate(WALL_FRAMES):
+        vals, ders = traces[w]
         fr = {
-            "s": frame_components(vals[5:8, 0], frame),
-            "u": frame_components(vals[2:5, 0], frame),
-            "sig": frame_components(StfTensor3(vals[8:13, 0]), frame),
-            "theta": float(vals[1, 0]),
+            "s": frame_components(vals[5:8], frame),
+            "u": frame_components(vals[2:5], frame),
+            "sig": frame_components(StfTensor3(vals[8:13]), frame),
+            "theta": float(vals[1]),
         }
         i_bdry += _wall_quadratic(assembly.coeffs, fr)
         wall_load += _wall_load_value(assembly.coeffs, model, fr,
                                       wall.theta_w[w], wall.u_t[w, 0], wall.u_t[w, 1])
         f1 += _f1_value(model, fr)
-        f2_trace += _f2_trace_value(model, kn, frame, vals[:, 0], ders[:, 0])
+        f2_trace += _f2_trace_value(model, kn, frame, vals, ders)
     i_bdry_data = i_bdry - wall_load
-    x = state.coefficients
-    b_diag = float(x @ (assembly.a_operator() @ x))
+    b_diag = float(x @ (ops.a @ x))
     return SolveMonitors(
         energy=energy, w1=w1, i_bdry=i_bdry, wall_load=wall_load,
         i_bdry_data=i_bdry_data, f1=f1, f2=f1 - i_bdry_data, f2_trace=f2_trace,
@@ -964,6 +970,19 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
 # steady solves
 
 
+def _checked_residual(mat: sp.spmatrix, xr: np.ndarray, b: np.ndarray):
+    """(absolute, relative) residual of a reduced solve; raises SolverError
+    on non-finite entries or a relative residual above RESIDUAL_RTOL."""
+    if not np.all(np.isfinite(xr)):
+        raise SolverError("solution contains non-finite entries")
+    res = float(np.linalg.norm(mat @ xr - b))
+    bnorm = float(np.linalg.norm(b))
+    rel = res / bnorm if bnorm > 0 else 0.0
+    if rel > RESIDUAL_RTOL:
+        raise SolverError(f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||rhs||")
+    return res, rel
+
+
 def _solve_reduced(mat: sp.csr_matrix, rhs: np.ndarray, keep: np.ndarray):
     """Direct solve on the rows/columns in keep; returns (x_full, residuals)."""
     red = mat[keep][:, keep].tocsc()
@@ -973,13 +992,7 @@ def _solve_reduced(mat: sp.csr_matrix, rhs: np.ndarray, keep: np.ndarray):
         xr = lu.solve(b)
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(xr)):
-        raise SolverError("solution contains non-finite entries")
-    res = float(np.linalg.norm(red @ xr - b))
-    bnorm = float(np.linalg.norm(b))
-    rel = res / bnorm if bnorm > 0 else 0.0
-    if bnorm > 0 and rel > RESIDUAL_RTOL:
-        raise SolverError(f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||rhs||")
+    res, rel = _checked_residual(red, xr, b)
     x = np.zeros(mat.shape[0])
     x[keep] = xr
     return x, res, rel
@@ -1038,8 +1051,8 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
         raise ValueError(f"unknown scheme {scheme!r}")
     key = (float(dt), scheme)
     cached = assembly._factorizations.get(key)
-    keep = np.setdiff1d(np.arange(assembly.ndof), assembly.essential_dofs)
     if cached is None:
+        keep = np.setdiff1d(np.arange(assembly.ndof), assembly.essential_dofs)
         mass = assembly.mass_matrix()
         op = assembly.transient_operator()
         left = (mass / dt + theta_s * op).tocsc()[keep][:, keep]
@@ -1048,16 +1061,12 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
             lu = spla.splu(left.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"transient factorization failed: {exc}") from exc
-        cached = (lu, left, right)
+        cached = (lu, left, right, keep)
         assembly._factorizations[key] = cached
-    lu, left, right = cached
+    lu, left, right, keep = cached
     b = right @ state.coefficients[keep]
     xr = lu.solve(b)
-    if not np.all(np.isfinite(xr)):
-        raise SolverError("transient step produced non-finite values")
-    res = float(np.linalg.norm(left @ xr - b))
-    bnorm = float(np.linalg.norm(b))
-    rel = res / bnorm if bnorm > 0 else 0.0
+    res, rel = _checked_residual(left, xr, b)
     coeffs = np.zeros(assembly.ndof)
     coeffs[keep] = xr
     new_state = DiscreteState(assembly=assembly, coefficients=coeffs)
@@ -1120,15 +1129,10 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     u_dofs = np.setdiff1d(assembly.group_dofs("u"), assembly.essential_dofs)
     b_d = bmat[p_dofs][:, u_dofs].toarray()
     gu = gram[u_dofs][:, u_dofs].toarray()
-    space = assembly.spaces["p"]
-    mvv, _, _, _ = assembly._pair_blocks("p", "p")
-    mp = sp.lil_matrix((space.ndof, space.ndof))
-    for e in range(assembly.mesh.n_elements):
-        gd = space.element_dofs(e)
-        mp[np.ix_(gd, gd)] += mvv
-    mp = mp.toarray()
+    # The pressure block of the mass matrix is the pressure Gram.
+    mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
     s_mat = b_d @ np.linalg.solve(gu, b_d.T)
-    ones = np.ones(space.ndof)
+    ones = np.ones(p_dofs.size)
     # Basis of the zero-mean complement in the pressure mass metric.
     zvecs = scipy.linalg.null_space((mp @ ones)[None, :])
     sz = zvecs.T @ s_mat @ zvecs
@@ -1194,13 +1198,9 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
         asm = SlabAssembly(SlabMesh(n, degree), model, kn, formulation)
         state, _ = solve_steady(asm, wall)
         qpts, qwts = _gauss01(degree + 2)
-        err2 = np.zeros(len(COMPONENTS))
         h = asm.mesh.h
-        for e in range(n):
-            x = (e + qpts) * h
-            vals, _ = state.sample(x)
-            rvals, _ = ref_state.sample(x)
-            err2 += ((vals - rvals) ** 2) @ (qwts * h)
+        x = ((np.arange(n)[:, None] + qpts) * h).ravel()
+        err2 = ((state.sample(x)[0] - ref_state.sample(x)[0]) ** 2) @ np.tile(qwts * h, n)
         comp_err = {name: float(np.sqrt(err2[i])) for i, name in enumerate(COMPONENTS)}
         rows.append(ConvergenceRow(n_elements=n, component_errors=comp_err,
                                    total=float(np.sqrt(err2.sum()))))

@@ -4,7 +4,7 @@ Each test checks one end-to-end guarantee at its stated tolerance and
 runtime budget, so a verbose run reads as a pass/fail checklist.  Two
 guarantees are not attainable as literally stated; each is covered by the
 closest attainable check plus a strictly-failing companion that exposes
-the gap (reasons cite the decisions ledger).
+the gap (reasons cite DECISIONS.md).
 """
 
 import time
@@ -82,8 +82,8 @@ def test_01_published_constraint_table_reproduced():
 @pytest.mark.xfail(
     strict=True,
     reason="the eta17 row as printed carries z1 = 1.5190e-8, which its own "
-    "k1, k2, k10 and w1 contradict (they imply 1.6405e-8); see decisions "
-    "ledger entry D8",
+    "k1, k2, k10 and w1 contradict (they imply 1.6405e-8); see "
+    "DECISIONS.md entry D8",
 )
 def test_01_eta17_printed_z1_is_self_inconsistent():
     report = thermo_discriminants(resolve_model("eta17"))
@@ -158,7 +158,7 @@ def test_04_conformal_killing_certificate():
     strict=True,
     reason="the two-mesh variation bound presumes the boundary-Korn "
     "eigenvalue has settled by 4^3; measured drops are 26.7% (degree 1) "
-    "and 34.9% (degree 2); see decisions ledger entry D12",
+    "and 34.9% (degree 2); see DECISIONS.md entry D12",
 )
 def test_04_two_mesh_boundary_eigenvalue_within_20_percent():
     lam2 = boundary_korn_eigenvalue(build_cube_mesh(2, 1))
@@ -246,7 +246,7 @@ def test_09_coercivity_versus_degeneracy(eta7, maxwell):
 def test_10_couette_self_convergence_ladder(eta7):
     start = time.perf_counter()
     # Kn = 1 keeps the near-degenerate shear sublayer of the published
-    # constants resolved on this ladder; see decisions ledger entry D14.
+    # constants resolved on this ladder; see DECISIONS.md entry D14.
     table = convergence_study(eta7, WallData.couette(), [64, 128, 256, 512],
                               degree=2, kn=1.0)
     assert np.all(np.diff(table.totals) < 0.0)

@@ -178,6 +178,22 @@ class TestPlumbing:
                    "--out", str(outdir))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,value", [("kn", float("nan")),
+                                           ("kn", float("inf")),
+                                           ("wall_speed", float("-inf"))])
+    def test_non_finite_number_is_config_error(self, tmp_path, outdir, key,
+                                               value):
+        config = write_config(tmp_path, **{key: value})
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+
+    def test_boolean_level_is_config_error(self, tmp_path, outdir):
+        config = write_config(tmp_path, levels=[True, 2, 4])
+        code = run("converge", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("R13LAB_OUT", str(target))

@@ -304,7 +304,7 @@ class TestKornConstants:
         strict=True,
         reason="the two-mesh variation bound presumes the boundary-Korn "
         "eigenvalue has settled by 4^3; measured drops are 26.7% (degree 1) "
-        "and 34.9% (degree 2); see decisions ledger entry D12",
+        "and 34.9% (degree 2); see DECISIONS.md entry D12",
     )
     def test_two_mesh_variation_below_20_percent(self):
         lam2 = boundary_korn_eigenvalue(build_cube_mesh(2, 1))

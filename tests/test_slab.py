@@ -1,12 +1,16 @@
 """Slab assembly, steady solves, transient stepping, and monitors."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from r13lab import slab
 from r13lab.models import resolve_model
+from r13lab.state import mass_inner
+from r13lab.tensors import StfTensor3, frame_components
 from r13lab.slab import (
     SlabAssembly,
     SlabMesh,
@@ -209,7 +213,7 @@ class TestSteady:
         model = maxwell if formulation == "maxwell" else eta7
         asm = SlabAssembly(SlabMesh(16, 2), model, KN, formulation)
         state, _ = solve_steady(asm, WallData.fourier())
-        int_p = float(asm._pressure_mean_vector() @ state.coefficients)
+        int_p = float(asm._integral_vector("p") @ state.coefficients)
         assert abs(int_p) <= 1e-12 * np.linalg.norm(state.component("p"))
 
     def test_steady_entropy_balance(self, couette_eta7, couette_maxwell):
@@ -275,6 +279,59 @@ class TestMonitors:
         _, _, mon = couette_eta7
         assert mon.f2 == pytest.approx(mon.f1 - mon.i_bdry_data, abs=1e-14)
 
+    @pytest.mark.parametrize("model_name,formulation",
+                             [("eta7", "nonmaxwell"), ("maxwell", "maxwell")])
+    def test_operator_is_wall_quadratic_minus_dissipation(self, model_name,
+                                                          formulation):
+        # b_diag = i_bdry - w1 as a one-time matrix identity: the symmetric
+        # part of the operator equals the wall quadratic, written as a
+        # matrix over the value traces, minus the assembled W.
+        asm = SlabAssembly(SlabMesh(16, 2), resolve_model(model_name), KN,
+                           formulation)
+        ops = slab._monitor_operators(asm)
+        m = len(slab.COMPONENTS)
+        b_wall = sp.csr_matrix((asm.ndof, asm.ndof))
+        for w, frame in enumerate(slab.WALL_FRAMES):
+            def quadratic(v, frame=frame):
+                fr = {"s": frame_components(v[5:8], frame),
+                      "u": frame_components(v[2:5], frame),
+                      "sig": frame_components(StfTensor3(v[8:13]), frame),
+                      "theta": float(v[1])}
+                return slab._wall_quadratic(asm.coeffs, fr)
+
+            kern = slab._quadratic_kernel(quadratic, m)
+            trace = ops.traces[2 * w * m:(2 * w + 1) * m]
+            b_wall = b_wall + trace.T @ sp.csr_matrix(kern) @ trace
+        a = asm.a_operator().toarray()
+        gap = 0.5 * (a + a.T) - (b_wall - ops.w1).toarray()
+        assert np.abs(gap).max() <= 1e-12 * np.abs(a).max()
+
+    def test_volume_monitors_match_pointwise_quadrature(self, asm_eta7,
+                                                        asm_maxwell):
+        # Transcription of the volume monitor integrals: 4-point Gauss per
+        # element over the pointwise mass inner product and w1 integrand.
+        qp, qw = np.polynomial.legendre.leggauss(4)
+        rng = np.random.default_rng(31)
+        for asm in (asm_eta7, asm_maxwell):
+            n = asm.mesh.n_elements
+            x = ((np.arange(n)[:, None] + 0.5 * (qp + 1.0)) / n).ravel()
+            wq = np.tile(0.5 * qw / n, n)
+            for _ in range(3):
+                state = random_state(asm, rng)
+                mon = monitors(state, asm)
+                vals, ders = state.sample(x)
+                energy = w1 = 0.0
+                for k in range(x.size):
+                    u = slab._state_from_components(vals[:, k])
+                    energy += 0.5 * wq[k] * mass_inner(u, u)
+                    w1 += wq[k] * slab._w1_integrand(asm.model, asm.kn,
+                                                     vals[:, k], ders[:, k])
+                rho = vals[0] - vals[1]
+                assert mon.energy == pytest.approx(energy, rel=1e-12)
+                assert mon.w1 == pytest.approx(w1, rel=1e-12)
+                assert mon.mass == pytest.approx(
+                    wq @ rho, rel=1e-12, abs=1e-12 * (wq @ np.abs(rho)))
+
 
 # ---------------------------------------------------------------------------
 # transient stepping
@@ -326,6 +383,35 @@ class TestTransient:
         with pytest.raises(ValueError):
             step_transient(state, 0.1, "implicit-euler", asm_eta7,
                            wall=WallData.couette())
+
+    def test_a_operator_built_once_per_assembly(self, eta7, monkeypatch):
+        calls = []
+        build = SlabAssembly.a_operator
+
+        def counting(self):
+            calls.append(self)
+            return build(self)
+
+        monkeypatch.setattr(SlabAssembly, "a_operator", counting)
+        counts = []
+        for steps in (2, 12):
+            asm = SlabAssembly(SlabMesh(8, 2), eta7, KN, "nonmaxwell")
+            calls.clear()
+            transient_run(asm, random_state(asm, np.random.default_rng(3)),
+                          dt=0.05, n_steps=steps)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+        assert asm.a_operator() is asm.a_operator()
+
+    def test_step_residual_gate(self, eta7, monkeypatch):
+        # A factor of the scaled matrix leaves a relative residual near 1e-3.
+        splu = slab.spla.splu
+        monkeypatch.setattr(slab, "spla",
+                            SimpleNamespace(splu=lambda mat: splu(1.001 * mat)))
+        asm = SlabAssembly(SlabMesh(4, 2), eta7, KN, "nonmaxwell")
+        state = random_state(asm, np.random.default_rng(1))
+        with pytest.raises(slab.SolverError, match="residual"):
+            step_transient(state, 0.05, "implicit-euler", asm)
 
     def test_transient_requires_coercive_spaces(self, asm_maxwell):
         with pytest.raises(ValueError):
@@ -400,5 +486,6 @@ class TestValidation:
             SlabMesh(0, 2)
 
     def test_positive_knudsen_required(self, eta7):
-        with pytest.raises(ValueError):
-            SlabAssembly(SlabMesh(4, 2), eta7, 0.0, "nonmaxwell")
+        for kn in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SlabAssembly(SlabMesh(4, 2), eta7, kn, "nonmaxwell")
