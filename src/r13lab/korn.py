@@ -22,6 +22,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .fe1d import element_coo, gauss01, lagrange
+
 # Dense eigensolves only; beyond this the module is out of its depth.
 MAX_DENSE_DOFS = 6000
 
@@ -119,44 +121,13 @@ def stf_of_matrix(J: np.ndarray) -> np.ndarray:
 # Mesh and elements
 
 
-def _lagrange_1d(p: int, x: np.ndarray):
-    """Equispaced Lagrange basis on [0,1]: values and derivatives.
-
-    Returns (vals, ders) of shape (p+1, len(x)).
-    """
-    nodes = np.linspace(0.0, 1.0, p + 1)
-    x = np.asarray(x, dtype=float)
-    vals = np.ones((p + 1, x.size))
-    ders = np.zeros((p + 1, x.size))
-    for i in range(p + 1):
-        for j in range(p + 1):
-            if j == i:
-                continue
-            vals[i] *= (x - nodes[j]) / (nodes[i] - nodes[j])
-        for k in range(p + 1):
-            if k == i:
-                continue
-            term = np.ones(x.size) / (nodes[i] - nodes[k])
-            for j in range(p + 1):
-                if j in (i, k):
-                    continue
-                term *= (x - nodes[j]) / (nodes[i] - nodes[j])
-            ders[i] += term
-    return vals, ders
-
-
-def _gauss_01(q: int):
-    """Gauss-Legendre rule mapped to [0,1]."""
-    t, w = np.polynomial.legendre.leggauss(q)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 @dataclass(frozen=True)
 class CubeMesh:
     """Uniform hexahedral partition of the unit cube with Lagrange nodes.
 
-    Nodes form an (n*degree + 1)^3 grid indexed x-fastest; each element's
-    local nodes follow the same tensor ordering.
+    Nodes form an (n*degree + 1)^3 grid indexed x-fastest; elements are
+    numbered x-fastest too, and each element's local nodes follow the same
+    tensor ordering.
     """
 
     n: int
@@ -188,18 +159,13 @@ def build_cube_mesh(n: int, degree: int) -> CubeMesh:
     Z, Y, X = np.meshgrid(axis, axis, axis, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    nloc = (p + 1) ** 3
-    elements = np.empty((n ** 3, nloc), dtype=np.int64)
-    local = np.arange(p + 1)
-    lz, ly, lx = np.meshgrid(local, local, local, indexing="ij")
-    for ez in range(n):
-        for ey in range(n):
-            for ex in range(n):
-                gx = ex * p + lx
-                gy = ey * p + ly
-                gz = ez * p + lz
-                e = ex + n * (ey + n * ez)
-                elements[e] = (gx + m * (gy + m * gz)).ravel()
+    # Grid index along one axis of each (element, local node) pair; the
+    # element table is (ez, ey, ex, lz, ly, lx) flattened, x fastest.
+    g = np.arange(n)[:, None] * p + np.arange(p + 1)
+    gx = g[None, None, :, None, None, :]
+    gy = g[None, :, None, None, :, None]
+    gz = g[:, None, None, :, None, None]
+    elements = (gx + m * (gy + m * gz)).reshape(n ** 3, (p + 1) ** 3)
     return CubeMesh(n=n, degree=degree, nodes=nodes, elements=elements)
 
 
@@ -208,28 +174,16 @@ def _reference_tensors(p: int):
 
     Returns (weights (nq,), vals (nq, nloc), grads (nq, nloc, 3)) on [0,1]^3.
     """
-    q = p + 1
-    x1, w1 = _gauss_01(q)
-    v1, d1 = _lagrange_1d(p, x1)  # (p+1, q)
+    x1, w1 = gauss01(p + 1)
+    v, d = (t.T for t in lagrange(np.linspace(0.0, 1.0, p + 1), x1))  # (q, p+1)
 
-    nloc = (p + 1) ** 3
-    nq = q ** 3
-    vals = np.empty((nq, nloc))
-    grads = np.empty((nq, nloc, 3))
-    weights = np.empty(nq)
-    for qz in range(q):
-        for qy in range(q):
-            for qx in range(q):
-                iq = qx + q * (qy + q * qz)
-                weights[iq] = w1[qx] * w1[qy] * w1[qz]
-                for az in range(p + 1):
-                    for ay in range(p + 1):
-                        for ax in range(p + 1):
-                            l = ax + (p + 1) * (ay + (p + 1) * az)
-                            vals[iq, l] = v1[ax, qx] * v1[ay, qy] * v1[az, qz]
-                            grads[iq, l, 0] = d1[ax, qx] * v1[ay, qy] * v1[az, qz]
-                            grads[iq, l, 1] = v1[ax, qx] * d1[ay, qy] * v1[az, qz]
-                            grads[iq, l, 2] = v1[ax, qx] * v1[ay, qy] * d1[az, qz]
+    def tensor(fx, fy, fz):
+        # x-fastest points and shape functions; each entry is fx * fy * fz.
+        return np.kron(fz, np.kron(fy, fx))
+
+    weights = tensor(w1, w1, w1)
+    vals = tensor(v, v, v)
+    grads = np.stack([tensor(d, v, v), tensor(v, d, v), tensor(v, v, d)], axis=-1)
     return weights, vals, grads
 
 
@@ -260,7 +214,8 @@ class CubeForms:
 
 def _scatter(mesh: CubeMesh, element_matrix: np.ndarray,
              element_list=None) -> scipy.sparse.csr_matrix:
-    """Accumulate one shared element matrix over (a subset of) elements.
+    """Accumulate one shared element matrix over the mesh elements, or
+    over the rows of element_list (node tables of the same width).
 
     element_matrix has shape (nloc, nloc) acting on scalar nodes, or
     (3*nloc, 3*nloc) acting on interleaved vector dofs.
@@ -270,64 +225,29 @@ def _scatter(mesh: CubeMesh, element_matrix: np.ndarray,
     if element_matrix.shape == (nloc, nloc):
         element_matrix = np.kron(element_matrix, np.eye(3))
     dofs = (3 * elements[:, :, None] + np.arange(3)).reshape(len(elements), -1)
-    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
-    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
-    data = np.tile(element_matrix.ravel(), len(elements))
+    rows, cols, data = element_coo(dofs, dofs, element_matrix)
     mat = scipy.sparse.coo_matrix((data, (rows, cols)),
                                   shape=(mesh.n_dofs, mesh.n_dofs))
     return mat.tocsr()
 
 
 def _boundary_face_matrix(mesh: CubeMesh) -> scipy.sparse.csr_matrix:
-    """Gram of the boundary L2 form, assembled face by face.
+    """Gram of the boundary L2 form over the six cube faces.
 
-    Each cube face is a uniform n x n quad mesh of degree p; the 2-D face
-    mass matrix is shared by all faces up to node renumbering.
+    Each cube face is a uniform n x n quad mesh of degree p whose 2-D mass
+    matrix is the Kronecker square of the 1-D one.  The face node tables
+    are read off the element table: the elements and local nodes at one
+    end of an axis.  Orientation does not matter for a mass matrix.
     """
-    p = mesh.degree
-    n = mesh.n
-    m = n * p + 1
-    q = p + 1
-    x1, w1 = _gauss_01(q)
-    v1, _ = _lagrange_1d(p, x1)
-
-    nloc2 = (p + 1) ** 2
-    face_mass = np.zeros((nloc2, nloc2))
-    for qb in range(q):
-        for qa in range(q):
-            w = w1[qa] * w1[qb]
-            phi = np.empty(nloc2)
-            for bb in range(p + 1):
-                for aa in range(p + 1):
-                    phi[aa + (p + 1) * bb] = v1[aa, qa] * v1[bb, qb]
-            face_mass += w * np.outer(phi, phi)
-    face_mass *= mesh.h ** 2
-
-    # Grid indices of the 2-D trace meshes on the six faces.  For a face
-    # with normal along axis k, the in-face axes are the other two in
-    # increasing order; orientation does not matter for a mass matrix.
-    def face_elements(axis: int, side: int) -> np.ndarray:
-        fixed = 0 if side == 0 else m - 1
-        faces = []
-        local = np.arange(p + 1)
-        lb, la = np.meshgrid(local, local, indexing="ij")
-        axes = [ax for ax in range(3) if ax != axis]
-        for eb in range(n):
-            for ea in range(n):
-                ga = ea * p + la
-                gb = eb * p + lb
-                idx = [None, None, None]
-                idx[axis] = np.full_like(ga, fixed)
-                idx[axes[0]] = ga
-                idx[axes[1]] = gb
-                faces.append((idx[0] + m * (idx[1] + m * idx[2])).ravel())
-        return np.array(faces, dtype=np.int64)
-
-    total = scipy.sparse.csr_matrix((mesh.n_dofs, mesh.n_dofs))
-    for axis in range(3):
-        for side in (0, 1):
-            total = total + _scatter(mesh, face_mass, face_elements(axis, side))
-    return total
+    n, p = mesh.n, mesh.degree
+    x1, w1 = gauss01(p + 1)
+    v1, _ = lagrange(np.linspace(0.0, 1.0, p + 1), x1)
+    m1 = (v1 * w1) @ v1.T * mesh.h
+    # Axes of the element table: (ez, ey, ex, lz, ly, lx).
+    table = mesh.elements.reshape((n,) * 3 + (p + 1,) * 3)
+    faces = [np.take(np.take(table, end, axis=5 - k), end, axis=2 - k).reshape(n * n, -1)
+             for k in range(3) for end in (0, -1)]
+    return _scatter(mesh, np.kron(m1, m1), np.concatenate(faces))
 
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:
@@ -375,19 +295,12 @@ def stf_energy(mesh: CubeMesh, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_dofs,):
         raise ValueError("dof vector has wrong length")
-    p = mesh.degree
-    weights, _, grads_ref = _reference_tensors(p)
+    weights, _, grads_ref = _reference_tensors(mesh.degree)
     grads = grads_ref / mesh.h
-    scale = mesh.h ** 3
-    total = 0.0
-    coeffs = u.reshape(mesh.n_nodes, 3)
-    for e in range(mesh.elements.shape[0]):
-        ue = coeffs[mesh.elements[e]]  # (nloc, 3)
-        # grad u_h (i,j) at quadrature points: sum_l ue[l,i] grads[q,l,j]
-        J = np.einsum("li,qlj->qij", ue, grads)
-        S = stf_of_matrix(J)
-        total += scale * float(np.einsum("q,qij,qij->", weights, S, S))
-    return total
+    ue = u.reshape(mesh.n_nodes, 3)[mesh.elements]  # (n_elements, nloc, 3)
+    # grad u_h (i,j) at quadrature points: sum_l ue[e,l,i] grads[q,l,j]
+    S = stf_of_matrix(np.einsum("eli,qlj->eqij", ue, grads))
+    return mesh.h ** 3 * float(np.einsum("q,eqij,eqij->", weights, S, S))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +324,14 @@ class KornReport:
     stf_tail: np.ndarray = field(repr=False)
 
 
+def _check_dense(n_dofs: int) -> None:
+    """Reject meshes too large for the dense eigensolves, before assembly."""
+    if n_dofs > MAX_DENSE_DOFS:
+        raise ValueError(
+            f"mesh has {n_dofs} dofs; dense eigensolves support "
+            f"at most {MAX_DENSE_DOFS}")
+
+
 def _dense_eigvals(A: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix) -> np.ndarray:
     return scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
 
@@ -422,10 +343,7 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     the kernel count.  Dense solves only; raises for oversized meshes.
     """
     mesh = forms.mesh
-    if mesh.n_dofs > MAX_DENSE_DOFS:
-        raise ValueError(
-            f"mesh has {mesh.n_dofs} dofs; dense eigensolves support "
-            f"at most {MAX_DENSE_DOFS}")
+    _check_dense(mesh.n_dofs)
     classical = _dense_eigvals(forms.l2 + forms.stf, forms.h1)
     boundary = _dense_eigvals(forms.boundary + forms.stf, forms.h1)
     stf = _dense_eigvals(forms.stf, forms.l2)
@@ -448,11 +366,8 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only, via subset solve."""
+    _check_dense(mesh.n_dofs)
     forms = assemble_cube_forms(mesh)
-    if mesh.n_dofs > MAX_DENSE_DOFS:
-        raise ValueError(
-            f"mesh has {mesh.n_dofs} dofs; dense eigensolves support "
-            f"at most {MAX_DENSE_DOFS}")
     vals = scipy.linalg.eigh((forms.boundary + forms.stf).toarray(),
                              forms.h1.toarray(), eigvals_only=True,
                              subset_by_index=[0, 0])
@@ -477,6 +392,24 @@ class CKVanishingReport:
         return self.boundary_norm / self.coefficient_norm
 
 
+def _face_quadrature(mesh: CubeMesh, n_quad: int):
+    """Points (N, 3) and weights (N,) of the n_quad x n_quad Gauss rule on
+    every face panel of the mesh, over all six cube faces."""
+    x1, w1 = gauss01(n_quad)
+    h = mesh.h
+    t = ((np.arange(mesh.n)[:, None] + x1) * h).ravel()
+    wt = np.tile(w1, mesh.n)
+    a, b = np.meshgrid(t, t, indexing="ij")
+    pts = []
+    for axis in range(3):
+        for side in (0.0, 1.0):
+            face = np.empty(a.shape + (3,))
+            face[..., axis] = side
+            face[..., [ax for ax in range(3) if ax != axis]] = np.stack([a, b], axis=-1)
+            pts.append(face.reshape(-1, 3))
+    return np.concatenate(pts), np.tile(np.outer(wt, wt).ravel() * h * h, 6)
+
+
 def ck_boundary_gram(mesh: CubeMesh, n_quad: int = 4) -> np.ndarray:
     """10x10 Gram of the conformal Killing basis in the boundary L2 product.
 
@@ -484,32 +417,9 @@ def ck_boundary_gram(mesh: CubeMesh, n_quad: int = 4) -> np.ndarray:
     conformal Killing field vanishes on the cube boundary, and its square
     root lower-bounds the boundary norm of any unit-coefficient field.
     """
-    basis = [ck_field_from_coefficients(row) for row in np.eye(10)]
-    gram = np.empty((10, 10))
-    # Polarization: <u, v>_b = (||u + v||_b^2 - ||u||_b^2 - ||v||_b^2) / 2,
-    # but direct quadrature of products is cheaper and exact here.
-    x1, w1 = _gauss_01(n_quad)
-    h = mesh.h
-    values = []
-    weights = []
-    for axis in range(3):
-        axes = [ax for ax in range(3) if ax != axis]
-        for side in (0.0, 1.0):
-            for ea in range(mesh.n):
-                for eb in range(mesh.n):
-                    pa = (ea + x1) * h
-                    pb = (eb + x1) * h
-                    A, Bv = np.meshgrid(pa, pb, indexing="ij")
-                    pts = np.empty((n_quad, n_quad, 3))
-                    pts[..., axis] = side
-                    pts[..., axes[0]] = A
-                    pts[..., axes[1]] = Bv
-                    values.append(np.stack([ck_eval(f, pts) for f in basis]))
-                    weights.append(np.outer(w1, w1) * h * h)
-    vals = np.concatenate([v.reshape(10, -1, 3) for v in values], axis=1)
-    w = np.concatenate([wt.ravel() for wt in weights])
-    gram = np.einsum("aqc,bqc,q->ab", vals, vals, w)
-    return gram
+    pts, w = _face_quadrature(mesh, n_quad)
+    vals = np.stack([ck_eval(ck_field_from_coefficients(row), pts) for row in np.eye(10)])
+    return np.einsum("aqc,bqc,q->ab", vals, vals, w)
 
 
 def ck_vanishing_check(f: CKField, mesh: CubeMesh, n_quad: int = 4) -> CKVanishingReport:
@@ -518,24 +428,9 @@ def ck_vanishing_check(f: CKField, mesh: CubeMesh, n_quad: int = 4) -> CKVanishi
     The integrand |u|^2 is quartic per axis, so n_quad >= 3 Gauss points
     per face axis integrate it exactly; face panels follow the mesh.
     """
-    x1, w1 = _gauss_01(n_quad)
-    total = 0.0
-    h = mesh.h
-    for axis in range(3):
-        axes = [ax for ax in range(3) if ax != axis]
-        for side in (0.0, 1.0):
-            for ea in range(mesh.n):
-                for eb in range(mesh.n):
-                    pa = (ea + x1) * h
-                    pb = (eb + x1) * h
-                    A, Bv = np.meshgrid(pa, pb, indexing="ij")
-                    pts = np.empty((n_quad, n_quad, 3))
-                    pts[..., axis] = side
-                    pts[..., axes[0]] = A
-                    pts[..., axes[1]] = Bv
-                    vals = ck_eval(f, pts)
-                    w2d = np.outer(w1, w1) * h * h
-                    total += float(np.sum(w2d * np.sum(vals * vals, axis=-1)))
+    pts, w = _face_quadrature(mesh, n_quad)
+    vals = ck_eval(f, pts)
+    total = float(w @ np.sum(vals * vals, axis=-1))
     return CKVanishingReport(
         boundary_norm=float(np.sqrt(total)),
         coefficient_norm=float(np.linalg.norm(f.coefficient_vector())),

@@ -30,6 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .fe1d import element_coo, gauss01, lagrange
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import StateVector, mass_inner, entropy_density, physical_fluxes
@@ -113,32 +114,6 @@ class SlabMesh:
         return 1.0 / self.n_elements
 
 
-def _lagrange(nodes: np.ndarray, x: np.ndarray):
-    """Values and derivatives of the Lagrange basis on given nodes.
-
-    Returns arrays of shape (len(nodes), len(x)).  Plain product-rule
-    evaluation; node counts here never exceed three.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = len(nodes)
-    vals = np.ones((n, x.size))
-    ders = np.zeros((n, x.size))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            w = (x - nodes[j]) / (nodes[i] - nodes[j])
-            term = np.ones_like(x) / (nodes[i] - nodes[j])
-            for l in range(n):
-                if l in (i, j):
-                    continue
-                term *= (x - nodes[l]) / (nodes[i] - nodes[l])
-            ders[i] += term
-            vals[i] *= w
-    return vals, ders
-
-
 @dataclass(frozen=True)
 class ScalarSpace:
     """One scalar finite element space on the slab mesh.
@@ -160,8 +135,7 @@ class ScalarSpace:
         p = self.mesh.degree
         if self.kind == "cg":
             return np.linspace(0.0, 1.0, p + 1)
-        pts, _ = np.polynomial.legendre.leggauss(p)
-        return 0.5 * (pts + 1.0)
+        return gauss01(p)[0]
 
     @property
     def n_local(self) -> int:
@@ -172,28 +146,28 @@ class ScalarSpace:
         n, p = self.mesh.n_elements, self.mesh.degree
         return n * p + 1 if self.kind == "cg" else n * p
 
-    def element_dofs(self, e: int) -> np.ndarray:
-        p = self.mesh.degree
-        if self.kind == "cg":
-            return np.arange(e * p, e * p + p + 1)
-        return np.arange(e * p, e * p + p)
-
     def tabulate(self, ref_pts: np.ndarray):
         """Basis values and physical derivatives at reference points."""
-        vals, ders = _lagrange(self.local_nodes, ref_pts)
+        vals, ders = lagrange(self.local_nodes, ref_pts)
         return vals, ders * self.mesh.n_elements
 
     def trace_dofs_and_weights(self, wall: int):
         """(global dofs, basis trace values) of this space at a wall."""
-        e = 0 if wall == 0 else self.mesh.n_elements - 1
-        xi = 0.0 if wall == 0 else 1.0
-        vals, _ = _lagrange(self.local_nodes, np.array([xi]))
-        return self.element_dofs(e), vals[:, 0]
+        dofs, vals, _ = self.locate(float(wall))
+        return dofs[0], vals[:, 0]
 
     def locate(self, x: np.ndarray):
         """(element dofs of shape (len(x), n_local), basis values, basis
-        x-derivatives of shape (n_local, len(x))) at points in [0, 1]."""
+        x-derivatives of shape (n_local, len(x))) at points in [0, 1].
+
+        Raises ValueError for points that are not finite or lie outside
+        [0, 1]; an interior element boundary belongs to the element on its
+        right.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        # NaN fails both comparisons.
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError("evaluation points must be finite and lie in [0, 1]")
         n = self.mesh.n_elements
         elems = np.minimum((x * n).astype(int), n - 1)
         bv, bd = self.tabulate(x * n - elems)
@@ -210,13 +184,6 @@ class ScalarSpace:
         p = self.mesh.degree
         base = np.arange(self.mesh.n_elements)[:, None] * p
         return base + np.arange(self.n_local)[None, :]
-
-    def evaluate_grid(self, coeffs: np.ndarray, ref_pts: np.ndarray):
-        """Values and derivatives at the same reference points of every
-        element; both returned with shape (n_elements, len(ref_pts))."""
-        bv, bd = self.tabulate(ref_pts)
-        local = coeffs[self.all_element_dofs()]
-        return local @ bv, local @ bd
 
 
 def build_spaces(mesh: SlabMesh, formulation: str) -> dict:
@@ -422,18 +389,12 @@ def _probe_boundary_kernel(form, g1: str, g2: str, frame: Frame) -> np.ndarray:
 # assembly
 
 
-def _gauss01(q: int):
-    pts, wts = np.polynomial.legendre.leggauss(q)
-    return 0.5 * (pts + 1.0), 0.5 * wts
-
-
-def _csr(rows: list, cols: list, vals: list, shape: tuple) -> sp.csr_matrix:
-    """Sum COO triplet chunks into a CSR matrix (empty chunks allowed)."""
-    if not rows:
+def _csr(triplets: list, shape: tuple) -> sp.csr_matrix:
+    """Sum a list of COO (rows, cols, vals) chunks into a CSR matrix."""
+    if not triplets:
         return sp.csr_matrix(shape)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape).tocsr()
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 class SlabAssembly:
@@ -477,9 +438,11 @@ class SlabAssembly:
         self._factorizations: dict = {}
         self._a_operator: sp.csr_matrix | None = None
         self._monitor_ops = None
-        qpts, qwts = _gauss01(mesh.degree + 1)
+        qpts, qwts = gauss01(mesh.degree + 1)
         self._tab = {kind: ScalarSpace(mesh, kind).tabulate(qpts)
                      for kind in ("cg", "dg")}
+        self._traces = {(kind, wall): ScalarSpace(mesh, kind).trace_dofs_and_weights(wall)
+                        for kind in ("cg", "dg") for wall in (0, 1)}
         self._qwts = qwts * mesh.h
         for name in FORM_GROUPS:
             self._forms[name] = self._assemble_form(name)
@@ -498,7 +461,7 @@ class SlabAssembly:
         """Global dofs of the normal velocity trace at both walls."""
         out = []
         for wall in (0, 1):
-            gd, tv = self.spaces["u1"].trace_dofs_and_weights(wall)
+            gd, tv = self._traces[self.spaces["u1"].kind, wall]
             # CG Lagrange trace is a single endpoint dof.
             out.append(self.offsets["u1"] + gd[np.argmax(np.abs(tv))])
         return np.unique(np.array(out))
@@ -524,20 +487,17 @@ class SlabAssembly:
         mdd = np.einsum("iq,jq,q->ij", d1, d2, w)
         return mvv, mvd, mdv, mdd
 
-    def _scatter(self, c1: str, c2: str, elem: np.ndarray, rows, cols, vals):
-        """Append one element matrix, repeated on every element, as COO."""
-        gd1 = self.offsets[c1] + self.spaces[c1].all_element_dofs()
-        gd2 = self.offsets[c2] + self.spaces[c2].all_element_dofs()
-        rows.append(np.repeat(gd1, gd2.shape[1], axis=1).ravel())
-        cols.append(np.tile(gd2, (1, gd1.shape[1])).ravel())
-        vals.append(np.tile(elem.ravel(), self.mesh.n_elements))
+    def _scatter(self, c1: str, c2: str, elem: np.ndarray):
+        """COO triplets of one element matrix repeated on every element."""
+        return element_coo(self.offsets[c1] + self.spaces[c1].all_element_dofs(),
+                           self.offsets[c2] + self.spaces[c2].all_element_dofs(), elem)
 
-    def _scatter_kernel(self, kern: np.ndarray, comps1, comps2):
-        """COO triplets (rows, cols, vals) of the volume integral of a
-        constant pointwise kernel acting on (values, derivatives) of comps1
-        (rows) and comps2 (columns)."""
+    def _scatter_kernel(self, kern: np.ndarray, comps1, comps2) -> list:
+        """COO triplet chunks of the volume integral of a constant
+        pointwise kernel acting on (values, derivatives) of comps1 (rows)
+        and comps2 (columns)."""
         m1, m2 = len(comps1), len(comps2)
-        rows, cols, vals = [], [], []
+        triplets = []
         for i, c1 in enumerate(comps1):
             for jj, c2 in enumerate(comps2):
                 kvv = kern[i, jj]
@@ -548,26 +508,25 @@ class SlabAssembly:
                     continue
                 mvv, mvd, mdv, mdd = self._pair_blocks(c1, c2)
                 elem = kvv * mvv + kvd * mvd + kdv * mdv + kdd * mdd
-                self._scatter(c1, c2, elem, rows, cols, vals)
-        return rows, cols, vals
+                triplets.append(self._scatter(c1, c2, elem))
+        return triplets
 
     def _assemble_form(self, name: str) -> sp.csr_matrix:
         g1, g2 = FORM_GROUPS[name]
         kern = _probe_volume_kernel(self._vol[name], g1, g2)
-        rows, cols, vals = self._scatter_kernel(kern, GROUPS[g1], GROUPS[g2])
+        triplets = self._scatter_kernel(kern, GROUPS[g1], GROUPS[g2])
         for wall in (0, 1):
             bk = _probe_boundary_kernel(self._bdry[name], g1, g2, WALL_FRAMES[wall])
             for i, c1 in enumerate(GROUPS[g1]):
                 for jj, c2 in enumerate(GROUPS[g2]):
                     if bk[i, jj] == 0.0:
                         continue
-                    gd1, tv1 = self.spaces[c1].trace_dofs_and_weights(wall)
-                    gd2, tv2 = self.spaces[c2].trace_dofs_and_weights(wall)
-                    block = bk[i, jj] * np.outer(tv1, tv2)
-                    rows.append(np.repeat(self.offsets[c1] + gd1, len(gd2)))
-                    cols.append(np.tile(self.offsets[c2] + gd2, len(gd1)))
-                    vals.append(block.ravel())
-        return _csr(rows, cols, vals, (self.ndof, self.ndof))
+                    gd1, tv1 = self._traces[self.spaces[c1].kind, wall]
+                    gd2, tv2 = self._traces[self.spaces[c2].kind, wall]
+                    triplets.append(element_coo(
+                        self.offsets[c1] + gd1[None], self.offsets[c2] + gd2[None],
+                        bk[i, jj] * np.outer(tv1, tv2)))
+        return _csr(triplets, (self.ndof, self.ndof))
 
     def _assemble_mass(self) -> sp.csr_matrix:
         """Probe <U, M V> through the state module (rho = p - theta)."""
@@ -575,7 +534,7 @@ class SlabAssembly:
         states = [_state_from_components(unit) for unit in np.eye(m)]
         kern = np.zeros((2 * m, 2 * m))
         kern[:m, :m] = [[mass_inner(ui, uj) for uj in states] for ui in states]
-        return _csr(*self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
+        return _csr(self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
                     (self.ndof, self.ndof))
 
     # -- loads ---------------------------------------------------------------
@@ -615,7 +574,7 @@ class SlabAssembly:
             coeff = term(_frame_comps(group, probe, frame))
             if coeff == 0.0:
                 continue
-            gd, tv = self.spaces[comp].trace_dofs_and_weights(wall)
+            gd, tv = self._traces[self.spaces[comp].kind, wall]
             out[self.offsets[comp] + gd] += coeff * tv
 
     # -- system operators ------------------------------------------------------
@@ -671,7 +630,7 @@ class SlabAssembly:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
         primary = [float(c != "p") for c in COMPONENTS]
         kern = np.diag(primary + primary)
-        return _csr(*self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
+        return _csr(self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
                     (self.ndof, self.ndof))
 
 
@@ -711,15 +670,12 @@ class DiscreteState:
         return vals, ders
 
     def sample_grid(self, ref_pts: np.ndarray):
-        """Per-element sampling at shared reference points, shapes
-        (13, n_elements, len(ref_pts))."""
+        """Sampling at the same reference points of every element, shapes
+        (13, n_elements, len(ref_pts)); points are located as in sample."""
         n = self.assembly.mesh.n_elements
-        vals = np.empty((len(COMPONENTS), n, ref_pts.size))
-        ders = np.empty_like(vals)
-        for i, name in enumerate(COMPONENTS):
-            space = self.assembly.spaces[name]
-            vals[i], ders[i] = space.evaluate_grid(self.component(name), ref_pts)
-        return vals, ders
+        vals, ders = self.sample(((np.arange(n)[:, None] + ref_pts) / n).ravel())
+        shape = (len(COMPONENTS), n, np.size(ref_pts))
+        return vals.reshape(shape), ders.reshape(shape)
 
     def state_at(self, x: float) -> StateVector:
         vals, _ = self.sample(np.array([x]))
@@ -904,20 +860,19 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     model, kn, m = assembly.model, assembly.kn, len(COMPONENTS)
     k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[:m], v[m:]), 2 * m)
     # One component's rows at a time keeps the COO temporaries small.
-    w1 = sp.vstack([_csr(*assembly._scatter_kernel(k_w1[[i, m + i]], (c,), COMPONENTS),
+    w1 = sp.vstack([_csr(assembly._scatter_kernel(k_w1[[i, m + i]], (c,), COMPONENTS),
                          (assembly.ndof, assembly.ndof))[assembly.dofs(c)]
                     for i, c in enumerate(COMPONENTS)], format="csr")
-    rows, cols, vals = [], [], []
+    triplets = []
     for i, name in enumerate(COMPONENTS):
         dofs, bv, bd = assembly.spaces[name].locate(np.array([0.0, 1.0]))
         for w, k in np.ndindex(2, 2):
-            rows.append(np.full(dofs.shape[1], (2 * w + k) * m + i))
-            cols.append(assembly.offsets[name] + dofs[w])
-            vals.append((bv, bd)[k][:, w])
+            triplets.append((np.full(dofs.shape[1], (2 * w + k) * m + i),
+                             assembly.offsets[name] + dofs[w], (bv, bd)[k][:, w]))
     assembly._monitor_ops = _MonitorOperators(
         a=assembly.a_operator(), w1=w1,
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
-        traces=_csr(rows, cols, vals, (4 * m, assembly.ndof)))
+        traces=_csr(triplets, (4 * m, assembly.ndof)))
     return assembly._monitor_ops
 
 
@@ -998,7 +953,9 @@ def _solve_reduced(mat: sp.csr_matrix, rhs: np.ndarray, keep: np.ndarray):
     return x, res, rel
 
 
-def _steady_solve(assembly: SlabAssembly, wall: WallData):
+def solve_steady(assembly: SlabAssembly, wall: WallData):
+    """Steady solve in the assembly's formulation: the coercive grouping
+    with constrained pressure, or the grouped degenerate formulation."""
     mat = assembly.steady_system()
     rhs = np.concatenate([assembly.load_vector(wall), [0.0]])
     keep = np.setdiff1d(np.arange(mat.shape[0]), assembly.essential_dofs)
@@ -1007,27 +964,6 @@ def _steady_solve(assembly: SlabAssembly, wall: WallData):
                           multiplier=float(x[-1]))
     mon = monitors(state, assembly, wall=wall, residual=res, residual_rel=rel)
     return state, mon
-
-
-def solve_steady_nonmaxwell(assembly: SlabAssembly, wall: WallData):
-    """Steady solve in the coercive grouping with constrained pressure."""
-    if assembly.formulation != "nonmaxwell":
-        raise ValueError("assembly was built for the grouped degenerate solve")
-    return _steady_solve(assembly, wall)
-
-
-def solve_steady_maxwell(assembly: SlabAssembly, wall: WallData):
-    """Steady solve in the grouped degenerate formulation."""
-    if assembly.formulation != "maxwell":
-        raise ValueError("assembly was built for the coercive grouping")
-    return _steady_solve(assembly, wall)
-
-
-def solve_steady(assembly: SlabAssembly, wall: WallData):
-    """Dispatch on the assembly's formulation."""
-    if assembly.formulation == "maxwell":
-        return solve_steady_maxwell(assembly, wall)
-    return solve_steady_nonmaxwell(assembly, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1133,7 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
     for n in n_list:
         asm = SlabAssembly(SlabMesh(n, degree), model, kn, formulation)
         state, _ = solve_steady(asm, wall)
-        qpts, qwts = _gauss01(degree + 2)
+        qpts, qwts = gauss01(degree + 2)
         h = asm.mesh.h
         x = ((np.arange(n)[:, None] + qpts) * h).ravel()
         err2 = ((state.sample(x)[0] - ref_state.sample(x)[0]) ** 2) @ np.tile(qwts * h, n)

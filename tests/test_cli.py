@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from r13lab import slab
+from r13lab import korn, slab
 from r13lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_SOLVER, main
 from r13lab.models import bundled_model_path
 
@@ -69,6 +69,14 @@ class TestAudits:
         tails = read_csv(outdir / "korn_tails.csv")
         assert set(tails.dtype.names) == {"index", "classical", "boundary", "stf"}
         assert tails["classical"].size == 12
+
+    def test_oversized_korn_mesh_is_config_error(self, monkeypatch, outdir):
+        def no_assembly(mesh):
+            raise AssertionError("assembled before the size check")
+
+        monkeypatch.setattr(korn, "MAX_DENSE_DOFS", 10)
+        monkeypatch.setattr(korn, "assemble_cube_forms", no_assembly)
+        assert run("korn", "--out", str(outdir)) == EXIT_CONFIG
 
     def test_korn_rejects_model_flag(self, outdir):
         with pytest.raises(SystemExit) as err:

@@ -312,8 +312,14 @@ class TestKornConstants:
         assert abs(lam4 - lam2) < 0.2 * lam2
 
     def test_dense_size_guard(self, monkeypatch):
-        monkeypatch.setattr(korn, "MAX_DENSE_DOFS", 10)
         forms = assemble_cube_forms(build_cube_mesh(1, 1))
+        monkeypatch.setattr(korn, "MAX_DENSE_DOFS", 10)
+
+        def no_assembly(mesh):
+            raise AssertionError("assembled before the size check")
+
+        # The guard must fire before any assembly.
+        monkeypatch.setattr(korn, "assemble_cube_forms", no_assembly)
         with pytest.raises(ValueError, match="dense eigensolves"):
             korn_constants(forms)
         with pytest.raises(ValueError, match="dense eigensolves"):

@@ -21,8 +21,6 @@ from r13lab.slab import (
     monitors,
     random_state,
     solve_steady,
-    solve_steady_maxwell,
-    solve_steady_nonmaxwell,
     step_transient,
     transient_run,
     zero_state,
@@ -56,14 +54,14 @@ def couette_eta7(eta7):
     # Kn = 1 keeps the near-degenerate shear sublayer of the published
     # constants resolvable at these element counts.
     asm = SlabAssembly(SlabMesh(64, 2), eta7, 1.0, "nonmaxwell")
-    state, mon = solve_steady_nonmaxwell(asm, WallData.couette())
+    state, mon = solve_steady(asm, WallData.couette())
     return asm, state, mon
 
 
 @pytest.fixture(scope="module")
 def couette_maxwell(maxwell):
     asm = SlabAssembly(SlabMesh(32, 2), maxwell, KN, "maxwell")
-    state, mon = solve_steady_maxwell(asm, WallData.couette())
+    state, mon = solve_steady(asm, WallData.couette())
     return asm, state, mon
 
 
@@ -219,12 +217,6 @@ class TestSteady:
     def test_steady_entropy_balance(self, couette_eta7, couette_maxwell):
         for _, _, mon in (couette_eta7, couette_maxwell):
             assert mon.i_bdry_data == pytest.approx(mon.w1, abs=1e-8 * (1 + abs(mon.w1)))
-
-    def test_formulation_dispatch_guards(self, asm_eta7, asm_maxwell):
-        with pytest.raises(ValueError):
-            solve_steady_maxwell(asm_eta7, WallData.homogeneous())
-        with pytest.raises(ValueError):
-            solve_steady_nonmaxwell(asm_maxwell, WallData.homogeneous())
 
 
 # ---------------------------------------------------------------------------
@@ -489,3 +481,14 @@ class TestValidation:
         for kn in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SlabAssembly(SlabMesh(4, 2), eta7, kn, "nonmaxwell")
+
+    def test_evaluation_points_outside_slab_rejected(self):
+        # f(x) = x; unchecked, x < 0 gives a negative element index,
+        # which numpy wraps to the last element.
+        space = slab.ScalarSpace(SlabMesh(4, 2), "cg")
+        coeffs = np.linspace(0.0, 1.0, space.ndof)
+        vals, _ = space.evaluate(coeffs, np.array([0.0, 0.3, 1.0]))
+        np.testing.assert_allclose(vals, [0.0, 0.3, 1.0], atol=1e-15)
+        for bad in (-0.5, 1.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                space.evaluate(coeffs, np.array([0.25, bad]))
