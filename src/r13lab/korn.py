@@ -218,17 +218,23 @@ def _scatter(mesh: CubeMesh, element_matrix: np.ndarray,
     over the rows of element_list (node tables of the same width).
 
     element_matrix has shape (nloc, nloc) acting on scalar nodes, or
-    (3*nloc, 3*nloc) acting on interleaved vector dofs.
+    (3*nloc, 3*nloc) acting on interleaved vector dofs.  A scalar matrix
+    acts on each vector component alone, so it is scattered into the three
+    diagonal component blocks, one copy of the element list per component.
+    Couplings that sum to exactly zero are dropped, so every stored entry is
+    a real coupling.
     """
     elements = mesh.elements if element_list is None else element_list
     nloc = elements.shape[1]
     if element_matrix.shape == (nloc, nloc):
-        element_matrix = np.kron(element_matrix, np.eye(3))
-    dofs = (3 * elements[:, :, None] + np.arange(3)).reshape(len(elements), -1)
+        dofs = (3 * elements + np.arange(3)[:, None, None]).reshape(-1, nloc)
+    else:
+        dofs = (3 * elements[:, :, None] + np.arange(3)).reshape(len(elements), -1)
     rows, cols, data = element_coo(dofs, dofs, element_matrix)
     mat = scipy.sparse.coo_matrix((data, (rows, cols)),
-                                  shape=(mesh.n_dofs, mesh.n_dofs))
-    return mat.tocsr()
+                                  shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def _boundary_face_matrix(mesh: CubeMesh) -> scipy.sparse.csr_matrix:

@@ -4,9 +4,10 @@ Geometry is the interval [0, 1] with walls at x = 0 and x = 1; all fields
 vary along axis 1 only, so every 3-D differential operator reduces through
 the slab gradient helpers of :mod:`r13lab.tensors`.  The bilinear forms are
 never hand-reduced: each one is probed numerically from its 3-D definition
-on unit value / derivative inputs, which yields a constant pointwise kernel
-because the coefficients are homogeneous.  Assembly then combines the kernel
-blocks with 1-D element matrices.
+on unit value / derivative inputs, all stacked into one batched evaluation,
+which yields a constant pointwise kernel because the coefficients are
+homogeneous.  Assembly then combines the kernel blocks with 1-D element
+matrices.
 
 Wall frames: at x = 1 the outward normal is +e1, at x = 0 it is -e1, with
 t1 = e2 and t2 = e3 at both walls.  Normal components of odd fields flip
@@ -33,7 +34,8 @@ import scipy.sparse.linalg as spla
 from .fe1d import element_coo, gauss01, lagrange
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
-from .state import StateVector, mass_inner, entropy_density, physical_fluxes
+from .state import (PhysicalFluxes, StateVector, entropy_density, mass_inner,
+                    physical_fluxes)
 from .tensors import (
     Frame,
     StfTensor3,
@@ -151,11 +153,6 @@ class ScalarSpace:
         vals, ders = lagrange(self.local_nodes, ref_pts)
         return vals, ders * self.mesh.n_elements
 
-    def trace_dofs_and_weights(self, wall: int):
-        """(global dofs, basis trace values) of this space at a wall."""
-        dofs, vals, _ = self.locate(float(wall))
-        return dofs[0], vals[:, 0]
-
     def locate(self, x: np.ndarray):
         """(element dofs of shape (len(x), n_local), basis values, basis
         x-derivatives of shape (n_local, len(x))) at points in [0, 1].
@@ -253,27 +250,39 @@ class WallData:
 
 # ---------------------------------------------------------------------------
 # pointwise kernels probed from the 3-D form definitions
+#
+# Every pointwise integrand broadcasts over leading batch axes of its field
+# samples (see r13lab.tensors) and reduces over the trailing axes only.
 
 
 def _vec_fields(vals, ders):
     grad, grad_stf = slab_grad_vec(vals, ders)
     return {"val": np.asarray(vals, dtype=float), "grad_stf": grad_stf,
-            "div": float(ders[0])}
+            "div": ders[..., 0]}
 
 
 def _sig_fields(vals, ders):
-    sig = StfTensor3(np.asarray(vals, dtype=float))
-    dsig = StfTensor3(np.asarray(ders, dtype=float))
-    _, grad_stf3, div = slab_grad_stf2(sig, dsig)
+    sig = StfTensor3(vals)
+    _, grad_stf3, div = slab_grad_stf2(sig, StfTensor3(ders))
     return {"val": sig, "grad_stf3": grad_stf3, "div": div}
 
 
 def _th_fields(val, der):
-    return {"val": float(val), "grad": np.array([float(der), 0.0, 0.0])}
+    grad = np.zeros(np.shape(der) + (3,))
+    grad[..., 0] = der
+    return {"val": val, "grad": grad}
 
 
-def _stf2_dot(x: StfTensor3, y: StfTensor3) -> float:
-    return float(np.sum(x.matrix() * y.matrix()))
+def _dot(x: np.ndarray, y: np.ndarray):
+    return np.sum(x * y, axis=-1)
+
+
+def _stf2_dot(x: StfTensor3, y: StfTensor3):
+    return np.sum(x.matrix() * y.matrix(), axis=(-2, -1))
+
+
+def _stf3_dot(x: np.ndarray, y: np.ndarray):
+    return np.sum(x * y, axis=(-3, -2, -1))
 
 
 def _volume_forms(model: MolecularModel, kn: float) -> dict:
@@ -287,18 +296,18 @@ def _volume_forms(model: MolecularModel, kn: float) -> dict:
     return {
         "a": lambda s, r: (24.0 / 25.0) * k.k7 * kn * _stf2_dot(s["grad_stf"], r["grad_stf"])
         + (4.0 / 5.0) * k.k6 * kn * s["div"] * r["div"]
-        + (4.0 * k.l1) / (15.0 * kn) * float(s["val"] @ r["val"]),
+        + (4.0 * k.l1) / (15.0 * kn) * _dot(s["val"], r["val"]),
         "b": lambda th, r: k.k0 * th["val"] * r["div"],
-        "c": lambda r, sg: -(2.0 / 5.0) * k.k8 * float(r["val"] @ sg["div"]),
-        "d": lambda sg, tu: k.k9 * kn * float(np.sum(sg["grad_stf3"] * tu["grad_stf3"]))
-        + 0.5 * k.k10 * kn * float(sg["div"] @ tu["div"])
+        "c": lambda r, sg: -(2.0 / 5.0) * k.k8 * _dot(r["val"], sg["div"]),
+        "d": lambda sg, tu: k.k9 * kn * _stf3_dot(sg["grad_stf3"], tu["grad_stf3"])
+        + 0.5 * k.k10 * kn * _dot(sg["div"], tu["div"])
         + k.l2 / (2.0 * kn) * _stf2_dot(sg["val"], tu["val"]),
-        "e": lambda v, sg: k.k5 * float(v["val"] @ sg["div"]),
+        "e": lambda v, sg: k.k5 * _dot(v["val"], sg["div"]),
         "f": lambda u, v: k.k3 * kn * _stf2_dot(u["grad_stf"], v["grad_stf"]),
         "g": lambda p, v: p["val"] * v["div"],
         "j": lambda s, v: k.k4 * kn * _stf2_dot(s["grad_stf"], v["grad_stf"]),
-        "z": lambda th, tu: -1.5 * k.k2 * kn * float(th["grad"] @ tu["div"]),
-        "h": lambda th, ga: 1.5 * k.k1 * kn * float(th["grad"] @ ga["grad"]),
+        "z": lambda th, tu: -1.5 * k.k2 * kn * _dot(th["grad"], tu["div"]),
+        "h": lambda th, ga: 1.5 * k.k1 * kn * _dot(th["grad"], ga["grad"]),
     }
 
 
@@ -340,49 +349,39 @@ def _prepare(group: str, vals: np.ndarray, ders: np.ndarray):
         return _vec_fields(vals, ders)
     if group == "sg":
         return _sig_fields(vals, ders)
-    return _th_fields(vals[0], ders[0])
+    return _th_fields(vals[..., 0], ders[..., 0])
 
 
 def _frame_comps(group: str, vals: np.ndarray, frame: Frame):
     if group in ("u", "s"):
-        return frame_components(np.asarray(vals, dtype=float), frame)
+        return frame_components(vals, frame)
     if group == "sg":
-        return frame_components(StfTensor3(np.asarray(vals, dtype=float)), frame)
-    return float(vals[0])
+        return frame_components(StfTensor3(vals), frame)
+    return vals[..., 0]
 
 
 def _probe_volume_kernel(form, g1: str, g2: str) -> np.ndarray:
     """Constant kernel K with K[i, j] = form(probe_i, probe_j).
 
     Probe index layout per argument: first the value components, then the
-    derivative components of the group.
+    derivative components of the group.  The unit probes of the two
+    arguments are stacked along crossed batch axes, (2 m1, 1) and
+    (1, 2 m2), so one form evaluation gives the whole kernel.
     """
     m1, m2 = _GROUP_DIM[g1], _GROUP_DIM[g2]
-    kern = np.zeros((2 * m1, 2 * m2))
-    for i in range(2 * m1):
-        x = np.zeros(2 * m1)
-        x[i] = 1.0
-        fx = _prepare(g1, x[:m1], x[m1:])
-        for jj in range(2 * m2):
-            y = np.zeros(2 * m2)
-            y[jj] = 1.0
-            fy = _prepare(g2, y[:m2], y[m2:])
-            kern[i, jj] = form(fx, fy)
-    return kern
+    x = np.eye(2 * m1)[:, None]
+    y = np.eye(2 * m2)[None]
+    return form(_prepare(g1, x[..., :m1], x[..., m1:]),
+                _prepare(g2, y[..., :m2], y[..., m2:]))
 
 
 def _probe_boundary_kernel(form, g1: str, g2: str, frame: Frame) -> np.ndarray:
+    """Wall kernel K with K[i, j] = form(unit trace i, unit trace j)."""
     m1, m2 = _GROUP_DIM[g1], _GROUP_DIM[g2]
-    kern = np.zeros((m1, m2))
-    for i in range(m1):
-        x = np.zeros(m1)
-        x[i] = 1.0
-        fx = _frame_comps(g1, x, frame)
-        for jj in range(m2):
-            y = np.zeros(m2)
-            y[jj] = 1.0
-            kern[i, jj] = form(fx, _frame_comps(g2, y, frame))
-    return kern
+    kern = form(_frame_comps(g1, np.eye(m1)[:, None], frame),
+                _frame_comps(g2, np.eye(m2)[None], frame))
+    # A form without wall terms returns a plain zero.
+    return np.broadcast_to(kern, (m1, m2))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +440,8 @@ class SlabAssembly:
         qpts, qwts = gauss01(mesh.degree + 1)
         self._tab = {kind: ScalarSpace(mesh, kind).tabulate(qpts)
                      for kind in ("cg", "dg")}
-        self._traces = {(kind, wall): ScalarSpace(mesh, kind).trace_dofs_and_weights(wall)
-                        for kind in ("cg", "dg") for wall in (0, 1)}
+        self._traces = {kind: ScalarSpace(mesh, kind).locate(np.array([0.0, 1.0]))
+                        for kind in ("cg", "dg")}
         self._qwts = qwts * mesh.h
         for name in FORM_GROUPS:
             self._forms[name] = self._assemble_form(name)
@@ -456,14 +455,20 @@ class SlabAssembly:
     def group_dofs(self, group: str) -> np.ndarray:
         return np.concatenate([self.dofs(c) for c in GROUPS[group]])
 
+    def _trace(self, component: str, wall: int):
+        """(global dofs, basis values, basis x-derivatives) of one
+        component at a wall."""
+        dofs, vals, ders = self._traces[self.spaces[component].kind]
+        return self.offsets[component] + dofs[wall], vals[:, wall], ders[:, wall]
+
     @property
     def essential_dofs(self) -> np.ndarray:
         """Global dofs of the normal velocity trace at both walls."""
         out = []
         for wall in (0, 1):
-            gd, tv = self._traces[self.spaces["u1"].kind, wall]
+            gd, tv, _ = self._trace("u1", wall)
             # CG Lagrange trace is a single endpoint dof.
-            out.append(self.offsets["u1"] + gd[np.argmax(np.abs(tv))])
+            out.append(gd[np.argmax(np.abs(tv))])
         return np.unique(np.array(out))
 
     def form(self, name: str) -> sp.csr_matrix:
@@ -521,19 +526,19 @@ class SlabAssembly:
                 for jj, c2 in enumerate(GROUPS[g2]):
                     if bk[i, jj] == 0.0:
                         continue
-                    gd1, tv1 = self._traces[self.spaces[c1].kind, wall]
-                    gd2, tv2 = self._traces[self.spaces[c2].kind, wall]
-                    triplets.append(element_coo(
-                        self.offsets[c1] + gd1[None], self.offsets[c2] + gd2[None],
-                        bk[i, jj] * np.outer(tv1, tv2)))
+                    gd1, tv1, _ = self._trace(c1, wall)
+                    gd2, tv2, _ = self._trace(c2, wall)
+                    triplets.append(element_coo(gd1[None], gd2[None],
+                                                bk[i, jj] * np.outer(tv1, tv2)))
         return _csr(triplets, (self.ndof, self.ndof))
 
     def _assemble_mass(self) -> sp.csr_matrix:
         """Probe <U, M V> through the state module (rho = p - theta)."""
         m = len(COMPONENTS)
-        states = [_state_from_components(unit) for unit in np.eye(m)]
+        units = np.eye(m)
         kern = np.zeros((2 * m, 2 * m))
-        kern[:m, :m] = [[mass_inner(ui, uj) for uj in states] for ui in states]
+        kern[:m, :m] = mass_inner(_state_from_components(units[:, None]),
+                                  _state_from_components(units[None]))
         return _csr(self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
                     (self.ndof, self.ndof))
 
@@ -566,16 +571,13 @@ class SlabAssembly:
         return out
 
     def _add_wall_term(self, out: np.ndarray, group: str, wall: int, term):
-        frame = WALL_FRAMES[wall]
         m = _GROUP_DIM[group]
-        for i, comp in enumerate(GROUPS[group]):
-            probe = np.zeros(m)
-            probe[i] = 1.0
-            coeff = term(_frame_comps(group, probe, frame))
+        coeffs = term(_frame_comps(group, np.eye(m), WALL_FRAMES[wall]))
+        for comp, coeff in zip(GROUPS[group], coeffs):
             if coeff == 0.0:
                 continue
-            gd, tv = self._traces[self.spaces[comp].kind, wall]
-            out[self.offsets[comp] + gd] += coeff * tv
+            gd, tv, _ = self._trace(comp, wall)
+            out[gd] += coeff * tv
 
     # -- system operators ------------------------------------------------------
 
@@ -635,10 +637,11 @@ class SlabAssembly:
 
 
 def _state_from_components(comp: np.ndarray) -> StateVector:
-    """Stored components (p, theta, u, s, sig) to a StateVector."""
-    p, theta = comp[0], comp[1]
-    return StateVector(rho=p - theta, theta=theta, u=comp[2:5],
-                       s_bar=comp[5:8], sigma_bar=StfTensor3(comp[8:13]))
+    """Stored components (p, theta, u, s, sig) on the trailing axis to a
+    StateVector with the same leading batch axes."""
+    p, theta = np.rollaxis(comp[..., :2], -1)
+    return StateVector(rho=p - theta, theta=theta, u=comp[..., 2:5],
+                       s_bar=comp[..., 5:8], sigma_bar=StfTensor3(comp[..., 8:13]))
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +688,11 @@ class DiscreteState:
         """Sampled x grid, component values, and physical flux recovery."""
         x = np.linspace(0.0, 1.0, n_points)
         vals, ders = self.sample(x)
-        fluxes = []
-        for i in range(x.size):
-            u = _state_from_components(vals[:, i])
-            du = _state_from_components(ders[:, i])
-            fluxes.append(physical_fluxes(u, du, self.assembly.model, self.assembly.kn))
+        # One flux recovery over all points, split into per-point records.
+        fl = physical_fluxes(_state_from_components(vals.T), _state_from_components(ders.T),
+                             self.assembly.model, self.assembly.kn)
+        fluxes = [PhysicalFluxes(sigma=StfTensor3(sig), s=s)
+                  for sig, s in zip(fl.sigma.components, fl.s)]
         return x, vals, fluxes
 
 
@@ -738,28 +741,30 @@ class SolveMonitors:
 
 
 def _w1_integrand(model: MolecularModel, kn: float, u_vals: np.ndarray,
-                  u_ders: np.ndarray) -> float:
-    """Bulk production density (nonpositive under the sign conditions)."""
+                  u_ders: np.ndarray):
+    """Bulk production density (nonpositive under the sign conditions) of
+    component values and derivatives on the trailing axis."""
     k = model
-    th_grad = np.array([u_ders[1], 0.0, 0.0])
-    _, grad_u_stf = slab_grad_vec(u_vals[2:5], u_ders[2:5])
-    _, grad_s_stf = slab_grad_vec(u_vals[5:8], u_ders[5:8])
-    div_s = u_ders[5]
-    sig = StfTensor3(u_vals[8:13])
-    dsig = StfTensor3(u_ders[8:13])
+    th_grad = np.zeros(u_ders.shape[:-1] + (3,))
+    th_grad[..., 0] = u_ders[..., 1]
+    _, grad_u_stf = slab_grad_vec(u_vals[..., 2:5], u_ders[..., 2:5])
+    _, grad_s_stf = slab_grad_vec(u_vals[..., 5:8], u_ders[..., 5:8])
+    div_s = u_ders[..., 5]
+    sig = StfTensor3(u_vals[..., 8:13])
+    dsig = StfTensor3(u_ders[..., 8:13])
     _, grad_sig_stf3, div_sig = slab_grad_stf2(sig, dsig)
     grad_part = (
-        1.5 * k.k1 * float(th_grad @ th_grad)
-        - 3.0 * k.k2 * float(th_grad @ div_sig)
-        + 0.5 * k.k10 * float(div_sig @ div_sig)
+        1.5 * k.k1 * _dot(th_grad, th_grad)
+        - 3.0 * k.k2 * _dot(th_grad, div_sig)
+        + 0.5 * k.k10 * _dot(div_sig, div_sig)
         + (4.0 / 5.0) * k.k6 * div_s * div_s
         + k.k3 * grad_u_stf.norm2()
         + 2.0 * k.k4 * _stf2_dot(grad_u_stf, grad_s_stf)
         + (24.0 / 25.0) * k.k7 * grad_s_stf.norm2()
-        + k.k9 * float(np.sum(grad_sig_stf3 * grad_sig_stf3))
+        + k.k9 * _stf3_dot(grad_sig_stf3, grad_sig_stf3)
     )
-    relax_part = ((4.0 / 15.0) * k.l1 * float(u_vals[5:8] @ u_vals[5:8])
-                  + 0.5 * k.l2 * StfTensor3(u_vals[8:13]).norm2())
+    relax_part = ((4.0 / 15.0) * k.l1 * _dot(u_vals[..., 5:8], u_vals[..., 5:8])
+                  + 0.5 * k.l2 * StfTensor3(u_vals[..., 8:13]).norm2())
     return -kn * grad_part - relax_part / kn
 
 
@@ -832,14 +837,17 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame,
 
 
 def _quadratic_kernel(q, dim: int) -> np.ndarray:
-    """Symmetric kernel of a quadratic functional by polarization probing."""
-    kern = np.zeros((dim, dim))
+    """Symmetric kernel of a quadratic functional by polarization probing.
+
+    q is called once, on the stacked probes (n_probes, dim): first the unit
+    vectors e_i, then e_i + e_j for every pair i < j.
+    """
     basis = np.eye(dim)
-    diag = np.array([q(basis[i]) for i in range(dim)])
-    for i in range(dim):
-        kern[i, i] = diag[i]
-        for j in range(i + 1, dim):
-            kern[i, j] = kern[j, i] = 0.5 * (q(basis[i] + basis[j]) - diag[i] - diag[j])
+    i, j = np.triu_indices(dim, 1)
+    vals = q(np.concatenate([basis, basis[i] + basis[j]]))
+    diag = vals[:dim]
+    kern = np.diag(diag)
+    kern[i, j] = kern[j, i] = 0.5 * (vals[dim:] - diag[i] - diag[j])
     return kern
 
 
@@ -858,17 +866,18 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     if assembly._monitor_ops is not None:
         return assembly._monitor_ops
     model, kn, m = assembly.model, assembly.kn, len(COMPONENTS)
-    k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[:m], v[m:]), 2 * m)
+    k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[..., :m], v[..., m:]),
+                             2 * m)
     # One component's rows at a time keeps the COO temporaries small.
     w1 = sp.vstack([_csr(assembly._scatter_kernel(k_w1[[i, m + i]], (c,), COMPONENTS),
                          (assembly.ndof, assembly.ndof))[assembly.dofs(c)]
                     for i, c in enumerate(COMPONENTS)], format="csr")
     triplets = []
     for i, name in enumerate(COMPONENTS):
-        dofs, bv, bd = assembly.spaces[name].locate(np.array([0.0, 1.0]))
-        for w, k in np.ndindex(2, 2):
-            triplets.append((np.full(dofs.shape[1], (2 * w + k) * m + i),
-                             assembly.offsets[name] + dofs[w], (bv, bd)[k][:, w]))
+        for w in (0, 1):
+            dofs, *traces = assembly._trace(name, w)
+            for k in (0, 1):
+                triplets.append((np.full(dofs.size, (2 * w + k) * m + i), dofs, traces[k]))
     assembly._monitor_ops = _MonitorOperators(
         a=assembly.a_operator(), w1=w1,
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
@@ -978,8 +987,8 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
     operator; implicit Euler (theta = 1) is unconditionally dissipative,
     the trapezoidal scheme (theta = 1/2) nearly conserves for small dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if wall is not None and not wall.is_homogeneous:
         raise ValueError("transient stepping supports homogeneous wall data only")
     theta_s = {"implicit-euler": 1.0, "crank-nicolson": 0.5}.get(scheme)
@@ -1017,6 +1026,8 @@ def transient_run(assembly: SlabAssembly, initial: DiscreteState, dt: float,
     The monitor list starts with the initial state so trajectories expose
     E^0 alongside every later step.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps!r}")
     state = initial
     trace = [monitors(state, assembly)]
     for _ in range(n_steps):

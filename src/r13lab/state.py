@@ -6,6 +6,8 @@ Canonical serialization order of the 11 scalar components:
     rho, theta, u1, u2, u3, s1, s2, s3, sig11, sig22, sig12, sig13, sig23
 
 (the five stress entries follow the stf ordering of :mod:`r13lab.tensors`).
+Fields may carry leading batch axes, as in :mod:`r13lab.tensors`; the inner
+product and the flux recovery then act on every state of the batch.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class StateVector:
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         object.__setattr__(self, "s_bar", np.asarray(self.s_bar, dtype=float))
-        if self.u.shape != (3,) or self.s_bar.shape != (3,):
+        if self.u.shape[-1:] != (3,) or self.s_bar.shape[-1:] != (3,):
             raise ValueError("u and s_bar must be 3-vectors")
 
     @property
@@ -44,6 +46,7 @@ class StateVector:
         return self.rho + self.theta
 
     def to_array(self) -> np.ndarray:
+        """The 13 canonical components of a single state."""
         return np.concatenate(([self.rho, self.theta], self.u, self.s_bar,
                                self.sigma_bar.components))
 
@@ -74,9 +77,9 @@ class PhysicalFluxes:
 
 def mass_inner(u1: StateVector, u2: StateVector) -> float:
     """<U1, M U2> with M = diag(1, 3/2, I, (2/5)I, (1/2)I_stf)."""
-    sig = float(np.sum(u1.sigma_bar.matrix() * u2.sigma_bar.matrix()))
-    return (u1.rho * u2.rho + 1.5 * u1.theta * u2.theta + float(u1.u @ u2.u)
-            + 0.4 * float(u1.s_bar @ u2.s_bar) + 0.5 * sig)
+    sig = (u1.sigma_bar.matrix() * u2.sigma_bar.matrix()).sum(axis=(-2, -1))
+    return (u1.rho * u2.rho + 1.5 * u1.theta * u2.theta + (u1.u * u2.u).sum(axis=-1)
+            + 0.4 * (u1.s_bar * u2.s_bar).sum(axis=-1) + 0.5 * sig)
 
 
 def relaxation_apply(u: StateVector, model, kn: float) -> StateVector:
@@ -120,7 +123,8 @@ def physical_fluxes(u: StateVector, du_dx: StateVector, model, kn: float) -> Phy
     _, grad_u_stf = slab_grad_vec(u.u, du_dx.u)
     _, grad_s_stf = slab_grad_vec(u.s_bar, du_dx.s_bar)
     _, _, div_sigma = slab_grad_stf2(u.sigma_bar, du_dx.sigma_bar)
-    grad_theta = np.array([du_dx.theta, 0.0, 0.0])
+    grad_theta = np.zeros(np.shape(du_dx.theta) + (3,))
+    grad_theta[..., 0] = du_dx.theta
 
     sigma = StfTensor3(model.k5 * u.sigma_bar.components
                        - model.k4 * kn * grad_s_stf.components

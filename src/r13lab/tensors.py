@@ -7,11 +7,17 @@ components in the fixed ordering
 
 which all serialization and assembly code shares.  Third-order tensors are
 kept dense (27 entries); the 7-component reduction is an output view only.
+
+Every helper broadcasts over leading batch axes: components, vectors and
+matrices sit on the trailing axes, so an (..., 5) component array is a batch
+of tensors and (..., 3, 3) a batch of matrices.  A single tensor is the 0-d
+batch.  Reductions run over the trailing axes only, element by element, so a
+batch gives the same numbers as its items evaluated one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,34 +47,37 @@ def stf_basis_matrices() -> np.ndarray:
 
 
 _BASIS = stf_basis_matrices()
+_EYE = np.eye(3)
+_ROWS, _COLS = np.array(STF_PAIRS).T
+_STF3_INDEX = tuple(np.array(STF3_TRIPLES).T)
 
 
 @dataclass(frozen=True)
 class StfTensor3:
-    """Symmetric trace-free 3x3 tensor stored by canonical components."""
+    """Symmetric trace-free 3x3 tensors stored by canonical components."""
 
-    components: np.ndarray  # shape (5,)
+    components: np.ndarray  # shape (..., 5)
 
     def __post_init__(self):
         c = np.asarray(self.components, dtype=float)
-        if c.shape != (5,):
+        if c.shape[-1:] != (5,):
             raise ValueError(f"expected 5 components, got shape {c.shape}")
         object.__setattr__(self, "components", c)
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "StfTensor3":
         a = np.asarray(a, dtype=float)
-        sym = 0.5 * (a + a.T)
-        dev = sym - (np.trace(sym) / 3.0) * np.eye(3)
-        return cls(np.array([dev[i, j] for (i, j) in STF_PAIRS]))
+        sym = 0.5 * (a + a.swapaxes(-1, -2))
+        dev = sym - (sym.trace(axis1=-2, axis2=-1) / 3.0)[..., None, None] * _EYE
+        return cls(dev[..., _ROWS, _COLS])
 
     def matrix(self) -> np.ndarray:
-        return np.einsum("a,aij->ij", self.components, _BASIS)
+        return np.einsum("...a,aij->...ij", self.components, _BASIS)
 
-    def norm2(self) -> float:
+    def norm2(self):
         """Frobenius double contraction T:T."""
         m = self.matrix()
-        return float(np.sum(m * m))
+        return (m * m).sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,7 @@ class Frame:
     n: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # n, t1, t2
 
     def __post_init__(self):
         for name in ("n", "t1", "t2"):
@@ -86,6 +96,7 @@ class Frame:
         gram = np.array([[float(a @ b) for b in vecs] for a in vecs])
         if not np.allclose(gram, np.eye(3), atol=1e-14):
             raise ValueError("frame vectors are not orthonormal")
+        object.__setattr__(self, "rows", np.stack(vecs))
 
 
 IDENTITY_FRAME = Frame(n=np.array([1.0, 0.0, 0.0]),
@@ -94,36 +105,36 @@ IDENTITY_FRAME = Frame(n=np.array([1.0, 0.0, 0.0]),
 
 
 def stf2(a: np.ndarray) -> StfTensor3:
-    """Project a 3x3 matrix onto its symmetric trace-free part."""
+    """Project 3x3 matrices onto their symmetric trace-free part."""
     return StfTensor3.from_matrix(a)
 
 
 def sym3(b: np.ndarray) -> np.ndarray:
-    """Full symmetrization of a 3rd-order tensor (average of 6 transposes)."""
+    """Full symmetrization of 3rd-order tensors (average of 6 transposes)."""
     b = np.asarray(b, dtype=float)
+    n = b.ndim - 3
+    lead = tuple(range(n))
     perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    return sum(np.transpose(b, p) for p in perms) / 6.0
+    return sum(b.transpose(lead + (n + i, n + j, n + k)) for i, j, k in perms) / 6.0
 
 
 def stf3(b: np.ndarray) -> np.ndarray:
-    """Symmetric trace-free projection of a 3x3x3 tensor, returned dense.
+    """Symmetric trace-free projection of 3x3x3 tensors, returned dense.
 
     Subtracts (1/5)(t_i d_jk + t_j d_ik + t_k d_ij) from the symmetrization,
     where t is its single independent trace vector.
     """
     s = sym3(b)
-    t = np.einsum("ill->i", s)
-    eye = np.eye(3)
-    corr = (np.einsum("i,jk->ijk", t, eye)
-            + np.einsum("j,ik->ijk", t, eye)
-            + np.einsum("k,ij->ijk", t, eye)) / 5.0
+    t = np.einsum("...ill->...i", s)
+    corr = (t[..., :, None, None] * _EYE
+            + t[..., None, :, None] * _EYE[:, None, :]
+            + t[..., None, None, :] * _EYE[:, :, None]) / 5.0
     return s - corr
 
 
 def stf3_components(t: np.ndarray) -> np.ndarray:
-    """The 7 independent entries of an stf 3rd-order tensor (view only)."""
-    t = np.asarray(t, dtype=float)
-    return np.array([t[i, j, k] for (i, j, k) in STF3_TRIPLES])
+    """The 7 independent entries of stf 3rd-order tensors (view only)."""
+    return np.asarray(t, dtype=float)[(..., *_STF3_INDEX)]
 
 
 def slab_grad_vec(values: np.ndarray, derivs: np.ndarray):
@@ -134,8 +145,8 @@ def slab_grad_vec(values: np.ndarray, derivs: np.ndarray):
     kept in the signature so call sites pass the whole field sample.
     """
     derivs = np.asarray(derivs, dtype=float)
-    grad = np.zeros((3, 3))
-    grad[:, 0] = derivs
+    grad = np.zeros(derivs.shape + (3,))
+    grad[..., 0] = derivs
     return grad, stf2(grad)
 
 
@@ -146,33 +157,25 @@ def slab_grad_stf2(field: StfTensor3, derivs: StfTensor3):
     projection, and the divergence (nabla . sigma)_i = dsigma_i1/dx).
     """
     dmat = derivs.matrix()
-    grad = np.zeros((3, 3, 3))
-    grad[:, :, 0] = dmat
-    div = dmat[:, 0].copy()
+    grad = np.zeros(dmat.shape + (3,))
+    grad[..., 0] = dmat
+    div = dmat[..., 0].copy()
     return grad, stf3(grad), div
 
 
-def frame_components_vector(v: np.ndarray, frame: Frame) -> dict:
-    v = np.asarray(v, dtype=float)
-    return {
-        "n": float(frame.n @ v),
-        "t1": float(frame.t1 @ v),
-        "t2": float(frame.t2 @ v),
-    }
-
-
-def frame_components_tensor(t: StfTensor3, frame: Frame) -> dict:
-    m = t.matrix()
-    axes = {"n": frame.n, "t1": frame.t1, "t2": frame.t2}
-    out = {}
-    for a_name, a in axes.items():
-        for b_name, b in axes.items():
-            out[a_name + b_name] = float(a @ m @ b)
-    return out
+# Frame projections multiply and sum explicitly instead of using matmul, whose
+# BLAS kernels may round a batch differently from its items.  Moving the frame
+# axes first makes a single vector or tensor give plain scalars.
+_AXES = ("n", "t1", "t2")
 
 
 def frame_components(obj, frame: Frame) -> dict:
-    """Project a 3-vector or StfTensor3 onto a wall frame."""
+    """Project 3-vectors or StfTensor3 onto a wall frame."""
+    r = frame.rows
     if isinstance(obj, StfTensor3):
-        return frame_components_tensor(obj, frame)
-    return frame_components_vector(np.asarray(obj), frame)
+        rm = (r[:, :, None] * obj.matrix()[..., None, :, :]).sum(axis=-2)  # r_ai m_ij
+        comps = (rm[..., :, None, :] * r).sum(axis=-1)  # r_ai m_ij r_bj
+        return {a + b: c for a, row in zip(_AXES, np.rollaxis(comps, -2))
+                for b, c in zip(_AXES, np.rollaxis(row, -1))}
+    comps = (np.asarray(obj, dtype=float)[..., None, :] * r).sum(axis=-1)
+    return dict(zip(_AXES, np.rollaxis(comps, -1)))

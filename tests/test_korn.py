@@ -215,6 +215,16 @@ class TestAssembledForms:
         u = rng.standard_normal(mesh.n_dofs)
         assert stf_energy(mesh, u) == pytest.approx(u @ (forms.stf @ u), rel=1e-12)
 
+    @pytest.mark.parametrize("n,degree", [(2, 1), (1, 2)])
+    def test_grams_store_only_real_couplings(self, n, degree):
+        # Scalar Grams couple each vector component with itself only; no
+        # stored entry of any Gram is an explicit zero.
+        forms = assemble_cube_forms(build_cube_mesh(n, degree))
+        for mat in (forms.l2, forms.h1, forms.stf, forms.boundary):
+            assert mat.nnz == np.count_nonzero(mat.data)
+        rows, cols = forms.l2.nonzero()
+        assert np.array_equal(rows % 3, cols % 3)
+
     def test_interpolate_validates_shape(self, n2_deg2):
         mesh, _ = n2_deg2
         with pytest.raises(ValueError, match="3-vector per node"):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from r13lab import slab
 from r13lab.models import resolve_model
-from r13lab.state import mass_inner
+from r13lab.state import mass_inner, physical_fluxes
 from r13lab.tensors import StfTensor3, frame_components
 from r13lab.slab import (
     SlabAssembly,
@@ -285,10 +285,10 @@ class TestMonitors:
         b_wall = sp.csr_matrix((asm.ndof, asm.ndof))
         for w, frame in enumerate(slab.WALL_FRAMES):
             def quadratic(v, frame=frame):
-                fr = {"s": frame_components(v[5:8], frame),
-                      "u": frame_components(v[2:5], frame),
-                      "sig": frame_components(StfTensor3(v[8:13]), frame),
-                      "theta": float(v[1])}
+                fr = {"s": frame_components(v[..., 5:8], frame),
+                      "u": frame_components(v[..., 2:5], frame),
+                      "sig": frame_components(StfTensor3(v[..., 8:13]), frame),
+                      "theta": v[..., 1]}
                 return slab._wall_quadratic(asm.coeffs, fr)
 
             kern = slab._quadratic_kernel(quadratic, m)
@@ -297,6 +297,19 @@ class TestMonitors:
         a = asm.a_operator().toarray()
         gap = 0.5 * (a + a.T) - (b_wall - ops.w1).toarray()
         assert np.abs(gap).max() <= 1e-12 * np.abs(a).max()
+
+    def test_wall_traces_located_once_per_space_kind(self, maxwell, monkeypatch):
+        calls = []
+        locate = slab.ScalarSpace.locate
+
+        def counting(self, x):
+            calls.append(self.kind)
+            return locate(self, x)
+
+        monkeypatch.setattr(slab.ScalarSpace, "locate", counting)
+        asm = SlabAssembly(SlabMesh(8, 2), maxwell, KN, "maxwell")
+        slab._monitor_operators(asm)
+        assert sorted(calls) == ["cg", "dg"]
 
     def test_volume_monitors_match_pointwise_quadrature(self, asm_eta7,
                                                         asm_maxwell):
@@ -323,6 +336,82 @@ class TestMonitors:
                 assert mon.w1 == pytest.approx(w1, rel=1e-12)
                 assert mon.mass == pytest.approx(
                     wq @ rho, rel=1e-12, abs=1e-12 * (wq @ np.abs(rho)))
+
+
+class TestBatchedKernels:
+    """The pointwise integrands broadcast over leading batch axes, so every
+    kernel is probed in one call; each batch item gives exactly the number
+    of its single-item call."""
+
+    SHAPE = (4, 3)
+
+    def test_w1_integrand(self, eta7):
+        rng = np.random.default_rng(301)
+        vals, ders = rng.uniform(-1.0, 1.0, size=(2,) + self.SHAPE + (13,))
+        out = slab._w1_integrand(eta7, KN, vals, ders)
+        assert out.shape == self.SHAPE
+        for idx in np.ndindex(self.SHAPE):
+            assert out[idx] == slab._w1_integrand(eta7, KN, vals[idx], ders[idx])
+
+    @pytest.mark.parametrize("name", sorted(slab.FORM_GROUPS))
+    def test_volume_form(self, eta7, name):
+        g1, g2 = slab.FORM_GROUPS[name]
+        m1, m2 = slab._GROUP_DIM[g1], slab._GROUP_DIM[g2]
+        form = slab._volume_forms(eta7, KN)[name]
+        rng = np.random.default_rng(302)
+        x = rng.uniform(-1.0, 1.0, size=self.SHAPE + (2 * m1,))
+        y = rng.uniform(-1.0, 1.0, size=self.SHAPE + (2 * m2,))
+
+        def evaluate(x, y):
+            return form(slab._prepare(g1, x[..., :m1], x[..., m1:]),
+                        slab._prepare(g2, y[..., :m2], y[..., m2:]))
+
+        out = evaluate(x, y)
+        assert out.shape == self.SHAPE
+        for idx in np.ndindex(self.SHAPE):
+            assert out[idx] == evaluate(x[idx], y[idx])
+
+    @pytest.mark.parametrize("name", sorted(slab.FORM_GROUPS))
+    def test_boundary_form(self, eta7, name):
+        g1, g2 = slab.FORM_GROUPS[name]
+        m1, m2 = slab._GROUP_DIM[g1], slab._GROUP_DIM[g2]
+        form = slab._boundary_forms(slab.boundary_coefficients(eta7))[name]
+        rng = np.random.default_rng(303)
+        x = rng.uniform(-1.0, 1.0, size=self.SHAPE + (m1,))
+        y = rng.uniform(-1.0, 1.0, size=self.SHAPE + (m2,))
+        for frame in slab.WALL_FRAMES:
+            def evaluate(x, y):
+                return form(slab._frame_comps(g1, x, frame), slab._frame_comps(g2, y, frame))
+
+            out = np.broadcast_to(evaluate(x, y), self.SHAPE)
+            for idx in np.ndindex(self.SHAPE):
+                assert out[idx] == evaluate(x[idx], y[idx])
+
+    def test_quadratic_kernel_recovers_symmetric_matrix(self):
+        # Integer entries keep every polarization sum exact.
+        rng = np.random.default_rng(304)
+        a = rng.integers(-9, 10, size=(7, 7)).astype(float)
+        q_mat = a + a.T
+        calls = []
+
+        def q(v):
+            calls.append(v.shape)
+            return np.einsum("...i,ij,...j->...", v, q_mat, v)
+
+        assert np.array_equal(slab._quadratic_kernel(q, 7), q_mat)
+        assert calls == [(7 + 21, 7)]
+
+    def test_profile_fluxes_are_pointwise_recovery(self, couette_eta7):
+        state = couette_eta7[1]
+        x, vals, fluxes = state.profile(11)
+        _, ders = state.sample(x)
+        assert len(fluxes) == x.size
+        for i, flux in enumerate(fluxes):
+            item = physical_fluxes(slab._state_from_components(vals[:, i]),
+                                   slab._state_from_components(ders[:, i]),
+                                   state.assembly.model, state.assembly.kn)
+            assert np.array_equal(flux.sigma.components, item.sigma.components)
+            assert np.array_equal(flux.s, item.s)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +464,16 @@ class TestTransient:
         with pytest.raises(ValueError):
             step_transient(state, 0.1, "implicit-euler", asm_eta7,
                            wall=WallData.couette())
+
+    def test_step_rejects_non_finite_dt(self, asm_eta7):
+        state = zero_state(asm_eta7)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                step_transient(state, dt, "implicit-euler", asm_eta7)
+
+    def test_run_rejects_negative_step_count(self, asm_eta7):
+        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+            transient_run(asm_eta7, zero_state(asm_eta7), dt=0.01, n_steps=-3)
 
     def test_a_operator_built_once_per_assembly(self, eta7, monkeypatch):
         calls = []

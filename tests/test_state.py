@@ -151,3 +151,40 @@ class TestSerialization:
     def test_pressure_accessor(self):
         u = StateVector(rho=0.25, theta=-1.0)
         assert u.p == pytest.approx(-0.75)
+
+
+class TestBatching:
+    """Batched states give, item by item, the numbers of single states."""
+
+    SHAPE = (4, 3)
+
+    @staticmethod
+    def batch_state(arr):
+        return StateVector(rho=arr[..., 0], theta=arr[..., 1], u=arr[..., 2:5],
+                           s_bar=arr[..., 5:8], sigma_bar=StfTensor3(arr[..., 8:13]))
+
+    def test_physical_fluxes(self):
+        rng = np.random.default_rng(201)
+        u, du = rng.uniform(-1.0, 1.0, size=(2,) + self.SHAPE + (13,))
+        out = physical_fluxes(self.batch_state(u), self.batch_state(du),
+                              GENERIC_FLUX, kn=0.3)
+        assert out.sigma.components.shape == self.SHAPE + (5,)
+        assert out.s.shape == self.SHAPE + (3,)
+        for idx in np.ndindex(self.SHAPE):
+            item = physical_fluxes(StateVector.from_array(u[idx]),
+                                   StateVector.from_array(du[idx]), GENERIC_FLUX, kn=0.3)
+            assert np.array_equal(out.sigma.components[idx], item.sigma.components)
+            assert np.array_equal(out.s[idx], item.s)
+
+    def test_mass_inner(self):
+        rng = np.random.default_rng(202)
+        a, b = rng.uniform(-1.0, 1.0, size=(2,) + self.SHAPE + (13,))
+        out = mass_inner(self.batch_state(a), self.batch_state(b))
+        assert out.shape == self.SHAPE
+        for idx in np.ndindex(self.SHAPE):
+            assert out[idx] == mass_inner(StateVector.from_array(a[idx]),
+                                          StateVector.from_array(b[idx]))
+
+    def test_component_shapes_still_checked(self):
+        with pytest.raises(ValueError, match="3-vectors"):
+            StateVector(u=np.zeros((4, 2)))

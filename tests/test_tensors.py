@@ -171,3 +171,79 @@ class TestFrames:
             assert norm_f == pytest.approx(sigma.norm2(), rel=1e-12)
             assert c["nn"] + c["t1t1"] + c["t2t2"] == pytest.approx(0.0, abs=1e-12)
             assert c["nt1"] == pytest.approx(c["t1n"], rel=1e-12)
+
+
+class TestBatching:
+    """Every helper broadcasts over leading batch axes and gives, for each
+    item of a batch, exactly the numbers of the single-item call."""
+
+    SHAPE = (4, 3)
+
+    @staticmethod
+    def assert_itemwise(batch_fn, item_fn, *batches):
+        out = batch_fn(*batches)
+        for idx in np.ndindex(TestBatching.SHAPE):
+            expected = item_fn(*(b[idx] for b in batches))
+            assert np.array_equal(np.asarray(out)[idx], expected)
+
+    def test_stf_tensor_methods(self):
+        rng = np.random.default_rng(101)
+        comps = rng.normal(size=self.SHAPE + (5,))
+        mats = rng.normal(size=self.SHAPE + (3, 3))
+        self.assert_itemwise(lambda c: StfTensor3(c).matrix(),
+                             lambda c: StfTensor3(c).matrix(), comps)
+        self.assert_itemwise(lambda c: StfTensor3(c).norm2(),
+                             lambda c: StfTensor3(c).norm2(), comps)
+        self.assert_itemwise(lambda a: StfTensor3.from_matrix(a).components,
+                             lambda a: StfTensor3.from_matrix(a).components, mats)
+        self.assert_itemwise(lambda a: stf2(a).components,
+                             lambda a: stf2(a).components, mats)
+
+    def test_third_order_projections(self):
+        rng = np.random.default_rng(102)
+        b = rng.normal(size=self.SHAPE + (3, 3, 3))
+        self.assert_itemwise(sym3, sym3, b)
+        self.assert_itemwise(stf3, stf3, b)
+        self.assert_itemwise(tensors.stf3_components, tensors.stf3_components,
+                             stf3(b))
+
+    def test_slab_gradients(self):
+        rng = np.random.default_rng(103)
+        vals, ders = rng.normal(size=(2,) + self.SHAPE + (3,))
+        self.assert_itemwise(lambda v, d: slab_grad_vec(v, d)[0],
+                             lambda v, d: slab_grad_vec(v, d)[0], vals, ders)
+        self.assert_itemwise(lambda v, d: slab_grad_vec(v, d)[1].components,
+                             lambda v, d: slab_grad_vec(v, d)[1].components,
+                             vals, ders)
+        sig, dsig = rng.normal(size=(2,) + self.SHAPE + (5,))
+        for k in range(3):
+            self.assert_itemwise(
+                lambda s, d: slab_grad_stf2(StfTensor3(s), StfTensor3(d))[k],
+                lambda s, d: slab_grad_stf2(StfTensor3(s), StfTensor3(d))[k],
+                sig, dsig)
+
+    def test_frame_components(self):
+        rng = np.random.default_rng(104)
+        vecs = rng.normal(size=self.SHAPE + (3,))
+        comps = rng.normal(size=self.SHAPE + (5,))
+        for frame in (IDENTITY_FRAME, random_frame(rng)):
+            vec_out = frame_components(vecs, frame)
+            ten_out = frame_components(StfTensor3(comps), frame)
+            for idx in np.ndindex(self.SHAPE):
+                vec_item = frame_components(vecs[idx], frame)
+                ten_item = frame_components(StfTensor3(comps[idx]), frame)
+                assert vec_item.keys() == vec_out.keys()
+                assert ten_item.keys() == ten_out.keys()
+                for key, value in vec_item.items():
+                    assert vec_out[key][idx] == value
+                for key, value in ten_item.items():
+                    assert ten_out[key][idx] == value
+
+    def test_single_item_is_the_zero_d_batch(self):
+        t = StfTensor3(np.array([1.0, -2.0, 0.3, 0.7, -1.1]))
+        assert t.matrix().shape == (3, 3)
+        assert np.ndim(t.norm2()) == 0
+        comps = frame_components(np.array([1.0, 2.0, 3.0]), IDENTITY_FRAME)
+        assert all(np.ndim(v) == 0 for v in comps.values())
+        with pytest.raises(ValueError, match="expected 5 components"):
+            StfTensor3(np.zeros((4, 3)))
