@@ -103,7 +103,10 @@ def _resolve_out_dir(flag: str | None) -> Path:
 
 
 def _load_config_file(path: str) -> dict:
-    doc = yaml.safe_load(Path(path).read_text())
+    # libyaml's safe loader when PyYAML was built with it: same documents,
+    # parsed in native code.
+    doc = yaml.load(Path(path).read_text(),
+                    Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if doc is None:
         return {}
     if not isinstance(doc, dict):

@@ -160,7 +160,10 @@ def load_model(source) -> MolecularModel:
     else:
         if isinstance(source, str):
             source = Path(source)
-        doc = yaml.safe_load(source.read_text())
+        # libyaml's safe loader when PyYAML was built with it: same documents,
+        # parsed in native code.
+        doc = yaml.load(source.read_text(),
+                        Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(doc, dict):
         raise ValueError("model document must be a mapping")
 

@@ -644,6 +644,10 @@ def _state_from_components(comp: np.ndarray) -> StateVector:
                        s_bar=comp[..., 5:8], sigma_bar=StfTensor3(comp[..., 8:13]))
 
 
+# Entropy density is this reference constant minus the energy density.
+_ENTROPY_REFERENCE = entropy_density(_state_from_components(np.zeros(len(COMPONENTS))))
+
+
 # ---------------------------------------------------------------------------
 # discrete states
 
@@ -901,9 +905,7 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
     x = state.coefficients
     energy = 0.5 * float(x @ (assembly.mass_matrix() @ x))
     w1 = float(x @ (ops.w1 @ x))
-    # Entropy density is the reference constant minus the energy density.
-    h0 = entropy_density(_state_from_components(np.zeros(len(COMPONENTS))))
-    entropy = h0 - energy
+    entropy = _ENTROPY_REFERENCE - energy
     mass = float(ops.mass @ x)
     traces = (ops.traces @ x).reshape(2, 2, len(COMPONENTS))
     i_bdry = wall_load = f1 = f2_trace = 0.0
@@ -1060,14 +1062,35 @@ class CoercivityReport:
 
 
 def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityReport:
+    """Spectral probe of the coupled second-order block.
+
+    The pencil (symmetric part, t1 Gram) on the free primary dofs is
+    block diagonal up to a permutation, one block per connected component
+    of the joint sparsity pattern of its two matrices.  Its spectrum is the
+    union of the blocks' spectra, so each block gets its own dense
+    eigensolve: exact, at the sum of the blocks' cubes instead of the cube
+    of their total.
+    """
+    # Imported here: only this probe uses it, and at import it would add
+    # about 1 MiB and 4 ms to every process that imports the slab solver.
+    from scipy.sparse.csgraph import connected_components
+
     a_full = assembly.a_operator()
     sym = 0.5 * (a_full + a_full.T)
     gram = assembly.t1_gram()
     t1_dofs = np.concatenate([assembly.group_dofs(g) for g in ("s", "u", "sg", "th")])
     t1_dofs = np.setdiff1d(np.sort(t1_dofs), assembly.essential_dofs)
-    a_d = sym[t1_dofs][:, t1_dofs].toarray()
-    g_d = gram[t1_dofs][:, t1_dofs].toarray()
-    eigs = scipy.linalg.eigh(a_d, g_d, eigvals_only=True)
+    a_t1 = sym[t1_dofs][:, t1_dofs]
+    g_t1 = gram[t1_dofs][:, t1_dofs]
+    _, labels = connected_components(abs(a_t1) + abs(g_t1), directed=False)
+    # Permuted so that every block is a contiguous diagonal slice.
+    order = np.argsort(labels, kind="stable")
+    a_t1, g_t1 = a_t1[order][:, order], g_t1[order][:, order]
+    ends = np.cumsum(np.bincount(labels))
+    eigs = np.sort(np.concatenate([
+        scipy.linalg.eigh(a_t1[s:e, s:e].toarray(), g_t1[s:e, s:e].toarray(),
+                          eigvals_only=True)
+        for s, e in zip(np.r_[0, ends[:-1]], ends)]))
     low = tuple(float(v) for v in eigs[:n_report])
 
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.

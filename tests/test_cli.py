@@ -180,6 +180,14 @@ class TestPlumbing:
                    "--out", str(outdir))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", ["--config", "--model"])
+    def test_malformed_yaml_is_config_error(self, tmp_path, outdir, flag):
+        path = tmp_path / "broken.yaml"
+        path.write_text("kn: [0.1,\n")
+        model = ["--model", "eta7"] if flag == "--config" else []
+        code = run("solve-steady", *model, flag, str(path), "--out", str(outdir))
+        assert code == EXIT_CONFIG
+
     def test_invalid_elements_value(self, tmp_path, outdir):
         config = write_config(tmp_path, elements=-3)
         code = run("solve-steady", "--model", "eta7", "--config", config,

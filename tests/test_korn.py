@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from r13lab import korn
 from r13lab.korn import (
@@ -334,6 +336,34 @@ class TestKornConstants:
             korn_constants(forms)
         with pytest.raises(ValueError, match="dense eigensolves"):
             boundary_korn_eigenvalue(build_cube_mesh(1, 1))
+
+
+class TestSparseBoundaryProbe:
+    """boundary_korn_eigenvalue solves sparsely; korn_constants is dense."""
+
+    @pytest.mark.parametrize("n,degree", [(2, 1), (3, 1), (2, 2)])
+    def test_matches_dense_korn_constants(self, n, degree):
+        mesh = build_cube_mesh(n, degree)
+        dense = korn_constants(assemble_cube_forms(mesh)).lambda_min_boundary
+        assert boundary_korn_eigenvalue(mesh) == pytest.approx(dense, rel=1e-12)
+
+    def test_repeatable_bit_for_bit(self):
+        meshes = [build_cube_mesh(2, 1), build_cube_mesh(4, 1)]
+        first = [boundary_korn_eigenvalue(m) for m in meshes]
+        forms = assemble_cube_forms(meshes[0])
+        for _ in range(3):
+            # Dense solves and ARPACK runs from its own internal start
+            # vector in between must not change the sparse probe's bits.
+            korn_constants(forms)
+            scipy.sparse.linalg.eigsh(forms.h1, k=2, M=forms.l2)
+            assert [boundary_korn_eigenvalue(m) for m in meshes] == first
+
+    def test_runs_no_dense_eigensolve(self, monkeypatch):
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+        assert boundary_korn_eigenvalue(build_cube_mesh(3, 1)) > 0.0
 
 
 class TestCKVanishing:

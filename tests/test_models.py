@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from r13lab.models import (
     MTable,
@@ -200,6 +201,12 @@ class TestLoadModel:
         assert model.k4 == row["k4"]
         assert model.k7 == row["k7"]
         assert model.k10 == row["k10"]
+
+    @pytest.mark.parametrize("name", bundled_models())
+    def test_bundled_model_matches_pure_python_parse(self, name):
+        path = bundled_model_path(name)
+        reference = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert load_model(path) == load_model(reference)
 
 
 class TestThermoDiscriminants:

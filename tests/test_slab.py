@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from r13lab import slab
@@ -527,6 +528,24 @@ class TestCoercivity:
 
     def test_nonmaxwell_probe_has_no_bubble_field(self, asm_eta7):
         assert coercivity_probe(asm_eta7).theta_bubble is None
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_block_spectrum_matches_full_dense_pencil(self, name, formulation, n):
+        asm = SlabAssembly(SlabMesh(n, 2), resolve_model(name), KN, formulation)
+        a = asm.a_operator()
+        t1 = np.setdiff1d(np.concatenate([asm.group_dofs(g) for g in ("s", "u", "sg", "th")]),
+                          asm.essential_dofs)
+        sym = (0.5 * (a + a.T))[t1][:, t1].toarray()
+        gram = asm.t1_gram()[t1][:, t1].toarray()
+        ref = scipy.linalg.eigh(sym, gram, eigvals_only=True)
+        # Report the whole spectrum, not only its low end.
+        report = coercivity_probe(asm, n_report=t1.size)
+        tol = 1e-12 * ref[-1]
+        assert report.n_dofs == t1.size
+        assert abs(report.min_eig - ref[0]) <= tol
+        np.testing.assert_allclose(report.low_eigs, ref, rtol=0.0, atol=tol)
 
 
 # ---------------------------------------------------------------------------
