@@ -20,26 +20,24 @@ def lagrange(nodes: np.ndarray, x: np.ndarray):
     """Values and derivatives of the Lagrange basis on given nodes.
 
     Returns arrays of shape (len(nodes), len(x)).  Plain product-rule
-    evaluation; node counts here never exceed three.
+    evaluation, vectorized over the ordered node pairs (i, j), i != j:
+
+        vals[i] = prod_{j != i} w[i, j],   w[i, j] = (x - x_j) / (x_i - x_j),
+        ders[i] = sum_{j != i} 1 / (x_i - x_j) * prod_{l != i, j} w[i, l],
+
+    with every product and sum taken in increasing j or l.  With at most
+    three nodes, as here, every product has at most two factors and every
+    sum at most two terms, so the bits do not depend on how they group.
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = len(nodes)
-    vals = np.ones((n, x.size))
-    ders = np.zeros((n, x.size))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            w = (x - nodes[j]) / (nodes[i] - nodes[j])
-            term = np.ones_like(x) / (nodes[i] - nodes[j])
-            for l in range(n):
-                if l in (i, j):
-                    continue
-                term *= (x - nodes[l]) / (nodes[i] - nodes[l])
-            ders[i] += term
-            vals[i] *= w
-    return vals, ders
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # pairs ordered by i, then j
+    inv = (1.0 / (nodes[i] - nodes[j])).reshape(n, n - 1, 1)
+    w = ((x - nodes[j, None]) / (nodes[i] - nodes[j])[:, None]).reshape(n, n - 1, x.size)
+    # others[i, k]: the product of row i of w with its k-th factor set to one.
+    others = np.where(np.eye(n - 1, dtype=bool)[:, :, None], 1.0, w[:, None]).prod(axis=2)
+    return w.prod(axis=1), (inv * others).sum(axis=1)
 
 
 def element_coo(dofs1: np.ndarray, dofs2: np.ndarray, elem: np.ndarray):

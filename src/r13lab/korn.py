@@ -13,14 +13,24 @@ Elements are tensor-product Lagrange hexahedra (degree 1 or 2) on uniform
 subdivisions of [0,1]^3, so every element matrix is a translate of a single
 reference matrix and quadrature is exact for all assembled forms.
 
-The two probes solve differently.  `korn_constants` is dense: it reports
-whole spectral tails and counts the stf kernel, and the 10-fold conformal
-Killing kernel of the stf pencil makes a Krylov solver restart from its
-internal seed, which would break run-to-run bit-identity.
+The uniform mesh and every integrand (|u|^2, |grad u|^2, |stf grad u|^2,
+and |u|^2 on the faces) are mirror-symmetric, so every form is invariant
+under the three reflections x_a -> 1 - x_a.  On the interleaved nodal dofs
+a reflection is a signed permutation: it mirrors the grid index along axis
+a and flips the sign of component a.  The three commute and are
+involutions, so the dofs split orthogonally into 8 parity classes, one per
+sign character s in {+1, -1}^3, and each reflection acts as s_a on class s.
+A form that commutes with the reflections couples no two classes, so each
+pencil is exactly block diagonal in the class bases and its spectrum is the
+union of the 8 block spectra.  Both probes solve per class.
+`korn_constants` runs a dense solve of each block: it reports whole
+spectral tails and counts the stf kernel, and the 10-fold conformal Killing
+kernel of the stf pencil makes a Krylov solver restart from its internal
+seed, which would break run-to-run bit-identity.
 `boundary_korn_eigenvalue` needs only the smallest eigenvalue of an SPD
-pencil, so it runs shift-invert Lanczos (ARPACK) on the sparse forms from
-one sparse LU and a fixed-seed start vector; `korn_constants` is its
-in-library cross-check.
+pencil, so it runs shift-invert Lanczos (ARPACK) on each sparse block, from
+one sparse LU and a fixed-seed start vector per block, and takes the
+minimum.
 """
 
 from __future__ import annotations
@@ -36,12 +46,13 @@ from .fe1d import element_coo, gauss01, lagrange
 
 # Size cap of the dense eigensolves in korn_constants.  It also bounds
 # boundary_korn_eigenvalue until a mesh ladder validates its sparse solve
-# beyond this size; below it the dense solve is the sparse one's check.
+# beyond this size; below it a dense solve of the unsplit pencil is the
+# sparse one's check.
 MAX_DENSE_DOFS = 6000
 
-# Seed of the start vector of the sparse boundary probe.  A fixed random
-# vector, not a symmetric one such as all ones, which can be orthogonal to
-# whole symmetry classes of the cube pencil.
+# Seed of the start vectors of the sparse boundary probe, one stream per
+# reflection class.  Fixed random vectors, not symmetric ones such as all
+# ones, which can be orthogonal to whole symmetry classes of a block.
 _START_SEED = 20061
 
 # Near-zero eigenvalues below this multiple of the largest one count as kernel.
@@ -355,21 +366,74 @@ def _check_dense(n_dofs: int) -> None:
             f"at most {MAX_DENSE_DOFS}")
 
 
-def _dense_eigvals(A: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix) -> np.ndarray:
-    return scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+def _reflection_classes(mesh: CubeMesh) -> dict:
+    """Orthonormal sparse bases Q_s of the 8 reflection-parity classes.
+
+    Keyed by the sign character s = (s_x, s_y, s_z): every u = Q_s y is
+    mapped to s_a * u by the reflection x_a -> 1 - x_a.  Component c of
+    such a field is, as a scalar grid function, even or odd along axis a
+    with parity t_a = -s_a if a == c else s_a, so its basis is the Kronecker
+    product of 1-D parity bases, placed on the dofs 3 * node + c.  The 8
+    bases together are one orthogonal matrix on the dofs.
+    """
+    m = mesh.n * mesh.degree + 1
+    half = m // 2
+    i = np.arange(half)
+    r = np.sqrt(0.5)
+    parity = {}
+    for t in (1, -1):
+        # (e_i + t e_{m-1-i}) / sqrt(2) for i < m/2; the even basis also
+        # holds the middle point e_mid when m is odd.
+        mid = [half] if t > 0 and m % 2 else []
+        parity[t] = scipy.sparse.csr_matrix(
+            (np.r_[np.full(half, r), np.full(half, t * r), np.ones(len(mid))],
+             (np.r_[i, m - 1 - i, mid], np.r_[i, i, mid])),
+            shape=(m, half + len(mid)))
+
+    signs = [(sx, sy, sz) for sz in (1, -1) for sy in (1, -1) for sx in (1, -1)]
+    # Scalar grid functions of parities (tx, ty, tz); grid nodes are
+    # x-fastest, so x is the innermost factor.
+    scalar = {t: scipy.sparse.kron(parity[t[2]], scipy.sparse.kron(parity[t[1]], parity[t[0]]),
+                                   format="coo")
+              for t in signs}
+    classes = {}
+    for s in signs:
+        rows, cols, vals = [], [], []
+        width = 0
+        for c in range(3):
+            q = scalar[tuple(-sa if a == c else sa for a, sa in enumerate(s))]
+            rows.append(3 * q.row + c)
+            cols.append(q.col + width)
+            vals.append(q.data)
+            width += q.shape[1]
+        classes[s] = scipy.sparse.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(mesh.n_dofs, width))
+    return classes
+
+
+def _split_eigvals(A: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix,
+                   classes: dict) -> np.ndarray:
+    """Sorted spectrum of the pencil (A, B), one dense solve per class."""
+    return np.sort(np.concatenate([
+        scipy.linalg.eigh((q.T @ A @ q).toarray(), (q.T @ B @ q).toarray(),
+                          eigvals_only=True)
+        for q in classes.values()]))
 
 
 def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """Solve the three generalized eigenproblems and summarize.
 
     Pencils: (L2 + stf) vs H1, (boundary + stf) vs H1, and stf vs L2 for
-    the kernel count.  Dense solves only; raises for oversized meshes.
+    the kernel count.  Dense solves of the reflection-class blocks;
+    raises for oversized meshes.
     """
     mesh = forms.mesh
     _check_dense(mesh.n_dofs)
-    classical = _dense_eigvals(forms.l2 + forms.stf, forms.h1)
-    boundary = _dense_eigvals(forms.boundary + forms.stf, forms.h1)
-    stf = _dense_eigvals(forms.stf, forms.l2)
+    classes = _reflection_classes(mesh)
+    classical = _split_eigvals(forms.l2 + forms.stf, forms.h1, classes)
+    boundary = _split_eigvals(forms.boundary + forms.stf, forms.h1, classes)
+    stf = _split_eigvals(forms.stf, forms.l2, classes)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
     kernel_dim = int(np.count_nonzero(stf < threshold))
     return KornReport(
@@ -390,18 +454,22 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only.
 
-    Shift-invert Lanczos about 0 on the sparse SPD pencil, converged to
-    machine precision from a fixed-seed start vector, so repeated calls
-    return the same bits.  Agrees with korn_constants' dense
-    lambda_min_boundary to roundoff.
+    Shift-invert Lanczos about 0 on each reflection-class block of the
+    sparse SPD pencil, converged to machine precision from a fixed-seed
+    start vector per class, so repeated calls return the same bits; the
+    minimum over the classes is the pencil's.  Agrees with a dense solve of
+    the unsplit pencil to roundoff.
     """
     _check_dense(mesh.n_dofs)
     forms = assemble_cube_forms(mesh)
-    v0 = np.random.default_rng(_START_SEED).standard_normal(mesh.n_dofs)
-    vals = scipy.sparse.linalg.eigsh(forms.boundary + forms.stf, k=1, M=forms.h1,
-                                     sigma=0.0, tol=0.0, v0=v0,
-                                     return_eigenvectors=False)
-    return float(vals[0])
+    pencil = forms.boundary + forms.stf
+    lowest = []
+    for k, q in enumerate(_reflection_classes(mesh).values()):
+        v0 = np.random.default_rng((_START_SEED, k)).standard_normal(q.shape[1])
+        lowest.append(scipy.sparse.linalg.eigsh(q.T @ pencil @ q, k=1, M=q.T @ forms.h1 @ q,
+                                                sigma=0.0, tol=0.0, v0=v0,
+                                                return_eigenvectors=False)[0])
+    return float(min(lowest))
 
 
 # ---------------------------------------------------------------------------

@@ -1083,14 +1083,25 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     a_t1 = sym[t1_dofs][:, t1_dofs]
     g_t1 = gram[t1_dofs][:, t1_dofs]
     _, labels = connected_components(abs(a_t1) + abs(g_t1), directed=False)
-    # Permuted so that every block is a contiguous diagonal slice.
+    # Every block is laid out row-major in one flat buffer, its dofs in
+    # their original order; local[i] is dof i's row within its block.
+    sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
-    a_t1, g_t1 = a_t1[order][:, order], g_t1[order][:, order]
-    ends = np.cumsum(np.bincount(labels))
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+
+    def blocks(mat):
+        mat.sum_duplicates()  # one stored entry per coupling, so assign
+        coo = mat.tocoo()
+        lab = labels[coo.row]
+        buf = np.zeros(offsets[-1] + sizes[-1] ** 2)
+        buf[offsets[lab] + local[coo.row] * sizes[lab] + local[coo.col]] = coo.data
+        return [buf[o:o + k * k].reshape(k, k) for o, k in zip(offsets, sizes)]
+
     eigs = np.sort(np.concatenate([
-        scipy.linalg.eigh(a_t1[s:e, s:e].toarray(), g_t1[s:e, s:e].toarray(),
-                          eigvals_only=True)
-        for s, e in zip(np.r_[0, ends[:-1]], ends)]))
+        scipy.linalg.eigh(a, g, eigvals_only=True)
+        for a, g in zip(blocks(a_t1), blocks(g_t1))]))
     low = tuple(float(v) for v in eigs[:n_report])
 
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.

@@ -43,6 +43,39 @@ def test_lagrange_basis_properties(name):
         np.testing.assert_allclose(nodes @ ders, 1.0, atol=1e-12)
 
 
+def lagrange_loop(nodes, x):
+    """Product-rule loops over the nodes: the reference for lagrange."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = len(nodes)
+    vals = np.ones((n, x.size))
+    ders = np.zeros((n, x.size))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            term = np.ones_like(x) / (nodes[i] - nodes[j])
+            for l in range(n):
+                if l not in (i, j):
+                    term *= (x - nodes[l]) / (nodes[i] - nodes[l])
+            ders[i] += term
+            vals[i] *= (x - nodes[j]) / (nodes[i] - nodes[j])
+    return vals, ders
+
+
+@pytest.mark.parametrize("name", NODE_SETS)
+def test_lagrange_matches_loop_bit_for_bit(name):
+    # At most three nodes: every product and sum has at most two real
+    # factors or terms, so the vectorized form has the loops' exact bits.
+    nodes = NODE_SETS[name]
+    rng = np.random.default_rng(17)
+    for x in (0.3, nodes, np.linspace(0.0, 1.0, 11), 3.0 * rng.random(200) - 1.0):
+        got = lagrange(nodes, x)
+        expect = lagrange_loop(nodes, x)
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape
+            assert np.array_equal(g.view(np.int64), e.view(np.int64))
+
+
 def test_element_coo_matches_per_element_loop():
     dofs1 = np.array([[0, 1, 2], [2, 3, 4]])
     dofs2 = np.array([[0, 1], [1, 2]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from r13lab import korn
@@ -417,3 +418,101 @@ class TestCKVanishing:
                   for _ in range(100)]
         assert min(ratios) >= floor - 1e-12
         assert min(ratios) > 1.0  # recorded 1.3929 for this seed
+
+
+def reflection(mesh, axis):
+    """Signed permutation of the interleaved dofs for x_axis -> 1 - x_axis.
+
+    Built from the node coordinates alone: node k is sent to the node at
+    its mirror image, and component `axis` of the field changes sign.
+    """
+    m = mesh.n * mesh.degree + 1
+    mirrored = mesh.nodes.copy()
+    mirrored[:, axis] = 1.0 - mirrored[:, axis]
+
+    def code(x):
+        k = np.rint(x * (m - 1)).astype(int)
+        return k[:, 0] + m * (k[:, 1] + m * k[:, 2])
+
+    order = np.argsort(code(mesh.nodes))
+    image = order[np.searchsorted(code(mesh.nodes)[order], code(mirrored))]
+    assert np.allclose(mesh.nodes[image], mirrored, atol=1e-14)
+    comps = np.arange(3)
+    rows = (3 * image[:, None] + comps).ravel()
+    cols = (3 * np.arange(mesh.n_nodes)[:, None] + comps).ravel()
+    signs = np.tile(np.where(comps == axis, -1.0, 1.0), mesh.n_nodes)
+    return scipy.sparse.csr_matrix((signs, (rows, cols)), shape=(mesh.n_dofs,) * 2)
+
+
+def dense_spectra(forms):
+    """Full dense spectra of the three unsplit Korn pencils."""
+    pencils = {
+        "classical": (forms.l2 + forms.stf, forms.h1),
+        "boundary": (forms.boundary + forms.stf, forms.h1),
+        "stf": (forms.stf, forms.l2),
+    }
+    return {name: scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)
+            for name, (a, b) in pencils.items()}
+
+
+SPLIT_MESHES = [(2, 1), (2, 2), (3, 2)]
+
+
+@pytest.fixture(scope="module", params=SPLIT_MESHES, ids=lambda nd: "cube{}-{}".format(*nd))
+def dense_reference(request):
+    mesh = build_cube_mesh(*request.param)
+    forms = assemble_cube_forms(mesh)
+    return mesh, forms, dense_spectra(forms)
+
+
+class TestReflectionSplit:
+    """The 8 reflection-parity classes split every cube pencil exactly."""
+
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_class_bases_are_orthonormal_and_complete(self, n, degree):
+        mesh = build_cube_mesh(n, degree)
+        classes = korn._reflection_classes(mesh)
+        assert sorted(classes) == sorted(
+            (sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1))
+        assert sum(q.shape[1] for q in classes.values()) == mesh.n_dofs
+        # One orthogonal matrix: orthonormal within and across classes.
+        q_all = scipy.sparse.hstack(list(classes.values()))
+        gram = (q_all.T @ q_all).toarray()
+        assert np.abs(gram - np.eye(mesh.n_dofs)).max() <= 1e-15
+        # Class s is the joint eigenspace of the reflections with signs s.
+        for axis in range(3):
+            refl = reflection(mesh, axis)
+            for s, q in classes.items():
+                assert np.abs((refl @ q - s[axis] * q).toarray()).max() <= 1e-15
+
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_forms_commute_with_reflections(self, n, degree):
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        for axis in range(3):
+            refl = reflection(mesh, axis)
+            assert (refl @ refl.T != scipy.sparse.identity(mesh.n_dofs)).nnz == 0
+            for name in ("l2", "h1", "stf", "boundary"):
+                mat = getattr(forms, name)
+                gap = np.abs((refl @ mat @ refl.T - mat).toarray()).max()
+                assert gap <= 1e-14 * np.abs(mat).max(), (name, axis, gap)
+
+    def test_korn_constants_match_unsplit_dense_solve(self, dense_reference):
+        mesh, forms, dense = dense_reference
+        report = korn_constants(forms)
+        for name, tail in (("classical", report.classical_tail),
+                           ("boundary", report.boundary_tail),
+                           ("stf", report.stf_tail)):
+            ref = dense[name]
+            np.testing.assert_allclose(tail, ref[:len(tail)], rtol=0.0,
+                                       atol=1e-12 * ref[-1], err_msg=name)
+        assert report.stf_eig_max == pytest.approx(dense["stf"][-1], rel=1e-12)
+        threshold = korn.KERNEL_REL_THRESHOLD * dense["stf"][-1]
+        assert report.stf_kernel_dim == np.count_nonzero(dense["stf"] < threshold)
+        assert report.stf_kernel_dim == (CK_DIM if mesh.degree == 2 else AFFINE_CK_DIM)
+
+    def test_boundary_probe_matches_unsplit_dense_solve(self, dense_reference):
+        mesh, _, dense = dense_reference
+        lam = boundary_korn_eigenvalue(mesh)
+        assert lam == pytest.approx(dense["boundary"][0], rel=1e-12)
+        assert boundary_korn_eigenvalue(mesh) == lam

@@ -547,6 +547,32 @@ class TestCoercivity:
         assert abs(report.min_eig - ref[0]) <= tol
         np.testing.assert_allclose(report.low_eigs, ref, rtol=0.0, atol=tol)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_block_scatter_matches_sliced_blocks_bit_for_bit(self, name, formulation, n):
+        # Reference: each connected block cut out of the permuted pencil by
+        # sparse slicing.  The probe scatters the same entries into dense
+        # buffers, so every block, and hence the spectrum, has the same bits.
+        from scipy.sparse.csgraph import connected_components
+
+        asm = SlabAssembly(SlabMesh(n, 2), resolve_model(name), KN, formulation)
+        a = asm.a_operator()
+        t1 = np.setdiff1d(np.concatenate([asm.group_dofs(g) for g in ("s", "u", "sg", "th")]),
+                          asm.essential_dofs)
+        sym = (0.5 * (a + a.T))[t1][:, t1]
+        gram = asm.t1_gram()[t1][:, t1]
+        _, labels = connected_components(abs(sym) + abs(gram), directed=False)
+        order = np.argsort(labels, kind="stable")
+        sym, gram = sym[order][:, order], gram[order][:, order]
+        ends = np.cumsum(np.bincount(labels))
+        ref = np.sort(np.concatenate([
+            scipy.linalg.eigh(sym[s:e, s:e].toarray(), gram[s:e, s:e].toarray(),
+                              eigvals_only=True)
+            for s, e in zip(np.r_[0, ends[:-1]], ends)]))
+        report = coercivity_probe(asm, n_report=t1.size)
+        assert report.low_eigs == tuple(float(v) for v in ref)
+
 
 # ---------------------------------------------------------------------------
 # self-convergence
