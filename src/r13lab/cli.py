@@ -197,10 +197,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """rows is a float array or an iterable of rows that may hold strings."""
+    import numpy as np
+
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    if isinstance(rows, np.ndarray):
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        lines += [",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+                  for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -246,21 +251,21 @@ def _monitor_dict(mon) -> dict:
 
 
 def _profile_rows(state, n_points: int):
-    """CSV rows of sampled components plus recovered physical fluxes."""
+    """CSV rows (one float array) of sampled components plus recovered
+    physical fluxes."""
+    import numpy as np
+
     from .slab import COMPONENTS
+    from .tensors import StfTensor3
 
     header = (["x"] + list(COMPONENTS)
               + [f"phys_sigma_{i}{j}" for i, j in
                  ("11", "12", "13", "22", "23", "33")]
               + [f"phys_s_{i}" for i in "123"])
     x, vals, fluxes = state.profile(n_points)
-    rows = []
-    for i in range(x.size):
-        sig = fluxes[i].sigma.matrix()
-        row = [x[i], *vals[:, i],
-               sig[0, 0], sig[0, 1], sig[0, 2], sig[1, 1], sig[1, 2],
-               sig[2, 2], *fluxes[i].s]
-        rows.append(row)
+    sig = StfTensor3(np.array([f.sigma.components for f in fluxes])).matrix()
+    rows = np.column_stack([x, vals.T, sig[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]],
+                            [f.s for f in fluxes]])
     return header, rows
 
 

@@ -412,15 +412,6 @@ def _reflection_classes(mesh: CubeMesh) -> dict:
     return classes
 
 
-def _split_eigvals(A: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix,
-                   classes: dict) -> np.ndarray:
-    """Sorted spectrum of the pencil (A, B), one dense solve per class."""
-    return np.sort(np.concatenate([
-        scipy.linalg.eigh((q.T @ A @ q).toarray(), (q.T @ B @ q).toarray(),
-                          eigvals_only=True)
-        for q in classes.values()]))
-
-
 def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """Solve the three generalized eigenproblems and summarize.
 
@@ -430,10 +421,14 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """
     mesh = forms.mesh
     _check_dense(mesh.n_dofs)
-    classes = _reflection_classes(mesh)
-    classical = _split_eigvals(forms.l2 + forms.stf, forms.h1, classes)
-    boundary = _split_eigvals(forms.boundary + forms.stf, forms.h1, classes)
-    stf = _split_eigvals(forms.stf, forms.l2, classes)
+    # Each form is projected once per class; the pencils sum dense blocks.
+    spectra = ([], [], [])
+    for q in _reflection_classes(mesh).values():
+        l2, h1, stf, bdry = ((q.T @ f @ q).toarray()
+                             for f in (forms.l2, forms.h1, forms.stf, forms.boundary))
+        for out, (a, b) in zip(spectra, ((l2 + stf, h1), (bdry + stf, h1), (stf, l2))):
+            out.append(scipy.linalg.eigh(a, b, eigvals_only=True))
+    classical, boundary, stf = (np.sort(np.concatenate(s)) for s in spectra)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
     kernel_dim = int(np.count_nonzero(stf < threshold))
     return KornReport(

@@ -6,8 +6,9 @@ the slab gradient helpers of :mod:`r13lab.tensors`.  The bilinear forms are
 never hand-reduced: each one is probed numerically from its 3-D definition
 on unit value / derivative inputs, all stacked into one batched evaluation,
 which yields a constant pointwise kernel because the coefficients are
-homogeneous.  Assembly then combines the kernel blocks with 1-D element
-matrices.
+homogeneous.  Each matrix is then assembled in one broadcast pass: the
+kernel entries of every coupled component pair scale 1-D element matrices
+that are cached once per pair of space kinds.
 
 Wall frames: at x = 1 the outward normal is +e1, at x = 0 it is -e1, with
 t1 = e2 and t2 = e3 at both walls.  Normal components of odd fields flip
@@ -31,7 +32,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe1d import element_coo, gauss01, lagrange
+from .fe1d import gauss01, lagrange
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import (PhysicalFluxes, StateVector, entropy_density, mass_inner,
@@ -390,10 +391,19 @@ def _probe_boundary_kernel(form, g1: str, g2: str, frame: Frame) -> np.ndarray:
 
 def _csr(triplets: list, shape: tuple) -> sp.csr_matrix:
     """Sum a list of COO (rows, cols, vals) chunks into a CSR matrix."""
-    if not triplets:
-        return sp.csr_matrix(shape)
     rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _component_index(comps) -> np.ndarray:
+    return np.array([COMPONENTS.index(c) for c in comps])
+
+
+def _unpadded_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Broadcast COO arrays and keep, in C order, the entries off padding (-1)."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], vals[keep]
 
 
 class SlabAssembly:
@@ -424,25 +434,40 @@ class SlabAssembly:
         self.coeffs = coeffs if coeffs is not None else boundary_coefficients(model)
 
         self.spaces = build_spaces(mesh, formulation)
-        self.offsets: dict[str, int] = {}
-        off = 0
-        for name in COMPONENTS:
-            self.offsets[name] = off
-            off += self.spaces[name].ndof
-        self.ndof = off
-
         self._vol = _volume_forms(model, self.kn)
         self._bdry = _boundary_forms(self.coeffs)
         self._forms: dict[str, sp.csr_matrix] = {}
         self._factorizations: dict = {}
         self._a_operator: sp.csr_matrix | None = None
         self._monitor_ops = None
+        kinds, size, m = ("cg", "dg"), mesh.degree + 1, len(COMPONENTS)
         qpts, qwts = gauss01(mesh.degree + 1)
-        self._tab = {kind: ScalarSpace(mesh, kind).tabulate(qpts)
-                     for kind in ("cg", "dg")}
-        self._traces = {kind: ScalarSpace(mesh, kind).locate(np.array([0.0, 1.0]))
-                        for kind in ("cg", "dg")}
         self._qwts = qwts * mesh.h
+        self._tab = {kind: ScalarSpace(mesh, kind).tabulate(qpts) for kind in kinds}
+        traces = {kind: ScalarSpace(mesh, kind).locate(np.array([0.0, 1.0])) for kind in kinds}
+        # Element matrices (vv, vd, dv, dd) per (row kind, column kind), and
+        # per component its element dofs, wall-trace dofs and wall traces
+        # (wall, value | derivative, local basis function), all zero-padded
+        # to the cg local size; padded dofs are -1.
+        self._blocks = np.zeros((2, 2, 4, size, size))
+        for a, b, t in np.ndindex(2, 2, 4):
+            x, y = self._tab[kinds[a]][t // 2], self._tab[kinds[b]][t % 2]
+            self._blocks[a, b, t, :len(x), :len(y)] = np.einsum("iq,jq,q->ij", x, y, self._qwts)
+        self._kind = np.array([kinds.index(self.spaces[c].kind) for c in COMPONENTS])
+        self._elem_dofs = np.full((m, mesh.n_elements, size), -1)
+        self._wall_dofs = np.full((m, 2, size), -1)
+        self._wall_traces = np.zeros((m, 2, 2, size))
+        self.offsets: dict[str, int] = {}
+        off = 0
+        for i, name in enumerate(COMPONENTS):
+            space = self.spaces[name]
+            dofs, vals, ders = traces[space.kind]
+            self._elem_dofs[i, :, :space.n_local] = off + space.all_element_dofs()
+            self._wall_dofs[i, :, :space.n_local] = off + dofs
+            self._wall_traces[i, :, :, :space.n_local] = np.stack([vals.T, ders.T], axis=1)
+            self.offsets[name] = off
+            off += space.ndof
+        self.ndof = off
         for name in FORM_GROUPS:
             self._forms[name] = self._assemble_form(name)
         self._mass = self._assemble_mass()
@@ -455,21 +480,13 @@ class SlabAssembly:
     def group_dofs(self, group: str) -> np.ndarray:
         return np.concatenate([self.dofs(c) for c in GROUPS[group]])
 
-    def _trace(self, component: str, wall: int):
-        """(global dofs, basis values, basis x-derivatives) of one
-        component at a wall."""
-        dofs, vals, ders = self._traces[self.spaces[component].kind]
-        return self.offsets[component] + dofs[wall], vals[:, wall], ders[:, wall]
-
     @property
     def essential_dofs(self) -> np.ndarray:
         """Global dofs of the normal velocity trace at both walls."""
-        out = []
-        for wall in (0, 1):
-            gd, tv, _ = self._trace("u1", wall)
-            # CG Lagrange trace is a single endpoint dof.
-            out.append(gd[np.argmax(np.abs(tv))])
-        return np.unique(np.array(out))
+        u1 = COMPONENTS.index("u1")
+        # CG Lagrange trace is a single endpoint dof.
+        node = np.argmax(np.abs(self._wall_traces[u1, :, 0]), axis=1)
+        return np.unique(self._wall_dofs[u1, [0, 1], node])
 
     def form(self, name: str) -> sp.csr_matrix:
         return self._forms[name]
@@ -480,56 +497,38 @@ class SlabAssembly:
 
     # -- element assembly ----------------------------------------------------
 
-    def _pair_blocks(self, c1: str, c2: str):
-        """Element matrices (value/deriv products) for a component pair."""
-        s1, s2 = self.spaces[c1], self.spaces[c2]
-        v1, d1 = self._tab[s1.kind]
-        v2, d2 = self._tab[s2.kind]
-        w = self._qwts
-        mvv = np.einsum("iq,jq,q->ij", v1, v2, w)
-        mvd = np.einsum("iq,jq,q->ij", v1, d2, w)
-        mdv = np.einsum("iq,jq,q->ij", d1, v2, w)
-        mdd = np.einsum("iq,jq,q->ij", d1, d2, w)
-        return mvv, mvd, mdv, mdd
+    def _kernel_coo(self, kern: np.ndarray, comps1, comps2):
+        """COO triplet of the volume integral of a constant pointwise kernel
+        on (values, derivatives) of comps1 (rows) and comps2 (columns).
 
-    def _scatter(self, c1: str, c2: str, elem: np.ndarray):
-        """COO triplets of one element matrix repeated on every element."""
-        return element_coo(self.offsets[c1] + self.spaces[c1].all_element_dofs(),
-                           self.offsets[c2] + self.spaces[c2].all_element_dofs(), elem)
-
-    def _scatter_kernel(self, kern: np.ndarray, comps1, comps2) -> list:
-        """COO triplet chunks of the volume integral of a constant
-        pointwise kernel acting on (values, derivatives) of comps1 (rows)
-        and comps2 (columns)."""
+        Only component pairs with a nonzero kernel entry are scattered, all
+        at once, in pair, element, local row, local column order: the order
+        in which duplicates are summed.
+        """
         m1, m2 = len(comps1), len(comps2)
-        triplets = []
-        for i, c1 in enumerate(comps1):
-            for jj, c2 in enumerate(comps2):
-                kvv = kern[i, jj]
-                kvd = kern[i, m2 + jj]
-                kdv = kern[m1 + i, jj]
-                kdd = kern[m1 + i, m2 + jj]
-                if not (kvv or kvd or kdv or kdd):
-                    continue
-                mvv, mvd, mdv, mdd = self._pair_blocks(c1, c2)
-                elem = kvv * mvv + kvd * mvd + kdv * mdv + kdd * mdd
-                triplets.append(self._scatter(c1, c2, elem))
-        return triplets
+        # Kernel entries (vv, vd, dv, dd) of each component pair on axis 0.
+        k4 = kern.reshape(2, m1, 2, m2).transpose(0, 2, 1, 3).reshape(4, m1, m2)
+        i, j = np.nonzero(np.any(k4 != 0, axis=0))
+        c1, c2 = _component_index(comps1)[i], _component_index(comps2)[j]
+        blk = self._blocks[self._kind[c1], self._kind[c2]]
+        k = k4[:, i, j, None, None]
+        # Four explicit terms: sum() would start from 0 and turn -0.0 into +0.0.
+        elem = k[0] * blk[:, 0] + k[1] * blk[:, 1] + k[2] * blk[:, 2] + k[3] * blk[:, 3]
+        return _unpadded_coo(self._elem_dofs[c1][..., None], self._elem_dofs[c2][..., None, :],
+                             elem[:, None])
 
     def _assemble_form(self, name: str) -> sp.csr_matrix:
         g1, g2 = FORM_GROUPS[name]
         kern = _probe_volume_kernel(self._vol[name], g1, g2)
-        triplets = self._scatter_kernel(kern, GROUPS[g1], GROUPS[g2])
+        triplets = [self._kernel_coo(kern, GROUPS[g1], GROUPS[g2])]
         for wall in (0, 1):
             bk = _probe_boundary_kernel(self._bdry[name], g1, g2, WALL_FRAMES[wall])
-            for i, c1 in enumerate(GROUPS[g1]):
-                for jj, c2 in enumerate(GROUPS[g2]):
-                    if bk[i, jj] == 0.0:
-                        continue
-                    gd1, tv1, _ = self._trace(c1, wall)
-                    gd2, tv2, _ = self._trace(c2, wall)
-                    triplets.append(element_coo(gd1[None], gd2[None],
-                                                bk[i, jj] * np.outer(tv1, tv2)))
+            i, j = np.nonzero(bk)
+            c1, c2 = _component_index(GROUPS[g1])[i], _component_index(GROUPS[g2])[j]
+            tv1, tv2 = self._wall_traces[c1, wall, 0, :, None], self._wall_traces[c2, wall, 0, None]
+            triplets.append(_unpadded_coo(self._wall_dofs[c1, wall, :, None],
+                                          self._wall_dofs[c2, wall, None],
+                                          bk[i, j, None, None] * (tv1 * tv2)))
         return _csr(triplets, (self.ndof, self.ndof))
 
     def _assemble_mass(self) -> sp.csr_matrix:
@@ -539,7 +538,7 @@ class SlabAssembly:
         kern = np.zeros((2 * m, 2 * m))
         kern[:m, :m] = mass_inner(_state_from_components(units[:, None]),
                                   _state_from_components(units[None]))
-        return _csr(self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
+        return _csr([self._kernel_coo(kern, COMPONENTS, COMPONENTS)],
                     (self.ndof, self.ndof))
 
     # -- loads ---------------------------------------------------------------
@@ -571,13 +570,12 @@ class SlabAssembly:
         return out
 
     def _add_wall_term(self, out: np.ndarray, group: str, wall: int, term):
-        m = _GROUP_DIM[group]
-        coeffs = term(_frame_comps(group, np.eye(m), WALL_FRAMES[wall]))
-        for comp, coeff in zip(GROUPS[group], coeffs):
-            if coeff == 0.0:
-                continue
-            gd, tv, _ = self._trace(comp, wall)
-            out[gd] += coeff * tv
+        c = _component_index(GROUPS[group])
+        coeffs = term(_frame_comps(group, np.eye(c.size), WALL_FRAMES[wall]))
+        i = np.nonzero(coeffs)[0]
+        dofs = self._wall_dofs[c[i], wall]
+        vals = coeffs[i, None] * self._wall_traces[c[i], wall, 0]
+        out[dofs[dofs >= 0]] += vals[dofs >= 0]
 
     # -- system operators ------------------------------------------------------
 
@@ -632,7 +630,7 @@ class SlabAssembly:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
         primary = [float(c != "p") for c in COMPONENTS]
         kern = np.diag(primary + primary)
-        return _csr(self._scatter_kernel(kern, COMPONENTS, COMPONENTS),
+        return _csr([self._kernel_coo(kern, COMPONENTS, COMPONENTS)],
                     (self.ndof, self.ndof))
 
 
@@ -872,20 +870,22 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     model, kn, m = assembly.model, assembly.kn, len(COMPONENTS)
     k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[..., :m], v[..., m:]),
                              2 * m)
-    # One component's rows at a time keeps the COO temporaries small.
-    w1 = sp.vstack([_csr(assembly._scatter_kernel(k_w1[[i, m + i]], (c,), COMPONENTS),
-                         (assembly.ndof, assembly.ndof))[assembly.dofs(c)]
-                    for i, c in enumerate(COMPONENTS)], format="csr")
-    triplets = []
-    for i, name in enumerate(COMPONENTS):
-        for w in (0, 1):
-            dofs, *traces = assembly._trace(name, w)
-            for k in (0, 1):
-                triplets.append((np.full(dofs.size, (2 * w + k) * m + i), dofs, traces[k]))
+
+    def strip(i, c):
+        rows, cols, vals = assembly._kernel_coo(k_w1[[i, m + i]], (c,), COMPONENTS)
+        return _csr([(rows - assembly.offsets[c], cols, vals)],
+                    (assembly.spaces[c].ndof, assembly.ndof))
+
+    # One strip of rows per component keeps the COO temporaries small; the
+    # strips are freed before the a operator is built.
+    w1 = sp.vstack([strip(i, c) for i, c in enumerate(COMPONENTS)], format="csr")
+    # Trace row (2 wall + value | derivative) m + component.
+    rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)
     assembly._monitor_ops = _MonitorOperators(
         a=assembly.a_operator(), w1=w1,
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
-        traces=_csr(triplets, (4 * m, assembly.ndof)))
+        traces=_csr([_unpadded_coo(rows[..., None], assembly._wall_dofs[:, :, None],
+                                   assembly._wall_traces)], (4 * m, assembly.ndof)))
     return assembly._monitor_ops
 
 

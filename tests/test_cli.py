@@ -99,6 +99,28 @@ class TestSolves:
         monitors = json.loads((outdir / "monitors.json").read_text())
         assert monitors["residual_rel"] <= 1e-8
 
+    @pytest.mark.parametrize("name,formulation,wall", [
+        ("eta7", "nonmaxwell", slab.WallData.couette()),
+        ("maxwell", "maxwell", slab.WallData.fourier())])
+    def test_profile_csv_matches_per_cell_writer(self, tmp_path, name, formulation, wall):
+        # Reference: one row per point, built from its flux record and
+        # formatted cell by cell.
+        from r13lab import cli
+        from r13lab.models import resolve_model
+
+        asm = slab.SlabAssembly(slab.SlabMesh(8, 2), resolve_model(name), 0.1, formulation)
+        state, _ = slab.solve_steady(asm, wall)
+        header, rows = cli._profile_rows(state, 41)
+        cli._write_csv(tmp_path / "profile.csv", header, rows)
+        x, vals, fluxes = state.profile(41)
+        lines = [",".join(header)]
+        for i in range(x.size):
+            sig = fluxes[i].sigma.matrix()
+            row = [x[i], *vals[:, i], sig[0, 0], sig[0, 1], sig[0, 2], sig[1, 1],
+                   sig[1, 2], sig[2, 2], *fluxes[i].s]
+            lines.append(",".join(repr(float(v)) for v in row))
+        assert (tmp_path / "profile.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_transient_monitor_csv_monotone(self, tmp_path, outdir):
         config = write_config(tmp_path, elements=16, steps=30)
         code = run("solve-transient", "--model", "eta7", "--config", config,

@@ -416,6 +416,108 @@ class TestBatchedKernels:
 
 
 # ---------------------------------------------------------------------------
+# one-pass assembly against the pair-by-pair scatter
+
+
+def _pair_by_pair_csr(asm, kern, comps1, comps2, walls=()):
+    """Reference: the volume integral of a constant (value, derivative)
+    kernel scattered one component pair at a time, each pair's element
+    matrix built from its own tabulations, plus wall kernels (wall, kernel)
+    scattered one pair at a time from the wall traces."""
+    from r13lab.fe1d import element_coo, gauss01
+
+    qpts, qwts = gauss01(asm.mesh.degree + 1)
+    w = qwts * asm.mesh.h
+
+    def trace(c, wall):
+        dofs, vals, _ = asm.spaces[c].locate(np.array([0.0, 1.0]))
+        return asm.offsets[c] + dofs[wall], vals[:, wall]
+
+    m1, m2 = len(comps1), len(comps2)
+    triplets = []
+    for i, c1 in enumerate(comps1):
+        for j, c2 in enumerate(comps2):
+            k = kern[i, j], kern[i, m2 + j], kern[m1 + i, j], kern[m1 + i, m2 + j]
+            if not any(k):
+                continue
+            s1, s2 = asm.spaces[c1], asm.spaces[c2]
+            v1, d1 = s1.tabulate(qpts)
+            v2, d2 = s2.tabulate(qpts)
+            elem = (k[0] * np.einsum("iq,jq,q->ij", v1, v2, w)
+                    + k[1] * np.einsum("iq,jq,q->ij", v1, d2, w)
+                    + k[2] * np.einsum("iq,jq,q->ij", d1, v2, w)
+                    + k[3] * np.einsum("iq,jq,q->ij", d1, d2, w))
+            triplets.append(element_coo(asm.offsets[c1] + s1.all_element_dofs(),
+                                        asm.offsets[c2] + s2.all_element_dofs(), elem))
+    for wall, bk in walls:
+        for i, c1 in enumerate(comps1):
+            for j, c2 in enumerate(comps2):
+                if bk[i, j] == 0.0:
+                    continue
+                (d1, v1), (d2, v2) = trace(c1, wall), trace(c2, wall)
+                triplets.append(element_coo(d1[None], d2[None], bk[i, j] * np.outer(v1, v2)))
+    if not triplets:
+        return sp.csr_matrix((asm.ndof, asm.ndof))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(asm.ndof, asm.ndof)).tocsr()
+
+
+def _csr_bytes(mat):
+    """Canonical CSR arrays as bytes, so that even the sign of a zero counts."""
+    mat = sp.csr_matrix(mat, copy=True)
+    mat.sum_duplicates()
+    return mat.indptr.tobytes(), mat.indices.tobytes(), mat.data.tobytes()
+
+
+class TestOnePassAssembly:
+    """Every slab matrix equals, bit for bit, the pair-by-pair scatter of
+    the same kernels.  At n = 1 both walls lie in the one element, so the
+    volume term and both wall terms add to the same dofs, and the order in
+    which such duplicates are summed must match too."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_matches_pair_by_pair_scatter(self, name, formulation, degree, n):
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        comps, m = slab.COMPONENTS, len(slab.COMPONENTS)
+        for form, (g1, g2) in slab.FORM_GROUPS.items():
+            kern = slab._probe_volume_kernel(asm._vol[form], g1, g2)
+            walls = [(w, slab._probe_boundary_kernel(asm._bdry[form], g1, g2, frame))
+                     for w, frame in enumerate(slab.WALL_FRAMES)]
+            ref = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
+            assert _csr_bytes(asm.form(form)) == _csr_bytes(ref), form
+        units = np.eye(m)
+        mass = np.zeros((2 * m, 2 * m))
+        mass[:m, :m] = mass_inner(slab._state_from_components(units[:, None]),
+                                  slab._state_from_components(units[None]))
+        assert _csr_bytes(asm.mass_matrix()) == _csr_bytes(
+            _pair_by_pair_csr(asm, mass, comps, comps))
+        primary = [float(c != "p") for c in comps]
+        assert _csr_bytes(asm.t1_gram()) == _csr_bytes(
+            _pair_by_pair_csr(asm, np.diag(primary + primary), comps, comps))
+        k_w1 = slab._quadratic_kernel(
+            lambda v: slab._w1_integrand(asm.model, asm.kn, v[..., :m], v[..., m:]), 2 * m)
+        assert _csr_bytes(slab._monitor_operators(asm).w1) == _csr_bytes(
+            _pair_by_pair_csr(asm, k_w1, comps, comps))
+
+    def test_monitor_operator_build_stays_small(self, eta7):
+        # W is built one component strip at a time; one COO over all 169
+        # component pairs would more than double this peak at n = 64.
+        import tracemalloc
+
+        asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
+        tracemalloc.start()
+        try:
+            slab._monitor_operators(asm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # transient stepping
 
 
