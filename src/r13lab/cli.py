@@ -16,6 +16,7 @@ environment variables and is recorded in the manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -457,7 +458,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves
+    it unchanged, so every call parses independently."""
     parser = argparse.ArgumentParser(
         prog="r13lab",
         description="verification laboratory for the linearized moment system")

@@ -666,12 +666,22 @@ class DiscreteState:
         return self.assembly.spaces[name].evaluate(self.component(name), x)
 
     def sample(self, x: np.ndarray):
-        """(values, derivatives) arrays of all components, shape (13, len(x))."""
+        """(values, derivatives) arrays of all components, shape (13, len(x)).
+
+        Points are located once per space kind; each component's values are
+        the same sums as ScalarSpace.evaluate forms.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        asm = self.assembly
         vals = np.empty((len(COMPONENTS), x.size))
         ders = np.empty((len(COMPONENTS), x.size))
-        for i, name in enumerate(COMPONENTS):
-            vals[i], ders[i] = self.evaluate(name, x)
+        for kind in np.unique(asm._kind):
+            comps = np.nonzero(asm._kind == kind)[0]
+            dofs, bv, bd = asm.spaces[COMPONENTS[comps[0]]].locate(x)
+            offsets = np.array([asm.offsets[COMPONENTS[i]] for i in comps])
+            local = self.coefficients[offsets[:, None, None] + dofs.T]
+            vals[comps] = (local * bv).sum(axis=1)
+            ders[comps] = (local * bd).sum(axis=1)
         return vals, ders
 
     def sample_grid(self, ref_pts: np.ndarray):
@@ -723,8 +733,10 @@ class SolveMonitors:
     production i_bdry_data = f1 - f2, which balances w1 at steady states.
     The identity b_diag = i_bdry - w1 holds for every discrete state.
     f2 is derived from that balance; f2_trace evaluates the same flux
-    integral directly from derivative traces and agrees only up to
-    discretization error.
+    integral directly from value and derivative traces and agrees only up
+    to discretization error.  The wall monitors i_bdry, wall_load, f1 and
+    f2_trace are cached kernels on the wall traces, each probed from its
+    own pointwise wall formula.
     """
 
     energy: float
@@ -770,7 +782,15 @@ def _w1_integrand(model: MolecularModel, kn: float, u_vals: np.ndarray,
     return -kn * grad_part - relax_part / kn
 
 
-def _wall_quadratic(coeffs: BoundaryCoeffs, fr: dict) -> float:
+def _wall_fields(vals: np.ndarray, frame: Frame) -> dict:
+    """Outward-frame trace fields of component values on the trailing axis."""
+    return {"s": frame_components(vals[..., 5:8], frame),
+            "u": frame_components(vals[..., 2:5], frame),
+            "sig": frame_components(StfTensor3(vals[..., 8:13]), frame),
+            "theta": vals[..., 1]}
+
+
+def _wall_quadratic(coeffs: BoundaryCoeffs, fr: dict):
     """Diagonal wall production quadratic in outward-frame traces.
 
     fr carries s (vector comps), u (vector comps), sig (tensor comps) and
@@ -790,7 +810,7 @@ def _wall_quadratic(coeffs: BoundaryCoeffs, fr: dict) -> float:
 
 
 def _wall_load_value(coeffs: BoundaryCoeffs, model: MolecularModel, fr: dict,
-                     tw: float, ut1: float, ut2: float) -> float:
+                     tw, ut1, ut2):
     """Wall-data functional density at one wall (all four test couplings)."""
     c = coeffs
     s, u, sg, th = fr["s"], fr["u"], fr["sig"], fr["theta"]
@@ -801,7 +821,7 @@ def _wall_load_value(coeffs: BoundaryCoeffs, model: MolecularModel, fr: dict,
     return out
 
 
-def _f1_value(model: MolecularModel, fr: dict) -> float:
+def _f1_value(model: MolecularModel, fr: dict):
     """Entropy flux through one wall from trace values alone."""
     k = model
     s, u, sg, th = fr["s"], fr["u"], fr["sig"], fr["theta"]
@@ -812,80 +832,114 @@ def _f1_value(model: MolecularModel, fr: dict) -> float:
 
 
 def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame,
-                    vals: np.ndarray, ders: np.ndarray) -> float:
-    """Gradient-flux wall integrand from value and derivative traces."""
+                    vals: np.ndarray, ders: np.ndarray):
+    """Gradient-flux wall integrand from value and derivative traces of
+    the components on the trailing axis."""
     k = model
     n = frame.n
-    theta, dtheta = vals[1], ders[1]
-    grad_th = np.array([dtheta, 0.0, 0.0])
-    u3, s3 = vals[2:5], vals[5:8]
-    _, grad_u_stf = slab_grad_vec(u3, ders[2:5])
-    _, grad_s_stf = slab_grad_vec(s3, ders[5:8])
-    div_s = ders[5]
-    sig = StfTensor3(vals[8:13])
-    _, grad_sig_stf3, div_sig = slab_grad_stf2(sig, StfTensor3(ders[8:13]))
+    theta = vals[..., 1]
+    grad_th = np.zeros(np.shape(ders)[:-1] + (3,))
+    grad_th[..., 0] = ders[..., 1]
+    u3, s3 = vals[..., 2:5], vals[..., 5:8]
+    _, grad_u_stf = slab_grad_vec(u3, ders[..., 2:5])
+    _, grad_s_stf = slab_grad_vec(s3, ders[..., 5:8])
+    div_s = ders[..., 5]
+    sig = StfTensor3(vals[..., 8:13])
+    _, grad_sig_stf3, div_sig = slab_grad_stf2(sig, StfTensor3(ders[..., 8:13]))
     sig_m = sig.matrix()
-    out = 1.5 * k.k1 * theta * float(n @ grad_th)
-    out -= 1.5 * k.k2 * theta * float(n @ div_sig)
-    out -= 1.5 * k.k2 * float((sig_m @ n) @ grad_th)
-    out += k.k3 * float(u3 @ (grad_u_stf.matrix() @ n))
-    out += k.k4 * float(u3 @ (grad_s_stf.matrix() @ n))
-    out += k.k4 * float(s3 @ (grad_u_stf.matrix() @ n))
-    out += (4.0 / 5.0) * k.k6 * float(s3 @ n) * div_s
-    out += (24.0 / 25.0) * k.k7 * float(s3 @ (grad_s_stf.matrix() @ n))
-    out += k.k9 * float(np.sum(sig_m * np.einsum("ijk,k->ij", grad_sig_stf3, n)))
-    out += 0.5 * k.k10 * float((sig_m @ n) @ div_sig)
+    sig_n = _dot(sig_m, n)
+    out = 1.5 * k.k1 * theta * _dot(n, grad_th)
+    out -= 1.5 * k.k2 * theta * _dot(n, div_sig)
+    out -= 1.5 * k.k2 * _dot(sig_n, grad_th)
+    out += k.k3 * _dot(u3, _dot(grad_u_stf.matrix(), n))
+    out += k.k4 * _dot(u3, _dot(grad_s_stf.matrix(), n))
+    out += k.k4 * _dot(s3, _dot(grad_u_stf.matrix(), n))
+    out += (4.0 / 5.0) * k.k6 * _dot(s3, n) * div_s
+    out += (24.0 / 25.0) * k.k7 * _dot(s3, _dot(grad_s_stf.matrix(), n))
+    out += k.k9 * np.sum(sig_m * _dot(grad_sig_stf3, n), axis=(-2, -1))
+    out += 0.5 * k.k10 * _dot(sig_n, div_sig)
     return kn * out
 
 
-def _quadratic_kernel(q, dim: int) -> np.ndarray:
-    """Symmetric kernel of a quadratic functional by polarization probing.
-
-    q is called once, on the stacked probes (n_probes, dim): first the unit
-    vectors e_i, then e_i + e_j for every pair i < j.
-    """
+def _polarization_probes(dim: int) -> np.ndarray:
+    """Probe stack (n_probes, dim): first the unit vectors e_i, then
+    e_i + e_j for every pair i < j."""
     basis = np.eye(dim)
     i, j = np.triu_indices(dim, 1)
-    vals = q(np.concatenate([basis, basis[i] + basis[j]]))
-    diag = vals[:dim]
-    kern = np.diag(diag)
-    kern[i, j] = kern[j, i] = 0.5 * (vals[dim:] - diag[i] - diag[j])
+    return np.concatenate([basis, basis[i] + basis[j]])
+
+
+def _polarized_kernel(vals: np.ndarray, dim: int) -> np.ndarray:
+    """Symmetric kernels of quadratic functionals from their values on the
+    polarization probes, probe axis first; trailing axes of vals, one
+    functional each, come first in the result.
+
+    Where two inputs do not couple, polarization leaves roundoff of the
+    functional's own values; an off-diagonal entry no larger than its
+    rounding bound 8 eps (|q(e_i + e_j)| + |q(e_i)| + |q(e_j)|) is set to an
+    exact zero (DECISIONS.md D15).
+    """
+    i, j = np.triu_indices(dim, 1)
+    vals = np.moveaxis(vals, 0, -1)
+    diag, pair = vals[..., :dim], vals[..., dim:]
+    di, dj = diag[..., i], diag[..., j]
+    off = 0.5 * (pair - di - dj)
+    off[np.abs(off) <= 8.0 * np.finfo(float).eps * (np.abs(pair) + np.abs(di) + np.abs(dj))] = 0.0
+    kern = np.zeros(vals.shape[:-1] + (dim, dim))
+    kern[..., np.arange(dim), np.arange(dim)] = diag
+    kern[..., i, j] = kern[..., j, i] = off
     return kern
 
 
+def _quadratic_kernel(q, dim: int) -> np.ndarray:
+    """Symmetric kernel of a quadratic functional q, called once on the
+    stacked polarization probes."""
+    return _polarized_kernel(q(_polarization_probes(dim)), dim)
+
+
 # Monitor forms on the coefficient vector x: b_diag = x.a.x, w1 = x.w1.x,
-# mass = mass.x (integral of rho = p - theta), and traces @ x gives the
-# (wall, value | derivative, component) traces at both walls.
-_MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces")
+# mass = mass.x (integral of rho = p - theta), and t = traces @ x gives the
+# 4 m wall traces, index (wall, value | derivative, component).  On t,
+# (i_bdry, f1, f2_trace) = (wall @ t) @ t, and wall_load contracts the
+# (wall, datum, trace) kernel with the data (theta_w, u_t1, u_t2) and t.
+_MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces wall wall_load")
 
 
 def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     """Monitor operators of an assembly, built on first use and cached.
 
-    W comes from the pointwise w1 integrand by polarization, not from the
-    bilinear forms, so b_diag = i_bdry - w1 stays an independent check.
+    Every kernel is probed from its own pointwise transcription (the w1
+    integrand and the wall formulas), never from the bilinear forms, so
+    b_diag = i_bdry - w1 and f1 - f2_trace stay independent checks.
     """
     if assembly._monitor_ops is not None:
         return assembly._monitor_ops
-    model, kn, m = assembly.model, assembly.kn, len(COMPONENTS)
+    model, kn, coeffs, m = assembly.model, assembly.kn, assembly.coeffs, len(COMPONENTS)
     k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[..., :m], v[..., m:]),
                              2 * m)
-
-    def strip(i, c):
-        rows, cols, vals = assembly._kernel_coo(k_w1[[i, m + i]], (c,), COMPONENTS)
-        return _csr([(rows - assembly.offsets[c], cols, vals)],
-                    (assembly.spaces[c].ndof, assembly.ndof))
-
-    # One strip of rows per component keeps the COO temporaries small; the
-    # strips are freed before the a operator is built.
-    w1 = sp.vstack([strip(i, c) for i, c in enumerate(COMPONENTS)], format="csr")
+    w1 = _csr([assembly._kernel_coo(k_w1, COMPONENTS, COMPONENTS)], (assembly.ndof, assembly.ndof))
+    # Wall kernels as (output, wall, value | derivative, component) squared.
+    # The value-trace formulas share one frame projection of the polarization
+    # probes per wall, whose first m probes are the unit traces; f2_trace is
+    # bilinear in (values, derivatives), so crossed unit pairs give its
+    # entries without polarization.
+    wall = np.zeros((3, 2, 2, m, 2, 2, m))
+    wall_load = np.zeros((2, 3, 2, 2, m))
+    probes, units, data = _polarization_probes(m), np.eye(m), np.eye(3)[:, :, None]
+    for w, frame in enumerate(WALL_FRAMES):
+        fr = _wall_fields(probes, frame)
+        wall[:2, w, 0, :, w, 0] = _polarized_kernel(
+            np.stack([_wall_quadratic(coeffs, fr), _f1_value(model, fr)], axis=-1), m)
+        wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr, *data)[:, :m]
+        wall[2, w, 0, :, w, 1] = _f2_trace_value(model, kn, frame, units[:, None], units[None])
     # Trace row (2 wall + value | derivative) m + component.
     rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)
     assembly._monitor_ops = _MonitorOperators(
         a=assembly.a_operator(), w1=w1,
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
         traces=_csr([_unpadded_coo(rows[..., None], assembly._wall_dofs[:, :, None],
-                                   assembly._wall_traces)], (4 * m, assembly.ndof)))
+                                   assembly._wall_traces)], (4 * m, assembly.ndof)),
+        wall=wall.reshape(3, 4 * m, 4 * m), wall_load=wall_load.reshape(2, 3, 4 * m))
     return assembly._monitor_ops
 
 
@@ -894,34 +948,23 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
              residual: float = 0.0, residual_rel: float = 0.0) -> SolveMonitors:
     """All energy monitors of one state.
 
-    Volume monitors are quadratic and linear forms of the assembly's
-    monitor operators; the wall monitors are evaluated pointwise from the
-    value and derivative traces.
+    Every monitor is a small product with the assembly's cached monitor
+    operators: the volume monitors are quadratic and linear forms on the
+    coefficient vector, and the wall monitors are quadratic kernels and a
+    data-weighted linear kernel on its 4 x 13 wall traces.
     """
     if wall is None:
         wall = WallData.homogeneous()
-    model, kn = assembly.model, assembly.kn
     ops = _monitor_operators(assembly)
     x = state.coefficients
     energy = 0.5 * float(x @ (assembly.mass_matrix() @ x))
     w1 = float(x @ (ops.w1 @ x))
     entropy = _ENTROPY_REFERENCE - energy
     mass = float(ops.mass @ x)
-    traces = (ops.traces @ x).reshape(2, 2, len(COMPONENTS))
-    i_bdry = wall_load = f1 = f2_trace = 0.0
-    for w, frame in enumerate(WALL_FRAMES):
-        vals, ders = traces[w]
-        fr = {
-            "s": frame_components(vals[5:8], frame),
-            "u": frame_components(vals[2:5], frame),
-            "sig": frame_components(StfTensor3(vals[8:13]), frame),
-            "theta": float(vals[1]),
-        }
-        i_bdry += _wall_quadratic(assembly.coeffs, fr)
-        wall_load += _wall_load_value(assembly.coeffs, model, fr,
-                                      wall.theta_w[w], wall.u_t[w, 0], wall.u_t[w, 1])
-        f1 += _f1_value(model, fr)
-        f2_trace += _f2_trace_value(model, kn, frame, vals, ders)
+    t = ops.traces @ x
+    i_bdry, f1, f2_trace = ((ops.wall @ t) @ t).tolist()
+    data = np.column_stack([wall.theta_w, wall.u_t])
+    wall_load = float(np.sum(data * (ops.wall_load @ t)))
     i_bdry_data = i_bdry - wall_load
     b_diag = float(x @ (ops.a @ x))
     return SolveMonitors(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from r13lab import korn, slab
+from r13lab import cli, korn, slab
 from r13lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_SOLVER, main
 from r13lab.models import bundled_model_path
 
@@ -251,3 +251,39 @@ class TestPlumbing:
         assert os.environ["OMP_NUM_THREADS"] == "1"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 1
+
+    def test_parser_built_once_and_calls_parse_independently(self, tmp_path,
+                                                             monkeypatch):
+        # The parser is cached per process; alternating subcommands and
+        # arguments must not leak between calls, and defaults must hold.
+        seen = []
+
+        def record(cfg, out_dir, args):
+            seen.append(vars(args))
+            return EXIT_OK
+
+        for name, (_, takes_model, helptext) in list(cli._COMMANDS.items()):
+            monkeypatch.setitem(cli._COMMANDS, name, (record, takes_model, helptext))
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "env-out"))
+        out = str(tmp_path / "out")
+        config = write_config(tmp_path, n=1)
+        parser = cli._build_parser()
+        assert run("solve-steady", "--model", "maxwell", "--seed", "7",
+                   "--threads", "1", "--out", out) == EXIT_OK
+        assert run("korn", "--config", config) == EXIT_OK
+        assert run("solve-steady") == EXIT_OK
+        assert run("derive-bcs", "--seed", "3", "--model", "eta7") == EXIT_OK
+        assert run("korn") == EXIT_OK
+        assert cli._build_parser() is parser
+        steady = {"command": "solve-steady", "model": None, "config": None,
+                  "out": None, "seed": 0, "threads": None}
+        korn_args = {key: value for key, value in steady.items() if key != "model"}
+        assert seen == [
+            {**steady, "model": "maxwell", "seed": 7, "threads": 1, "out": out},
+            {**korn_args, "command": "korn", "config": config},
+            steady,
+            {**steady, "command": "derive-bcs", "model": "eta7", "seed": 3},
+            {**korn_args, "command": "korn"},
+        ]

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from r13lab import slab
-from r13lab.models import resolve_model
+from r13lab.models import bundled_models, resolve_model
 from r13lab.state import mass_inner, physical_fluxes
 from r13lab.tensors import StfTensor3, frame_components
 from r13lab.slab import (
@@ -339,6 +339,84 @@ class TestMonitors:
                     wq @ rho, rel=1e-12, abs=1e-12 * (wq @ np.abs(rho)))
 
 
+def _pointwise_wall_monitors(state, wall):
+    """Reference: (i_bdry, wall_load, f1, f2_trace) from a per-wall loop of
+    the pointwise wall formulas over the sampled wall traces."""
+    asm = state.assembly
+    vals, ders = state.sample(np.array([0.0, 1.0]))
+    i_bdry = wall_load = f1 = f2_trace = 0.0
+    for w, frame in enumerate(slab.WALL_FRAMES):
+        v, d = vals[:, w], ders[:, w]
+        fr = {"s": frame_components(v[5:8], frame),
+              "u": frame_components(v[2:5], frame),
+              "sig": frame_components(StfTensor3(v[8:13]), frame),
+              "theta": float(v[1])}
+        i_bdry += slab._wall_quadratic(asm.coeffs, fr)
+        wall_load += slab._wall_load_value(asm.coeffs, asm.model, fr, wall.theta_w[w],
+                                           wall.u_t[w, 0], wall.u_t[w, 1])
+        f1 += slab._f1_value(asm.model, fr)
+        f2_trace += slab._f2_trace_value(asm.model, asm.kn, frame, v, d)
+    return i_bdry, wall_load, f1, f2_trace
+
+
+class TestExactMonitorKernels:
+    """Monitor kernels are exact: polarization roundoff is zeroed (D15) and
+    the wall monitors are cached kernels on the wall traces that agree
+    with the pointwise wall formulas."""
+
+    @pytest.mark.parametrize("kn", [1e-6, 0.1, 1e4])
+    @pytest.mark.parametrize("name", bundled_models())
+    def test_w1_kernel_zeroes_only_polarization_roundoff(self, name, kn):
+        model = resolve_model(name)
+        m = len(slab.COMPONENTS)
+
+        def q(v):
+            return slab._w1_integrand(model, kn, v[..., :m], v[..., m:])
+
+        kern = slab._quadratic_kernel(q, 2 * m)
+        basis = np.eye(2 * m)
+        i, j = np.triu_indices(2 * m, 1)
+        diag, pair = q(basis), q(basis[i] + basis[j])
+        raw = 0.5 * (pair - diag[i] - diag[j])
+        inputs = np.abs(pair) + np.abs(diag[i]) + np.abs(diag[j])
+        zeroed = kern[i, j] == 0.0
+        assert np.all(np.abs(raw[zeroed]) <= 8.0 * np.finfo(float).eps * inputs[zeroed])
+        assert np.all(np.abs(raw[~zeroed]) >= 1e-8 * inputs[~zeroed])
+        assert np.array_equal(kern[i, j][~zeroed], raw[~zeroed])
+        assert np.array_equal(kern, kern.T)
+        assert np.array_equal(np.diag(kern), diag)
+        # Coupled component pairs: any of (vv, vd, dv, dd) nonzero.
+        k4 = kern.reshape(2, m, 2, m).transpose(0, 2, 1, 3)
+        pairs = np.count_nonzero(np.any(k4 != 0.0, axis=(0, 1)))
+        assert pairs == (10 if model.is_maxwell else 22)
+
+    @pytest.mark.parametrize("model_name,formulation",
+                             [("eta7", "nonmaxwell"), ("maxwell", "maxwell")])
+    def test_wall_kernels_match_pointwise_loop(self, model_name, formulation):
+        asm = SlabAssembly(SlabMesh(16, 2), resolve_model(model_name), KN, formulation)
+        rng = np.random.default_rng(41)
+        cases = [(random_state(asm, rng),
+                  WallData(theta_w=rng.uniform(-1.0, 1.0, 2),
+                           u_t=rng.uniform(-1.0, 1.0, (2, 2))))
+                 for _ in range(5)]
+        cases += [(solve_steady(asm, wall)[0], wall)
+                  for wall in (WallData.couette(), WallData.fourier())]
+        for state, wall in cases:
+            mon = monitors(state, asm, wall=wall)
+            got = (mon.i_bdry, mon.wall_load, mon.f1, mon.f2_trace)
+            assert got == pytest.approx(_pointwise_wall_monitors(state, wall), rel=1e-13)
+
+    @pytest.mark.parametrize("model_name,formulation",
+                             [("eta7", "nonmaxwell"), ("maxwell", "maxwell")])
+    def test_f2_trace_blocks_flip_sign_between_walls(self, model_name, formulation):
+        # Every term of the gradient flux carries one factor of the normal.
+        asm = SlabAssembly(SlabMesh(4, 2), resolve_model(model_name), KN, formulation)
+        m = len(slab.COMPONENTS)
+        k = slab._monitor_operators(asm).wall[2].reshape(2, 2, m, 2, 2, m)
+        assert np.any(k[0, 0, :, 0, 1])
+        assert np.array_equal(k[1, 0, :, 1, 1], -k[0, 0, :, 0, 1])
+
+
 class TestBatchedKernels:
     """The pointwise integrands broadcast over leading batch axes, so every
     kernel is probed in one call; each batch item gives exactly the number
@@ -353,6 +431,15 @@ class TestBatchedKernels:
         assert out.shape == self.SHAPE
         for idx in np.ndindex(self.SHAPE):
             assert out[idx] == slab._w1_integrand(eta7, KN, vals[idx], ders[idx])
+
+    def test_f2_trace_value(self, eta7):
+        rng = np.random.default_rng(306)
+        vals, ders = rng.uniform(-1.0, 1.0, size=(2,) + self.SHAPE + (13,))
+        for frame in slab.WALL_FRAMES:
+            out = slab._f2_trace_value(eta7, KN, frame, vals, ders)
+            assert out.shape == self.SHAPE
+            for idx in np.ndindex(self.SHAPE):
+                assert out[idx] == slab._f2_trace_value(eta7, KN, frame, vals[idx], ders[idx])
 
     @pytest.mark.parametrize("name", sorted(slab.FORM_GROUPS))
     def test_volume_form(self, eta7, name):
@@ -401,6 +488,21 @@ class TestBatchedKernels:
 
         assert np.array_equal(slab._quadratic_kernel(q, 7), q_mat)
         assert calls == [(7 + 21, 7)]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_sample_matches_per_component_evaluation(self, name, formulation, degree):
+        # sample locates points once per space kind; every component must
+        # equal its own ScalarSpace evaluation bit for bit.
+        asm = SlabAssembly(SlabMesh(7, degree), resolve_model(name), KN, formulation)
+        rng = np.random.default_rng(305)
+        state = random_state(asm, rng)
+        x = np.concatenate([np.linspace(0.0, 1.0, 201), rng.uniform(0.0, 1.0, 50)])
+        vals, ders = state.sample(x)
+        for i, comp in enumerate(slab.COMPONENTS):
+            v, d = state.evaluate(comp, x)
+            assert np.array_equal(vals[i], v) and np.array_equal(ders[i], d), comp
 
     def test_profile_fluxes_are_pointwise_recovery(self, couette_eta7):
         state = couette_eta7[1]
@@ -503,8 +605,9 @@ class TestOnePassAssembly:
             _pair_by_pair_csr(asm, k_w1, comps, comps))
 
     def test_monitor_operator_build_stays_small(self, eta7):
-        # W is built one component strip at a time; one COO over all 169
-        # component pairs would more than double this peak at n = 64.
+        # W is one COO pass over its coupled component pairs only (22 for
+        # eta7, D15); the 140 pairs of its polarization roundoff would more
+        # than double this peak at n = 64.
         import tracemalloc
 
         asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
