@@ -82,6 +82,27 @@ FORM_GROUPS = {
     "h": ("th", "th"),
 }
 
+# Size of each group, and its slice: each group is a contiguous run of COMPONENTS.
+_GROUP_DIM = {g: len(c) for g, c in GROUPS.items()}
+_GROUP_SLICE = {g: slice(COMPONENTS.index(c[0]), COMPONENTS.index(c[0]) + len(c))
+                for g, c in GROUPS.items()}
+
+# Saddle arrangement of the system operators in test-row layout: each
+# placement {form: (s, t)} contributes s * form + t * form^T.  No two
+# placements of one operator cover the same component pair.
+A_PLACEMENTS = {
+    "nonmaxwell": {"a": (0, 1), "b": (1, -1), "c": (-1, 1), "d": (0, 1), "e": (1, -1),
+                   "f": (0, 1), "j": (1, 1), "z": (1, 1), "h": (0, 1)},
+    "maxwell": {"a": (0, 1), "c": (-1, 1), "d": (0, 1)},
+}
+# Constraint couplings the steady system adds to the A operator.
+STEADY_PLACEMENTS = {
+    "nonmaxwell": {"g": (-1, -1)},
+    "maxwell": {"b": (-1, -1), "e": (-1, -1), "g": (1, 1)},
+}
+# Pressure coupling the evolution operator adds to the A operator.
+TRANSIENT_PLACEMENTS = {"g": (1, -1)}
+
 # Outward frames at the two walls (index 0: x = 0, index 1: x = 1).
 WALL_FRAMES = (
     Frame(n=np.array([-1.0, 0.0, 0.0]), t1=np.array([0.0, 1.0, 0.0]),
@@ -342,9 +363,6 @@ def _boundary_forms(coeffs: BoundaryCoeffs) -> dict:
     }
 
 
-_GROUP_DIM = {"p": 1, "th": 1, "u": 3, "s": 3, "sg": 5}
-
-
 def _prepare(group: str, vals: np.ndarray, ders: np.ndarray):
     if group in ("u", "s"):
         return _vec_fields(vals, ders)
@@ -395,10 +413,6 @@ def _csr(triplets: list, shape: tuple) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _component_index(comps) -> np.ndarray:
-    return np.array([COMPONENTS.index(c) for c in comps])
-
-
 def _unpadded_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     """Broadcast COO arrays and keep, in C order, the entries off padding (-1)."""
     rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
@@ -407,12 +421,11 @@ def _unpadded_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
 
 
 class SlabAssembly:
-    """Assembled form matrices and load machinery for one configuration.
+    """Form kernels, system operators and load machinery for one configuration.
 
-    Every bilinear form is stored as a global sparse matrix whose rows
-    index the form's first argument and whose columns index the second,
-    both in the shared component dof layout.  Row builders for the actual
-    systems transpose blocks as needed.
+    Each bilinear form is kept as its probed volume and wall kernels, rows on
+    its first argument.  Matrices are built from kernels on demand, in the
+    shared component dof layout; a system operator from its placement table.
     """
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
@@ -436,7 +449,12 @@ class SlabAssembly:
         self.spaces = build_spaces(mesh, formulation)
         self._vol = _volume_forms(model, self.kn)
         self._bdry = _boundary_forms(self.coeffs)
-        self._forms: dict[str, sp.csr_matrix] = {}
+        # Per form: volume kernel (2, m1, 2, m2) and wall kernels (2, m1, m2).
+        self._kernels = {}
+        for name, (g1, g2) in FORM_GROUPS.items():
+            vol = _probe_volume_kernel(self._vol[name], g1, g2)
+            walls = [_probe_boundary_kernel(self._bdry[name], g1, g2, f) for f in WALL_FRAMES]
+            self._kernels[name] = vol.reshape(2, _GROUP_DIM[g1], 2, -1), np.stack(walls)
         self._factorizations: dict = {}
         self._a_operator: sp.csr_matrix | None = None
         self._monitor_ops = None
@@ -468,8 +486,6 @@ class SlabAssembly:
             self.offsets[name] = off
             off += space.ndof
         self.ndof = off
-        for name in FORM_GROUPS:
-            self._forms[name] = self._assemble_form(name)
         self._mass = self._assemble_mass()
 
     # -- layout helpers ----------------------------------------------------
@@ -489,7 +505,8 @@ class SlabAssembly:
         return np.unique(self._wall_dofs[u1, [0, 1], node])
 
     def form(self, name: str) -> sp.csr_matrix:
-        return self._forms[name]
+        """One bilinear form, rows on its first argument; built per call."""
+        return self._placed({name: (1, 0)})
 
     def mass_matrix(self) -> sp.csr_matrix:
         """Mass-weighted L2 Gram in the stored (p, theta, ...) variables."""
@@ -497,39 +514,49 @@ class SlabAssembly:
 
     # -- element assembly ----------------------------------------------------
 
-    def _kernel_coo(self, kern: np.ndarray, comps1, comps2):
-        """COO triplet of the volume integral of a constant pointwise kernel
-        on (values, derivatives) of comps1 (rows) and comps2 (columns).
+    def _matrix(self, kern: np.ndarray, walls: np.ndarray | None = None) -> sp.csr_matrix:
+        """Global matrix of the volume integral of a constant pointwise
+        kernel kern, 26 x 26 on (value | derivative, component) of rows and
+        columns, plus the wall integrals of the value-trace kernels walls
+        (wall, component, component) if given.
 
         Only component pairs with a nonzero kernel entry are scattered, all
-        at once, in pair, element, local row, local column order: the order
-        in which duplicates are summed.
+        at once: the volume terms in pair, element, local row, local column
+        order, then the wall terms in wall, pair, local row, local column
+        order.  That is the order in which duplicates are summed.
         """
-        m1, m2 = len(comps1), len(comps2)
+        m = len(COMPONENTS)
         # Kernel entries (vv, vd, dv, dd) of each component pair on axis 0.
-        k4 = kern.reshape(2, m1, 2, m2).transpose(0, 2, 1, 3).reshape(4, m1, m2)
-        i, j = np.nonzero(np.any(k4 != 0, axis=0))
-        c1, c2 = _component_index(comps1)[i], _component_index(comps2)[j]
+        k4 = kern.reshape(2, m, 2, m).transpose(0, 2, 1, 3).reshape(4, m, m)
+        c1, c2 = np.nonzero(np.any(k4 != 0, axis=0))
         blk = self._blocks[self._kind[c1], self._kind[c2]]
-        k = k4[:, i, j, None, None]
+        k = k4[:, c1, c2, None, None]
         # Four explicit terms: sum() would start from 0 and turn -0.0 into +0.0.
         elem = k[0] * blk[:, 0] + k[1] * blk[:, 1] + k[2] * blk[:, 2] + k[3] * blk[:, 3]
-        return _unpadded_coo(self._elem_dofs[c1][..., None], self._elem_dofs[c2][..., None, :],
-                             elem[:, None])
-
-    def _assemble_form(self, name: str) -> sp.csr_matrix:
-        g1, g2 = FORM_GROUPS[name]
-        kern = _probe_volume_kernel(self._vol[name], g1, g2)
-        triplets = [self._kernel_coo(kern, GROUPS[g1], GROUPS[g2])]
-        for wall in (0, 1):
-            bk = _probe_boundary_kernel(self._bdry[name], g1, g2, WALL_FRAMES[wall])
-            i, j = np.nonzero(bk)
-            c1, c2 = _component_index(GROUPS[g1])[i], _component_index(GROUPS[g2])[j]
-            tv1, tv2 = self._wall_traces[c1, wall, 0, :, None], self._wall_traces[c2, wall, 0, None]
-            triplets.append(_unpadded_coo(self._wall_dofs[c1, wall, :, None],
-                                          self._wall_dofs[c2, wall, None],
-                                          bk[i, j, None, None] * (tv1 * tv2)))
+        triplets = [_unpadded_coo(self._elem_dofs[c1][..., None],
+                                  self._elem_dofs[c2][..., None, :], elem[:, None])]
+        if walls is not None:
+            w, c1, c2 = np.nonzero(walls)
+            tv1, tv2 = self._wall_traces[c1, w, 0, :, None], self._wall_traces[c2, w, 0, None]
+            triplets.append(_unpadded_coo(self._wall_dofs[c1, w, :, None],
+                                          self._wall_dofs[c2, w, None],
+                                          walls[w, c1, c2, None, None] * (tv1 * tv2)))
         return _csr(triplets, (self.ndof, self.ndof))
+
+    def _placed(self, placements: dict) -> sp.csr_matrix:
+        """Sum of s * form + t * form^T over placements {form: (s, t)}; their
+        blocks are disjoint, so assigning them keeps the sign of zeros."""
+        m = len(COMPONENTS)
+        kern, walls = np.zeros((2, m, 2, m)), np.zeros((2, m, m))
+        for name, (s, t) in placements.items():
+            r, c = (_GROUP_SLICE[g] for g in FORM_GROUPS[name])
+            vol, wall = self._kernels[name]
+            if s:
+                kern[:, r, :, c], walls[:, r, c] = s * vol, s * wall
+            if t:
+                kern[:, c, :, r] = t * vol.transpose(2, 3, 0, 1)
+                walls[:, c, r] = t * wall.transpose(0, 2, 1)
+        return self._matrix(kern, walls)
 
     def _assemble_mass(self) -> sp.csr_matrix:
         """Probe <U, M V> through the state module (rho = p - theta)."""
@@ -538,8 +565,7 @@ class SlabAssembly:
         kern = np.zeros((2 * m, 2 * m))
         kern[:m, :m] = mass_inner(_state_from_components(units[:, None]),
                                   _state_from_components(units[None]))
-        return _csr([self._kernel_coo(kern, COMPONENTS, COMPONENTS)],
-                    (self.ndof, self.ndof))
+        return self._matrix(kern)
 
     # -- loads ---------------------------------------------------------------
 
@@ -570,11 +596,11 @@ class SlabAssembly:
         return out
 
     def _add_wall_term(self, out: np.ndarray, group: str, wall: int, term):
-        c = _component_index(GROUPS[group])
-        coeffs = term(_frame_comps(group, np.eye(c.size), WALL_FRAMES[wall]))
+        c = _GROUP_SLICE[group]
+        coeffs = term(_frame_comps(group, np.eye(_GROUP_DIM[group]), WALL_FRAMES[wall]))
         i = np.nonzero(coeffs)[0]
-        dofs = self._wall_dofs[c[i], wall]
-        vals = coeffs[i, None] * self._wall_traces[c[i], wall, 0]
+        dofs = self._wall_dofs[c][i, wall]
+        vals = coeffs[i, None] * self._wall_traces[c][i, wall, 0]
         out[dofs[dofs >= 0]] += vals[dofs >= 0]
 
     # -- system operators ------------------------------------------------------
@@ -582,41 +608,28 @@ class SlabAssembly:
     def a_operator(self) -> sp.csr_matrix:
         """Test-row matrix of the coupled second-order block.
 
-        Coercive grouping: all ten forms in their saddle arrangement on
+        Coercive grouping: all forms but g in their saddle arrangement on
         (s, u, sigma, theta).  Grouped degenerate formulation: only the
-        (a, c, d) block on (sigma, s).  Built on the first call and cached;
-        every caller shares the returned matrix, so none may modify it.
+        (a, c, d) block on (sigma, s).  Exact zeros are not stored.  Built
+        once and cached; every caller shares it, so none may modify it.
         """
         if self._a_operator is None:
-            f = self._forms
-            if self.formulation == "nonmaxwell":
-                a = (f["a"].T + f["j"] + f["j"].T + f["f"].T
-                     - f["c"] + f["c"].T - f["b"].T + f["b"] + f["e"] - f["e"].T
-                     + f["d"].T + f["z"] + f["z"].T + f["h"].T)
-            else:
-                a = f["a"].T + f["c"].T - f["c"] + f["d"].T
-            self._a_operator = a.tocsr()
+            self._a_operator = self._placed(A_PLACEMENTS[self.formulation])
+            self._a_operator.eliminate_zeros()
         return self._a_operator
 
-    def steady_system(self):
-        """(matrix with multiplier row, rhs builder) for the steady solve."""
-        f = self._forms
-        if self.formulation == "nonmaxwell":
-            core = self.a_operator() - f["g"].T - f["g"]
-        else:
-            core = (self.a_operator()
-                    - f["b"].T - f["e"].T + f["g"]   # constraint couplings, flux rows
-                    - f["b"] - f["e"] + f["g"].T)    # velocity / temperature rows
+    def steady_system(self) -> sp.csr_matrix:
+        """Matrix of the steady solve: the A operator plus its constraint
+        couplings, bordered by the zero-mean pressure row and column."""
+        core = self.a_operator() + self._placed(STEADY_PLACEMENTS[self.formulation])
         pm = self._integral_vector("p")
-        mat = sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
-        return mat
+        return sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
 
     def transient_operator(self) -> sp.csr_matrix:
         """Weak operator of the evolution system (no zero-mean constraint)."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
-        f = self._forms
-        return (self.a_operator() + f["g"] - f["g"].T).tocsr()
+        return self.a_operator() + self._placed(TRANSIENT_PLACEMENTS)
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -629,9 +642,7 @@ class SlabAssembly:
     def t1_gram(self) -> sp.csr_matrix:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
         primary = [float(c != "p") for c in COMPONENTS]
-        kern = np.diag(primary + primary)
-        return _csr([self._kernel_coo(kern, COMPONENTS, COMPONENTS)],
-                    (self.ndof, self.ndof))
+        return self._matrix(np.diag(primary + primary))
 
 
 def _state_from_components(comp: np.ndarray) -> StateVector:
@@ -691,10 +702,6 @@ class DiscreteState:
         vals, ders = self.sample(((np.arange(n)[:, None] + ref_pts) / n).ravel())
         shape = (len(COMPONENTS), n, np.size(ref_pts))
         return vals.reshape(shape), ders.reshape(shape)
-
-    def state_at(self, x: float) -> StateVector:
-        vals, _ = self.sample(np.array([x]))
-        return _state_from_components(vals[:, 0])
 
     def profile(self, n_points: int = 201):
         """Sampled x grid, component values, and physical flux recovery."""
@@ -917,7 +924,7 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     model, kn, coeffs, m = assembly.model, assembly.kn, assembly.coeffs, len(COMPONENTS)
     k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[..., :m], v[..., m:]),
                              2 * m)
-    w1 = _csr([assembly._kernel_coo(k_w1, COMPONENTS, COMPONENTS)], (assembly.ndof, assembly.ndof))
+    w1 = assembly._matrix(k_w1)
     # Wall kernels as (output, wall, value | derivative, component) squared.
     # The value-trace formulas share one frame projection of the polarization
     # probes per wall, whose first m probes are the unit traces; f2_trace is
@@ -979,30 +986,29 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
 # steady solves
 
 
-def _checked_residual(mat: sp.spmatrix, xr: np.ndarray, b: np.ndarray):
-    """(absolute, relative) residual of a reduced solve; raises SolverError
-    on non-finite entries or a relative residual above RESIDUAL_RTOL."""
+def _factor(mat: sp.csr_matrix, keep: np.ndarray):
+    """(sparse LU factor, reduced CSC matrix) of mat on the rows and
+    columns in keep; raises SolverError if the factorization fails."""
+    red = mat[keep][:, keep].tocsc()
+    try:
+        return spla.splu(red), red
+    except RuntimeError as exc:
+        raise SolverError(f"direct factorization failed: {exc}") from exc
+
+
+def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray, keep: np.ndarray, n: int):
+    """(x, absolute, relative residual) of red x = b solved with its factor
+    lu, x scattered into n entries at keep.  Raises SolverError on
+    non-finite entries or a relative residual above RESIDUAL_RTOL."""
+    xr = lu.solve(b)
     if not np.all(np.isfinite(xr)):
         raise SolverError("solution contains non-finite entries")
-    res = float(np.linalg.norm(mat @ xr - b))
+    res = float(np.linalg.norm(red @ xr - b))
     bnorm = float(np.linalg.norm(b))
     rel = res / bnorm if bnorm > 0 else 0.0
     if rel > RESIDUAL_RTOL:
         raise SolverError(f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||rhs||")
-    return res, rel
-
-
-def _solve_reduced(mat: sp.csr_matrix, rhs: np.ndarray, keep: np.ndarray):
-    """Direct solve on the rows/columns in keep; returns (x_full, residuals)."""
-    red = mat[keep][:, keep].tocsc()
-    b = rhs[keep]
-    try:
-        lu = spla.splu(red)
-        xr = lu.solve(b)
-    except RuntimeError as exc:
-        raise SolverError(f"direct factorization failed: {exc}") from exc
-    res, rel = _checked_residual(red, xr, b)
-    x = np.zeros(mat.shape[0])
+    x = np.zeros(n)
     x[keep] = xr
     return x, res, rel
 
@@ -1013,7 +1019,8 @@ def solve_steady(assembly: SlabAssembly, wall: WallData):
     mat = assembly.steady_system()
     rhs = np.concatenate([assembly.load_vector(wall), [0.0]])
     keep = np.setdiff1d(np.arange(mat.shape[0]), assembly.essential_dofs)
-    x, res, rel = _solve_reduced(mat, rhs, keep)
+    lu, red = _factor(mat, keep)
+    x, res, rel = _checked_solve(lu, red, rhs[keep], keep, mat.shape[0])
     state = DiscreteState(assembly=assembly, coefficients=x[:-1],
                           multiplier=float(x[-1]))
     mon = monitors(state, assembly, wall=wall, residual=res, residual_rel=rel)
@@ -1045,20 +1052,13 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
         keep = np.setdiff1d(np.arange(assembly.ndof), assembly.essential_dofs)
         mass = assembly.mass_matrix()
         op = assembly.transient_operator()
-        left = (mass / dt + theta_s * op).tocsc()[keep][:, keep]
-        right = (mass / dt - (1.0 - theta_s) * op).tocsr()[keep][:, keep]
-        try:
-            lu = spla.splu(left.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"transient factorization failed: {exc}") from exc
+        lu, left = _factor(mass / dt + theta_s * op, keep)
+        right = (mass / dt - (1.0 - theta_s) * op)[keep][:, keep]
         cached = (lu, left, right, keep)
         assembly._factorizations[key] = cached
     lu, left, right, keep = cached
     b = right @ state.coefficients[keep]
-    xr = lu.solve(b)
-    res, rel = _checked_residual(left, xr, b)
-    coeffs = np.zeros(assembly.ndof)
-    coeffs[keep] = xr
+    coeffs, res, rel = _checked_solve(lu, left, b, keep, assembly.ndof)
     new_state = DiscreteState(assembly=assembly, coefficients=coeffs)
     mon = monitors(new_state, assembly, residual=res, residual_rel=rel)
     return new_state, mon

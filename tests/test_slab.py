@@ -620,6 +620,102 @@ class TestOnePassAssembly:
         assert peak <= 3 * 2**20
 
 
+def _chain_operators(f, formulation, pm):
+    """Reference: (A operator, steady system, transient operator) written
+    out as chains of sparse transposes and sums of the form matrices f."""
+    if formulation == "nonmaxwell":
+        a = (f["a"].T + f["j"] + f["j"].T + f["f"].T
+             - f["c"] + f["c"].T - f["b"].T + f["b"] + f["e"] - f["e"].T
+             + f["d"].T + f["z"] + f["z"].T + f["h"].T)
+    else:
+        a = f["a"].T + f["c"].T - f["c"] + f["d"].T
+    a = a.tocsr()
+    if formulation == "nonmaxwell":
+        core = a - f["g"].T - f["g"]
+    else:
+        core = (a
+                - f["b"].T - f["e"].T + f["g"]   # constraint couplings, flux rows
+                - f["b"] - f["e"] + f["g"].T)    # velocity / temperature rows
+    steady = sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
+    return a, steady, (a + f["g"] - f["g"].T).tocsr()
+
+
+def _covered_pairs(placements):
+    """(test component, trial component) pairs a placement table covers."""
+    pairs = []
+    for name, (s, t) in placements.items():
+        g1, g2 = slab.FORM_GROUPS[name]
+        if s:
+            pairs += [(c1, c2) for c1 in slab.GROUPS[g1] for c2 in slab.GROUPS[g2]]
+        if t:
+            pairs += [(c2, c1) for c1 in slab.GROUPS[g1] for c2 in slab.GROUPS[g2]]
+    return pairs
+
+
+class TestPlacementTables:
+    """Every system operator, built from its placement table, equals bit
+    for bit the chain of sparse sums of the pair-by-pair form matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell"),
+                                                  ("maxwell", "nonmaxwell")])
+    def test_matches_chain_of_sparse_sums(self, name, formulation, degree, n):
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        forms = {}
+        for form, (g1, g2) in slab.FORM_GROUPS.items():
+            kern = slab._probe_volume_kernel(asm._vol[form], g1, g2)
+            walls = [(w, slab._probe_boundary_kernel(asm._bdry[form], g1, g2, frame))
+                     for w, frame in enumerate(slab.WALL_FRAMES)]
+            forms[form] = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
+        a, steady, transient = _chain_operators(forms, formulation, asm._integral_vector("p"))
+        assert _csr_bytes(asm.a_operator()) == _csr_bytes(a)
+        assert _csr_bytes(asm.steady_system()) == _csr_bytes(steady)
+        if formulation == "nonmaxwell":
+            assert _csr_bytes(asm.transient_operator()) == _csr_bytes(transient)
+
+    @pytest.mark.parametrize("formulation", ["nonmaxwell", "maxwell"])
+    def test_placements_cover_disjoint_component_pairs(self, formulation):
+        a = slab.A_PLACEMENTS[formulation]
+        operators = [a, {**a, **slab.STEADY_PLACEMENTS[formulation]}]
+        if formulation == "nonmaxwell":
+            operators.append({**a, **slab.TRANSIENT_PLACEMENTS})
+        for placements in operators:
+            pairs = _covered_pairs(placements)
+            assert len(pairs) == len(set(pairs))
+        # The additions place forms that the A operator does not.
+        assert not set(a) & set(slab.STEADY_PLACEMENTS[formulation])
+        assert not set(a) & set(slab.TRANSIENT_PLACEMENTS)
+
+    def test_solve_paths_build_no_form_matrix(self, eta7, maxwell, monkeypatch):
+        def no_form(self, name):
+            raise AssertionError(f"form {name!r} built as a matrix")
+
+        monkeypatch.setattr(SlabAssembly, "form", no_form)
+        for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
+            solve_steady(SlabAssembly(SlabMesh(8, 2), model, KN, formulation),
+                         WallData.couette())
+        asm = SlabAssembly(SlabMesh(8, 2), eta7, KN, "nonmaxwell")
+        transient_run(asm, random_state(asm, np.random.default_rng(2)), dt=0.05, n_steps=3)
+
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_steady_solve_builds_five_matrices(self, name, formulation, monkeypatch):
+        # Mass matrix, A operator, constraint couplings, W and the trace map.
+        calls = []
+        csr = slab._csr
+
+        def counting(triplets, shape):
+            calls.append(shape)
+            return csr(triplets, shape)
+
+        monkeypatch.setattr(slab, "_csr", counting)
+        asm = SlabAssembly(SlabMesh(8, 2), resolve_model(name), KN, formulation)
+        solve_steady(asm, WallData.couette())
+        assert len(calls) <= 5
+
+
 # ---------------------------------------------------------------------------
 # transient stepping
 
@@ -709,6 +805,27 @@ class TestTransient:
         state = random_state(asm, np.random.default_rng(1))
         with pytest.raises(slab.SolverError, match="residual"):
             step_transient(state, 0.05, "implicit-euler", asm)
+
+    def test_steady_residual_gate(self, eta7, monkeypatch):
+        # The same scaled factor as in the step gate above.
+        splu = slab.spla.splu
+        monkeypatch.setattr(slab, "spla",
+                            SimpleNamespace(splu=lambda mat: splu(1.001 * mat)))
+        asm = SlabAssembly(SlabMesh(4, 2), eta7, KN, "nonmaxwell")
+        with pytest.raises(slab.SolverError, match="residual"):
+            solve_steady(asm, WallData.couette())
+
+    def test_factorization_failure_is_solver_error(self, eta7, monkeypatch):
+        def failing(mat):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(slab, "spla", SimpleNamespace(splu=failing))
+        asm = SlabAssembly(SlabMesh(4, 2), eta7, KN, "nonmaxwell")
+        with pytest.raises(slab.SolverError, match="direct factorization failed"):
+            solve_steady(asm, WallData.couette())
+        with pytest.raises(slab.SolverError, match="direct factorization failed"):
+            step_transient(random_state(asm, np.random.default_rng(1)), 0.05,
+                           "implicit-euler", asm)
 
     def test_transient_requires_coercive_spaces(self, asm_maxwell):
         with pytest.raises(ValueError):
