@@ -22,15 +22,25 @@ involutions, so the dofs split orthogonally into 8 parity classes, one per
 sign character s in {+1, -1}^3, and each reflection acts as s_a on class s.
 A form that commutes with the reflections couples no two classes, so each
 pencil is exactly block diagonal in the class bases and its spectrum is the
-union of the 8 block spectra.  Both probes solve per class.
-`korn_constants` runs a dense solve of each block: it reports whole
+union of the 8 block spectra.
+
+The cube is also symmetric under the 6 permutations of its axes, and so
+is every form.  A permutation sigma acts on the dofs as a plain
+permutation (nodes and components alike), commutes with the reflections
+up to relabelling, and maps class s onto class s o sigma^-1, so the two
+blocks are permutation-similar and share one spectrum.  The 8 classes
+fall into 4 orbits, counted by the number of -1 signs: {+++} and {---}
+of size 1, the three classes with one -1 and the three with two.  Both
+probes solve one representative per orbit, its first member in the class
+order of `_reflection_classes`, and count its spectrum orbit-size times.
+`korn_constants` runs a dense solve of each such block: it reports whole
 spectral tails and counts the stf kernel, and the 10-fold conformal Killing
 kernel of the stf pencil makes a Krylov solver restart from its internal
 seed, which would break run-to-run bit-identity.
 `boundary_korn_eigenvalue` needs only the smallest eigenvalue of an SPD
-pencil, so it runs shift-invert Lanczos (ARPACK) on each sparse block, from
-one sparse LU and a fixed-seed start vector per block, and takes the
-minimum.
+pencil, so it runs shift-invert Lanczos (ARPACK) on each such sparse
+block, from one sparse LU and a fixed-seed start vector per block, and
+takes the minimum.
 """
 
 from __future__ import annotations
@@ -54,6 +64,10 @@ MAX_DENSE_DOFS = 6000
 # reflection class.  Fixed random vectors, not symmetric ones such as all
 # ones, which can be orthogonal to whole symmetry classes of a block.
 _START_SEED = 20061
+
+# The solved reflection classes, one per axis-permutation orbit (the
+# classes with equal numbers of -1 signs), each with its orbit size.
+_CLASS_ORBITS = {(1, 1, 1): 1, (-1, 1, 1): 3, (-1, -1, 1): 3, (-1, -1, -1): 1}
 
 # Near-zero eigenvalues below this multiple of the largest one count as kernel.
 KERNEL_REL_THRESHOLD = 1e-10
@@ -416,18 +430,21 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """Solve the three generalized eigenproblems and summarize.
 
     Pencils: (L2 + stf) vs H1, (boundary + stf) vs H1, and stf vs L2 for
-    the kernel count.  Dense solves of the reflection-class blocks;
-    raises for oversized meshes.
+    the kernel count.  Dense solves of one reflection-class block per
+    axis-permutation orbit; raises for oversized meshes.
     """
     mesh = forms.mesh
     _check_dense(mesh.n_dofs)
-    # Each form is projected once per class; the pencils sum dense blocks.
+    # Each form is projected once per solved class; the pencils sum dense
+    # blocks, and each block spectrum stands for its whole orbit.
     spectra = ([], [], [])
-    for q in _reflection_classes(mesh).values():
+    for s, q in _reflection_classes(mesh).items():
+        if s not in _CLASS_ORBITS:
+            continue
         l2, h1, stf, bdry = ((q.T @ f @ q).toarray()
                              for f in (forms.l2, forms.h1, forms.stf, forms.boundary))
         for out, (a, b) in zip(spectra, ((l2 + stf, h1), (bdry + stf, h1), (stf, l2))):
-            out.append(scipy.linalg.eigh(a, b, eigvals_only=True))
+            out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), _CLASS_ORBITS[s]))
     classical, boundary, stf = (np.sort(np.concatenate(s)) for s in spectra)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
     kernel_dim = int(np.count_nonzero(stf < threshold))
@@ -449,17 +466,20 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only.
 
-    Shift-invert Lanczos about 0 on each reflection-class block of the
-    sparse SPD pencil, converged to machine precision from a fixed-seed
-    start vector per class, so repeated calls return the same bits; the
-    minimum over the classes is the pencil's.  Agrees with a dense solve of
-    the unsplit pencil to roundoff.
+    Shift-invert Lanczos about 0 on one reflection-class block of the
+    sparse SPD pencil per axis-permutation orbit, converged to machine
+    precision from a fixed-seed start vector per class, so repeated calls
+    return the same bits; the minimum over the orbits is the pencil's.
+    Agrees with a dense solve of the unsplit pencil to roundoff.
     """
     _check_dense(mesh.n_dofs)
     forms = assemble_cube_forms(mesh)
     pencil = forms.boundary + forms.stf
     lowest = []
-    for k, q in enumerate(_reflection_classes(mesh).values()):
+    # k indexes all 8 classes, so each solved class keeps its own stream.
+    for k, (s, q) in enumerate(_reflection_classes(mesh).items()):
+        if s not in _CLASS_ORBITS:
+            continue
         v0 = np.random.default_rng((_START_SEED, k)).standard_normal(q.shape[1])
         lowest.append(scipy.sparse.linalg.eigsh(q.T @ pencil @ q, k=1, M=q.T @ forms.h1 @ q,
                                                 sigma=0.0, tol=0.0, v0=v0,

@@ -24,6 +24,7 @@ pressure constraint.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -394,13 +395,23 @@ def _probe_volume_kernel(form, g1: str, g2: str) -> np.ndarray:
                 _prepare(g2, y[..., :m2], y[..., m2:]))
 
 
-def _probe_boundary_kernel(form, g1: str, g2: str, frame: Frame) -> np.ndarray:
+@functools.cache
+def _unit_traces(group: str, wall: int):
+    """Wall-frame components of the unit traces of a group at one wall, as
+    row probes (batch shape (m, 1)) and column probes (batch shape (1, m)).
+
+    They depend on neither model nor mesh, so every assembly shares them;
+    the forms only read them.
+    """
+    eye = np.eye(_GROUP_DIM[group])
+    return tuple(_frame_comps(group, e, WALL_FRAMES[wall]) for e in (eye[:, None], eye[None]))
+
+
+def _probe_boundary_kernel(form, g1: str, g2: str, wall: int) -> np.ndarray:
     """Wall kernel K with K[i, j] = form(unit trace i, unit trace j)."""
-    m1, m2 = _GROUP_DIM[g1], _GROUP_DIM[g2]
-    kern = form(_frame_comps(g1, np.eye(m1)[:, None], frame),
-                _frame_comps(g2, np.eye(m2)[None], frame))
+    kern = form(_unit_traces(g1, wall)[0], _unit_traces(g2, wall)[1])
     # A form without wall terms returns a plain zero.
-    return np.broadcast_to(kern, (m1, m2))
+    return np.broadcast_to(kern, (_GROUP_DIM[g1], _GROUP_DIM[g2]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +464,7 @@ class SlabAssembly:
         self._kernels = {}
         for name, (g1, g2) in FORM_GROUPS.items():
             vol = _probe_volume_kernel(self._vol[name], g1, g2)
-            walls = [_probe_boundary_kernel(self._bdry[name], g1, g2, f) for f in WALL_FRAMES]
+            walls = [_probe_boundary_kernel(self._bdry[name], g1, g2, w) for w in range(2)]
             self._kernels[name] = vol.reshape(2, _GROUP_DIM[g1], 2, -1), np.stack(walls)
         self._factorizations: dict = {}
         self._a_operator: sp.csr_matrix | None = None
@@ -1015,7 +1026,14 @@ def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray, keep: np.ndarray, n: i
 
 def solve_steady(assembly: SlabAssembly, wall: WallData):
     """Steady solve in the assembly's formulation: the coercive grouping
-    with constrained pressure, or the grouped degenerate formulation."""
+    with constrained pressure, or the grouped degenerate formulation.
+
+    A Maxwell-type model in the coercive grouping is rejected (DECISIONS.md
+    D16): that steady system is singular or nearly so.
+    """
+    if assembly.model.is_maxwell and assembly.formulation == "nonmaxwell":
+        raise ValueError("the coercive grouping has no well-posed steady solve for a "
+                         "Maxwell-type model; use formulation: maxwell")
     mat = assembly.steady_system()
     rhs = np.concatenate([assembly.load_vector(wall), [0.0]])
     keep = np.setdiff1d(np.arange(mat.shape[0]), assembly.essential_dofs)

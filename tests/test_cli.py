@@ -178,6 +178,16 @@ class TestPlumbing:
     def test_missing_model_is_config_error(self, outdir):
         assert run("solve-steady", "--out", str(outdir)) == EXIT_CONFIG
 
+    def test_maxwell_model_needs_maxwell_formulation(self, tmp_path, outdir, capsys):
+        # D16: the default coercive grouping has no well-posed steady
+        # solve for a Maxwell-type model; that is a configuration error.
+        assert run("solve-steady", "--model", "maxwell", "--out", str(outdir)) == EXIT_CONFIG
+        assert "formulation: maxwell" in capsys.readouterr().err
+        assert not (outdir / "profile.csv").exists()
+        config = write_config(tmp_path, formulation="maxwell", elements=8)
+        assert run("solve-steady", "--model", "maxwell", "--config", config,
+                   "--out", str(outdir)) == EXIT_OK
+
     def test_unknown_bundled_model(self, outdir):
         code = run("validate-params", "--model", "nosuch", "--out", str(outdir))
         assert code == EXIT_CONFIG

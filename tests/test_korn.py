@@ -1,5 +1,7 @@
 """Conformal Killing fields, cube FEM forms, and Korn eigenvalue probes."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -420,28 +422,49 @@ class TestCKVanishing:
         assert min(ratios) > 1.0  # recorded 1.3929 for this seed
 
 
-def reflection(mesh, axis):
-    """Signed permutation of the interleaved dofs for x_axis -> 1 - x_axis.
-
-    Built from the node coordinates alone: node k is sent to the node at
-    its mirror image, and component `axis` of the field changes sign.
-    """
+def node_image(mesh, mapped):
+    """Index of the node at each mapped node position, found from the
+    node coordinates alone."""
     m = mesh.n * mesh.degree + 1
-    mirrored = mesh.nodes.copy()
-    mirrored[:, axis] = 1.0 - mirrored[:, axis]
 
     def code(x):
         k = np.rint(x * (m - 1)).astype(int)
         return k[:, 0] + m * (k[:, 1] + m * k[:, 2])
 
     order = np.argsort(code(mesh.nodes))
-    image = order[np.searchsorted(code(mesh.nodes)[order], code(mirrored))]
-    assert np.allclose(mesh.nodes[image], mirrored, atol=1e-14)
+    image = order[np.searchsorted(code(mesh.nodes)[order], code(mapped))]
+    assert np.allclose(mesh.nodes[image], mapped, atol=1e-14)
+    return image
+
+
+def reflection(mesh, axis):
+    """Signed permutation of the interleaved dofs for x_axis -> 1 - x_axis.
+
+    Built from the node coordinates alone: node k is sent to the node at
+    its mirror image, and component `axis` of the field changes sign.
+    """
+    mirrored = mesh.nodes.copy()
+    mirrored[:, axis] = 1.0 - mirrored[:, axis]
+    image = node_image(mesh, mirrored)
     comps = np.arange(3)
     rows = (3 * image[:, None] + comps).ravel()
     cols = (3 * np.arange(mesh.n_nodes)[:, None] + comps).ravel()
     signs = np.tile(np.where(comps == axis, -1.0, 1.0), mesh.n_nodes)
     return scipy.sparse.csr_matrix((signs, (rows, cols)), shape=(mesh.n_dofs,) * 2)
+
+
+def axis_permutation(mesh, perm):
+    """Permutation of the interleaved dofs for the axis map x'_a = x_perm[a].
+
+    Built from the node coordinates alone: node k is sent to the node at
+    its permuted position, and component a of the image field is
+    component perm[a] of the field.
+    """
+    image = node_image(mesh, mesh.nodes[:, list(perm)])
+    rows = (3 * image[:, None] + np.arange(3)).ravel()
+    cols = (3 * np.arange(mesh.n_nodes)[:, None] + np.asarray(perm)).ravel()
+    return scipy.sparse.csr_matrix((np.ones(mesh.n_dofs), (rows, cols)),
+                                   shape=(mesh.n_dofs,) * 2)
 
 
 def dense_spectra(forms):
@@ -516,3 +539,76 @@ class TestReflectionSplit:
         lam = boundary_korn_eigenvalue(mesh)
         assert lam == pytest.approx(dense["boundary"][0], rel=1e-12)
         assert boundary_korn_eigenvalue(mesh) == lam
+
+
+def class_block_spectra(forms, q):
+    """Dense spectra of the three Korn pencils on one class block."""
+    l2, h1, stf, bdry = ((q.T @ f @ q).toarray()
+                         for f in (forms.l2, forms.h1, forms.stf, forms.boundary))
+    return [scipy.linalg.eigh(a, b, eigvals_only=True)
+            for a, b in ((l2 + stf, h1), (bdry + stf, h1), (stf, l2))]
+
+
+class TestAxisPermutationSplit:
+    """Axis permutations map reflection classes onto each other, so one
+    class per orbit carries the spectrum of the whole orbit."""
+
+    @pytest.mark.parametrize("n,degree", SPLIT_MESHES)
+    def test_forms_commute_with_axis_permutations(self, n, degree):
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        for perm in itertools.permutations(range(3)):
+            p = axis_permutation(mesh, perm)
+            assert (p @ p.T != scipy.sparse.identity(mesh.n_dofs)).nnz == 0
+            for name in ("l2", "h1", "stf", "boundary"):
+                mat = getattr(forms, name)
+                gap = np.abs((p @ mat @ p.T - mat).toarray()).max()
+                assert gap <= 1e-14 * np.abs(mat).max(), (name, perm, gap)
+
+    @pytest.mark.parametrize("n,degree", SPLIT_MESHES)
+    def test_orbit_members_share_block_spectra(self, n, degree):
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        classes = korn._reflection_classes(mesh)
+        for minus in (1, 2):
+            members = [q for s, q in classes.items() if s.count(-1) == minus]
+            assert len(members) == 3
+            first = class_block_spectra(forms, members[0])
+            for q in members[1:]:
+                for ref, eigs in zip(first, class_block_spectra(forms, q)):
+                    np.testing.assert_allclose(eigs, ref, rtol=0.0, atol=1e-12 * ref[-1])
+
+    def test_korn_constants_solves_one_class_per_orbit(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        forms = assemble_cube_forms(build_cube_mesh(2, 2))
+        first = korn_constants(forms)
+        assert len(calls) == 12  # 4 orbits x 3 pencils
+        again = korn_constants(forms)
+        assert len(calls) == 24
+        for name in ("lambda_min_classical", "lambda_min_boundary", "stf_kernel_dim",
+                     "stf_eig_max", "kernel_threshold"):
+            assert getattr(again, name) == getattr(first, name), name
+        for name in ("classical_tail", "boundary_tail", "stf_tail"):
+            assert np.array_equal(getattr(again, name), getattr(first, name)), name
+
+    def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch):
+        eigsh = scipy.sparse.linalg.eigsh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        mesh = build_cube_mesh(3, 1)
+        first = boundary_korn_eigenvalue(mesh)
+        assert len(calls) == 4
+        assert boundary_korn_eigenvalue(mesh) == first
+        assert len(calls) == 8
