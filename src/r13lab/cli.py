@@ -319,10 +319,10 @@ def run_derive_bcs(cfg: dict, out_dir: Path, args) -> int:
 
 
 def run_korn(cfg: dict, out_dir: Path, args) -> int:
-    from .korn import _check_dense, assemble_cube_forms, build_cube_mesh, korn_constants
+    from .korn import _check_size, assemble_cube_forms, build_cube_mesh, korn_constants
 
     mesh = build_cube_mesh(_positive_int(cfg, "n"), _positive_int(cfg, "degree"))
-    _check_dense(mesh.n_dofs)
+    _check_size(mesh.n_dofs)
     report = korn_constants(assemble_cube_forms(mesh),
                             n_tail=_positive_int(cfg, "tail"))
     payload = {

@@ -1,8 +1,9 @@
 """One-dimensional finite-element pieces shared by the slab and cube solvers.
 
 Both discretizations are built from the same reference interval [0, 1]:
-a Gauss rule, a Lagrange tabulator, and a scatter that repeats one shared
-element matrix over every element of a uniform mesh.
+a Gauss rule, a Lagrange tabulator, a scatter that repeats one shared
+element matrix over every element of a uniform mesh, and the global
+matrices of such a mesh, the Kronecker factors of the cube forms.
 """
 
 from __future__ import annotations
@@ -50,3 +51,29 @@ def element_coo(dofs1: np.ndarray, dofs2: np.ndarray, elem: np.ndarray):
     cols = np.tile(dofs2, (1, dofs1.shape[1])).ravel()
     vals = np.tile(elem.ravel(), len(dofs1))
     return rows, cols, vals
+
+
+def cg_line_matrices(n: int, degree: int) -> dict:
+    """Dense global matrices of degree-p continuous Lagrange elements on a
+    uniform n-element mesh of [0, 1], nodes left to right: "M" mass, "K"
+    stiffness, "G" the derivative coupling G[i, j] = int phi_i' phi_j, "GT"
+    its transpose, and "T" the endpoint trace phi_i(0) phi_j(0) + phi_i(1) phi_j(1).
+
+    The p + 1 Gauss points are summed one by one, not by a BLAS product, so
+    products that cancel exactly, such as those of the zero diagonal of G
+    at interior nodes, give exact zeros.
+    """
+    m = n * degree + 1
+    x, w = gauss01(degree + 1)
+    v, d = lagrange(np.linspace(0.0, 1.0, degree + 1), x)
+    dofs = np.arange(n)[:, None] * degree + np.arange(degree + 1)
+
+    def assemble(a, b):
+        out = np.zeros((m, m))
+        rows, cols, vals = element_coo(dofs, dofs, (a[:, None] * b * w).sum(axis=-1))
+        np.add.at(out, (rows, cols), vals)
+        return out
+
+    g = assemble(d, v)
+    return {"M": assemble(v, v) / n, "K": assemble(d, d) * n, "G": g, "GT": g.T,
+            "T": np.diag(np.r_[1.0, np.zeros(m - 2), 1.0])}

@@ -10,19 +10,24 @@ kernel of the stf-gradient form is exactly the 10-dimensional conformal
 Killing space once the element space contains quadratics.
 
 Elements are tensor-product Lagrange hexahedra (degree 1 or 2) on uniform
-subdivisions of [0,1]^3, so every element matrix is a translate of a single
-reference matrix and quadrature is exact for all assembled forms.
+subdivisions of [0,1]^3.  Each term of each integrand (|u|^2, |grad u|^2,
+|stf grad u|^2, and |u|^2 on the faces) is a product of one 1-D integral
+per axis, so every Gram is a sum of Kronecker products of the 1-D CG
+matrices of `fe1d.cg_line_matrices` (Lynch, Rice & Thomas 1964), listed in
+`_FORM_TERMS` and summed by `_kron_sum`.
 
-The uniform mesh and every integrand (|u|^2, |grad u|^2, |stf grad u|^2,
-and |u|^2 on the faces) are mirror-symmetric, so every form is invariant
-under the three reflections x_a -> 1 - x_a.  On the interleaved nodal dofs
-a reflection is a signed permutation: it mirrors the grid index along axis
-a and flips the sign of component a.  The three commute and are
-involutions, so the dofs split orthogonally into 8 parity classes, one per
-sign character s in {+1, -1}^3, and each reflection acts as s_a on class s.
-A form that commutes with the reflections couples no two classes, so each
-pencil is exactly block diagonal in the class bases and its spectrum is the
-union of the 8 block spectra.
+The uniform mesh and every integrand are mirror-symmetric, so every form
+is invariant under the three reflections x_a -> 1 - x_a.  On the
+interleaved nodal dofs a reflection is a signed permutation: it mirrors
+the grid index along axis a and flips the sign of component a.  The three
+commute and are involutions, so the dofs split orthogonally into 8 parity
+classes, one per sign character s in {+1, -1}^3, and each reflection acts
+as s_a on class s.  A form that commutes with the reflections couples no
+two classes, so each pencil is exactly block diagonal in the class bases
+and its spectrum is the union of the 8 block spectra.  The class bases are
+Kronecker products of 1-D even/odd bases, so `CubeForms.block` builds each
+block as the same Kronecker sum over parity-projected 1-D factors, and the
+probes never build a global Gram.
 
 The cube is also symmetric under the 6 permutations of its axes, and so
 is every form.  A permutation sigma acts on the dofs as a plain
@@ -31,8 +36,8 @@ up to relabelling, and maps class s onto class s o sigma^-1, so the two
 blocks are permutation-similar and share one spectrum.  The 8 classes
 fall into 4 orbits, counted by the number of -1 signs: {+++} and {---}
 of size 1, the three classes with one -1 and the three with two.  Both
-probes solve one representative per orbit, its first member in the class
-order of `_reflection_classes`, and count its spectrum orbit-size times.
+probes solve one representative per orbit and count its spectrum
+orbit-size times.
 `korn_constants` runs a dense solve of each such block: it reports whole
 spectral tails and counts the stf kernel, and the 10-fold conformal Killing
 kernel of the stf pencil makes a Krylov solver restart from its internal
@@ -45,6 +50,7 @@ takes the minimum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +58,13 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fe1d import element_coo, gauss01, lagrange
+from .fe1d import cg_line_matrices, gauss01, lagrange
 
-# Size cap of the dense eigensolves in korn_constants.  It also bounds
-# boundary_korn_eigenvalue until a mesh ladder validates its sparse solve
-# beyond this size; below it a dense solve of the unsplit pencil is the
-# sparse one's check.
+# Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
+# Size cap of the sparse boundary_korn_eigenvalue, just above the top of the
+# mesh ladder its solve was checked on: 73,167 dofs, cube(28,1) and (14,2).
+MAX_SPARSE_DOFS = 80_000
 
 # Seed of the start vectors of the sparse boundary probe, one stream per
 # reflection class.  Fixed random vectors, not symmetric ones such as all
@@ -229,100 +235,114 @@ def _reference_tensors(p: int):
     return weights, vals, grads
 
 
-def _stf_b_matrix(grads: np.ndarray) -> np.ndarray:
-    """B[l, c, i, j] with stf(grad u)_ij = sum_{l,c} u_{l,c} B[l,c,i,j].
+def _on(factors: dict) -> tuple:
+    """1-D factor names along (x, y, z): mass except on the given axes."""
+    return tuple(factors.get(a, "M") for a in range(3))
 
-    grads holds physical shape-function gradients of shape (nloc, 3).
+
+# Kronecker terms of each form, (coef, (f_x, f_y, f_z), c, d): coef times
+# the Kronecker product of the line matrices f_x, f_y, f_z (keys of
+# fe1d.cg_line_matrices), coupling test component c to trial component d.
+_FORM_TERMS = {
+    "l2": [(1.0, _on({}), c, c) for c in range(3)],
+    "boundary": [(1.0, _on({a: "T"}), c, c) for c in range(3) for a in range(3)],
+    # |stf J|^2 = |J|^2/2 + J:J^T/2 - tr(J)^2/3 with J_ij = d_j u_i.  On
+    # one component the derivative along a carries 1/2, and 1/2 + 1/2 - 1/3
+    # along a = c.  Across components J:J^T pairs d_d of test component c
+    # with d_c of trial component d, and tr(J)^2 pairs d_c with d_d; G
+    # differentiates the test side.
+    "stf": ([(2.0 / 3.0 if a == c else 0.5, _on({a: "K"}), c, c)
+             for c in range(3) for a in range(3)]
+            + [term for c in range(3) for d in range(3) if d != c
+               for term in ((0.5, _on({d: "G", c: "GT"}), c, d),
+                            (-1.0 / 3.0, _on({c: "G", d: "GT"}), c, d))]),
+}
+_FORM_TERMS["h1"] = _FORM_TERMS["l2"] + [(1.0, _on({a: "K"}), c, c)
+                                         for c in range(3) for a in range(3)]
+
+
+def _kron_triplets(x, y, z):
+    """Nonzero triplets (rows, cols, values) of kron(z, kron(y, x)), the
+    Kronecker product of dense factors with x fastest."""
+    (xi, xj, xv), (yi, yj, yv), (zi, zj, zv) = ((*np.nonzero(f), f[np.nonzero(f)])
+                                                for f in (x, y, z))
+    rows = np.ravel_multi_index(np.ix_(zi, yi, xi), (len(z), len(y), len(x)))
+    cols = np.ravel_multi_index(np.ix_(zj, yj, xj), (z.shape[1], y.shape[1], x.shape[1]))
+    return rows.ravel(), cols.ravel(), (zv[:, None, None] * (yv[:, None] * xv)).ravel()
+
+
+def _kron_sum(terms, lines: dict, bases, place) -> scipy.sparse.csr_matrix:
+    """Gram of a form given by its Kronecker terms, in per-axis 1-D bases.
+
+    bases[c][a] holds the 1-D basis of component c along axis a as columns
+    of nodal values, so a term's factor f on axis a becomes
+    bases[c][a]^T f bases[d][a].  place[c] maps the Kronecker index of
+    component c to its global row and column.  Exact zeros are not stored,
+    so every stored entry is a real coupling.
     """
-    nloc = grads.shape[0]
-    eye = np.eye(3)
-    B = np.zeros((nloc, 3, 3, 3))
-    B += 0.5 * np.einsum("ci,lj->lcij", eye, grads)
-    B += 0.5 * np.einsum("cj,li->lcij", eye, grads)
-    B -= np.einsum("lc,ij->lcij", grads, eye) / 3.0
-    return B
-
-
-@dataclass(frozen=True)
-class CubeForms:
-    """Gram matrices of the four quadratic forms over vector nodal dofs."""
-
-    mesh: CubeMesh
-    l2: scipy.sparse.csr_matrix = field(repr=False)
-    h1: scipy.sparse.csr_matrix = field(repr=False)
-    stf: scipy.sparse.csr_matrix = field(repr=False)
-    boundary: scipy.sparse.csr_matrix = field(repr=False)
-
-
-def _scatter(mesh: CubeMesh, element_matrix: np.ndarray,
-             element_list=None) -> scipy.sparse.csr_matrix:
-    """Accumulate one shared element matrix over the mesh elements, or
-    over the rows of element_list (node tables of the same width).
-
-    element_matrix has shape (nloc, nloc) acting on scalar nodes, or
-    (3*nloc, 3*nloc) acting on interleaved vector dofs.  A scalar matrix
-    acts on each vector component alone, so it is scattered into the three
-    diagonal component blocks, one copy of the element list per component.
-    Couplings that sum to exactly zero are dropped, so every stored entry is
-    a real coupling.
-    """
-    elements = mesh.elements if element_list is None else element_list
-    nloc = elements.shape[1]
-    if element_matrix.shape == (nloc, nloc):
-        dofs = (3 * elements + np.arange(3)[:, None, None]).reshape(-1, nloc)
-    else:
-        dofs = (3 * elements[:, :, None] + np.arange(3)).reshape(len(elements), -1)
-    rows, cols, data = element_coo(dofs, dofs, element_matrix)
-    mat = scipy.sparse.coo_matrix((data, (rows, cols)),
-                                  shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+    rows, cols, vals = [], [], []
+    for coef, factors, c, d in terms:
+        r, k, v = _kron_triplets(*(bases[c][a].T @ lines[f] @ bases[d][a]
+                                   for a, f in enumerate(factors)))
+        rows.append(place[c][r])
+        cols.append(place[d][k])
+        vals.append(coef * v)
+    size = sum(map(len, place))
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size)).tocsr()
     mat.eliminate_zeros()
     return mat
 
 
-def _boundary_face_matrix(mesh: CubeMesh) -> scipy.sparse.csr_matrix:
-    """Gram of the boundary L2 form over the six cube faces.
+def _parity_bases(m: int) -> dict:
+    """Orthonormal bases of the even (+1) and odd (-1) grid functions on m
+    mirror-symmetric nodes: (e_i + t e_{m-1-i}) / sqrt(2) for i < m // 2,
+    and the middle node e_mid in the even basis when m is odd."""
+    e, half = np.eye(m), m // 2
+    low, high = e[:, :half], e[:, ::-1][:, :half]
+    return {1: np.hstack([np.sqrt(0.5) * (low + high), e[:, half:m - half]]),
+            -1: np.sqrt(0.5) * (low - high)}
 
-    Each cube face is a uniform n x n quad mesh of degree p whose 2-D mass
-    matrix is the Kronecker square of the 1-D one.  The face node tables
-    are read off the element table: the elements and local nodes at one
-    end of an axis.  Orientation does not matter for a mass matrix.
-    """
-    n, p = mesh.n, mesh.degree
-    x1, w1 = gauss01(p + 1)
-    v1, _ = lagrange(np.linspace(0.0, 1.0, p + 1), x1)
-    m1 = (v1 * w1) @ v1.T * mesh.h
-    # Axes of the element table: (ez, ey, ex, lz, ly, lx).
-    table = mesh.elements.reshape((n,) * 3 + (p + 1,) * 3)
-    faces = [np.take(np.take(table, end, axis=5 - k), end, axis=2 - k).reshape(n * n, -1)
-             for k in range(3) for end in (0, -1)]
-    return _scatter(mesh, np.kron(m1, m1), np.concatenate(faces))
+
+def _global_gram(form: str):
+    """Cached property: one form's Gram over the interleaved dofs 3 * node + c."""
+    def gram(self) -> scipy.sparse.csr_matrix:
+        eye = [[np.eye(self.mesh.n * self.mesh.degree + 1)] * 3] * 3
+        return _kron_sum(_FORM_TERMS[form], self.lines, eye,
+                         [3 * np.arange(self.mesh.n_nodes) + c for c in range(3)])
+    return functools.cached_property(gram)
+
+
+@dataclass(frozen=True)
+class CubeForms:
+    """The four quadratic forms of a cube mesh, kept as its 1-D line
+    matrices.  `l2`, `h1`, `stf` and `boundary` are the global Grams, built
+    on first access; `block(form, s)` builds one form on one reflection
+    class without any global Gram."""
+
+    mesh: CubeMesh
+    lines: dict = field(repr=False)
+
+    l2 = _global_gram("l2")
+    h1 = _global_gram("h1")
+    stf = _global_gram("stf")
+    boundary = _global_gram("boundary")
+
+    def block(self, form: str, s: tuple) -> scipy.sparse.csr_matrix:
+        """Gram of one form on reflection class s = (s_x, s_y, s_z): component
+        c has parity -s_a along axis a == c and s_a along the others, and the
+        class basis lists the Kronecker parity bases of c = 0, 1, 2 in turn."""
+        parity = _parity_bases(self.mesh.n * self.mesh.degree + 1)
+        bases = [[parity[-sa if a == c else sa] for a, sa in enumerate(s)] for c in range(3)]
+        ends = np.cumsum([0] + [np.prod([b.shape[1] for b in comp]) for comp in bases])
+        return _kron_sum(_FORM_TERMS[form], self.lines, bases,
+                         [np.arange(ends[c], ends[c + 1]) for c in range(3)])
 
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:
-    """Assemble L2, H1, stf-gradient, and boundary Gram matrices."""
-    p = mesh.degree
-    h = mesh.h
-    weights, vals, grads_ref = _reference_tensors(p)
-    grads = grads_ref / h  # physical gradients on an h-cube element
-    scale = h ** 3
-
-    nloc = vals.shape[1]
-    mass = np.zeros((nloc, nloc))
-    stiff = np.zeros((nloc, nloc))
-    stf_el = np.zeros((3 * nloc, 3 * nloc))
-    for iq in range(len(weights)):
-        w = weights[iq] * scale
-        mass += w * np.outer(vals[iq], vals[iq])
-        stiff += w * (grads[iq] @ grads[iq].T)
-        B = _stf_b_matrix(grads[iq]).reshape(3 * nloc, 9)
-        stf_el += w * (B @ B.T)
-
-    l2 = _scatter(mesh, mass)
-    grad = _scatter(mesh, stiff)
-    stf = _scatter(mesh, stf_el)
-    boundary = _boundary_face_matrix(mesh)
-    return CubeForms(mesh=mesh, l2=l2, h1=(l2 + grad).tocsr(), stf=stf,
-                     boundary=boundary)
+    """The L2, H1, stf-gradient and boundary forms of a cube mesh."""
+    return CubeForms(mesh=mesh, lines=cg_line_matrices(mesh.n, mesh.degree))
 
 
 def interpolate(mesh: CubeMesh, func) -> np.ndarray:
@@ -372,58 +392,11 @@ class KornReport:
     stf_tail: np.ndarray = field(repr=False)
 
 
-def _check_dense(n_dofs: int) -> None:
-    """Reject meshes too large for the dense eigensolves, before assembly."""
-    if n_dofs > MAX_DENSE_DOFS:
-        raise ValueError(
-            f"mesh has {n_dofs} dofs; dense eigensolves support "
-            f"at most {MAX_DENSE_DOFS}")
-
-
-def _reflection_classes(mesh: CubeMesh) -> dict:
-    """Orthonormal sparse bases Q_s of the 8 reflection-parity classes.
-
-    Keyed by the sign character s = (s_x, s_y, s_z): every u = Q_s y is
-    mapped to s_a * u by the reflection x_a -> 1 - x_a.  Component c of
-    such a field is, as a scalar grid function, even or odd along axis a
-    with parity t_a = -s_a if a == c else s_a, so its basis is the Kronecker
-    product of 1-D parity bases, placed on the dofs 3 * node + c.  The 8
-    bases together are one orthogonal matrix on the dofs.
-    """
-    m = mesh.n * mesh.degree + 1
-    half = m // 2
-    i = np.arange(half)
-    r = np.sqrt(0.5)
-    parity = {}
-    for t in (1, -1):
-        # (e_i + t e_{m-1-i}) / sqrt(2) for i < m/2; the even basis also
-        # holds the middle point e_mid when m is odd.
-        mid = [half] if t > 0 and m % 2 else []
-        parity[t] = scipy.sparse.csr_matrix(
-            (np.r_[np.full(half, r), np.full(half, t * r), np.ones(len(mid))],
-             (np.r_[i, m - 1 - i, mid], np.r_[i, i, mid])),
-            shape=(m, half + len(mid)))
-
-    signs = [(sx, sy, sz) for sz in (1, -1) for sy in (1, -1) for sx in (1, -1)]
-    # Scalar grid functions of parities (tx, ty, tz); grid nodes are
-    # x-fastest, so x is the innermost factor.
-    scalar = {t: scipy.sparse.kron(parity[t[2]], scipy.sparse.kron(parity[t[1]], parity[t[0]]),
-                                   format="coo")
-              for t in signs}
-    classes = {}
-    for s in signs:
-        rows, cols, vals = [], [], []
-        width = 0
-        for c in range(3):
-            q = scalar[tuple(-sa if a == c else sa for a, sa in enumerate(s))]
-            rows.append(3 * q.row + c)
-            cols.append(q.col + width)
-            vals.append(q.data)
-            width += q.shape[1]
-        classes[s] = scipy.sparse.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mesh.n_dofs, width))
-    return classes
+def _check_size(n_dofs: int, sparse: bool = False) -> None:
+    """Reject meshes too large for the eigensolves, before assembly."""
+    cap, kind = (MAX_SPARSE_DOFS, "sparse") if sparse else (MAX_DENSE_DOFS, "dense")
+    if n_dofs > cap:
+        raise ValueError(f"mesh has {n_dofs} dofs; {kind} eigensolves support at most {cap}")
 
 
 def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
@@ -434,17 +407,14 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     axis-permutation orbit; raises for oversized meshes.
     """
     mesh = forms.mesh
-    _check_dense(mesh.n_dofs)
-    # Each form is projected once per solved class; the pencils sum dense
-    # blocks, and each block spectrum stands for its whole orbit.
+    _check_size(mesh.n_dofs)
+    # The pencils sum dense class blocks, and each block spectrum stands
+    # for its whole orbit.
     spectra = ([], [], [])
-    for s, q in _reflection_classes(mesh).items():
-        if s not in _CLASS_ORBITS:
-            continue
-        l2, h1, stf, bdry = ((q.T @ f @ q).toarray()
-                             for f in (forms.l2, forms.h1, forms.stf, forms.boundary))
+    for s, orbit in _CLASS_ORBITS.items():
+        l2, h1, stf, bdry = (forms.block(f, s).toarray() for f in ("l2", "h1", "stf", "boundary"))
         for out, (a, b) in zip(spectra, ((l2 + stf, h1), (bdry + stf, h1), (stf, l2))):
-            out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), _CLASS_ORBITS[s]))
+            out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), orbit))
     classical, boundary, stf = (np.sort(np.concatenate(s)) for s in spectra)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
     kernel_dim = int(np.count_nonzero(stf < threshold))
@@ -472,17 +442,16 @@ def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     return the same bits; the minimum over the orbits is the pencil's.
     Agrees with a dense solve of the unsplit pencil to roundoff.
     """
-    _check_dense(mesh.n_dofs)
+    _check_size(mesh.n_dofs, sparse=True)
     forms = assemble_cube_forms(mesh)
-    pencil = forms.boundary + forms.stf
     lowest = []
-    # k indexes all 8 classes, so each solved class keeps its own stream.
-    for k, (s, q) in enumerate(_reflection_classes(mesh).items()):
-        if s not in _CLASS_ORBITS:
-            continue
-        v0 = np.random.default_rng((_START_SEED, k)).standard_normal(q.shape[1])
-        lowest.append(scipy.sparse.linalg.eigsh(q.T @ pencil @ q, k=1, M=q.T @ forms.h1 @ q,
-                                                sigma=0.0, tol=0.0, v0=v0,
+    for s in _CLASS_ORBITS:
+        h1 = forms.block("h1", s)
+        # Seed stream: the index of s among all 8 classes, x fastest.
+        k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
+        v0 = np.random.default_rng((_START_SEED, k)).standard_normal(h1.shape[0])
+        lowest.append(scipy.sparse.linalg.eigsh(forms.block("boundary", s) + forms.block("stf", s),
+                                                k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
                                                 return_eigenvectors=False)[0])
     return float(min(lowest))
 

@@ -608,7 +608,7 @@ class SlabAssembly:
 
     def _add_wall_term(self, out: np.ndarray, group: str, wall: int, term):
         c = _GROUP_SLICE[group]
-        coeffs = term(_frame_comps(group, np.eye(_GROUP_DIM[group]), WALL_FRAMES[wall]))
+        coeffs = term(_unit_traces(group, wall)[0]).ravel()
         i = np.nonzero(coeffs)[0]
         dofs = self._wall_dofs[c][i, wall]
         vals = coeffs[i, None] * self._wall_traces[c][i, wall, 0]

@@ -1,10 +1,11 @@
-"""Shared 1-D finite-element toolkit: Gauss rule, Lagrange basis, scatter."""
+"""Shared 1-D finite-element toolkit: Gauss rule, Lagrange basis, scatter,
+global line matrices."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from r13lab.fe1d import element_coo, gauss01, lagrange
+from r13lab.fe1d import cg_line_matrices, element_coo, gauss01, lagrange
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -87,3 +88,25 @@ def test_element_coo_matches_per_element_loop():
     for d1, d2 in zip(dofs1, dofs2):
         expect[np.ix_(d1, d2)] += elem
     np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n,degree", [(1, 1), (3, 1), (1, 2), (3, 2)])
+def test_cg_line_matrices_integrate_polynomials(n, degree):
+    lines = cg_line_matrices(n, degree)
+    m = n * degree + 1
+    one = np.ones(m)
+    x = np.linspace(0.0, 1.0, m)  # nodal values of the identity
+    ends = np.zeros(m)
+    ends[[0, -1]] = [-1.0, 1.0]
+    assert one @ lines["M"] @ one == pytest.approx(1.0, rel=1e-14)
+    assert x @ lines["M"] @ x == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert x @ lines["K"] @ x == pytest.approx(1.0, rel=1e-14)
+    np.testing.assert_allclose(lines["K"] @ one, 0.0, atol=1e-12)
+    # G[i, j] = int phi_i' phi_j: integration by parts gives
+    # G + G^T = diag(-1, 0, ..., 0, 1), and G 1 = phi(1) - phi(0).
+    np.testing.assert_allclose(lines["G"] + lines["G"].T, np.diag(ends), atol=1e-14)
+    np.testing.assert_allclose(lines["G"] @ one, ends, atol=1e-14)
+    assert np.array_equal(lines["GT"], lines["G"].T)
+    # Cancellations are exact, so interior nodes keep a zero diagonal.
+    assert np.all(np.diag(lines["G"])[1:-1] == 0.0)
+    assert np.array_equal(lines["T"], np.diag(np.abs(ends)))

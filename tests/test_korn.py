@@ -230,6 +230,23 @@ class TestAssembledForms:
         rows, cols = forms.l2.nonzero()
         assert np.array_equal(rows % 3, cols % 3)
 
+    @pytest.mark.parametrize("n,degree", [(2, 1), (3, 1), (2, 2)])
+    def test_stf_cross_couplings_are_structural(self, n, degree):
+        # Block (c, d != c) of the stf Gram pairs a derivative along c with
+        # one along d.  int phi_i' phi_i = 0 at every interior 1-D node, so a
+        # node pair that shares an interior grid index on axis c or d does
+        # not couple: no such entry is stored, not even as roundoff (D17).
+        mesh = build_cube_mesh(n, degree)
+        stf = assemble_cube_forms(mesh).stf.tocoo()
+        m = n * degree + 1
+        grid_i, grid_j = (np.stack([(k // 3) // m ** a % m for a in range(3)])
+                          for k in (stf.row, stf.col))
+        coupled = (grid_i != grid_j) | (grid_i == 0) | (grid_i == m - 1)
+        c, d, k = stf.row % 3, stf.col % 3, np.arange(stf.nnz)
+        cross = c != d
+        assert cross.any()
+        assert np.all(coupled[c, k][cross] & coupled[d, k][cross])
+
     def test_interpolate_validates_shape(self, n2_deg2):
         mesh, _ = n2_deg2
         with pytest.raises(ValueError, match="3-vector per node"):
@@ -327,17 +344,21 @@ class TestKornConstants:
         assert abs(lam4 - lam2) < 0.2 * lam2
 
     def test_dense_size_guard(self, monkeypatch):
+        # Each probe checks its own cap, and the guard fires before any
+        # assembly.
         forms = assemble_cube_forms(build_cube_mesh(1, 1))
-        monkeypatch.setattr(korn, "MAX_DENSE_DOFS", 10)
 
         def no_assembly(mesh):
             raise AssertionError("assembled before the size check")
 
-        # The guard must fire before any assembly.
         monkeypatch.setattr(korn, "assemble_cube_forms", no_assembly)
+        monkeypatch.setattr(korn, "MAX_DENSE_DOFS", 10)
         with pytest.raises(ValueError, match="dense eigensolves"):
             korn_constants(forms)
-        with pytest.raises(ValueError, match="dense eigensolves"):
+        with pytest.raises(AssertionError, match="before the size check"):
+            boundary_korn_eigenvalue(build_cube_mesh(1, 1))
+        monkeypatch.setattr(korn, "MAX_SPARSE_DOFS", 10)
+        with pytest.raises(ValueError, match="sparse eigensolves"):
             boundary_korn_eigenvalue(build_cube_mesh(1, 1))
 
 
@@ -422,6 +443,52 @@ class TestCKVanishing:
         assert min(ratios) > 1.0  # recorded 1.3929 for this seed
 
 
+def reflection_classes(mesh):
+    """Orthonormal sparse bases Q_s of the 8 reflection-parity classes.
+
+    Keyed by the sign character s = (s_x, s_y, s_z): every u = Q_s y is
+    mapped to s_a * u by the reflection x_a -> 1 - x_a.  Component c of
+    such a field is, as a scalar grid function, even or odd along axis a
+    with parity t_a = -s_a if a == c else s_a, so its basis is the Kronecker
+    product of 1-D parity bases, placed on the dofs 3 * node + c.  The 8
+    bases together are one orthogonal matrix on the dofs.
+    """
+    m = mesh.n * mesh.degree + 1
+    half = m // 2
+    i = np.arange(half)
+    r = np.sqrt(0.5)
+    parity = {}
+    for t in (1, -1):
+        # (e_i + t e_{m-1-i}) / sqrt(2) for i < m/2; the even basis also
+        # holds the middle point e_mid when m is odd.
+        mid = [half] if t > 0 and m % 2 else []
+        parity[t] = scipy.sparse.csr_matrix(
+            (np.r_[np.full(half, r), np.full(half, t * r), np.ones(len(mid))],
+             (np.r_[i, m - 1 - i, mid], np.r_[i, i, mid])),
+            shape=(m, half + len(mid)))
+
+    signs = [(sx, sy, sz) for sz in (1, -1) for sy in (1, -1) for sx in (1, -1)]
+    # Scalar grid functions of parities (tx, ty, tz); grid nodes are
+    # x-fastest, so x is the innermost factor.
+    scalar = {t: scipy.sparse.kron(parity[t[2]], scipy.sparse.kron(parity[t[1]], parity[t[0]]),
+                                   format="coo")
+              for t in signs}
+    classes = {}
+    for s in signs:
+        rows, cols, vals = [], [], []
+        width = 0
+        for c in range(3):
+            q = scalar[tuple(-sa if a == c else sa for a, sa in enumerate(s))]
+            rows.append(3 * q.row + c)
+            cols.append(q.col + width)
+            vals.append(q.data)
+            width += q.shape[1]
+        classes[s] = scipy.sparse.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(mesh.n_dofs, width))
+    return classes
+
+
 def node_image(mesh, mapped):
     """Index of the node at each mapped node position, found from the
     node coordinates alone."""
@@ -494,7 +561,7 @@ class TestReflectionSplit:
     @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_class_bases_are_orthonormal_and_complete(self, n, degree):
         mesh = build_cube_mesh(n, degree)
-        classes = korn._reflection_classes(mesh)
+        classes = reflection_classes(mesh)
         assert sorted(classes) == sorted(
             (sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1))
         assert sum(q.shape[1] for q in classes.values()) == mesh.n_dofs
@@ -541,6 +608,41 @@ class TestReflectionSplit:
         assert boundary_korn_eigenvalue(mesh) == lam
 
 
+FORM_NAMES = ("l2", "h1", "stf", "boundary")
+
+
+class TestClassBlocks:
+    """The probes read each class block straight from the parity-projected
+    1-D factors; it must equal the projection of the global Gram."""
+
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_blocks_equal_projected_global_grams(self, n, degree):
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        for s, q in reflection_classes(mesh).items():
+            for name in FORM_NAMES:
+                ref = (q.T @ getattr(forms, name) @ q).toarray()
+                block = forms.block(name, s)
+                assert block.shape == ref.shape
+                assert block.nnz == np.count_nonzero(block.data)
+                gap = np.abs(block.toarray() - ref).max()
+                assert gap <= 1e-15 * np.abs(ref).max(), (s, name, gap)
+
+    def test_probes_build_no_global_gram(self, monkeypatch):
+        def no_global(self):
+            raise AssertionError("global Gram built")
+
+        for name in FORM_NAMES:
+            monkeypatch.setattr(korn.CubeForms, name, property(no_global))
+        mesh = build_cube_mesh(2, 2)
+        report = korn_constants(assemble_cube_forms(mesh))
+        assert report.stf_kernel_dim == CK_DIM
+        assert boundary_korn_eigenvalue(mesh) == pytest.approx(
+            report.lambda_min_boundary, rel=1e-12)
+        with pytest.raises(AssertionError, match="global Gram"):
+            assemble_cube_forms(mesh).stf
+
+
 def class_block_spectra(forms, q):
     """Dense spectra of the three Korn pencils on one class block."""
     l2, h1, stf, bdry = ((q.T @ f @ q).toarray()
@@ -569,7 +671,7 @@ class TestAxisPermutationSplit:
     def test_orbit_members_share_block_spectra(self, n, degree):
         mesh = build_cube_mesh(n, degree)
         forms = assemble_cube_forms(mesh)
-        classes = korn._reflection_classes(mesh)
+        classes = reflection_classes(mesh)
         for minus in (1, 2):
             members = [q for s, q in classes.items() if s.count(-1) == minus]
             assert len(members) == 3

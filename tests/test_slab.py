@@ -716,6 +716,39 @@ class TestPlacementTables:
         assert len(calls) <= 5
 
 
+def _per_call_wall_term(self, out, group, wall, term):
+    """The former SlabAssembly._add_wall_term: projects the identity onto
+    the wall frame on every call instead of reading the cached traces."""
+    c = slab._GROUP_SLICE[group]
+    coeffs = term(slab._frame_comps(group, np.eye(slab._GROUP_DIM[group]), slab.WALL_FRAMES[wall]))
+    i = np.nonzero(coeffs)[0]
+    dofs = self._wall_dofs[c][i, wall]
+    vals = coeffs[i, None] * self._wall_traces[c][i, wall, 0]
+    out[dofs[dofs >= 0]] += vals[dofs >= 0]
+
+
+class TestLoadVector:
+    """load_vector reads the cached wall unit traces; its loads equal bit for
+    bit those of the per-call projection."""
+
+    # Every bundled model in the coercive grouping, the Maxwell-type ones
+    # also in the grouped degenerate one.
+    @pytest.mark.parametrize("name,formulation", [
+        (name, formulation) for name in bundled_models()
+        for formulation in ("nonmaxwell", "maxwell")
+        if formulation == "nonmaxwell" or resolve_model(name).is_maxwell])
+    def test_matches_per_call_projection(self, name, formulation, monkeypatch):
+        asm = SlabAssembly(SlabMesh(4, 2), resolve_model(name), KN, formulation)
+        walls = [WallData(theta_w=np.array([0.7, 0.7]), u_t=np.zeros((2, 2))),
+                 WallData.couette(), WallData.fourier()]
+        loads = [asm.load_vector(wall) for wall in walls]
+        monkeypatch.setattr(SlabAssembly, "_add_wall_term", _per_call_wall_term)
+        for wall, load in zip(walls, loads):
+            expect = asm.load_vector(wall)
+            assert np.any(expect != 0.0)
+            assert load.tobytes() == expect.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # transient stepping
 
