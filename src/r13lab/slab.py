@@ -1103,6 +1103,11 @@ def transient_run(assembly: SlabAssembly, initial: DiscreteState, dt: float,
 # spectral probes
 
 
+# Components with an odd number of x indices (sig3 = T12, sig4 = T13 by
+# tensors.STF_PAIRS): the wall reflection x -> 1 - x flips their sign.
+_MIRROR_ODD = ("u1", "s1", "sig3", "sig4")
+
+
 @dataclass(frozen=True)
 class CoercivityReport:
     """Spectral summary of the coupled second-order block.
@@ -1122,28 +1127,51 @@ class CoercivityReport:
     theta_bubble: float | None
 
 
-def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityReport:
-    """Spectral probe of the coupled second-order block.
+def _mirror_classes(assembly: SlabAssembly, dofs: np.ndarray) -> tuple:
+    """Sparse orthonormal bases (even, odd) of the vectors on the global
+    dofs that the wall reflection x -> 1 - x maps to plus, resp. minus,
+    themselves; dofs must be closed under the reflection.
 
-    The pencil (symmetric part, t1 Gram) on the free primary dofs is
-    block diagonal up to a permutation, one block per connected component
-    of the joint sparsity pattern of its two matrices.  Its spectrum is the
-    union of the blocks' spectra, so each block gets its own dense
-    eigensolve: exact, at the sum of the blocks' cubes instead of the cube
-    of their total.
+    CG nodes are equispaced and DG nodes Gauss points, so the reflection
+    reverses each component's dof array and flips the sign of the components
+    in _MIRROR_ODD: a signed permutation i -> R(i) with sign s_i.  A pair
+    i < R(i) gives the column (e_i + sigma s_i e_R(i)) / sqrt(2) to class
+    sigma, a fixed dof the column e_i to class s_i.  Columns follow their
+    first dof.
     """
-    # Imported here: only this probe uses it, and at import it would add
-    # about 1 MiB and 4 ms to every process that imports the slab solver.
+    image = np.concatenate([assembly.dofs(c)[::-1] for c in COMPONENTS])
+    sign = np.concatenate([np.full(assembly.spaces[c].ndof, -1.0 if c in _MIRROR_ODD else 1.0)
+                           for c in COMPONENTS])
+    local = np.full(assembly.ndof, -1)
+    local[dofs] = np.arange(dofs.size)
+    mate, s = local[image[dofs]], sign[dofs]
+    idx = np.arange(dofs.size)
+    bases = []
+    for sigma in (1.0, -1.0):
+        first = idx[(idx < mate) | ((idx == mate) & (s == sigma))]
+        paired = np.flatnonzero(mate[first] != first)
+        w = np.ones(first.size)
+        w[paired] = np.sqrt(0.5)
+        rows = np.concatenate([first, mate[first[paired]]])
+        cols = np.concatenate([np.arange(first.size), paired])
+        vals = np.concatenate([w, sigma * s[first[paired]] * w[paired]])
+        bases.append(sp.csr_matrix((vals, (rows, cols)), shape=(dofs.size, first.size)))
+    return tuple(bases)
+
+
+def _block_spectrum(a: sp.csr_matrix, g: sp.csr_matrix) -> np.ndarray:
+    """Unsorted eigenvalues of the symmetric pencil (a, g), g SPD.
+
+    The pencil is block diagonal up to a permutation, one block per
+    connected component of the joint sparsity pattern of a and g; each
+    block gets its own dense eigensolve.  A block where a is zero has only
+    exact zero eigenvalues and is not solved.
+    """
+    # Imported here: only the coercivity probe uses it, and at import it would
+    # add about 1 MiB and 4 ms to every process that imports the slab solver.
     from scipy.sparse.csgraph import connected_components
 
-    a_full = assembly.a_operator()
-    sym = 0.5 * (a_full + a_full.T)
-    gram = assembly.t1_gram()
-    t1_dofs = np.concatenate([assembly.group_dofs(g) for g in ("s", "u", "sg", "th")])
-    t1_dofs = np.setdiff1d(np.sort(t1_dofs), assembly.essential_dofs)
-    a_t1 = sym[t1_dofs][:, t1_dofs]
-    g_t1 = gram[t1_dofs][:, t1_dofs]
-    _, labels = connected_components(abs(a_t1) + abs(g_t1), directed=False)
+    _, labels = connected_components(abs(a) + abs(g), directed=False)
     # Every block is laid out row-major in one flat buffer, its dofs in
     # their original order; local[i] is dof i's row within its block.
     sizes = np.bincount(labels)
@@ -1160,9 +1188,37 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
         buf[offsets[lab] + local[coo.row] * sizes[lab] + local[coo.col]] = coo.data
         return [buf[o:o + k * k].reshape(k, k) for o, k in zip(offsets, sizes)]
 
+    return np.concatenate([
+        scipy.linalg.eigh(ab, gb, eigvals_only=True) if ab.any() else np.zeros(len(ab))
+        for ab, gb in zip(blocks(a), blocks(g))])
+
+
+def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityReport:
+    """Spectral probe of the coupled second-order block.
+
+    The pencil (symmetric part, t1 Gram) on the free primary dofs commutes
+    with the wall reflection x -> 1 - x (DECISIONS.md D18), so it splits
+    into an even and an odd parity class.  Each class is block diagonal up
+    to a permutation, one block per connected component of the joint
+    sparsity pattern of its two matrices, and each block gets its own
+    dense eigensolve: exact, at the sum of the blocks' cubes instead of the
+    cube of their total.  Blocks where the symmetric part is zero (u and
+    theta in the degenerate grouping) contribute exact zeros unsolved.  The
+    spectrum is the sorted union over both classes.
+
+    The inf-sup constant applies the inverse velocity Gram through a sparse
+    LU factor.
+    """
+    a_full = assembly.a_operator()
+    sym = 0.5 * (a_full + a_full.T)
+    gram = assembly.t1_gram()
+    t1_dofs = np.concatenate([assembly.group_dofs(g) for g in ("s", "u", "sg", "th")])
+    t1_dofs = np.setdiff1d(np.sort(t1_dofs), assembly.essential_dofs)
+    a_t1 = sym[t1_dofs][:, t1_dofs]
+    g_t1 = gram[t1_dofs][:, t1_dofs]
     eigs = np.sort(np.concatenate([
-        scipy.linalg.eigh(a, g, eigvals_only=True)
-        for a, g in zip(blocks(a_t1), blocks(g_t1))]))
+        _block_spectrum(q.T @ a_t1 @ q, q.T @ g_t1 @ q)
+        for q in _mirror_classes(assembly, t1_dofs)]))
     low = tuple(float(v) for v in eigs[:n_report])
 
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.
@@ -1170,10 +1226,9 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     p_dofs = assembly.dofs("p")
     u_dofs = np.setdiff1d(assembly.group_dofs("u"), assembly.essential_dofs)
     b_d = bmat[p_dofs][:, u_dofs].toarray()
-    gu = gram[u_dofs][:, u_dofs].toarray()
     # The pressure block of the mass matrix is the pressure Gram.
     mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
-    s_mat = b_d @ np.linalg.solve(gu, b_d.T)
+    s_mat = b_d @ spla.splu(gram[u_dofs][:, u_dofs].tocsc()).solve(b_d.T)
     ones = np.ones(p_dofs.size)
     # Basis of the zero-mean complement in the pressure mass metric.
     zvecs = scipy.linalg.null_space((mp @ ones)[None, :])

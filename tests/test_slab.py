@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from r13lab import slab
 from r13lab.models import bundled_models, resolve_model
 from r13lab.state import mass_inner, physical_fluxes
-from r13lab.tensors import StfTensor3, frame_components
+from r13lab.tensors import STF_PAIRS, StfTensor3, frame_components
 from r13lab.slab import (
     SlabAssembly,
     SlabMesh,
@@ -902,31 +902,140 @@ class TestCoercivity:
         assert abs(report.min_eig - ref[0]) <= tol
         np.testing.assert_allclose(report.low_eigs, ref, rtol=0.0, atol=tol)
 
+    # Odd n puts a CG (degree 2) or DG (degree 1) node at the midpoint, which
+    # the wall reflection fixes.  Degree 1 starts at n = 2: one pressure dof
+    # leaves no zero-mean complement for the inf-sup problem.
+    @pytest.mark.parametrize("n,degree", [(8, 2), (16, 2), (1, 2), (3, 2),
+                                          (2, 1), (3, 1), (8, 1)],
+                             ids=["8", "16", "1", "3", "2-deg1", "3-deg1", "8-deg1"])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_block_scatter_matches_sliced_blocks_bit_for_bit(self, name, formulation, n,
+                                                             degree):
+        # Reference: each connected block of each parity class's pencil cut
+        # out of the permuted class pencil by sparse slicing, and solved even
+        # where its A part is zero.  The probe scatters the same entries into
+        # dense buffers and gives zero blocks exact zeros unsolved, so the
+        # spectrum has the same bits.
+        from scipy.sparse.csgraph import connected_components
+
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        t1 = _t1_dofs(asm)
+        a = asm.a_operator()
+        sym = (0.5 * (a + a.T))[t1][:, t1]
+        gram = asm.t1_gram()[t1][:, t1]
+        ref = []
+        for q in slab._mirror_classes(asm, t1):
+            a_q, g_q = q.T @ sym @ q, q.T @ gram @ q
+            _, labels = connected_components(abs(a_q) + abs(g_q), directed=False)
+            order = np.argsort(labels, kind="stable")
+            a_q, g_q = a_q[order][:, order], g_q[order][:, order]
+            ends = np.cumsum(np.bincount(labels))
+            ref += [scipy.linalg.eigh(a_q[s:e, s:e].toarray(), g_q[s:e, s:e].toarray(),
+                                      eigvals_only=True)
+                    for s, e in zip(np.r_[0, ends[:-1]], ends)]
+        ref = np.sort(np.concatenate(ref))
+        report = coercivity_probe(asm, n_report=t1.size)
+        assert report.low_eigs == tuple(float(v) for v in ref)
+
+    def test_maxwell_probe_solves_no_zero_block(self, maxwell, monkeypatch):
+        # In the grouped degenerate formulation A lives on (sigma, s) only;
+        # the u and theta blocks of the pencil are zero and are not solved.
+        real, solved = scipy.linalg.eigh, []
+
+        def counting(a, b=None, **kwargs):
+            solved.append(np.array(a, copy=True))
+            return real(a, b, **kwargs)
+
+        asm = SlabAssembly(SlabMesh(8, 2), maxwell, KN, "maxwell")
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        report = coercivity_probe(asm)
+        # The last call is the inf-sup pencil on the pressure complement.
+        pencil = solved[:-1]
+        assert pencil and all(a.any() for a in pencil)
+        assert sum(len(a) for a in pencil) < report.n_dofs
+        assert report.min_eig == 0.0
+
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
                                                   ("maxwell", "maxwell")])
-    def test_block_scatter_matches_sliced_blocks_bit_for_bit(self, name, formulation, n):
-        # Reference: each connected block cut out of the permuted pencil by
-        # sparse slicing.  The probe scatters the same entries into dense
-        # buffers, so every block, and hence the spectrum, has the same bits.
-        from scipy.sparse.csgraph import connected_components
-
+    def test_infsup_matches_dense_solve(self, name, formulation, n):
         asm = SlabAssembly(SlabMesh(n, 2), resolve_model(name), KN, formulation)
+        p = asm.dofs("p")
+        u = np.setdiff1d(asm.group_dofs("u"), asm.essential_dofs)
+        b = asm.form("g")[p][:, u].toarray()
+        gu = asm.t1_gram()[u][:, u].toarray()
+        mp = asm.mass_matrix()[p][:, p].toarray()
+        z = scipy.linalg.null_space((mp @ np.ones(p.size))[None, :])
+        s = z.T @ b @ np.linalg.solve(gu, b.T) @ z
+        ref = np.sqrt(scipy.linalg.eigh(s, z.T @ mp @ z, eigvals_only=True)[0])
+        assert abs(coercivity_probe(asm).infsup - ref) <= 1e-12 * ref
+
+
+def _t1_dofs(asm):
+    """Free primary dofs of the coercivity pencil."""
+    return np.setdiff1d(np.concatenate([asm.group_dofs(g) for g in ("s", "u", "sg", "th")]),
+                        asm.essential_dofs)
+
+
+def _coordinate_reflection(asm):
+    """Signed permutation matrix of x -> 1 - x, built from the dof node
+    coordinates and the x-index count of each component's tensor entry."""
+    x_indices = {"p": (), "theta": ()}
+    for k in range(3):
+        x_indices[f"u{k + 1}"] = x_indices[f"s{k + 1}"] = (k,)
+    for a, pair in enumerate(STF_PAIRS):
+        x_indices[f"sig{a + 1}"] = pair
+    rows, cols, vals = [], [], []
+    for comp in slab.COMPONENTS:
+        space = asm.spaces[comp]
+        coords = np.empty(space.ndof)
+        elems = np.arange(asm.mesh.n_elements)[:, None]
+        coords[space.all_element_dofs()] = (elems + space.local_nodes) * asm.mesh.h
+        order = np.argsort(coords)
+        np.testing.assert_allclose(coords[order] + coords[order[::-1]], 1.0, rtol=0, atol=1e-15)
+        rows.append(asm.offsets[comp] + order[::-1])
+        cols.append(asm.offsets[comp] + order)
+        vals.append(np.full(space.ndof, (-1.0) ** x_indices[comp].count(0)))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(asm.ndof, asm.ndof))
+
+
+class TestWallReflection:
+    """The slab pencils commute with the wall reflection x -> 1 - x (D18),
+    the premise of the parity split in coercivity_probe."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [
+        (name, formulation) for name in bundled_models()
+        for formulation in ("nonmaxwell", "maxwell")
+        if formulation == "nonmaxwell" or resolve_model(name).is_maxwell])
+    def test_pencils_commute_with_reflection(self, name, formulation, degree, n):
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        refl = _coordinate_reflection(asm)
         a = asm.a_operator()
-        t1 = np.setdiff1d(np.concatenate([asm.group_dofs(g) for g in ("s", "u", "sg", "th")]),
-                          asm.essential_dofs)
-        sym = (0.5 * (a + a.T))[t1][:, t1]
-        gram = asm.t1_gram()[t1][:, t1]
-        _, labels = connected_components(abs(sym) + abs(gram), directed=False)
-        order = np.argsort(labels, kind="stable")
-        sym, gram = sym[order][:, order], gram[order][:, order]
-        ends = np.cumsum(np.bincount(labels))
-        ref = np.sort(np.concatenate([
-            scipy.linalg.eigh(sym[s:e, s:e].toarray(), gram[s:e, s:e].toarray(),
-                              eigvals_only=True)
-            for s, e in zip(np.r_[0, ends[:-1]], ends)]))
-        report = coercivity_probe(asm, n_report=t1.size)
-        assert report.low_eigs == tuple(float(v) for v in ref)
+        # The symmetric part of A does not couple sig4 to any other
+        # component, so a sign flip of sig4 alone commutes with it too; the
+        # whole operator and the steady system pin sig4's parity.
+        for mat in (0.5 * (a + a.T), asm.t1_gram(), asm.mass_matrix(), asm.form("g"),
+                    a, asm.steady_system()[:-1, :-1]):
+            gap = abs(refl @ mat @ refl.T - mat).max()
+            assert gap <= 1e-15 * abs(mat).max()
+
+    @pytest.mark.parametrize("n,degree", [(1, 2), (2, 1), (3, 1), (3, 2), (8, 2)])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_class_bases_are_orthonormal_parity_vectors(self, name, formulation, n, degree):
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        t1 = _t1_dofs(asm)
+        refl = _coordinate_reflection(asm)[t1][:, t1]
+        even, odd = slab._mirror_classes(asm, t1)
+        basis = sp.hstack([even, odd]).toarray()
+        assert basis.shape == (t1.size, t1.size)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(t1.size), rtol=0, atol=1e-15)
+        assert abs(refl @ even - even).max() == 0.0
+        assert abs(refl @ odd + odd).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
