@@ -1,14 +1,20 @@
-"""One-dimensional finite-element pieces shared by the slab and cube solvers.
-
-Both discretizations are built from the same reference interval [0, 1]:
-a Gauss rule, a Lagrange tabulator, a scatter that repeats one shared
-element matrix over every element of a uniform mesh, and the global
-matrices of such a mesh, the Kronecker factors of the cube forms.
+"""The one-dimensional finite elements of the slab and cube solvers: the
+uniform mesh of [0, 1] and its scalar spaces, which only this module knows,
+a Gauss rule, a Lagrange tabulator, element points and matrices, a scatter
+that repeats one element matrix over every element, the parity bases of
+the mirror x -> 1 - x, and the global CG matrices of the cube forms.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.sparse as sp
+
+DEFAULT_DEGREE = 2
 
 
 def gauss01(q: int):
@@ -41,6 +47,119 @@ def lagrange(nodes: np.ndarray, x: np.ndarray):
     return w.prod(axis=1), (inv * others).sum(axis=1)
 
 
+@dataclass(frozen=True)
+class SlabMesh:
+    """Uniform partition of [0, 1] into n_elements intervals."""
+
+    n_elements: int
+    degree: int = DEFAULT_DEGREE
+
+    def __post_init__(self):
+        n, p = self.n_elements, self.degree
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_elements must be an integer of at least 1, got {n!r}")
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p not in (1, 2):
+            raise ValueError(f"degree must be 1 or 2, got {p!r}")
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.n_elements
+
+    def points(self, ref) -> np.ndarray:
+        """(n_elements, len(ref)) images of reference points in every element."""
+        return (np.arange(self.n_elements)[:, None] + ref) * self.h
+
+    def quadrature(self, q: int):
+        """Flat (points, weights) of the q-point Gauss rule on every element."""
+        pts, wts = gauss01(q)
+        return self.points(pts).ravel(), np.tile(wts * self.h, self.n_elements)
+
+
+@dataclass(frozen=True)
+class ScalarSpace:
+    """One scalar finite element space on the slab mesh.
+
+    kind "cg": continuous Lagrange elements of the mesh degree.
+    kind "dg": discontinuous elements of degree mesh.degree - 1 with
+    Gauss-point nodes (traces are evaluated by extrapolation).
+    """
+
+    mesh: SlabMesh
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in ("cg", "dg"):
+            raise ValueError(f"unknown space kind {self.kind!r}")
+
+    @property
+    def local_nodes(self) -> np.ndarray:
+        p = self.mesh.degree
+        if self.kind == "cg":
+            return np.linspace(0.0, 1.0, p + 1)
+        return gauss01(p)[0]
+
+    @property
+    def n_local(self) -> int:
+        return self.mesh.degree + 1 if self.kind == "cg" else self.mesh.degree
+
+    @property
+    def ndof(self) -> int:
+        n, p = self.mesh.n_elements, self.mesh.degree
+        return n * p + 1 if self.kind == "cg" else n * p
+
+    def tabulate(self, ref_pts: np.ndarray):
+        """Basis values and physical derivatives at reference points."""
+        vals, ders = lagrange(self.local_nodes, ref_pts)
+        return vals, ders * self.mesh.n_elements
+
+    @functools.cached_property
+    def gauss_tabulation(self):
+        """(values, physical derivatives, element weights) at the degree + 1
+        Gauss points of one element; built once, callers only read it."""
+        pts, wts = gauss01(self.mesh.degree + 1)
+        return (*self.tabulate(pts), wts * self.mesh.h)
+
+    def locate(self, x: np.ndarray):
+        """(element dofs of shape (len(x), n_local), basis values, basis
+        x-derivatives of shape (n_local, len(x))) at points in [0, 1].
+
+        Raises ValueError for points that are not finite or lie outside
+        [0, 1]; an interior element boundary belongs to the element on its
+        right.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        # NaN fails both comparisons.
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError("evaluation points must be finite and lie in [0, 1]")
+        n = self.mesh.n_elements
+        elems = np.minimum((x * n).astype(int), n - 1)
+        bv, bd = self.tabulate(x * n - elems)
+        return self.all_element_dofs()[elems], bv, bd
+
+    def evaluate(self, coeffs: np.ndarray, x: np.ndarray):
+        """Field values and x-derivatives at arbitrary points in [0, 1], of
+        shape (..., len(x)) for coefficients (..., ndof)."""
+        dofs, bv, bd = self.locate(x)
+        local = coeffs[..., dofs.T]
+        return (local * bv).sum(axis=-2), (local * bd).sum(axis=-2)
+
+    def all_element_dofs(self) -> np.ndarray:
+        """(n_elements, n_local) global dof indices."""
+        p = self.mesh.degree
+        base = np.arange(self.mesh.n_elements)[:, None] * p
+        return base + np.arange(self.n_local)[None, :]
+
+
+def element_matrices(rows: ScalarSpace, cols: ScalarSpace) -> np.ndarray:
+    """Element matrices (vv, vd, dv, dd) of two spaces, shape (4, rows.n_local,
+    cols.n_local): row value (v) or x-derivative (d) times column value or
+    x-derivative.  Gauss points are summed one by one, not by BLAS, so exact
+    cancellations give exact zeros (DECISIONS.md D17)."""
+    rv, rd, w = rows.gauss_tabulation
+    cv, cd, _ = cols.gauss_tabulation
+    return np.stack([np.einsum("iq,jq,q->ij", x, y, w) for x in (rv, rd) for y in (cv, cd)])
+
+
 def element_coo(dofs1: np.ndarray, dofs2: np.ndarray, elem: np.ndarray):
     """COO triplets (rows, cols, vals) of one element matrix on every element.
 
@@ -53,27 +172,47 @@ def element_coo(dofs1: np.ndarray, dofs2: np.ndarray, elem: np.ndarray):
     return rows, cols, vals
 
 
+def parity_bases(sizes, signs) -> tuple:
+    """Sparse orthonormal bases (even, odd) of the vectors that the mirror
+    x -> 1 - x maps to plus, resp. minus, themselves.
+
+    The vector is a run of blocks of the given sizes, one field's dofs
+    each.  CG nodes are equispaced and DG nodes Gauss points, so the mirror
+    reverses every block and multiplies block b by signs[b]: a signed
+    permutation i -> R(i) with sign s_i.  A pair i < R(i) gives the column
+    (e_i + sigma s_i e_R(i)) / sqrt(2) to class sigma, a fixed entry the
+    column e_i to class s_i.  Columns follow their first entry.
+    """
+    ends = np.cumsum(sizes)
+    idx = np.arange(ends[-1])
+    mate = np.repeat(2 * ends - np.asarray(sizes) - 1, sizes) - idx
+    s = np.repeat(np.asarray(signs, dtype=float), sizes)
+    bases = []
+    for sigma in (1.0, -1.0):
+        first = idx[(idx < mate) | ((idx == mate) & (s == sigma))]
+        paired = np.flatnonzero(mate[first] != first)
+        w = np.ones(first.size)
+        w[paired] = np.sqrt(0.5)
+        rows = np.concatenate([first, mate[first[paired]]])
+        cols = np.concatenate([np.arange(first.size), paired])
+        vals = np.concatenate([w, sigma * s[first[paired]] * w[paired]])
+        bases.append(sp.csr_matrix((vals, (rows, cols)), shape=(idx.size, first.size)))
+    return tuple(bases)
+
+
 def cg_line_matrices(n: int, degree: int) -> dict:
     """Dense global matrices of degree-p continuous Lagrange elements on a
     uniform n-element mesh of [0, 1], nodes left to right: "M" mass, "K"
     stiffness, "G" the derivative coupling G[i, j] = int phi_i' phi_j, "GT"
     its transpose, and "T" the endpoint trace phi_i(0) phi_j(0) + phi_i(1) phi_j(1).
-
-    The p + 1 Gauss points are summed one by one, not by a BLAS product, so
-    products that cancel exactly, such as those of the zero diagonal of G
-    at interior nodes, give exact zeros.
+    The zero diagonal of G at interior nodes is exact (`element_matrices`).
     """
-    m = n * degree + 1
-    x, w = gauss01(degree + 1)
-    v, d = lagrange(np.linspace(0.0, 1.0, degree + 1), x)
-    dofs = np.arange(n)[:, None] * degree + np.arange(degree + 1)
-
-    def assemble(a, b):
-        out = np.zeros((m, m))
-        rows, cols, vals = element_coo(dofs, dofs, (a[:, None] * b * w).sum(axis=-1))
-        np.add.at(out, (rows, cols), vals)
-        return out
-
-    g = assemble(d, v)
-    return {"M": assemble(v, v) / n, "K": assemble(d, d) * n, "G": g, "GT": g.T,
-            "T": np.diag(np.r_[1.0, np.zeros(m - 2), 1.0])}
+    cg = ScalarSpace(SlabMesh(n, degree), "cg")
+    dofs = cg.all_element_dofs()
+    mats = np.zeros((4, cg.ndof, cg.ndof))
+    for mat, elem in zip(mats, element_matrices(cg, cg)):
+        rows, cols, vals = element_coo(dofs, dofs, elem)
+        np.add.at(mat, (rows, cols), vals)
+    mass, _, g, stiff = mats
+    return {"M": mass, "K": stiff, "G": g, "GT": g.T,
+            "T": np.diag(np.r_[1.0, np.zeros(cg.ndof - 2), 1.0])}

@@ -58,7 +58,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fe1d import cg_line_matrices, gauss01, lagrange
+from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, parity_bases
 
 # Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
@@ -175,17 +175,20 @@ class CubeMesh:
 
     Nodes form an (n*degree + 1)^3 grid indexed x-fastest; elements are
     numbered x-fastest too, and each element's local nodes follow the same
-    tensor ordering.
+    tensor ordering.  Both tables are built on first use, after size checks.
     """
 
     n: int
     degree: int
-    nodes: np.ndarray = field(repr=False)
-    elements: np.ndarray = field(repr=False)
+    line: ScalarSpace = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # The CG space along each axis; its mesh checks n and degree.
+        object.__setattr__(self, "line", ScalarSpace(SlabMesh(self.n, self.degree), "cg"))
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.line.ndof ** 3
 
     @property
     def n_dofs(self) -> int:
@@ -193,46 +196,27 @@ class CubeMesh:
 
     @property
     def h(self) -> float:
-        return 1.0 / self.n
+        return self.line.mesh.h
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        axis = np.linspace(0.0, 1.0, self.line.ndof)
+        z, y, x = np.meshgrid(axis, axis, axis, indexing="ij")
+        return np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        # Grid index along one axis of each (element, local node) pair; the
+        # element table is (ez, ey, ex, lz, ly, lx) flattened, x fastest.
+        g, m = self.line.all_element_dofs(), self.line.ndof
+        gx = g[None, None, :, None, None, :]
+        gy = g[None, :, None, None, :, None]
+        gz = g[:, None, None, :, None, None]
+        return (gx + m * (gy + m * gz)).reshape(self.n ** 3, self.line.n_local ** 3)
 
 
 def build_cube_mesh(n: int, degree: int) -> CubeMesh:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
-    p = degree
-    m = n * p + 1
-    axis = np.linspace(0.0, 1.0, m)
-    Z, Y, X = np.meshgrid(axis, axis, axis, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-    # Grid index along one axis of each (element, local node) pair; the
-    # element table is (ez, ey, ex, lz, ly, lx) flattened, x fastest.
-    g = np.arange(n)[:, None] * p + np.arange(p + 1)
-    gx = g[None, None, :, None, None, :]
-    gy = g[None, :, None, None, :, None]
-    gz = g[:, None, None, :, None, None]
-    elements = (gx + m * (gy + m * gz)).reshape(n ** 3, (p + 1) ** 3)
-    return CubeMesh(n=n, degree=degree, nodes=nodes, elements=elements)
-
-
-def _reference_tensors(p: int):
-    """Shape values and gradients at Gauss points of the reference cube.
-
-    Returns (weights (nq,), vals (nq, nloc), grads (nq, nloc, 3)) on [0,1]^3.
-    """
-    x1, w1 = gauss01(p + 1)
-    v, d = (t.T for t in lagrange(np.linspace(0.0, 1.0, p + 1), x1))  # (q, p+1)
-
-    def tensor(fx, fy, fz):
-        # x-fastest points and shape functions; each entry is fx * fy * fz.
-        return np.kron(fz, np.kron(fy, fx))
-
-    weights = tensor(w1, w1, w1)
-    vals = tensor(v, v, v)
-    grads = np.stack([tensor(d, v, v), tensor(v, d, v), tensor(v, v, d)], axis=-1)
-    return weights, vals, grads
+    return CubeMesh(n, degree)
 
 
 def _on(factors: dict) -> tuple:
@@ -295,20 +279,17 @@ def _kron_sum(terms, lines: dict, bases, place) -> scipy.sparse.csr_matrix:
     return mat
 
 
-def _parity_bases(m: int) -> dict:
-    """Orthonormal bases of the even (+1) and odd (-1) grid functions on m
-    mirror-symmetric nodes: (e_i + t e_{m-1-i}) / sqrt(2) for i < m // 2,
-    and the middle node e_mid in the even basis when m is odd."""
-    e, half = np.eye(m), m // 2
-    low, high = e[:, :half], e[:, ::-1][:, :half]
-    return {1: np.hstack([np.sqrt(0.5) * (low + high), e[:, half:m - half]]),
-            -1: np.sqrt(0.5) * (low - high)}
+@functools.cache
+def _line_parity(m: int) -> dict:
+    """Dense even (+1) and odd (-1) bases on m mirror-symmetric nodes; read only."""
+    even, odd = parity_bases([m], [1.0])
+    return {1: even.toarray(), -1: odd.toarray()}
 
 
 def _global_gram(form: str):
     """Cached property: one form's Gram over the interleaved dofs 3 * node + c."""
     def gram(self) -> scipy.sparse.csr_matrix:
-        eye = [[np.eye(self.mesh.n * self.mesh.degree + 1)] * 3] * 3
+        eye = [[np.eye(len(self.lines["M"]))] * 3] * 3
         return _kron_sum(_FORM_TERMS[form], self.lines, eye,
                          [3 * np.arange(self.mesh.n_nodes) + c for c in range(3)])
     return functools.cached_property(gram)
@@ -333,7 +314,7 @@ class CubeForms:
         """Gram of one form on reflection class s = (s_x, s_y, s_z): component
         c has parity -s_a along axis a == c and s_a along the others, and the
         class basis lists the Kronecker parity bases of c = 0, 1, 2 in turn."""
-        parity = _parity_bases(self.mesh.n * self.mesh.degree + 1)
+        parity = _line_parity(len(self.lines["M"]))
         bases = [[parity[-sa if a == c else sa] for a, sa in enumerate(s)] for c in range(3)]
         ends = np.cumsum([0] + [np.prod([b.shape[1] for b in comp]) for comp in bases])
         return _kron_sum(_FORM_TERMS[form], self.lines, bases,
@@ -363,12 +344,17 @@ def stf_energy(mesh: CubeMesh, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_dofs,):
         raise ValueError("dof vector has wrong length")
-    weights, _, grads_ref = _reference_tensors(mesh.degree)
-    grads = grads_ref / mesh.h
+    # The 1-D element rule, shape functions (q, nloc), tensored x fastest.
+    v, d, w = (t.T for t in mesh.line.gauss_tabulation)
+
+    def tensor(fx, fy, fz):
+        return np.kron(fz, np.kron(fy, fx))
+
+    grads = np.stack([tensor(d, v, v), tensor(v, d, v), tensor(v, v, d)], axis=-1)
     ue = u.reshape(mesh.n_nodes, 3)[mesh.elements]  # (n_elements, nloc, 3)
     # grad u_h (i,j) at quadrature points: sum_l ue[e,l,i] grads[q,l,j]
     S = stf_of_matrix(np.einsum("eli,qlj->eqij", ue, grads))
-    return mesh.h ** 3 * float(np.einsum("q,eqij,eqij->", weights, S, S))
+    return float(np.einsum("q,eqij,eqij->", tensor(w, w, w), S, S))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +463,7 @@ class CKVanishingReport:
 def _face_quadrature(mesh: CubeMesh, n_quad: int):
     """Points (N, 3) and weights (N,) of the n_quad x n_quad Gauss rule on
     every face panel of the mesh, over all six cube faces."""
-    x1, w1 = gauss01(n_quad)
-    h = mesh.h
-    t = ((np.arange(mesh.n)[:, None] + x1) * h).ravel()
-    wt = np.tile(w1, mesh.n)
+    t, wt = mesh.line.mesh.quadrature(n_quad)
     a, b = np.meshgrid(t, t, indexing="ij")
     pts = []
     for axis in range(3):
@@ -489,7 +472,7 @@ def _face_quadrature(mesh: CubeMesh, n_quad: int):
             face[..., axis] = side
             face[..., [ax for ax in range(3) if ax != axis]] = np.stack([a, b], axis=-1)
             pts.append(face.reshape(-1, 3))
-    return np.concatenate(pts), np.tile(np.outer(wt, wt).ravel() * h * h, 6)
+    return np.concatenate(pts), np.tile(np.outer(wt, wt).ravel(), 6)
 
 
 def ck_boundary_gram(mesh: CubeMesh, n_quad: int = 4) -> np.ndarray:

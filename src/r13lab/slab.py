@@ -33,7 +33,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe1d import gauss01, lagrange
+from .fe1d import DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, parity_bases
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import (PhysicalFluxes, StateVector, entropy_density, mass_inner,
@@ -47,8 +47,6 @@ from .tensors import (
 )
 
 DEFAULT_KN = 0.1
-DEFAULT_DEGREE = 2
-DEFAULT_ELEMENTS = 64
 
 # Linear-solve acceptance threshold, relative to the load norm.
 RESIDUAL_RTOL = 1e-8
@@ -118,92 +116,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# meshes and scalar spaces
-
-
-@dataclass(frozen=True)
-class SlabMesh:
-    """Uniform partition of [0, 1] into n_elements intervals."""
-
-    n_elements: int
-    degree: int = DEFAULT_DEGREE
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
-        if self.degree not in (1, 2):
-            raise ValueError("degree must be 1 or 2")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n_elements
-
-
-@dataclass(frozen=True)
-class ScalarSpace:
-    """One scalar finite element space on the slab mesh.
-
-    kind "cg": continuous Lagrange elements of the mesh degree.
-    kind "dg": discontinuous elements of degree mesh.degree - 1 with
-    Gauss-point nodes (traces are evaluated by extrapolation).
-    """
-
-    mesh: SlabMesh
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("cg", "dg"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-
-    @property
-    def local_nodes(self) -> np.ndarray:
-        p = self.mesh.degree
-        if self.kind == "cg":
-            return np.linspace(0.0, 1.0, p + 1)
-        return gauss01(p)[0]
-
-    @property
-    def n_local(self) -> int:
-        return self.mesh.degree + 1 if self.kind == "cg" else self.mesh.degree
-
-    @property
-    def ndof(self) -> int:
-        n, p = self.mesh.n_elements, self.mesh.degree
-        return n * p + 1 if self.kind == "cg" else n * p
-
-    def tabulate(self, ref_pts: np.ndarray):
-        """Basis values and physical derivatives at reference points."""
-        vals, ders = lagrange(self.local_nodes, ref_pts)
-        return vals, ders * self.mesh.n_elements
-
-    def locate(self, x: np.ndarray):
-        """(element dofs of shape (len(x), n_local), basis values, basis
-        x-derivatives of shape (n_local, len(x))) at points in [0, 1].
-
-        Raises ValueError for points that are not finite or lie outside
-        [0, 1]; an interior element boundary belongs to the element on its
-        right.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        # NaN fails both comparisons.
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise ValueError("evaluation points must be finite and lie in [0, 1]")
-        n = self.mesh.n_elements
-        elems = np.minimum((x * n).astype(int), n - 1)
-        bv, bd = self.tabulate(x * n - elems)
-        return self.all_element_dofs()[elems], bv, bd
-
-    def evaluate(self, coeffs: np.ndarray, x: np.ndarray):
-        """Field values and x-derivatives at arbitrary points in [0, 1]."""
-        dofs, bv, bd = self.locate(x)
-        local = coeffs[dofs].T
-        return (local * bv).sum(axis=0), (local * bd).sum(axis=0)
-
-    def all_element_dofs(self) -> np.ndarray:
-        """(n_elements, n_local) global dof indices."""
-        p = self.mesh.degree
-        base = np.arange(self.mesh.n_elements)[:, None] * p
-        return base + np.arange(self.n_local)[None, :]
+# scalar spaces
 
 
 def build_spaces(mesh: SlabMesh, formulation: str) -> dict:
@@ -470,18 +383,16 @@ class SlabAssembly:
         self._a_operator: sp.csr_matrix | None = None
         self._monitor_ops = None
         kinds, size, m = ("cg", "dg"), mesh.degree + 1, len(COMPONENTS)
-        qpts, qwts = gauss01(mesh.degree + 1)
-        self._qwts = qwts * mesh.h
-        self._tab = {kind: ScalarSpace(mesh, kind).tabulate(qpts) for kind in kinds}
-        traces = {kind: ScalarSpace(mesh, kind).locate(np.array([0.0, 1.0])) for kind in kinds}
+        space_of = {space.kind: space for space in self.spaces.values()}
+        traces = {kind: space.locate(np.array([0.0, 1.0])) for kind, space in space_of.items()}
         # Element matrices (vv, vd, dv, dd) per (row kind, column kind), and
         # per component its element dofs, wall-trace dofs and wall traces
         # (wall, value | derivative, local basis function), all zero-padded
         # to the cg local size; padded dofs are -1.
         self._blocks = np.zeros((2, 2, 4, size, size))
-        for a, b, t in np.ndindex(2, 2, 4):
-            x, y = self._tab[kinds[a]][t // 2], self._tab[kinds[b]][t % 2]
-            self._blocks[a, b, t, :len(x), :len(y)] = np.einsum("iq,jq,q->ij", x, y, self._qwts)
+        for a, b in np.ndindex(2, 2):
+            elem = element_matrices(space_of[kinds[a]], space_of[kinds[b]])
+            self._blocks[a, b, :, :elem.shape[1], :elem.shape[2]] = elem
         self._kind = np.array([kinds.index(self.spaces[c].kind) for c in COMPONENTS])
         self._elem_dofs = np.full((m, mesh.n_elements, size), -1)
         self._wall_dofs = np.full((m, 2, size), -1)
@@ -645,9 +556,9 @@ class SlabAssembly:
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
         space = self.spaces[component]
-        vals, _ = self._tab[space.kind]
+        vals, _, wts = space.gauss_tabulation
         dofs = self.offsets[component] + space.all_element_dofs().ravel()
-        return np.bincount(dofs, np.tile(vals @ self._qwts, self.mesh.n_elements),
+        return np.bincount(dofs, np.tile(vals @ wts, self.mesh.n_elements),
                            minlength=self.ndof)
 
     def t1_gram(self) -> sp.csr_matrix:
@@ -690,8 +601,8 @@ class DiscreteState:
     def sample(self, x: np.ndarray):
         """(values, derivatives) arrays of all components, shape (13, len(x)).
 
-        Points are located once per space kind; each component's values are
-        the same sums as ScalarSpace.evaluate forms.
+        One ScalarSpace.evaluate call per space kind, on the stacked
+        coefficients of its components, so points are located once per kind.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         asm = self.assembly
@@ -699,19 +610,16 @@ class DiscreteState:
         ders = np.empty((len(COMPONENTS), x.size))
         for kind in np.unique(asm._kind):
             comps = np.nonzero(asm._kind == kind)[0]
-            dofs, bv, bd = asm.spaces[COMPONENTS[comps[0]]].locate(x)
-            offsets = np.array([asm.offsets[COMPONENTS[i]] for i in comps])
-            local = self.coefficients[offsets[:, None, None] + dofs.T]
-            vals[comps] = (local * bv).sum(axis=1)
-            ders[comps] = (local * bd).sum(axis=1)
+            coeffs = np.stack([self.component(COMPONENTS[i]) for i in comps])
+            vals[comps], ders[comps] = asm.spaces[COMPONENTS[comps[0]]].evaluate(coeffs, x)
         return vals, ders
 
     def sample_grid(self, ref_pts: np.ndarray):
         """Sampling at the same reference points of every element, shapes
         (13, n_elements, len(ref_pts)); points are located as in sample."""
-        n = self.assembly.mesh.n_elements
-        vals, ders = self.sample(((np.arange(n)[:, None] + ref_pts) / n).ravel())
-        shape = (len(COMPONENTS), n, np.size(ref_pts))
+        mesh = self.assembly.mesh
+        vals, ders = self.sample(mesh.points(ref_pts).ravel())
+        shape = (len(COMPONENTS), mesh.n_elements, np.size(ref_pts))
         return vals.reshape(shape), ders.reshape(shape)
 
     def profile(self, n_points: int = 201):
@@ -1115,8 +1023,8 @@ class CoercivityReport:
     min_eig is the smallest generalized eigenvalue of the symmetric part
     against the H1 Gram of the primary fields; infsup is the smallest
     Gram-normalized singular value of the pressure coupling on the
-    zero-mean complement; theta_bubble is the quadratic value on an
-    interior temperature bubble (exactly zero for degenerate models).
+    zero-mean complement, None if empty; theta_bubble is the quadratic
+    value on an interior temperature bubble (exactly zero for degenerate models).
     """
 
     formulation: str
@@ -1125,38 +1033,6 @@ class CoercivityReport:
     low_eigs: tuple
     infsup: float | None
     theta_bubble: float | None
-
-
-def _mirror_classes(assembly: SlabAssembly, dofs: np.ndarray) -> tuple:
-    """Sparse orthonormal bases (even, odd) of the vectors on the global
-    dofs that the wall reflection x -> 1 - x maps to plus, resp. minus,
-    themselves; dofs must be closed under the reflection.
-
-    CG nodes are equispaced and DG nodes Gauss points, so the reflection
-    reverses each component's dof array and flips the sign of the components
-    in _MIRROR_ODD: a signed permutation i -> R(i) with sign s_i.  A pair
-    i < R(i) gives the column (e_i + sigma s_i e_R(i)) / sqrt(2) to class
-    sigma, a fixed dof the column e_i to class s_i.  Columns follow their
-    first dof.
-    """
-    image = np.concatenate([assembly.dofs(c)[::-1] for c in COMPONENTS])
-    sign = np.concatenate([np.full(assembly.spaces[c].ndof, -1.0 if c in _MIRROR_ODD else 1.0)
-                           for c in COMPONENTS])
-    local = np.full(assembly.ndof, -1)
-    local[dofs] = np.arange(dofs.size)
-    mate, s = local[image[dofs]], sign[dofs]
-    idx = np.arange(dofs.size)
-    bases = []
-    for sigma in (1.0, -1.0):
-        first = idx[(idx < mate) | ((idx == mate) & (s == sigma))]
-        paired = np.flatnonzero(mate[first] != first)
-        w = np.ones(first.size)
-        w[paired] = np.sqrt(0.5)
-        rows = np.concatenate([first, mate[first[paired]]])
-        cols = np.concatenate([np.arange(first.size), paired])
-        vals = np.concatenate([w, sigma * s[first[paired]] * w[paired]])
-        bases.append(sp.csr_matrix((vals, (rows, cols)), shape=(dofs.size, first.size)))
-    return tuple(bases)
 
 
 def _block_spectrum(a: sp.csr_matrix, g: sp.csr_matrix) -> np.ndarray:
@@ -1212,13 +1088,16 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     a_full = assembly.a_operator()
     sym = 0.5 * (a_full + a_full.T)
     gram = assembly.t1_gram()
-    t1_dofs = np.concatenate([assembly.group_dofs(g) for g in ("s", "u", "sg", "th")])
-    t1_dofs = np.setdiff1d(np.sort(t1_dofs), assembly.essential_dofs)
+    # Free dofs per primary component, each run closed under the reflection.
+    primary = [c for c in COMPONENTS if c != "p"]
+    free = [np.setdiff1d(assembly.dofs(c), assembly.essential_dofs) for c in primary]
+    t1_dofs = np.concatenate(free)
     a_t1 = sym[t1_dofs][:, t1_dofs]
     g_t1 = gram[t1_dofs][:, t1_dofs]
-    eigs = np.sort(np.concatenate([
-        _block_spectrum(q.T @ a_t1 @ q, q.T @ g_t1 @ q)
-        for q in _mirror_classes(assembly, t1_dofs)]))
+    classes = parity_bases([f.size for f in free],
+                           [-1.0 if c in _MIRROR_ODD else 1.0 for c in primary])
+    eigs = np.sort(np.concatenate([_block_spectrum(q.T @ a_t1 @ q, q.T @ g_t1 @ q)
+                                   for q in classes]))
     low = tuple(float(v) for v in eigs[:n_report])
 
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.
@@ -1235,7 +1114,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     sz = zvecs.T @ s_mat @ zvecs
     mz = zvecs.T @ mp @ zvecs
     gevals = scipy.linalg.eigh(sz, mz, eigvals_only=True)
-    infsup = float(np.sqrt(max(gevals[0], 0.0)))
+    infsup = float(np.sqrt(max(gevals[0], 0.0))) if gevals.size else None
 
     theta_bubble = None
     if assembly.model.is_maxwell:
@@ -1294,10 +1173,8 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
     for n in n_list:
         asm = SlabAssembly(SlabMesh(n, degree), model, kn, formulation)
         state, _ = solve_steady(asm, wall)
-        qpts, qwts = gauss01(degree + 2)
-        h = asm.mesh.h
-        x = ((np.arange(n)[:, None] + qpts) * h).ravel()
-        err2 = ((state.sample(x)[0] - ref_state.sample(x)[0]) ** 2) @ np.tile(qwts * h, n)
+        x, wts = asm.mesh.quadrature(degree + 2)
+        err2 = ((state.sample(x)[0] - ref_state.sample(x)[0]) ** 2) @ wts
         comp_err = {name: float(np.sqrt(err2[i])) for i, name in enumerate(COMPONENTS)}
         rows.append(ConvergenceRow(n_elements=n, component_errors=comp_err,
                                    total=float(np.sqrt(err2.sum()))))

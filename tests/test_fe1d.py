@@ -1,11 +1,21 @@
-"""Shared 1-D finite-element toolkit: Gauss rule, Lagrange basis, scatter,
-global line matrices."""
+"""Shared 1-D finite-element toolkit: mesh and spaces, Gauss rule, Lagrange
+basis, element matrices, scatter, mirror parity bases, global line
+matrices."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from r13lab.fe1d import cg_line_matrices, element_coo, gauss01, lagrange
+from r13lab.fe1d import (
+    ScalarSpace,
+    SlabMesh,
+    cg_line_matrices,
+    element_coo,
+    element_matrices,
+    gauss01,
+    lagrange,
+    parity_bases,
+)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -110,3 +120,87 @@ def test_cg_line_matrices_integrate_polynomials(n, degree):
     # Cancellations are exact, so interior nodes keep a zero diagonal.
     assert np.all(np.diag(lines["G"])[1:-1] == 0.0)
     assert np.array_equal(lines["T"], np.diag(np.abs(ends)))
+
+
+@pytest.mark.parametrize("n_elements,degree", [
+    (4, True), (True, 2), (np.True_, 2), (2.5, 2), (4, 2.0), (np.float64(4.0), 2),
+    ("4", 2), (None, 2), (0, 2), (-3, 1), (4, 0), (4, 3)])
+def test_mesh_rejects_bad_counts(n_elements, degree):
+    with pytest.raises(ValueError, match="n_elements|degree"):
+        SlabMesh(n_elements, degree)
+
+
+def test_mesh_accepts_numpy_integers():
+    mesh = SlabMesh(np.int64(4), np.int32(2))
+    assert ScalarSpace(mesh, "cg").ndof == 9
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_mesh_quadrature_exact_to_degree_2q_minus_1(n, q):
+    mesh = SlabMesh(n, 2)
+    x, w = mesh.quadrature(q)
+    assert x.shape == w.shape == (n * q,)
+    assert np.all(np.diff(x) > 0.0) and x[0] > 0.0 and x[-1] < 1.0
+    for k in range(2 * q):
+        assert w @ x ** k == pytest.approx(1.0 / (k + 1), rel=1e-13)
+    assert np.array_equal(x, mesh.points(gauss01(q)[0]).ravel())
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("row_kind,col_kind", [("cg", "cg"), ("cg", "dg"),
+                                               ("dg", "cg"), ("dg", "dg")])
+def test_element_matrices_match_per_pair_einsum(n, degree, row_kind, col_kind):
+    # The per-pair reference of tests/test_slab.py::_pair_by_pair_csr.
+    mesh = SlabMesh(n, degree)
+    rows, cols = ScalarSpace(mesh, row_kind), ScalarSpace(mesh, col_kind)
+    qpts, qwts = gauss01(degree + 1)
+    w = qwts * mesh.h
+    (v1, d1), (v2, d2) = rows.tabulate(qpts), cols.tabulate(qpts)
+    expect = [np.einsum("iq,jq,q->ij", x, y, w) for x in (v1, d1) for y in (v2, d2)]
+    got = element_matrices(rows, cols)
+    assert got.shape == (4, rows.n_local, cols.n_local)
+    for g, e in zip(got, expect):
+        assert g.tobytes() == e.tobytes()
+    # The mass matrix integrates the partition of unity over one element.
+    assert got[0].sum() == pytest.approx(mesh.h, rel=1e-14)
+
+
+def mirror(sizes, signs):
+    """Dense signed permutation that reverses each block and applies its sign."""
+    ends = np.cumsum(sizes)
+    out = np.zeros((ends[-1], ends[-1]))
+    for start, end, sign in zip(ends - sizes, ends, signs):
+        out[start:end, start:end] = sign * np.eye(end - start)[::-1]
+    return out
+
+
+@pytest.mark.parametrize("sizes,signs", [
+    ([1], [1.0]), ([1], [-1.0]), ([4], [1.0]), ([5], [-1.0]),
+    ([3, 4, 1, 2, 5], [1.0, -1.0, -1.0, 1.0, 1.0]),
+    ([2, 7, 6, 3], [-1.0, -1.0, 1.0, -1.0])])
+def test_parity_bases_are_orthonormal_parity_vectors(sizes, signs):
+    even, odd = parity_bases(sizes, signs)
+    refl = mirror(np.array(sizes), signs)
+    basis = np.hstack([even.toarray(), odd.toarray()])
+    assert basis.shape == (sum(sizes), sum(sizes))
+    np.testing.assert_allclose(basis.T @ basis, np.eye(sum(sizes)), rtol=0, atol=1e-15)
+    assert np.array_equal(refl @ even.toarray(), even.toarray())
+    assert np.array_equal(refl @ odd.toarray(), -odd.toarray())
+    for q in (even, odd):
+        first = np.argmax(q.toarray() != 0.0, axis=0)
+        assert np.all(np.diff(first) > 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9])
+def test_single_block_parity_bases_match_dense_grid_bases(m):
+    # Even: (e_i + e_{m-1-i}) / sqrt(2) for i < m // 2, then the middle
+    # node if m is odd; odd: (e_i - e_{m-1-i}) / sqrt(2).
+    e, half = np.eye(m), m // 2
+    low, high = e[:, :half], e[:, ::-1][:, :half]
+    expect_even = np.hstack([np.sqrt(0.5) * (low + high), e[:, half:m - half]])
+    expect_odd = np.sqrt(0.5) * (low - high)
+    even, odd = parity_bases([m], [1.0])
+    assert np.array_equal(even.toarray(), expect_even)
+    assert np.array_equal(odd.toarray(), expect_odd)

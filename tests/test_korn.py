@@ -1,6 +1,7 @@
 """Conformal Killing fields, cube FEM forms, and Korn eigenvalue probes."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,29 @@ class TestCubeMesh:
             build_cube_mesh(2, 3)
         with pytest.raises(ValueError, match="at least 1"):
             build_cube_mesh(0, 1)
+
+    @pytest.mark.parametrize("n,degree", [(True, 1), (2, True), (2.0, 1), (2.5, 1),
+                                          (2, 1.0), ("2", 1), (-1, 1)])
+    def test_rejects_bad_counts(self, n, degree):
+        with pytest.raises(ValueError, match="n_elements|degree"):
+            build_cube_mesh(n, degree)
+
+    def test_accepts_numpy_integers(self):
+        assert build_cube_mesh(np.int64(2), np.int32(1)).n_dofs == 3 * 3 ** 3
+
+    def test_oversized_mesh_is_rejected_before_allocation(self):
+        # 1,594,323 dofs: the node and element tables alone would take
+        # tens of MiB, so they must wait for first use.
+        tracemalloc.start()
+        try:
+            mesh = build_cube_mesh(40, 2)
+            with pytest.raises(ValueError, match="dense eigensolves"):
+                korn._check_size(mesh.n_dofs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_dofs == 3 * 81 ** 3
+        assert peak < 2 ** 20
 
     def test_node_counts(self):
         mesh = build_cube_mesh(3, 2)

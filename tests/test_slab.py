@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from r13lab import slab
+from r13lab.fe1d import parity_bases
 from r13lab.models import bundled_models, resolve_model
 from r13lab.state import mass_inner, physical_fluxes
 from r13lab.tensors import STF_PAIRS, StfTensor3, frame_components
@@ -925,7 +926,7 @@ class TestCoercivity:
         sym = (0.5 * (a + a.T))[t1][:, t1]
         gram = asm.t1_gram()[t1][:, t1]
         ref = []
-        for q in slab._mirror_classes(asm, t1):
+        for q in _t1_classes(asm):
             a_q, g_q = q.T @ sym @ q, q.T @ gram @ q
             _, labels = connected_components(abs(a_q) + abs(g_q), directed=False)
             order = np.argsort(labels, kind="stable")
@@ -976,6 +977,14 @@ def _t1_dofs(asm):
     """Free primary dofs of the coercivity pencil."""
     return np.setdiff1d(np.concatenate([asm.group_dofs(g) for g in ("s", "u", "sg", "th")]),
                         asm.essential_dofs)
+
+
+def _t1_classes(asm):
+    """Parity class bases of the free primary dofs: one mirror block per
+    component, signed by slab._MIRROR_ODD."""
+    primary = [c for c in slab.COMPONENTS if c != "p"]
+    sizes = [np.setdiff1d(asm.dofs(c), asm.essential_dofs).size for c in primary]
+    return parity_bases(sizes, [-1.0 if c in slab._MIRROR_ODD else 1.0 for c in primary])
 
 
 def _coordinate_reflection(asm):
@@ -1030,12 +1039,38 @@ class TestWallReflection:
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
         t1 = _t1_dofs(asm)
         refl = _coordinate_reflection(asm)[t1][:, t1]
-        even, odd = slab._mirror_classes(asm, t1)
+        even, odd = _t1_classes(asm)
         basis = sp.hstack([even, odd]).toarray()
         assert basis.shape == (t1.size, t1.size)
         np.testing.assert_allclose(basis.T @ basis, np.eye(t1.size), rtol=0, atol=1e-15)
         assert abs(refl @ even - even).max() == 0.0
         assert abs(refl @ odd + odd).max() == 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name,formulation", [
+    (name, formulation) for name in bundled_models()
+    for formulation in ("nonmaxwell", "maxwell")
+    if formulation == "nonmaxwell" or resolve_model(name).is_maxwell])
+def test_one_element_mesh_fails_only_as_configuration_error(name, formulation, degree):
+    # One element is the smallest mesh a user can ask for; every entry
+    # point either works on it or rejects it with a ValueError.
+    asm = SlabAssembly(SlabMesh(1, degree), resolve_model(name), KN, formulation)
+    state = random_state(asm, np.random.default_rng(11))
+    calls = {
+        "solve_steady": lambda: solve_steady(asm, WallData.couette()),
+        "step_transient": lambda: step_transient(state, 0.01, "implicit-euler", asm),
+        "coercivity_probe": lambda: coercivity_probe(asm),
+        "profile": lambda: state.profile(),
+    }
+    results = {}
+    for key, call in calls.items():
+        try:
+            results[key] = call()
+        except ValueError:
+            pass
+    # Degree 1 has one pressure dof and so no zero-mean complement.
+    assert (results["coercivity_probe"].infsup is None) == (degree == 1)
 
 
 # ---------------------------------------------------------------------------
