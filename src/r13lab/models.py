@@ -108,6 +108,26 @@ def _require(doc: dict, name: str):
     return doc[name]
 
 
+def _finite(raw, name: str) -> float:
+    """raw as a float; booleans, non-numbers, NaN and infinities raise a
+    ValueError that names the field."""
+    try:
+        value = math.nan if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {raw!r}")
+    return value
+
+
+def _listed(raw, name: str) -> list:
+    """raw as a list; anything but a list or tuple raises a ValueError that
+    names the field."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {raw!r}")
+    return list(raw)
+
+
 def _parse_eta(raw) -> float | str:
     if isinstance(raw, str):
         label = raw.strip().lower()
@@ -122,12 +142,12 @@ def _parse_k(raw) -> dict[str, float]:
         missing = [name for name in _K_NAMES if name not in raw]
         if missing:
             raise ValueError(f"missing field: k.{missing[0]}")
-        values = {name: float(raw[name]) for name in _K_NAMES}
+        values = {name: _finite(raw[name], name) for name in _K_NAMES}
     else:
-        seq = list(raw)
+        seq = _listed(raw, "k")
         if len(seq) != len(_K_NAMES):
             raise ValueError(f"k must list {len(_K_NAMES)} values k0..k10, got {len(seq)}")
-        values = {name: float(v) for name, v in zip(_K_NAMES, seq)}
+        values = {name: _finite(v, name) for name, v in zip(_K_NAMES, seq)}
     for name, value in values.items():
         if value < 0.0:
             raise ValueError(f"{name} must be nonnegative")
@@ -135,12 +155,13 @@ def _parse_k(raw) -> dict[str, float]:
 
 
 def _parse_m(raw) -> MTable:
-    rows = list(raw)
+    rows = _listed(raw, "m")
     if len(rows) != M_ROWS:
         raise ValueError(f"m must have {M_ROWS} rows, got {len(rows)}")
     data = np.zeros((M_ROWS, M_COLS))
     for j, row in enumerate(rows):
-        entries = [float(v) for v in row]
+        entries = [_finite(v, f"m[{j + 1}, {k + 1}]")
+                   for k, v in enumerate(_listed(row, f"m row {j + 1}"))]
         if len(entries) > M_COLS:
             raise ValueError(f"m row {j + 1} has {len(entries)} entries, expected at most {M_COLS}")
         # Short rows are right-padded with zeros.
@@ -169,16 +190,19 @@ def load_model(source) -> MolecularModel:
 
     eta = _parse_eta(_require(doc, "eta"))
     kvals = _parse_k(_require(doc, "k"))
-    l1 = float(_require(doc, "l1"))
-    l2 = float(_require(doc, "l2"))
+    l1 = _finite(_require(doc, "l1"), "l1")
+    l2 = _finite(_require(doc, "l2"), "l2")
     if l1 <= 0.0:
         raise ValueError("l1 must be positive")
     if l2 <= 0.0:
         raise ValueError("l2 must be positive")
-    chi = float(_require(doc, "chi"))
+    chi = _finite(_require(doc, "chi"), "chi")
     if not 0.0 < chi <= 1.0:
         raise ValueError("chi must be in (0, 1]")
     m = _parse_m(_require(doc, "m"))
+    is_maxwell = doc.get("maxwell", False)
+    if not isinstance(is_maxwell, bool):
+        raise ValueError(f"maxwell must be true or false, got {is_maxwell!r}")
     return MolecularModel(
         eta=eta,
         **kvals,
@@ -187,7 +211,7 @@ def load_model(source) -> MolecularModel:
         chi=chi,
         chi_tilde=2.0 * chi / (2.0 - chi),
         m=m,
-        is_maxwell=bool(doc.get("maxwell", False)),
+        is_maxwell=is_maxwell,
     )
 
 

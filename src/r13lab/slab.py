@@ -680,58 +680,63 @@ class SolveMonitors:
     residual_rel: float
 
 
-def _w1_integrand(model: MolecularModel, kn: float, u_vals: np.ndarray,
-                  u_ders: np.ndarray):
-    """Bulk production density (nonpositive under the sign conditions) of
+def _volume_fields(vals: np.ndarray, ders: np.ndarray) -> dict:
+    """Prepared volume fields of every group, keyed by group, from the
     component values and derivatives on the trailing axis."""
-    k = model
-    th_grad = np.zeros(u_ders.shape[:-1] + (3,))
-    th_grad[..., 0] = u_ders[..., 1]
-    _, grad_u_stf = slab_grad_vec(u_vals[..., 2:5], u_ders[..., 2:5])
-    _, grad_s_stf = slab_grad_vec(u_vals[..., 5:8], u_ders[..., 5:8])
-    div_s = u_ders[..., 5]
-    sig = StfTensor3(u_vals[..., 8:13])
-    dsig = StfTensor3(u_ders[..., 8:13])
-    _, grad_sig_stf3, div_sig = slab_grad_stf2(sig, dsig)
-    grad_part = (
-        1.5 * k.k1 * _dot(th_grad, th_grad)
-        - 3.0 * k.k2 * _dot(th_grad, div_sig)
-        + 0.5 * k.k10 * _dot(div_sig, div_sig)
-        + (4.0 / 5.0) * k.k6 * div_s * div_s
-        + k.k3 * grad_u_stf.norm2()
-        + 2.0 * k.k4 * _stf2_dot(grad_u_stf, grad_s_stf)
-        + (24.0 / 25.0) * k.k7 * grad_s_stf.norm2()
-        + k.k9 * _stf3_dot(grad_sig_stf3, grad_sig_stf3)
-    )
-    relax_part = ((4.0 / 15.0) * k.l1 * _dot(u_vals[..., 5:8], u_vals[..., 5:8])
-                  + 0.5 * k.l2 * StfTensor3(u_vals[..., 8:13]).norm2())
-    return -kn * grad_part - relax_part / kn
+    return {g: _prepare(g, vals[..., c], ders[..., c]) for g, c in _GROUP_SLICE.items()}
 
 
 def _wall_fields(vals: np.ndarray, frame: Frame) -> dict:
-    """Outward-frame trace fields of component values on the trailing axis."""
-    return {"s": frame_components(vals[..., 5:8], frame),
-            "u": frame_components(vals[..., 2:5], frame),
-            "sig": frame_components(StfTensor3(vals[..., 8:13]), frame),
-            "theta": vals[..., 1]}
+    """Outward-frame trace fields of every group, keyed by group, from the
+    component values on the trailing axis."""
+    return {g: _frame_comps(g, vals[..., c], frame) for g, c in _GROUP_SLICE.items()}
 
 
-def _wall_quadratic(coeffs: BoundaryCoeffs, fr: dict):
-    """Diagonal wall production quadratic in outward-frame traces.
+# The w1, i_bdry and f1 integrands are symmetric bilinear forms q(a, b) of
+# two field dictionaries, cross terms split in half; the monitor is q(x, x).
 
-    fr carries s (vector comps), u (vector comps), sig (tensor comps) and
-    theta.  The tangential-trace couplings appear twice (cross terms), and
-    the deviatoric tangential stress term sums over both directions.
+
+def _w1_integrand(model: MolecularModel, kn: float, a: dict, b: dict):
+    """Bulk production density (nonpositive on a = b under the sign
+    conditions) of two volume field dictionaries (see _volume_fields)."""
+    k = model
+    th, sg, s, u = a["th"], a["sg"], a["s"], a["u"]
+    th_b, sg_b, s_b, u_b = b["th"], b["sg"], b["s"], b["u"]
+    grad_part = (
+        1.5 * k.k1 * _dot(th["grad"], th_b["grad"])
+        - 1.5 * k.k2 * (_dot(th["grad"], sg_b["div"]) + _dot(th_b["grad"], sg["div"]))
+        + 0.5 * k.k10 * _dot(sg["div"], sg_b["div"])
+        + (4.0 / 5.0) * k.k6 * (s["div"] * s_b["div"])
+        + k.k3 * _stf2_dot(u["grad_stf"], u_b["grad_stf"])
+        + k.k4 * (_stf2_dot(u["grad_stf"], s_b["grad_stf"])
+                  + _stf2_dot(u_b["grad_stf"], s["grad_stf"]))
+        + (24.0 / 25.0) * k.k7 * _stf2_dot(s["grad_stf"], s_b["grad_stf"])
+        + k.k9 * _stf3_dot(sg["grad_stf3"], sg_b["grad_stf3"])
+    )
+    relax_part = ((4.0 / 15.0) * k.l1 * _dot(s["val"], s_b["val"])
+                  + 0.5 * k.l2 * _stf2_dot(sg["val"], sg_b["val"]))
+    return -kn * grad_part - relax_part / kn
+
+
+def _wall_quadratic(coeffs: BoundaryCoeffs, a: dict, b: dict):
+    """Wall production in outward-frame traces of two wall field
+    dictionaries (see _wall_fields).
+
+    The deviatoric tangential stress term sums over both directions.
     """
     c = coeffs
-    s, u, sg, th = fr["s"], fr["u"], fr["sig"], fr["theta"]
-    tt = sum((sg[f"t{i}t{i}"] + 0.5 * sg["nn"]) ** 2 for i in (1, 2))
+    s, u, sg, th = a["s"], a["u"], a["sg"], a["th"]
+    s_b, u_b, sg_b, th_b = b["s"], b["u"], b["sg"], b["th"]
+    tt = sum((sg[f"t{i}t{i}"] + 0.5 * sg["nn"]) * (sg_b[f"t{i}t{i}"] + 0.5 * sg_b["nn"])
+             for i in (1, 2))
     out = 0.0
     for i in ("t1", "t2"):
-        out += c.S1 * s[i] ** 2 + c.S2 * u[i] ** 2 + 2.0 * c.T1 * s[i] * u[i]
-        out += c.S7 * sg["n" + i] ** 2
-    out += c.S3 * sg["nn"] ** 2 + c.S4 * th ** 2 + 2.0 * c.T2 * sg["nn"] * th
-    out += c.S5 * s["n"] ** 2 + c.S6 * tt + c.S8 * sg["t1t2"] ** 2
+        out += (c.S1 * (s[i] * s_b[i]) + c.S2 * (u[i] * u_b[i])
+                + c.T1 * (s[i] * u_b[i] + s_b[i] * u[i]))
+        out += c.S7 * (sg["n" + i] * sg_b["n" + i])
+    out += (c.S3 * (sg["nn"] * sg_b["nn"]) + c.S4 * (th * th_b)
+            + c.T2 * (sg["nn"] * th_b + sg_b["nn"] * th))
+    out += c.S5 * (s["n"] * s_b["n"]) + c.S6 * tt + c.S8 * (sg["t1t2"] * sg_b["t1t2"])
     return out
 
 
@@ -739,7 +744,7 @@ def _wall_load_value(coeffs: BoundaryCoeffs, model: MolecularModel, fr: dict,
                      tw, ut1, ut2):
     """Wall-data functional density at one wall (all four test couplings)."""
     c = coeffs
-    s, u, sg, th = fr["s"], fr["u"], fr["sig"], fr["theta"]
+    s, u, sg, th = fr["s"], fr["u"], fr["sg"], fr["th"]
     out = -(c.R1 + model.k0) * tw * s["n"] + c.T1 * (ut1 * s["t1"] + ut2 * s["t2"])
     out += c.S2 * (ut1 * u["t1"] + ut2 * u["t2"])
     out += c.T2 * tw * sg["nn"] - (c.R4 + model.k5) * (ut1 * sg["nt1"] + ut2 * sg["nt2"])
@@ -747,80 +752,42 @@ def _wall_load_value(coeffs: BoundaryCoeffs, model: MolecularModel, fr: dict,
     return out
 
 
-def _f1_value(model: MolecularModel, fr: dict):
-    """Entropy flux through one wall from trace values alone."""
+def _f1_value(model: MolecularModel, a: dict, b: dict):
+    """Entropy flux through one wall from trace values alone, of two wall
+    field dictionaries; every term is a cross term."""
     k = model
-    s, u, sg, th = fr["s"], fr["u"], fr["sig"], fr["theta"]
-    out = k.k0 * th * s["n"]
-    out += k.k5 * (sg["nt1"] * u["t1"] + sg["nt2"] * u["t2"])
-    out += (2.0 / 5.0) * k.k8 * (sg["nt1"] * s["t1"] + sg["nt2"] * s["t2"] + sg["nn"] * s["n"])
-    return out
+
+    def flux(x, y):  # the theta and stress factors from x, the others from y
+        s, sg = y["s"], x["sg"]
+        return (k.k0 * x["th"] * s["n"]
+                + k.k5 * (sg["nt1"] * y["u"]["t1"] + sg["nt2"] * y["u"]["t2"])
+                + (2.0 / 5.0) * k.k8 * (sg["nt1"] * s["t1"] + sg["nt2"] * s["t2"]
+                                        + sg["nn"] * s["n"]))
+
+    return 0.5 * (flux(a, b) + flux(b, a))
 
 
-def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame,
-                    vals: np.ndarray, ders: np.ndarray):
-    """Gradient-flux wall integrand from value and derivative traces of
-    the components on the trailing axis."""
+def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: dict):
+    """Gradient-flux wall integrand, bilinear in the value traces of a and
+    the derivative traces of b (volume field dictionaries)."""
     k = model
     n = frame.n
-    theta = vals[..., 1]
-    grad_th = np.zeros(np.shape(ders)[:-1] + (3,))
-    grad_th[..., 0] = ders[..., 1]
-    u3, s3 = vals[..., 2:5], vals[..., 5:8]
-    _, grad_u_stf = slab_grad_vec(u3, ders[..., 2:5])
-    _, grad_s_stf = slab_grad_vec(s3, ders[..., 5:8])
-    div_s = ders[..., 5]
-    sig = StfTensor3(vals[..., 8:13])
-    _, grad_sig_stf3, div_sig = slab_grad_stf2(sig, StfTensor3(ders[..., 8:13]))
-    sig_m = sig.matrix()
+    theta, grad_th = a["th"]["val"], b["th"]["grad"]
+    u3, s3 = a["u"]["val"], a["s"]["val"]
+    grad_u, grad_s = b["u"]["grad_stf"].matrix(), b["s"]["grad_stf"].matrix()
+    sig_m, div_sig = a["sg"]["val"].matrix(), b["sg"]["div"]
     sig_n = _dot(sig_m, n)
     out = 1.5 * k.k1 * theta * _dot(n, grad_th)
     out -= 1.5 * k.k2 * theta * _dot(n, div_sig)
     out -= 1.5 * k.k2 * _dot(sig_n, grad_th)
-    out += k.k3 * _dot(u3, _dot(grad_u_stf.matrix(), n))
-    out += k.k4 * _dot(u3, _dot(grad_s_stf.matrix(), n))
-    out += k.k4 * _dot(s3, _dot(grad_u_stf.matrix(), n))
-    out += (4.0 / 5.0) * k.k6 * _dot(s3, n) * div_s
-    out += (24.0 / 25.0) * k.k7 * _dot(s3, _dot(grad_s_stf.matrix(), n))
-    out += k.k9 * np.sum(sig_m * _dot(grad_sig_stf3, n), axis=(-2, -1))
+    out += k.k3 * _dot(u3, _dot(grad_u, n))
+    out += k.k4 * _dot(u3, _dot(grad_s, n))
+    out += k.k4 * _dot(s3, _dot(grad_u, n))
+    out += (4.0 / 5.0) * k.k6 * _dot(s3, n) * b["s"]["div"]
+    out += (24.0 / 25.0) * k.k7 * _dot(s3, _dot(grad_s, n))
+    out += k.k9 * np.sum(sig_m * _dot(b["sg"]["grad_stf3"], n), axis=(-2, -1))
     out += 0.5 * k.k10 * _dot(sig_n, div_sig)
     return kn * out
-
-
-def _polarization_probes(dim: int) -> np.ndarray:
-    """Probe stack (n_probes, dim): first the unit vectors e_i, then
-    e_i + e_j for every pair i < j."""
-    basis = np.eye(dim)
-    i, j = np.triu_indices(dim, 1)
-    return np.concatenate([basis, basis[i] + basis[j]])
-
-
-def _polarized_kernel(vals: np.ndarray, dim: int) -> np.ndarray:
-    """Symmetric kernels of quadratic functionals from their values on the
-    polarization probes, probe axis first; trailing axes of vals, one
-    functional each, come first in the result.
-
-    Where two inputs do not couple, polarization leaves roundoff of the
-    functional's own values; an off-diagonal entry no larger than its
-    rounding bound 8 eps (|q(e_i + e_j)| + |q(e_i)| + |q(e_j)|) is set to an
-    exact zero (DECISIONS.md D15).
-    """
-    i, j = np.triu_indices(dim, 1)
-    vals = np.moveaxis(vals, 0, -1)
-    diag, pair = vals[..., :dim], vals[..., dim:]
-    di, dj = diag[..., i], diag[..., j]
-    off = 0.5 * (pair - di - dj)
-    off[np.abs(off) <= 8.0 * np.finfo(float).eps * (np.abs(pair) + np.abs(di) + np.abs(dj))] = 0.0
-    kern = np.zeros(vals.shape[:-1] + (dim, dim))
-    kern[..., np.arange(dim), np.arange(dim)] = diag
-    kern[..., i, j] = kern[..., j, i] = off
-    return kern
-
-
-def _quadratic_kernel(q, dim: int) -> np.ndarray:
-    """Symmetric kernel of a quadratic functional q, called once on the
-    stacked polarization probes."""
-    return _polarized_kernel(q(_polarization_probes(dim)), dim)
 
 
 # Monitor forms on the coefficient vector x: b_diag = x.a.x, w1 = x.w1.x,
@@ -841,23 +808,22 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     if assembly._monitor_ops is not None:
         return assembly._monitor_ops
     model, kn, coeffs, m = assembly.model, assembly.kn, assembly.coeffs, len(COMPONENTS)
-    k_w1 = _quadratic_kernel(lambda v: _w1_integrand(model, kn, v[..., :m], v[..., m:]),
-                             2 * m)
-    w1 = assembly._matrix(k_w1)
-    # Wall kernels as (output, wall, value | derivative, component) squared.
-    # The value-trace formulas share one frame projection of the polarization
-    # probes per wall, whose first m probes are the unit traces; f2_trace is
-    # bilinear in (values, derivatives), so crossed unit pairs give its
-    # entries without polarization.
+    # Every kernel is one evaluation on unit probes stacked along crossed
+    # batch axes: (value | derivative, component) volume probes, and value
+    # traces at the walls.
+    units, traces = np.eye(2 * m), np.eye(m)
+    vol = [_volume_fields(e[..., :m], e[..., m:]) for e in (units[:, None], units[None])]
+    w1 = assembly._matrix(_w1_integrand(model, kn, *vol))
+    # Wall kernels as (output, wall, value | derivative, component) squared;
+    # f2_trace pairs value rows with derivative columns.
     wall = np.zeros((3, 2, 2, m, 2, 2, m))
     wall_load = np.zeros((2, 3, 2, 2, m))
-    probes, units, data = _polarization_probes(m), np.eye(m), np.eye(3)[:, :, None]
     for w, frame in enumerate(WALL_FRAMES):
-        fr = _wall_fields(probes, frame)
-        wall[:2, w, 0, :, w, 0] = _polarized_kernel(
-            np.stack([_wall_quadratic(coeffs, fr), _f1_value(model, fr)], axis=-1), m)
-        wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr, *data)[:, :m]
-        wall[2, w, 0, :, w, 1] = _f2_trace_value(model, kn, frame, units[:, None], units[None])
+        fr = [_wall_fields(e, frame) for e in (traces[:, None], traces[None])]
+        wall[0, w, 0, :, w, 0] = _wall_quadratic(coeffs, *fr)
+        wall[1, w, 0, :, w, 0] = _f1_value(model, *fr)
+        wall[2, w, 0, :, w, 1] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
+        wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr[1], *np.eye(3)[:, :, None])
     # Trace row (2 wall + value | derivative) m + component.
     rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)
     assembly._monitor_ops = _MonitorOperators(
@@ -1166,6 +1132,10 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3:
         raise ValueError("need at least three meshes")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"mesh levels must be distinct, got {n_list}")
+    if ref_factor < 2:
+        raise ValueError(f"ref_factor must be at least 2, got {ref_factor!r}")
     n_ref = n_list[-1] * ref_factor
     ref_asm = SlabAssembly(SlabMesh(n_ref, degree), model, kn, formulation)
     ref_state, _ = solve_steady(ref_asm, wall)

@@ -242,6 +242,35 @@ class TestPlumbing:
                    "--out", str(outdir))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("ladder", [{"ref_factor": 1}, {"levels": [2, 2, 4]}])
+    def test_degenerate_ladder_is_config_error(self, tmp_path, outdir, ladder):
+        config = write_config(tmp_path, **ladder)
+        code = run("converge", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+        assert not (outdir / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate-params", "derive-bcs", "solve-steady",
+                                         "solve-transient", "converge"])
+    @pytest.mark.parametrize("field,value", [
+        ("l2", float("inf")), ("m", float("nan")), ("k9", float("nan")),
+        ("k6", True), ("maxwell", "yes"), ("k", 3.0)])
+    def test_bad_model_number_is_config_error(self, tmp_path, outdir, capsys,
+                                              command, field, value):
+        # Every command loads the model first and exits 2 naming the field.
+        doc = yaml.safe_load(bundled_model_path("maxwell").read_text())
+        if field in doc["k"]:
+            doc["k"][field] = value
+        elif field == "m":
+            doc["m"][2][1] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "model.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert run(command, "--model", str(path), "--out", str(outdir)) == EXIT_CONFIG
+        name = "m[3, 2]" if field == "m" else field
+        assert f"r13lab: {name} must be" in capsys.readouterr().err
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("R13LAB_OUT", str(target))

@@ -1,6 +1,7 @@
 """Model loading, validation, and thermodynamic constraint checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,46 @@ class TestLoadModel:
         doc["k"]["k3"] = -1.0
         with pytest.raises(ValueError, match="k3 must be nonnegative"):
             load_model(doc)
+
+    @pytest.mark.parametrize("field,value", [
+        ("k6", True), ("k9", math.nan), ("k0", math.inf), ("k4", -math.inf),
+        ("k2", "abc"), ("k1", None), ("l1", math.nan), ("l2", math.inf),
+        ("l1", True), ("chi", True), ("chi", math.nan),
+        ("m[3, 2]", math.nan), ("m[8, 9]", -math.inf), ("m[1, 1]", False)])
+    def test_non_finite_or_boolean_number_named(self, field, value):
+        doc = make_doc()
+        if field.startswith("k"):
+            doc["k"][field] = value
+        elif field.startswith("m"):
+            j, k = (int(i) for i in field[2:-1].split(", "))
+            doc["m"][j - 1][k - 1] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a finite number"):
+            load_model(doc)
+
+    def test_k_list_entry_named(self):
+        k = [0.1] * 11
+        k[7] = math.nan
+        with pytest.raises(ValueError, match="^k7 must be a finite number"):
+            load_model(make_doc(k=k))
+
+    @pytest.mark.parametrize("field,doc", [
+        ("k", make_doc(k=3.0)), ("k", make_doc(k="k0")), ("m", make_doc(m=1.0)),
+        ("m", make_doc(m={"row": [0.0]})),
+        ("m row 1", make_doc(m=[1.0] * 8)), ("m row 2", make_doc(m=[[0.0], "0.0"] + [[0.0]] * 6))])
+    def test_scalar_where_list_expected_named(self, field, doc):
+        with pytest.raises(ValueError, match=rf"^{field} must be a list"):
+            load_model(doc)
+
+    @pytest.mark.parametrize("flag", ["yes", 1, 0.0, None, "true"])
+    def test_maxwell_flag_must_be_boolean(self, flag):
+        with pytest.raises(ValueError, match="^maxwell must be true or false"):
+            load_model(make_doc(maxwell=flag))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_maxwell_flag_boolean(self, flag):
+        assert load_model(make_doc(maxwell=flag)).is_maxwell is flag
 
     def test_missing_top_level_field(self):
         doc = make_doc()

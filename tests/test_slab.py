@@ -12,7 +12,7 @@ from r13lab import slab
 from r13lab.fe1d import parity_bases
 from r13lab.models import bundled_models, resolve_model
 from r13lab.state import mass_inner, physical_fluxes
-from r13lab.tensors import STF_PAIRS, StfTensor3, frame_components
+from r13lab.tensors import STF_PAIRS
 from r13lab.slab import (
     SlabAssembly,
     SlabMesh,
@@ -29,6 +29,12 @@ from r13lab.slab import (
 )
 
 KN = 0.1
+
+# Every bundled model in the coercive grouping, the Maxwell-type ones also
+# in the grouped degenerate one: every (model, grouping) SlabAssembly accepts.
+GROUPINGS = [(name, formulation) for name in bundled_models()
+             for formulation in ("nonmaxwell", "maxwell")
+             if formulation == "nonmaxwell" or resolve_model(name).is_maxwell]
 
 
 @pytest.fixture(scope="module")
@@ -273,32 +279,28 @@ class TestMonitors:
         _, _, mon = couette_eta7
         assert mon.f2 == pytest.approx(mon.f1 - mon.i_bdry_data, abs=1e-14)
 
-    @pytest.mark.parametrize("model_name,formulation",
-                             [("eta7", "nonmaxwell"), ("maxwell", "maxwell")])
-    def test_operator_is_wall_quadratic_minus_dissipation(self, model_name,
-                                                          formulation):
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
+    def test_operator_is_wall_quadratic_minus_dissipation(self, name, formulation,
+                                                          degree, n):
         # b_diag = i_bdry - w1 as a one-time matrix identity: the symmetric
-        # part of the operator equals the wall quadratic, written as a
-        # matrix over the value traces, minus the assembled W.
-        asm = SlabAssembly(SlabMesh(16, 2), resolve_model(model_name), KN,
-                           formulation)
+        # part of the operator equals the wall quadratic, probed on crossed
+        # unit traces and written as a matrix over the value traces, minus
+        # the assembled W.  At n = 1 both walls share the one element.
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
         ops = slab._monitor_operators(asm)
         m = len(slab.COMPONENTS)
+        units = np.eye(m)
         b_wall = sp.csr_matrix((asm.ndof, asm.ndof))
         for w, frame in enumerate(slab.WALL_FRAMES):
-            def quadratic(v, frame=frame):
-                fr = {"s": frame_components(v[..., 5:8], frame),
-                      "u": frame_components(v[..., 2:5], frame),
-                      "sig": frame_components(StfTensor3(v[..., 8:13]), frame),
-                      "theta": v[..., 1]}
-                return slab._wall_quadratic(asm.coeffs, fr)
-
-            kern = slab._quadratic_kernel(quadratic, m)
+            kern = slab._wall_quadratic(asm.coeffs, *(slab._wall_fields(e, frame)
+                                                      for e in (units[:, None], units[None])))
             trace = ops.traces[2 * w * m:(2 * w + 1) * m]
             b_wall = b_wall + trace.T @ sp.csr_matrix(kern) @ trace
         a = asm.a_operator().toarray()
         gap = 0.5 * (a + a.T) - (b_wall - ops.w1).toarray()
-        assert np.abs(gap).max() <= 1e-12 * np.abs(a).max()
+        assert np.abs(gap).max() <= 1e-14 * np.abs(a).max()
 
     def test_wall_traces_located_once_per_space_kind(self, maxwell, monkeypatch):
         calls = []
@@ -331,8 +333,8 @@ class TestMonitors:
                 for k in range(x.size):
                     u = slab._state_from_components(vals[:, k])
                     energy += 0.5 * wq[k] * mass_inner(u, u)
-                    w1 += wq[k] * slab._w1_integrand(asm.model, asm.kn,
-                                                     vals[:, k], ders[:, k])
+                    fields = slab._volume_fields(vals[:, k], ders[:, k])
+                    w1 += wq[k] * slab._w1_integrand(asm.model, asm.kn, fields, fields)
                 rho = vals[0] - vals[1]
                 assert mon.energy == pytest.approx(energy, rel=1e-12)
                 assert mon.w1 == pytest.approx(w1, rel=1e-12)
@@ -348,44 +350,55 @@ def _pointwise_wall_monitors(state, wall):
     i_bdry = wall_load = f1 = f2_trace = 0.0
     for w, frame in enumerate(slab.WALL_FRAMES):
         v, d = vals[:, w], ders[:, w]
-        fr = {"s": frame_components(v[5:8], frame),
-              "u": frame_components(v[2:5], frame),
-              "sig": frame_components(StfTensor3(v[8:13]), frame),
-              "theta": float(v[1])}
-        i_bdry += slab._wall_quadratic(asm.coeffs, fr)
+        fr, vf = slab._wall_fields(v, frame), slab._volume_fields(v, d)
+        i_bdry += slab._wall_quadratic(asm.coeffs, fr, fr)
         wall_load += slab._wall_load_value(asm.coeffs, asm.model, fr, wall.theta_w[w],
                                            wall.u_t[w, 0], wall.u_t[w, 1])
-        f1 += slab._f1_value(asm.model, fr)
-        f2_trace += slab._f2_trace_value(asm.model, asm.kn, frame, v, d)
+        f1 += slab._f1_value(asm.model, fr, fr)
+        f2_trace += slab._f2_trace_value(asm.model, asm.kn, frame, vf, vf)
     return i_bdry, wall_load, f1, f2_trace
 
 
+def _polarized_kernel(q, dim):
+    """Reference: the symmetric kernel of a quadratic functional q by
+    polarization, K_ij = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2, with every
+    off-diagonal entry within its rounding bound 8 eps (|q(e_i + e_j)| +
+    |q(e_i)| + |q(e_j)|) set to an exact zero."""
+    basis = np.eye(dim)
+    i, j = np.triu_indices(dim, 1)
+    diag, pair = q(basis), q(basis[i] + basis[j])
+    off = 0.5 * (pair - diag[i] - diag[j])
+    off[np.abs(off) <= 8.0 * np.finfo(float).eps
+        * (np.abs(pair) + np.abs(diag[i]) + np.abs(diag[j]))] = 0.0
+    kern = np.diag(diag)
+    kern[i, j] = kern[j, i] = off
+    return kern
+
+
 class TestExactMonitorKernels:
-    """Monitor kernels are exact: polarization roundoff is zeroed (D15) and
-    the wall monitors are cached kernels on the wall traces that agree
-    with the pointwise wall formulas."""
+    """Monitor kernels are exact: each monitor integrand is bilinear and
+    probed on crossed unit probes, so inputs that do not couple give exact
+    zeros (D15), and the wall monitors are cached kernels on the wall
+    traces that agree with the pointwise wall formulas."""
 
     @pytest.mark.parametrize("kn", [1e-6, 0.1, 1e4])
     @pytest.mark.parametrize("name", bundled_models())
-    def test_w1_kernel_zeroes_only_polarization_roundoff(self, name, kn):
+    def test_w1_kernel_matches_thresholded_polarization(self, name, kn):
         model = resolve_model(name)
         m = len(slab.COMPONENTS)
+        units = np.eye(2 * m)
+        kern = slab._w1_integrand(model, kn, *(slab._volume_fields(e[..., :m], e[..., m:])
+                                               for e in (units[:, None], units[None])))
 
         def q(v):
-            return slab._w1_integrand(model, kn, v[..., :m], v[..., m:])
+            fields = slab._volume_fields(v[..., :m], v[..., m:])
+            return slab._w1_integrand(model, kn, fields, fields)
 
-        kern = slab._quadratic_kernel(q, 2 * m)
-        basis = np.eye(2 * m)
-        i, j = np.triu_indices(2 * m, 1)
-        diag, pair = q(basis), q(basis[i] + basis[j])
-        raw = 0.5 * (pair - diag[i] - diag[j])
-        inputs = np.abs(pair) + np.abs(diag[i]) + np.abs(diag[j])
-        zeroed = kern[i, j] == 0.0
-        assert np.all(np.abs(raw[zeroed]) <= 8.0 * np.finfo(float).eps * inputs[zeroed])
-        assert np.all(np.abs(raw[~zeroed]) >= 1e-8 * inputs[~zeroed])
-        assert np.array_equal(kern[i, j][~zeroed], raw[~zeroed])
+        ref = _polarized_kernel(q, 2 * m)
         assert np.array_equal(kern, kern.T)
-        assert np.array_equal(np.diag(kern), diag)
+        assert np.array_equal(kern != 0.0, ref != 0.0)
+        assert np.array_equal(np.diag(kern), np.diag(ref))
+        assert np.abs(kern - ref).max() <= 1e-15 * np.abs(ref).max()
         # Coupled component pairs: any of (vv, vd, dv, dd) nonzero.
         k4 = kern.reshape(2, m, 2, m).transpose(0, 2, 1, 3)
         pairs = np.count_nonzero(np.any(k4 != 0.0, axis=(0, 1)))
@@ -425,22 +438,31 @@ class TestBatchedKernels:
 
     SHAPE = (4, 3)
 
-    def test_w1_integrand(self, eta7):
+    def test_monitor_integrands(self, eta7):
         rng = np.random.default_rng(301)
-        vals, ders = rng.uniform(-1.0, 1.0, size=(2,) + self.SHAPE + (13,))
-        out = slab._w1_integrand(eta7, KN, vals, ders)
-        assert out.shape == self.SHAPE
-        for idx in np.ndindex(self.SHAPE):
-            assert out[idx] == slab._w1_integrand(eta7, KN, vals[idx], ders[idx])
+        vals, ders = rng.uniform(-1.0, 1.0, size=(2, 2) + self.SHAPE + (13,))
+        coeffs = slab.boundary_coefficients(eta7)
 
-    def test_f2_trace_value(self, eta7):
-        rng = np.random.default_rng(306)
-        vals, ders = rng.uniform(-1.0, 1.0, size=(2,) + self.SHAPE + (13,))
-        for frame in slab.WALL_FRAMES:
-            out = slab._f2_trace_value(eta7, KN, frame, vals, ders)
-            assert out.shape == self.SHAPE
-            for idx in np.ndindex(self.SHAPE):
-                assert out[idx] == slab._f2_trace_value(eta7, KN, frame, vals[idx], ders[idx])
+        def integrands(v, d):
+            """w1, then per wall i_bdry, f1 and f2_trace, of the argument
+            pair ((v[0], d[0]), (v[1], d[1]))."""
+            vol = [slab._volume_fields(*arg) for arg in zip(v, d)]
+            out = [slab._w1_integrand(eta7, KN, *vol)]
+            for frame in slab.WALL_FRAMES:
+                fr = [slab._wall_fields(x, frame) for x in v]
+                out += [slab._wall_quadratic(coeffs, *fr), slab._f1_value(eta7, *fr),
+                        slab._f2_trace_value(eta7, KN, frame, *vol)]
+            return out
+
+        batch = integrands(vals, ders)
+        for idx in np.ndindex(self.SHAPE):
+            item = integrands(vals[(slice(None),) + idx], ders[(slice(None),) + idx])
+            for out, one in zip(batch, item):
+                assert out.shape == self.SHAPE and out[idx] == one
+        # w1, i_bdry and f1 are exactly symmetric in their two arguments.
+        swapped = integrands(vals[::-1], ders[::-1])
+        for k in (0, 1, 2, 4, 5):
+            assert np.array_equal(swapped[k], batch[k])
 
     @pytest.mark.parametrize("name", sorted(slab.FORM_GROUPS))
     def test_volume_form(self, eta7, name):
@@ -475,20 +497,6 @@ class TestBatchedKernels:
             out = np.broadcast_to(evaluate(x, y), self.SHAPE)
             for idx in np.ndindex(self.SHAPE):
                 assert out[idx] == evaluate(x[idx], y[idx])
-
-    def test_quadratic_kernel_recovers_symmetric_matrix(self):
-        # Integer entries keep every polarization sum exact.
-        rng = np.random.default_rng(304)
-        a = rng.integers(-9, 10, size=(7, 7)).astype(float)
-        q_mat = a + a.T
-        calls = []
-
-        def q(v):
-            calls.append(v.shape)
-            return np.einsum("...i,ij,...j->...", v, q_mat, v)
-
-        assert np.array_equal(slab._quadratic_kernel(q, 7), q_mat)
-        assert calls == [(7 + 21, 7)]
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
@@ -600,15 +608,16 @@ class TestOnePassAssembly:
         primary = [float(c != "p") for c in comps]
         assert _csr_bytes(asm.t1_gram()) == _csr_bytes(
             _pair_by_pair_csr(asm, np.diag(primary + primary), comps, comps))
-        k_w1 = slab._quadratic_kernel(
-            lambda v: slab._w1_integrand(asm.model, asm.kn, v[..., :m], v[..., m:]), 2 * m)
+        units = np.eye(2 * m)
+        k_w1 = slab._w1_integrand(asm.model, asm.kn, *(slab._volume_fields(e[..., :m], e[..., m:])
+                                                       for e in (units[:, None], units[None])))
         assert _csr_bytes(slab._monitor_operators(asm).w1) == _csr_bytes(
             _pair_by_pair_csr(asm, k_w1, comps, comps))
 
     def test_monitor_operator_build_stays_small(self, eta7):
         # W is one COO pass over its coupled component pairs only (22 for
-        # eta7, D15); the 140 pairs of its polarization roundoff would more
-        # than double this peak at n = 64.
+        # eta7, D15); scattering all 140 pairs that polarization roundoff
+        # once filled would more than double this peak at n = 64.
         import tracemalloc
 
         asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
@@ -732,12 +741,7 @@ class TestLoadVector:
     """load_vector reads the cached wall unit traces; its loads equal bit for
     bit those of the per-call projection."""
 
-    # Every bundled model in the coercive grouping, the Maxwell-type ones
-    # also in the grouped degenerate one.
-    @pytest.mark.parametrize("name,formulation", [
-        (name, formulation) for name in bundled_models()
-        for formulation in ("nonmaxwell", "maxwell")
-        if formulation == "nonmaxwell" or resolve_model(name).is_maxwell])
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
     def test_matches_per_call_projection(self, name, formulation, monkeypatch):
         asm = SlabAssembly(SlabMesh(4, 2), resolve_model(name), KN, formulation)
         walls = [WallData(theta_w=np.array([0.7, 0.7]), u_t=np.zeros((2, 2))),
@@ -1016,10 +1020,7 @@ class TestWallReflection:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     @pytest.mark.parametrize("degree", [1, 2])
-    @pytest.mark.parametrize("name,formulation", [
-        (name, formulation) for name in bundled_models()
-        for formulation in ("nonmaxwell", "maxwell")
-        if formulation == "nonmaxwell" or resolve_model(name).is_maxwell])
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
     def test_pencils_commute_with_reflection(self, name, formulation, degree, n):
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
         refl = _coordinate_reflection(asm)
@@ -1048,10 +1049,7 @@ class TestWallReflection:
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("name,formulation", [
-    (name, formulation) for name in bundled_models()
-    for formulation in ("nonmaxwell", "maxwell")
-    if formulation == "nonmaxwell" or resolve_model(name).is_maxwell])
+@pytest.mark.parametrize("name,formulation", GROUPINGS)
 def test_one_element_mesh_fails_only_as_configuration_error(name, formulation, degree):
     # One element is the smallest mesh a user can ask for; every entry
     # point either works on it or rejects it with a ValueError.
@@ -1092,6 +1090,21 @@ class TestConvergence:
     def test_requires_three_meshes(self, eta7):
         with pytest.raises(ValueError):
             convergence_study(eta7, WallData.couette(), [8, 16])
+
+    @pytest.mark.parametrize("levels,ref_factor,match", [
+        ([2, 2, 4], 4, "distinct"), ([4, 2, 4, 8], 4, "distinct"),
+        ([2, 4, 8], 1, "ref_factor"), ([2, 4, 8], 0, "ref_factor")])
+    def test_degenerate_ladder_rejected_before_solving(self, eta7, monkeypatch,
+                                                       levels, ref_factor, match):
+        # A repeated level gives a ratio of 1, and ref_factor 1 makes the
+        # finest level its own reference (ratio inf); neither measures
+        # convergence.
+        def no_solve(*args):
+            raise AssertionError("solved a rejected ladder")
+
+        monkeypatch.setattr(slab, "solve_steady", no_solve)
+        with pytest.raises(ValueError, match=match):
+            convergence_study(eta7, WallData.couette(), levels, ref_factor=ref_factor)
 
 
 # ---------------------------------------------------------------------------
