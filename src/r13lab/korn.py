@@ -14,7 +14,10 @@ subdivisions of [0,1]^3.  Each term of each integrand (|u|^2, |grad u|^2,
 |stf grad u|^2, and |u|^2 on the faces) is a product of one 1-D integral
 per axis, so every Gram is a sum of Kronecker products of the 1-D CG
 matrices of `fe1d.cg_line_matrices` (Lynch, Rice & Thomas 1964), listed in
-`_FORM_TERMS` and summed by `_kron_sum`.
+`_FORM_TERMS`.  All terms that couple test component c to trial component d
+lie on one Kronecker pattern, so `CubeForms._evaluate` builds that pattern
+once per component pair and the values of every requested sum of forms from
+one contraction of the stacked factor products with a coefficient table.
 
 The uniform mesh and every integrand are mirror-symmetric, so every form
 is invariant under the three reflections x_a -> 1 - x_a.  On the
@@ -25,9 +28,10 @@ classes, one per sign character s in {+1, -1}^3, and each reflection acts
 as s_a on class s.  A form that commutes with the reflections couples no
 two classes, so each pencil is exactly block diagonal in the class bases
 and its spectrum is the union of the 8 block spectra.  The class bases are
-Kronecker products of 1-D even/odd bases, so `CubeForms.block` builds each
-block as the same Kronecker sum over parity-projected 1-D factors, and the
-probes never build a global Gram.
+Kronecker products of 1-D even/odd bases, so a class block is the same
+Kronecker sum over parity-projected 1-D factors: one evaluation builds the
+class blocks and, with identity bases, the global Grams, and the probes
+never build a global Gram.
 
 The cube is also symmetric under the 6 permutations of its axes, and so
 is every form.  A permutation sigma acts on the dofs as a plain
@@ -74,6 +78,12 @@ _START_SEED = 20061
 # The solved reflection classes, one per axis-permutation orbit (the
 # classes with equal numbers of -1 signs), each with its orbit size.
 _CLASS_ORBITS = {(1, 1, 1): 1, (-1, 1, 1): 3, (-1, -1, 1): 3, (-1, -1, -1): 1}
+
+# The form sums of the probes' pencils: korn_constants solves (l2 + stf) and
+# (boundary + stf) against h1 and stf against l2, boundary_korn_eigenvalue
+# (boundary + stf) against h1.
+_KORN_SUMS = (("l2", "stf"), ("h1",), ("boundary", "stf"), ("stf",), ("l2",))
+_BOUNDARY_SUMS = (("boundary", "stf"), ("h1",))
 
 # Near-zero eigenvalues below this multiple of the largest one count as kernel.
 KERNEL_REL_THRESHOLD = 1e-10
@@ -245,53 +255,37 @@ _FORM_TERMS["h1"] = _FORM_TERMS["l2"] + [(1.0, _on({a: "K"}), c, c)
                                          for c in range(3) for a in range(3)]
 
 
-def _kron_triplets(x, y, z):
-    """Nonzero triplets (rows, cols, values) of kron(z, kron(y, x)), the
-    Kronecker product of dense factors with x fastest."""
-    (xi, xj, xv), (yi, yj, yv), (zi, zj, zv) = ((*np.nonzero(f), f[np.nonzero(f)])
-                                                for f in (x, y, z))
-    rows = np.ravel_multi_index(np.ix_(zi, yi, xi), (len(z), len(y), len(x)))
-    cols = np.ravel_multi_index(np.ix_(zj, yj, xj), (z.shape[1], y.shape[1], x.shape[1]))
-    return rows.ravel(), cols.ravel(), (zv[:, None, None] * (yv[:, None] * xv)).ravel()
+# The line matrices that the Kronecker terms take as factors.
+_LINES = ("M", "K", "G", "GT", "T")
 
 
-def _kron_sum(terms, lines: dict, bases, place) -> scipy.sparse.csr_matrix:
-    """Gram of a form given by its Kronecker terms, in per-axis 1-D bases.
-
-    bases[c][a] holds the 1-D basis of component c along axis a as columns
-    of nodal values, so a term's factor f on axis a becomes
-    bases[c][a]^T f bases[d][a].  place[c] maps the Kronecker index of
-    component c to its global row and column.  Exact zeros are not stored,
-    so every stored entry is a real coupling.
-    """
-    rows, cols, vals = [], [], []
-    for coef, factors, c, d in terms:
-        r, k, v = _kron_triplets(*(bases[c][a].T @ lines[f] @ bases[d][a]
-                                   for a, f in enumerate(factors)))
-        rows.append(place[c][r])
-        cols.append(place[d][k])
-        vals.append(coef * v)
-    size = sum(map(len, place))
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size)).tocsr()
-    mat.eliminate_zeros()
-    return mat
+@functools.cache
+def _term_table(sums: tuple) -> dict:
+    """The Kronecker terms of a tuple of form sums, such as (("boundary",
+    "stf"), ("h1",)), grouped by component pair: (c, d) maps to the distinct
+    factor triples, as indices into _LINES along (x, y, z), and to the
+    coefficient table with one row per sum and one column per triple."""
+    table = {}
+    for k, names in enumerate(sums):
+        for coef, factors, c, d in (t for name in names for t in _FORM_TERMS[name]):
+            key = tuple(map(_LINES.index, factors))
+            table.setdefault((c, d), {}).setdefault(key, np.zeros(len(sums)))[k] += coef
+    return {cd: (np.array(list(terms)), np.array(list(terms.values())).T)
+            for cd, terms in sorted(table.items())}
 
 
 @functools.cache
 def _line_parity(m: int) -> dict:
-    """Dense even (+1) and odd (-1) bases on m mirror-symmetric nodes; read only."""
+    """Dense even (+1) and odd (-1) bases on m mirror-symmetric nodes, and
+    the identity (0); read only."""
     even, odd = parity_bases([m], [1.0])
-    return {1: even.toarray(), -1: odd.toarray()}
+    return {1: even.toarray(), -1: odd.toarray(), 0: np.eye(m)}
 
 
 def _global_gram(form: str):
     """Cached property: one form's Gram over the interleaved dofs 3 * node + c."""
     def gram(self) -> scipy.sparse.csr_matrix:
-        eye = [[np.eye(len(self.lines["M"]))] * 3] * 3
-        return _kron_sum(_FORM_TERMS[form], self.lines, eye,
-                         [3 * np.arange(self.mesh.n_nodes) + c for c in range(3)])
+        return self.sparse_blocks(((form,),), None)[0]
     return functools.cached_property(gram)
 
 
@@ -299,8 +293,9 @@ def _global_gram(form: str):
 class CubeForms:
     """The four quadratic forms of a cube mesh, kept as its 1-D line
     matrices.  `l2`, `h1`, `stf` and `boundary` are the global Grams, built
-    on first access; `block(form, s)` builds one form on one reflection
-    class without any global Gram."""
+    on first access; `dense_blocks` and `sparse_blocks` build sums of forms
+    on one reflection class without any global Gram, and `block(form, s)`
+    one form."""
 
     mesh: CubeMesh
     lines: dict = field(repr=False)
@@ -310,15 +305,79 @@ class CubeForms:
     stf = _global_gram("stf")
     boundary = _global_gram("boundary")
 
-    def block(self, form: str, s: tuple) -> scipy.sparse.csr_matrix:
-        """Gram of one form on reflection class s = (s_x, s_y, s_z): component
-        c has parity -s_a along axis a == c and s_a along the others, and the
-        class basis lists the Kronecker parity bases of c = 0, 1, 2 in turn."""
+    @functools.cached_property
+    def _factors(self) -> dict:
+        """Per parity pair (p, q), with 0 the unprojected identity basis:
+        the union nonzero pattern (i, j) of the projected 1-D factors
+        P_p^T F P_q of the lines F in _LINES, their values on it (exact zeros
+        kept) with one row per line, and their shape."""
         parity = _line_parity(len(self.lines["M"]))
-        bases = [[parity[-sa if a == c else sa] for a, sa in enumerate(s)] for c in range(3)]
-        ends = np.cumsum([0] + [np.prod([b.shape[1] for b in comp]) for comp in bases])
-        return _kron_sum(_FORM_TERMS[form], self.lines, bases,
-                         [np.arange(ends[c], ends[c + 1]) for c in range(3)])
+        factors = {}
+        for p, q in ((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)):
+            mats = np.stack([parity[p].T @ self.lines[f] @ parity[q] for f in _LINES])
+            i, j = np.nonzero(np.any(mats != 0.0, axis=0))
+            factors[p, q] = i, j, mats[:, i, j], mats.shape[1:]
+        return factors
+
+    def _evaluate(self, sums: tuple, s: tuple | None):
+        """The size of reflection class s = (s_x, s_y, s_z), or of all dofs
+        if s is None, and an iterator over its component pairs of the rows,
+        columns and values (len(sums), nnz) of the form sums.
+
+        In class s, component c has parity -s_a along axis a == c and s_a
+        along the others, and the class basis lists the Kronecker parity
+        bases of c = 0, 1, 2 in turn; on all dofs every basis is the
+        identity and component c of node k sits at 3 * k + c.  Each
+        component pair evaluates all its terms on one Kronecker pattern.
+        """
+        if s is None:
+            parity, offset, stride = [(0, 0, 0)] * 3, range(3), 3
+            size = self.mesh.n_dofs
+        else:
+            parity = [tuple(-sa if a == c else sa for a, sa in enumerate(s)) for c in range(3)]
+            dim = {p: basis.shape[1] for p, basis in _line_parity(len(self.lines["M"])).items()}
+            offset = np.cumsum([0] + [dim[px] * dim[py] * dim[pz] for px, py, pz in parity])
+            stride, size = 1, offset[-1]
+
+        def pairs():
+            for (c, d), (triples, coef) in _term_table(sums).items():
+                (zi, zj, zv, _), (yi, yj, yv, (ny, my)), (xi, xj, xv, (nx, mx)) = (
+                    self._factors[parity[c][a], parity[d][a]] for a in (2, 1, 0))
+                outer = (zv[triples[:, 2], :, None, None]
+                         * (yv[triples[:, 1], None, :, None] * xv[triples[:, 0], None, None, :]))
+                yield (offset[c] + stride * ((zi[:, None, None] * ny + yi[:, None]) * nx + xi).ravel(),
+                       offset[d] + stride * ((zj[:, None, None] * my + yj[:, None]) * mx + xj).ravel(),
+                       coef @ outer.reshape(len(triples), -1))
+        return size, pairs()
+
+    def dense_blocks(self, sums: tuple, s: tuple | None) -> list:
+        """The form sums on class s (all dofs if None) as dense matrices,
+        scattered straight from the evaluation."""
+        n, pairs = self._evaluate(sums, s)
+        mats = [np.zeros((n, n)) for _ in sums]
+        for rows, cols, vals in pairs:
+            for mat, v in zip(mats, vals):
+                mat[rows, cols] = v
+        return mats
+
+    def sparse_blocks(self, sums: tuple, s: tuple | None) -> list:
+        """The form sums on class s (all dofs if None) as CSR matrices on
+        one sorted pattern.  Exact zeros are not stored, so every stored
+        entry is a real coupling."""
+        n, pairs = self._evaluate(sums, s)
+        rows, cols, vals = (np.concatenate(parts, axis=-1) for parts in zip(*pairs))
+        order = np.argsort(rows * n + cols)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        mats = []
+        for v in vals:
+            mat = scipy.sparse.csr_matrix((v[order], cols[order], indptr), shape=(n, n))
+            mat.eliminate_zeros()
+            mats.append(mat)
+        return mats
+
+    def block(self, form: str, s: tuple) -> scipy.sparse.csr_matrix:
+        """Gram of one form on reflection class s = (s_x, s_y, s_z)."""
+        return self.sparse_blocks(((form,),), s)[0]
 
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:
@@ -394,12 +453,11 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """
     mesh = forms.mesh
     _check_size(mesh.n_dofs)
-    # The pencils sum dense class blocks, and each block spectrum stands
-    # for its whole orbit.
+    # Each class block spectrum stands for its whole orbit.
     spectra = ([], [], [])
     for s, orbit in _CLASS_ORBITS.items():
-        l2, h1, stf, bdry = (forms.block(f, s).toarray() for f in ("l2", "h1", "stf", "boundary"))
-        for out, (a, b) in zip(spectra, ((l2 + stf, h1), (bdry + stf, h1), (stf, l2))):
+        classical, h1, boundary, stf, l2 = forms.dense_blocks(_KORN_SUMS, s)
+        for out, (a, b) in zip(spectra, ((classical, h1), (boundary, h1), (stf, l2))):
             out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), orbit))
     classical, boundary, stf = (np.sort(np.concatenate(s)) for s in spectra)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
@@ -432,12 +490,11 @@ def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     forms = assemble_cube_forms(mesh)
     lowest = []
     for s in _CLASS_ORBITS:
-        h1 = forms.block("h1", s)
+        pencil, h1 = forms.sparse_blocks(_BOUNDARY_SUMS, s)
         # Seed stream: the index of s among all 8 classes, x fastest.
         k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
         v0 = np.random.default_rng((_START_SEED, k)).standard_normal(h1.shape[0])
-        lowest.append(scipy.sparse.linalg.eigsh(forms.block("boundary", s) + forms.block("stf", s),
-                                                k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
+        lowest.append(scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
                                                 return_eigenvectors=False)[0])
     return float(min(lowest))
 

@@ -129,12 +129,13 @@ def _listed(raw, name: str) -> list:
 
 
 def _parse_eta(raw) -> float | str:
+    """The label 'infinity' (or 'inf') is the only infinite eta."""
     if isinstance(raw, str):
         label = raw.strip().lower()
         if label in ("infinity", "inf"):
             return "infinity"
         raise ValueError(f"eta must be a number or 'infinity', got {raw!r}")
-    return float(raw)
+    return _finite(raw, "eta")
 
 
 def _parse_k(raw) -> dict[str, float]:

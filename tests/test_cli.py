@@ -254,7 +254,8 @@ class TestPlumbing:
                                          "solve-transient", "converge"])
     @pytest.mark.parametrize("field,value", [
         ("l2", float("inf")), ("m", float("nan")), ("k9", float("nan")),
-        ("k6", True), ("maxwell", "yes"), ("k", 3.0)])
+        ("k6", True), ("maxwell", "yes"), ("k", 3.0),
+        ("eta", float("nan")), ("eta", float("inf")), ("eta", True)])
     def test_bad_model_number_is_config_error(self, tmp_path, outdir, capsys,
                                               command, field, value):
         # Every command loads the model first and exits 2 naming the field.

@@ -652,6 +652,26 @@ class TestClassBlocks:
                 gap = np.abs(block.toarray() - ref).max()
                 assert gap <= 1e-15 * np.abs(ref).max(), (s, name, gap)
 
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    def test_probe_pencils_equal_projected_global_grams(self, n, degree):
+        # The dense korn_constants pencils and the sparse (boundary + stf,
+        # h1) pair of boundary_korn_eigenvalue, from the sums the probes
+        # pass, against Q_s^T (G_a + G_b) Q_s of the global Grams.
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        for s, q in reflection_classes(mesh).items():
+            dense = forms.dense_blocks(korn._KORN_SUMS, s)
+            sparse = forms.sparse_blocks(korn._BOUNDARY_SUMS, s)
+            for mat in sparse:
+                assert mat.nnz == np.count_nonzero(mat.data)
+            pairs = [*zip(korn._KORN_SUMS, dense),
+                     *zip(korn._BOUNDARY_SUMS, (mat.toarray() for mat in sparse))]
+            for names, mat in pairs:
+                ref = (q.T @ sum(getattr(forms, name) for name in names) @ q).toarray()
+                assert mat.shape == ref.shape
+                gap = np.abs(mat - ref).max()
+                assert gap <= 1e-15 * np.abs(ref).max(), (s, names, gap)
+
     def test_probes_build_no_global_gram(self, monkeypatch):
         def no_global(self):
             raise AssertionError("global Gram built")
@@ -723,6 +743,28 @@ class TestAxisPermutationSplit:
             assert getattr(again, name) == getattr(first, name), name
         for name in ("classical_tail", "boundary_tail", "stf_tail"):
             assert np.array_equal(getattr(again, name), getattr(first, name)), name
+
+    def test_probes_evaluate_each_solved_class_once(self, monkeypatch):
+        evaluate = korn.CubeForms._evaluate
+        calls = []
+
+        def counting(self, sums, s):
+            calls.append(s)
+            return evaluate(self, sums, s)
+
+        monkeypatch.setattr(korn.CubeForms, "_evaluate", counting)
+        orbits = list(korn._CLASS_ORBITS)
+        forms = assemble_cube_forms(build_cube_mesh(2, 2))
+        korn_constants(forms)
+        assert calls == orbits
+        korn_constants(forms)
+        assert calls == 2 * orbits
+        calls.clear()
+        mesh = build_cube_mesh(3, 1)
+        first = boundary_korn_eigenvalue(mesh)
+        assert calls == orbits
+        assert boundary_korn_eigenvalue(mesh) == first
+        assert calls == 2 * orbits
 
     def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch):
         eigsh = scipy.sparse.linalg.eigsh

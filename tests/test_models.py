@@ -216,6 +216,14 @@ class TestLoadModel:
     def test_eta_numeric(self):
         assert load_model(make_doc(eta=17)).eta == 17.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       True, False, None, [7]])
+    def test_eta_non_finite_or_non_number_rejected(self, value):
+        # Only the string label is an infinite eta; a YAML .inf, .nan,
+        # boolean or list is not a finite potential exponent.
+        with pytest.raises(ValueError, match="eta must be a finite number"):
+            load_model(make_doc(eta=value))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "model.yaml"
         path.write_text(
