@@ -17,10 +17,15 @@ import scipy.sparse as sp
 DEFAULT_DEGREE = 2
 
 
+@functools.lru_cache(maxsize=16)
 def gauss01(q: int):
-    """(points, weights) of the q-point Gauss-Legendre rule on [0, 1]."""
+    """(points, weights) of the q-point Gauss-Legendre rule on [0, 1], as
+    read-only arrays computed once per q and shared by every caller."""
     pts, wts = np.polynomial.legendre.leggauss(q)
-    return 0.5 * (pts + 1.0), 0.5 * wts
+    rule = 0.5 * (pts + 1.0), 0.5 * wts
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def lagrange(nodes: np.ndarray, x: np.ndarray):

@@ -54,6 +54,11 @@ class MTable:
     def __eq__(self, other) -> bool:
         return isinstance(other, MTable) and np.array_equal(self._data, other._data)
 
+    def __hash__(self) -> int:
+        # Hash the values, not their bytes, so that 0.0 and -0.0 hash alike
+        # as they compare alike.
+        return hash(tuple(self._data.ravel().tolist()))
+
     def __repr__(self) -> str:
         return f"MTable({self._data.tolist()!r})"
 

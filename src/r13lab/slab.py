@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -327,6 +328,46 @@ def _probe_boundary_kernel(form, g1: str, g2: str, wall: int) -> np.ndarray:
     return np.broadcast_to(kern, (_GROUP_DIM[g1], _GROUP_DIM[g2]))
 
 
+# The kernels depend on the model, Kn and the wall coefficients but never on
+# the mesh: each key is probed once per process, and every assembly of it
+# shares the read-only arrays.  One key holds about 77 KB of kernels in the
+# form and monitor memos together, 65 KB of it the mostly zero wall monitor
+# kernel.  Keys compare as the dataclasses do, so a parameter of -0.0 shares
+# the entry of +0.0; the kernels of the two differ at most in zero signs.
+_KERNEL_MEMO_SIZE = 64
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
+def _form_kernels(model: MolecularModel, kn: float,
+                  coeffs: BoundaryCoeffs) -> MappingProxyType:
+    """Per form: volume kernel (2, m1, 2, m2) and wall kernels (2, m1, m2),
+    rows on its first argument."""
+    vol_forms, wall_forms = _volume_forms(model, kn), _boundary_forms(coeffs)
+    kernels = {}
+    for name, (g1, g2) in FORM_GROUPS.items():
+        vol = _probe_volume_kernel(vol_forms[name], g1, g2)
+        walls = [_probe_boundary_kernel(wall_forms[name], g1, g2, w) for w in range(2)]
+        kernels[name] = (_read_only(vol).reshape(2, _GROUP_DIM[g1], 2, -1),
+                         _read_only(np.stack(walls)))
+    return MappingProxyType(kernels)
+
+
+@functools.cache
+def _mass_kernel() -> np.ndarray:
+    """26 x 26 kernel of <U, M V>, probed through the state module (rho = p - theta)."""
+    m = len(COMPONENTS)
+    units = np.eye(m)
+    kern = np.zeros((2 * m, 2 * m))
+    kern[:m, :m] = mass_inner(_state_from_components(units[:, None]),
+                              _state_from_components(units[None]))
+    return _read_only(kern)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -350,6 +391,13 @@ class SlabAssembly:
     Each bilinear form is kept as its probed volume and wall kernels, rows on
     its first argument.  Matrices are built from kernels on demand, in the
     shared component dof layout; a system operator from its placement table.
+
+    Work that depends on no mesh runs once per process: the form and
+    monitor kernels once per (model, Kn, wall coefficients), the mass
+    kernel once, the Gauss rules once per order.  Each assembly does the
+    rest itself: it derives and audits the wall coefficients of its model
+    unless given them, and builds its spaces, wall traces, element
+    matrices, sparse matrices and factorizations.
     """
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
@@ -371,14 +419,7 @@ class SlabAssembly:
         self.coeffs = coeffs if coeffs is not None else boundary_coefficients(model)
 
         self.spaces = build_spaces(mesh, formulation)
-        self._vol = _volume_forms(model, self.kn)
-        self._bdry = _boundary_forms(self.coeffs)
-        # Per form: volume kernel (2, m1, 2, m2) and wall kernels (2, m1, m2).
-        self._kernels = {}
-        for name, (g1, g2) in FORM_GROUPS.items():
-            vol = _probe_volume_kernel(self._vol[name], g1, g2)
-            walls = [_probe_boundary_kernel(self._bdry[name], g1, g2, w) for w in range(2)]
-            self._kernels[name] = vol.reshape(2, _GROUP_DIM[g1], 2, -1), np.stack(walls)
+        self._kernels = _form_kernels(model, self.kn, self.coeffs)
         self._factorizations: dict = {}
         self._a_operator: sp.csr_matrix | None = None
         self._monitor_ops = None
@@ -408,7 +449,7 @@ class SlabAssembly:
             self.offsets[name] = off
             off += space.ndof
         self.ndof = off
-        self._mass = self._assemble_mass()
+        self._mass = self._matrix(_mass_kernel())
 
     # -- layout helpers ----------------------------------------------------
 
@@ -479,15 +520,6 @@ class SlabAssembly:
                 kern[:, c, :, r] = t * vol.transpose(2, 3, 0, 1)
                 walls[:, c, r] = t * wall.transpose(0, 2, 1)
         return self._matrix(kern, walls)
-
-    def _assemble_mass(self) -> sp.csr_matrix:
-        """Probe <U, M V> through the state module (rho = p - theta)."""
-        m = len(COMPONENTS)
-        units = np.eye(m)
-        kern = np.zeros((2 * m, 2 * m))
-        kern[:m, :m] = mass_inner(_state_from_components(units[:, None]),
-                                  _state_from_components(units[None]))
-        return self._matrix(kern)
 
     # -- loads ---------------------------------------------------------------
 
@@ -798,22 +830,24 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: 
 _MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces wall wall_load")
 
 
-def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
-    """Monitor operators of an assembly, built on first use and cached.
+@functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
+def _monitor_kernels(model: MolecularModel, kn: float, coeffs: BoundaryCoeffs):
+    """(w1, wall, wall_load) kernels of the monitors: w1 on (value |
+    derivative, component) squared, wall as (output, wall trace, wall trace)
+    and wall_load as (wall, datum, wall trace).
 
     Every kernel is probed from its own pointwise transcription (the w1
     integrand and the wall formulas), never from the bilinear forms, so
-    b_diag = i_bdry - w1 and f1 - f2_trace stay independent checks.
+    b_diag = i_bdry - w1 and f1 - f2_trace stay independent checks.  Kept
+    apart from the form kernels, so the coercivity probe never probes them.
     """
-    if assembly._monitor_ops is not None:
-        return assembly._monitor_ops
-    model, kn, coeffs, m = assembly.model, assembly.kn, assembly.coeffs, len(COMPONENTS)
+    m = len(COMPONENTS)
     # Every kernel is one evaluation on unit probes stacked along crossed
     # batch axes: (value | derivative, component) volume probes, and value
     # traces at the walls.
     units, traces = np.eye(2 * m), np.eye(m)
     vol = [_volume_fields(e[..., :m], e[..., m:]) for e in (units[:, None], units[None])]
-    w1 = assembly._matrix(_w1_integrand(model, kn, *vol))
+    w1 = _w1_integrand(model, kn, *vol)
     # Wall kernels as (output, wall, value | derivative, component) squared;
     # f2_trace pairs value rows with derivative columns.
     wall = np.zeros((3, 2, 2, m, 2, 2, m))
@@ -824,14 +858,24 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
         wall[1, w, 0, :, w, 0] = _f1_value(model, *fr)
         wall[2, w, 0, :, w, 1] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
         wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr[1], *np.eye(3)[:, :, None])
+    return (_read_only(w1), _read_only(wall).reshape(3, 4 * m, 4 * m),
+            _read_only(wall_load).reshape(2, 3, 4 * m))
+
+
+def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
+    """Monitor operators of an assembly, built on first use and cached."""
+    if assembly._monitor_ops is not None:
+        return assembly._monitor_ops
+    m = len(COMPONENTS)
+    w1, wall, wall_load = _monitor_kernels(assembly.model, assembly.kn, assembly.coeffs)
     # Trace row (2 wall + value | derivative) m + component.
     rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)
     assembly._monitor_ops = _MonitorOperators(
-        a=assembly.a_operator(), w1=w1,
+        a=assembly.a_operator(), w1=assembly._matrix(w1),
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
         traces=_csr([_unpadded_coo(rows[..., None], assembly._wall_dofs[:, :, None],
                                    assembly._wall_traces)], (4 * m, assembly.ndof)),
-        wall=wall.reshape(3, 4 * m, 4 * m), wall_load=wall_load.reshape(2, 3, 4 * m))
+        wall=wall, wall_load=wall_load)
     return assembly._monitor_ops
 
 

@@ -28,6 +28,16 @@ def test_gauss01_exact_to_degree_2q_minus_1(q):
     assert abs(wts @ pts ** (2 * q) - 1.0 / (2 * q + 1)) > 1e-6
 
 
+def test_gauss01_shares_one_read_only_rule_per_q():
+    pts, wts = gauss01(3)
+    again = gauss01(3)
+    assert again[0] is pts and again[1] is wts
+    for arr in (pts, wts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+
+
 NODE_SETS = {
     "equispaced-1": np.linspace(0.0, 1.0, 2),
     "equispaced-2": np.linspace(0.0, 1.0, 3),

@@ -1,5 +1,6 @@
 """Model loading, validation, and thermodynamic constraint checks."""
 
+import dataclasses
 import math
 import re
 
@@ -94,6 +95,18 @@ class TestMTable:
         m2 = m.with_entry(7, 1, 0.8)
         assert m2[7, 1] == 0.8
         assert m[7, 1] == 0.0
+
+    def test_hash_agrees_with_eq(self):
+        a, b = resolve_model("eta7"), resolve_model("eta7")
+        assert a == b and hash(a) == hash(b)
+        assert a.m == b.m and hash(a.m) == hash(b.m)
+        changed = a.m.with_entry(1, 1, a.m[1, 1] + 1.0)
+        assert changed != a.m
+        assert dataclasses.replace(a, m=changed) != a
+        # Zeros of either sign compare equal, so they hash alike.
+        zero = MTable(np.zeros((8, 9)))
+        negative = zero.with_entry(8, 9, -0.0)
+        assert negative == zero and hash(negative) == hash(zero)
 
 
 class TestLoadModel:

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from r13lab import slab
+from r13lab import onsager, slab
 from r13lab.fe1d import parity_bases
 from r13lab.models import bundled_models, resolve_model
 from r13lab.state import mass_inner, physical_fluxes
@@ -594,8 +594,9 @@ class TestOnePassAssembly:
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
         comps, m = slab.COMPONENTS, len(slab.COMPONENTS)
         for form, (g1, g2) in slab.FORM_GROUPS.items():
-            kern = slab._probe_volume_kernel(asm._vol[form], g1, g2)
-            walls = [(w, slab._probe_boundary_kernel(asm._bdry[form], g1, g2, w))
+            kern = slab._probe_volume_kernel(slab._volume_forms(asm.model, asm.kn)[form], g1, g2)
+            walls = [(w, slab._probe_boundary_kernel(slab._boundary_forms(asm.coeffs)[form],
+                                                     g1, g2, w))
                      for w in range(2)]
             ref = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
             assert _csr_bytes(asm.form(form)) == _csr_bytes(ref), form
@@ -675,8 +676,9 @@ class TestPlacementTables:
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
         forms = {}
         for form, (g1, g2) in slab.FORM_GROUPS.items():
-            kern = slab._probe_volume_kernel(asm._vol[form], g1, g2)
-            walls = [(w, slab._probe_boundary_kernel(asm._bdry[form], g1, g2, w))
+            kern = slab._probe_volume_kernel(slab._volume_forms(asm.model, asm.kn)[form], g1, g2)
+            walls = [(w, slab._probe_boundary_kernel(slab._boundary_forms(asm.coeffs)[form],
+                                                     g1, g2, w))
                      for w in range(2)]
             forms[form] = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
         a, steady, transient = _chain_operators(forms, formulation, asm._integral_vector("p"))
@@ -1105,6 +1107,107 @@ class TestConvergence:
         monkeypatch.setattr(slab, "solve_steady", no_solve)
         with pytest.raises(ValueError, match=match):
             convergence_study(eta7, WallData.couette(), levels, ref_factor=ref_factor)
+
+
+def _clear_kernel_memos():
+    for memo in (slab._form_kernels, slab._monitor_kernels, slab._mass_kernel):
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty kernel memos, emptied again afterwards, so tests that count
+    probes do not depend on which tests ran before them."""
+    _clear_kernel_memos()
+    yield
+    _clear_kernel_memos()
+
+
+class TestKernelMemo:
+    """The pointwise kernels are probed once per (model, Kn, wall
+    coefficients) in a process and shared, read-only, by every assembly."""
+
+    @pytest.mark.parametrize("kn", [0.1, 1.0])
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
+    def test_memo_hit_matches_cold_probe(self, name, formulation, kn, cold_memos):
+        model, wall = resolve_model(name), WallData.couette(0.3)
+
+        def build():
+            asm = SlabAssembly(SlabMesh(4, 2), model, kn, formulation)
+            ops = slab._monitor_operators(asm)
+            mon = monitors(random_state(asm, np.random.default_rng(7)), asm, wall)
+            mats = [asm.a_operator(), asm.steady_system(), asm.mass_matrix(), ops.w1]
+            return asm, ([_csr_bytes(mat) for mat in mats],
+                         np.array(dataclasses.astuple(mon)).tobytes())
+
+        first, _ = build()
+        hit_asm, hit = build()
+        assert hit_asm._kernels is first._kernels
+        _clear_kernel_memos()
+        cold_asm, cold = build()
+        assert cold_asm._kernels is not first._kernels
+        assert hit == cold
+
+    def test_ladder_probes_each_kernel_once(self, eta7, monkeypatch, cold_memos):
+        calls = dict.fromkeys([*slab.FORM_GROUPS, "w1"], 0)
+        volume_forms, w1_integrand = slab._volume_forms, slab._w1_integrand
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(slab, "_volume_forms", lambda model, kn: {
+            name: counted(name, form) for name, form in volume_forms(model, kn).items()})
+        monkeypatch.setattr(slab, "_w1_integrand", counted("w1", w1_integrand))
+        table = convergence_study(eta7, WallData.couette(), [2, 4, 8], kn=KN, ref_factor=2)
+        assert len(table.rows) == 3
+        assert calls == dict.fromkeys(calls, 1)
+
+    def test_coercivity_probe_probes_no_monitor_kernels(self, eta7, cold_memos):
+        coercivity_probe(SlabAssembly(SlabMesh(4, 2), eta7, KN))
+        assert slab._form_kernels.cache_info().currsize == 1
+        assert slab._monitor_kernels.cache_info().currsize == 0
+
+    def test_cold_monitor_build_stays_small(self, eta7, cold_memos):
+        # test_monitor_operator_build_stays_small on empty memos, so that
+        # its bound covers the kernel probe whichever tests ran before.
+        import tracemalloc
+
+        asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
+        tracemalloc.start()
+        try:
+            slab._monitor_operators(asm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slab._monitor_kernels.cache_info().misses == 1
+        assert peak <= 3 * 2**20
+
+    def test_cached_kernels_are_read_only(self, asm_eta7):
+        asm = asm_eta7
+        arrays = [arr for pair in asm._kernels.values() for arr in pair]
+        arrays += [slab._mass_kernel(), *slab._monitor_kernels(asm.model, asm.kn, asm.coeffs)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(TypeError):
+            asm._kernels["a"] = asm._kernels["d"]
+
+    def test_each_assembly_derives_its_wall_coefficients(self, eta7, monkeypatch):
+        # Counted inside the derivation, so memoizing it anywhere shows.
+        calls = []
+        derive = onsager.proportionality_constants
+
+        def counting(model):
+            calls.append(model)
+            return derive(model)
+
+        monkeypatch.setattr(onsager, "proportionality_constants", counting)
+        first, second = (SlabAssembly(SlabMesh(4, 2), eta7, KN) for _ in range(2))
+        assert calls == [eta7, eta7]
+        assert first._kernels is second._kernels
 
 
 # ---------------------------------------------------------------------------
