@@ -19,6 +19,7 @@ k3*k7 makes the pair degenerate rather than violated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -180,17 +181,30 @@ def load_model(source) -> MolecularModel:
 
     Raises ValueError naming the offending field when a value is missing or
     out of range.  Unknown top-level keys are ignored so documents can carry
-    annotations.
+    annotations.  A file is read on every call, but each distinct document
+    text is parsed once per process and its model shared: the model is
+    frozen and its m-table read-only.  An invalid text is not remembered,
+    so it raises on every call.
     """
     if isinstance(source, dict):
-        doc = source
-    else:
-        if isinstance(source, str):
-            source = Path(source)
-        # libyaml's safe loader when PyYAML was built with it: same documents,
-        # parsed in native code.
-        doc = yaml.load(source.read_text(),
-                        Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return _model_from_doc(source)
+    if isinstance(source, str):
+        source = Path(source)
+    return _model_from_text(source.read_text())
+
+
+# Distinct model texts kept parsed; the package bundles five.
+_MODEL_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_MODEL_MEMO_SIZE)
+def _model_from_text(text: str) -> MolecularModel:
+    # libyaml's safe loader when PyYAML was built with it: same documents,
+    # parsed in native code.
+    return _model_from_doc(yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
+
+
+def _model_from_doc(doc) -> MolecularModel:
     if not isinstance(doc, dict):
         raise ValueError("model document must be a mapping")
 

@@ -37,8 +37,7 @@ import scipy.sparse.linalg as spla
 from .fe1d import DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, parity_bases
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
-from .state import (PhysicalFluxes, StateVector, entropy_density, mass_inner,
-                    physical_fluxes)
+from .state import StateVector, entropy_density, mass_inner, physical_fluxes
 from .tensors import (
     Frame,
     StfTensor3,
@@ -330,9 +329,10 @@ def _probe_boundary_kernel(form, g1: str, g2: str, wall: int) -> np.ndarray:
 
 # The kernels depend on the model, Kn and the wall coefficients but never on
 # the mesh: each key is probed once per process, and every assembly of it
-# shares the read-only arrays.  One key holds about 77 KB of kernels in the
-# form and monitor memos together, 65 KB of it the mostly zero wall monitor
-# kernel.  Keys compare as the dataclasses do, so a parameter of -0.0 shares
+# shares the read-only arrays.  One key holds about 21 KB of kernels in the
+# form and monitor memos together; the wall monitor kernel is kept as its 8
+# KB of wall blocks, and each assembly expands it to the mostly zero 65 KB
+# operator.  Keys compare as the dataclasses do, so a parameter of -0.0 shares
 # the entry of +0.0; the kernels of the two differ at most in zero signs.
 _KERNEL_MEMO_SIZE = 64
 
@@ -449,6 +449,16 @@ class SlabAssembly:
             self.offsets[name] = off
             off += space.ndof
         self.ndof = off
+        # Global dofs of the normal velocity trace at both walls; the CG
+        # Lagrange trace is a single endpoint dof.
+        u1 = COMPONENTS.index("u1")
+        node = np.argmax(np.abs(self._wall_traces[u1, :, 0]), axis=1)
+        self.essential_dofs = _read_only(np.unique(self._wall_dofs[u1, [0, 1], node]))
+        # Rows and columns the steady solve keeps: all but the essential
+        # dofs, with the pressure-mean multiplier last.
+        free = np.ones(self.ndof + 1, dtype=bool)
+        free[self.essential_dofs] = False
+        self._steady_keep = _read_only(np.flatnonzero(free))
         self._mass = self._matrix(_mass_kernel())
 
     # -- layout helpers ----------------------------------------------------
@@ -459,17 +469,9 @@ class SlabAssembly:
     def group_dofs(self, group: str) -> np.ndarray:
         return np.concatenate([self.dofs(c) for c in GROUPS[group]])
 
-    @property
-    def essential_dofs(self) -> np.ndarray:
-        """Global dofs of the normal velocity trace at both walls."""
-        u1 = COMPONENTS.index("u1")
-        # CG Lagrange trace is a single endpoint dof.
-        node = np.argmax(np.abs(self._wall_traces[u1, :, 0]), axis=1)
-        return np.unique(self._wall_dofs[u1, [0, 1], node])
-
     def form(self, name: str) -> sp.csr_matrix:
         """One bilinear form, rows on its first argument; built per call."""
-        return self._placed({name: (1, 0)})
+        return self._matrix(*self._placed({name: (1, 0)}))
 
     def mass_matrix(self) -> sp.csr_matrix:
         """Mass-weighted L2 Gram in the stored (p, theta, ...) variables."""
@@ -481,7 +483,11 @@ class SlabAssembly:
         """Global matrix of the volume integral of a constant pointwise
         kernel kern, 26 x 26 on (value | derivative, component) of rows and
         columns, plus the wall integrals of the value-trace kernels walls
-        (wall, component, component) if given.
+        (wall, component, component) if given."""
+        return _csr(self._triplets(kern, walls), (self.ndof, self.ndof))
+
+    def _triplets(self, kern: np.ndarray, walls: np.ndarray | None = None) -> list:
+        """COO chunks of _matrix(kern, walls).
 
         Only component pairs with a nonzero kernel entry are scattered, all
         at once: the volume terms in pair, element, local row, local column
@@ -504,11 +510,12 @@ class SlabAssembly:
             triplets.append(_unpadded_coo(self._wall_dofs[c1, w, :, None],
                                           self._wall_dofs[c2, w, None],
                                           walls[w, c1, c2, None, None] * (tv1 * tv2)))
-        return _csr(triplets, (self.ndof, self.ndof))
+        return triplets
 
-    def _placed(self, placements: dict) -> sp.csr_matrix:
-        """Sum of s * form + t * form^T over placements {form: (s, t)}; their
-        blocks are disjoint, so assigning them keeps the sign of zeros."""
+    def _placed(self, placements: dict):
+        """(volume, wall) kernels of _matrix for the sum of s * form + t *
+        form^T over placements {form: (s, t)}; their blocks are disjoint, so
+        assigning them keeps the sign of zeros."""
         m = len(COMPONENTS)
         kern, walls = np.zeros((2, m, 2, m)), np.zeros((2, m, m))
         for name, (s, t) in placements.items():
@@ -519,7 +526,7 @@ class SlabAssembly:
             if t:
                 kern[:, c, :, r] = t * vol.transpose(2, 3, 0, 1)
                 walls[:, c, r] = t * wall.transpose(0, 2, 1)
-        return self._matrix(kern, walls)
+        return kern, walls
 
     # -- loads ---------------------------------------------------------------
 
@@ -568,22 +575,37 @@ class SlabAssembly:
         once and cached; every caller shares it, so none may modify it.
         """
         if self._a_operator is None:
-            self._a_operator = self._placed(A_PLACEMENTS[self.formulation])
+            self._a_operator = self._matrix(*self._placed(A_PLACEMENTS[self.formulation]))
             self._a_operator.eliminate_zeros()
         return self._a_operator
 
     def steady_system(self) -> sp.csr_matrix:
         """Matrix of the steady solve: the A operator plus its constraint
-        couplings, bordered by the zero-mean pressure row and column."""
-        core = self.a_operator() + self._placed(STEADY_PLACEMENTS[self.formulation])
-        pm = self._integral_vector("p")
-        return sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
+        couplings, bordered by the zero-mean pressure row and column.
+
+        Built in one COO pass from the entries of the cached A operator, the
+        scattered constraint couplings and the border.  The couplings cover
+        no component pair of the A operator, and no dof pair collects more
+        than two terms, so every sum is exact whatever the order; exact
+        zeros are not stored, as in the sparse sum A + couplings.
+        """
+        a, n = self.a_operator(), self.ndof
+        p = self.dofs("p")
+        pm = self._integral_vector("p")[p]
+        last = np.full(p.size, n)
+        triplets = [(np.repeat(np.arange(n), np.diff(a.indptr)), a.indices, a.data),
+                    *self._triplets(*self._placed(STEADY_PLACEMENTS[self.formulation])),
+                    (np.concatenate([p, last]), np.concatenate([last, p]),
+                     np.concatenate([pm, pm]))]
+        mat = _csr(triplets, (n + 1, n + 1))
+        mat.eliminate_zeros()
+        return mat
 
     def transient_operator(self) -> sp.csr_matrix:
         """Weak operator of the evolution system (no zero-mean constraint)."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
-        return self.a_operator() + self._placed(TRANSIENT_PLACEMENTS)
+        return self.a_operator() + self._matrix(*self._placed(TRANSIENT_PLACEMENTS))
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -655,14 +677,13 @@ class DiscreteState:
         return vals.reshape(shape), ders.reshape(shape)
 
     def profile(self, n_points: int = 201):
-        """Sampled x grid, component values, and physical flux recovery."""
+        """Sampled x grid, component values (13, n_points), and the physical
+        fluxes recovered at every point as one batched PhysicalFluxes: sigma
+        with components (n_points, 5) and s of shape (n_points, 3)."""
         x = np.linspace(0.0, 1.0, n_points)
         vals, ders = self.sample(x)
-        # One flux recovery over all points, split into per-point records.
-        fl = physical_fluxes(_state_from_components(vals.T), _state_from_components(ders.T),
-                             self.assembly.model, self.assembly.kn)
-        fluxes = [PhysicalFluxes(sigma=StfTensor3(sig), s=s)
-                  for sig, s in zip(fl.sigma.components, fl.s)]
+        fluxes = physical_fluxes(_state_from_components(vals.T), _state_from_components(ders.T),
+                                 self.assembly.model, self.assembly.kn)
         return x, vals, fluxes
 
 
@@ -829,12 +850,18 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: 
 # (wall, datum, trace) kernel with the data (theta_w, u_t1, u_t2) and t.
 _MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces wall wall_load")
 
+# Trace kind (value 0 | derivative 1) of the columns of the wall monitors
+# i_bdry, f1 and f2_trace; their rows are value traces.  Each couples the
+# traces of one wall only.
+_WALL_COLUMN_KIND = (0, 0, 1)
+
 
 @functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
 def _monitor_kernels(model: MolecularModel, kn: float, coeffs: BoundaryCoeffs):
     """(w1, wall, wall_load) kernels of the monitors: w1 on (value |
-    derivative, component) squared, wall as (output, wall trace, wall trace)
-    and wall_load as (wall, datum, wall trace).
+    derivative, component) squared, wall as its (output, wall) blocks on
+    (component, component), the only entries that can be nonzero (see
+    _WALL_COLUMN_KIND), and wall_load as (wall, datum, wall trace).
 
     Every kernel is probed from its own pointwise transcription (the w1
     integrand and the wall formulas), never from the bilinear forms, so
@@ -848,18 +875,15 @@ def _monitor_kernels(model: MolecularModel, kn: float, coeffs: BoundaryCoeffs):
     units, traces = np.eye(2 * m), np.eye(m)
     vol = [_volume_fields(e[..., :m], e[..., m:]) for e in (units[:, None], units[None])]
     w1 = _w1_integrand(model, kn, *vol)
-    # Wall kernels as (output, wall, value | derivative, component) squared;
-    # f2_trace pairs value rows with derivative columns.
-    wall = np.zeros((3, 2, 2, m, 2, 2, m))
+    wall = np.zeros((3, 2, m, m))
     wall_load = np.zeros((2, 3, 2, 2, m))
     for w, frame in enumerate(WALL_FRAMES):
         fr = [_wall_fields(e, frame) for e in (traces[:, None], traces[None])]
-        wall[0, w, 0, :, w, 0] = _wall_quadratic(coeffs, *fr)
-        wall[1, w, 0, :, w, 0] = _f1_value(model, *fr)
-        wall[2, w, 0, :, w, 1] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
+        wall[0, w] = _wall_quadratic(coeffs, *fr)
+        wall[1, w] = _f1_value(model, *fr)
+        wall[2, w] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
         wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr[1], *np.eye(3)[:, :, None])
-    return (_read_only(w1), _read_only(wall).reshape(3, 4 * m, 4 * m),
-            _read_only(wall_load).reshape(2, 3, 4 * m))
+    return _read_only(w1), _read_only(wall), _read_only(wall_load).reshape(2, 3, 4 * m)
 
 
 def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
@@ -867,7 +891,11 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     if assembly._monitor_ops is not None:
         return assembly._monitor_ops
     m = len(COMPONENTS)
-    w1, wall, wall_load = _monitor_kernels(assembly.model, assembly.kn, assembly.coeffs)
+    w1, blocks, wall_load = _monitor_kernels(assembly.model, assembly.kn, assembly.coeffs)
+    # The wall kernels as (output, wall trace, wall trace) matrices.
+    wall = np.zeros((3, 2, 2, m, 2, 2, m))
+    for o, w in np.ndindex(3, 2):
+        wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = blocks[o, w]
     # Trace row (2 wall + value | derivative) m + component.
     rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)
     assembly._monitor_ops = _MonitorOperators(
@@ -875,7 +903,7 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
         traces=_csr([_unpadded_coo(rows[..., None], assembly._wall_dofs[:, :, None],
                                    assembly._wall_traces)], (4 * m, assembly.ndof)),
-        wall=wall, wall_load=wall_load)
+        wall=wall.reshape(3, 4 * m, 4 * m), wall_load=wall_load)
     return assembly._monitor_ops
 
 
@@ -954,7 +982,7 @@ def solve_steady(assembly: SlabAssembly, wall: WallData):
                          "Maxwell-type model; use formulation: maxwell")
     mat = assembly.steady_system()
     rhs = np.concatenate([assembly.load_vector(wall), [0.0]])
-    keep = np.setdiff1d(np.arange(mat.shape[0]), assembly.essential_dofs)
+    keep = assembly._steady_keep
     lu, red = _factor(mat, keep)
     x, res, rel = _checked_solve(lu, red, rhs[keep], keep, mat.shape[0])
     state = DiscreteState(assembly=assembly, coefficients=x[:-1],

@@ -194,9 +194,8 @@ def test_06_equilibrium_exactness(eta7, maxwell, formulation):
                  "sig1", "sig2", "sig3", "sig4", "sig5"):
         assert np.abs(state.component(name)).max() <= 1e-10, name
     _, _, fluxes = state.profile(33)
-    for flux in fluxes:
-        assert np.abs(flux.sigma.matrix()).max() <= 1e-10
-        assert np.abs(flux.s).max() <= 1e-10
+    assert np.abs(fluxes.sigma.matrix()).max() <= 1e-10
+    assert np.abs(fluxes.s).max() <= 1e-10
     assert mon.residual_rel <= 1e-8
 
 

@@ -70,6 +70,20 @@ class TestAudits:
         assert set(tails.dtype.names) == {"index", "classical", "boundary", "stf"}
         assert tails["classical"].size == 12
 
+    def test_korn_tails_write_stf_kernel_as_zero(self, tmp_path, outdir):
+        # The kernel eigenvalues are roundoff; the rest of the tail is written
+        # as computed.
+        config = tmp_path / "korn.yaml"
+        config.write_text("n: 2\ndegree: 1\ntail: 12\n")
+        assert run("korn", "--config", str(config), "--out", str(outdir)) == EXIT_OK
+        dim = json.loads((outdir / "korn_report.json").read_text())["stf_kernel_dim"]
+        stf = [line.split(",")[3]
+               for line in (outdir / "korn_tails.csv").read_text().splitlines()[1:]]
+        report = korn.korn_constants(korn.assemble_cube_forms(korn.build_cube_mesh(2, 1)))
+        assert 0 < dim < len(stf) == 12
+        assert stf[:dim] == ["0.0"] * dim
+        assert stf[dim:] == [repr(float(v)) for v in report.stf_tail[dim:]]
+
     def test_oversized_korn_mesh_is_config_error(self, monkeypatch, outdir):
         def no_assembly(mesh):
             raise AssertionError("assembled before the size check")
@@ -103,8 +117,8 @@ class TestSolves:
         ("eta7", "nonmaxwell", slab.WallData.couette()),
         ("maxwell", "maxwell", slab.WallData.fourier())])
     def test_profile_csv_matches_per_cell_writer(self, tmp_path, name, formulation, wall):
-        # Reference: one row per point, built from its flux record and
-        # formatted cell by cell.
+        # Reference: one row per point, built from its entries of the
+        # batched flux record and formatted cell by cell.
         from r13lab import cli
         from r13lab.models import resolve_model
 
@@ -115,9 +129,9 @@ class TestSolves:
         x, vals, fluxes = state.profile(41)
         lines = [",".join(header)]
         for i in range(x.size):
-            sig = fluxes[i].sigma.matrix()
+            sig = fluxes.sigma.matrix()[i]
             row = [x[i], *vals[:, i], sig[0, 0], sig[0, 1], sig[0, 2], sig[1, 1],
-                   sig[1, 2], sig[2, 2], *fluxes[i].s]
+                   sig[1, 2], sig[2, 2], *fluxes.s[i]]
             lines.append(",".join(repr(float(v)) for v in row))
         assert (tmp_path / "profile.csv").read_text() == "\n".join(lines) + "\n"
 

@@ -270,6 +270,36 @@ class TestLoadModel:
         reference = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
         assert load_model(path) == load_model(reference)
 
+    def test_same_text_parsed_once(self, tmp_path):
+        # The model of a document text is shared, whichever file holds it.
+        copy = tmp_path / "copy.yaml"
+        copy.write_text(bundled_model_path("eta7").read_text())
+        model = load_model(bundled_model_path("eta7"))
+        assert load_model(copy) is model
+        assert resolve_model("eta7") is model
+        assert load_model(str(copy)) is model
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "model.yaml"
+        path.write_text(yaml.safe_dump(make_doc(chi=1.0)))
+        first = load_model(path)
+        path.write_text(yaml.safe_dump(make_doc(chi=0.5)))
+        second = load_model(path)
+        assert (first.chi, second.chi) == (1.0, 0.5)
+        path.write_text(yaml.safe_dump(make_doc(chi=1.0)))
+        assert load_model(path) is first
+
+    @pytest.mark.parametrize("text,error", [
+        (yaml.safe_dump(make_doc(l1=0.0)), ValueError),
+        ("- 1\n- 2\n", ValueError),
+        ("eta: [7\n", yaml.YAMLError)])
+    def test_invalid_file_raises_on_every_call(self, tmp_path, text, error):
+        path = tmp_path / "model.yaml"
+        path.write_text(text)
+        for _ in range(3):
+            with pytest.raises(error):
+                load_model(path)
+
 
 class TestThermoDiscriminants:
     def test_eta7_pair1(self):

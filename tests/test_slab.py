@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from r13lab import onsager, slab
 from r13lab.fe1d import parity_bases
@@ -202,7 +203,7 @@ class TestSteady:
     def test_maxwell_physical_shear_stress_constant(self, couette_maxwell):
         _, state, _ = couette_maxwell
         _, _, fluxes = state.profile(41)
-        sig12 = np.array([f.sigma.matrix()[0, 1] for f in fluxes])
+        sig12 = fluxes.sigma.matrix()[:, 0, 1]
         assert np.ptp(sig12) <= 1e-12
         assert sig12[0] != 0.0
 
@@ -517,13 +518,14 @@ class TestBatchedKernels:
         state = couette_eta7[1]
         x, vals, fluxes = state.profile(11)
         _, ders = state.sample(x)
-        assert len(fluxes) == x.size
-        for i, flux in enumerate(fluxes):
+        assert fluxes.sigma.components.shape == (x.size, 5)
+        assert fluxes.s.shape == (x.size, 3)
+        for i in range(x.size):
             item = physical_fluxes(slab._state_from_components(vals[:, i]),
                                    slab._state_from_components(ders[:, i]),
                                    state.assembly.model, state.assembly.kn)
-            assert np.array_equal(flux.sigma.components, item.sigma.components)
-            assert np.array_equal(flux.s, item.s)
+            assert np.array_equal(fluxes.sigma.components[i], item.sigma.components)
+            assert np.array_equal(fluxes.s[i], item.s)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +716,7 @@ class TestPlacementTables:
     @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
                                                   ("maxwell", "maxwell")])
     def test_steady_solve_builds_five_matrices(self, name, formulation, monkeypatch):
-        # Mass matrix, A operator, constraint couplings, W and the trace map.
+        # Mass matrix, A operator, steady system, W and the trace map.
         calls = []
         csr = slab._csr
 
@@ -726,6 +728,75 @@ class TestPlacementTables:
         asm = SlabAssembly(SlabMesh(8, 2), resolve_model(name), KN, formulation)
         solve_steady(asm, WallData.couette())
         assert len(calls) <= 5
+
+
+def _chain_steady_solve(asm, wall):
+    """Reference: (steady matrix, state, monitors) of solve_steady through
+    the former chain: the sparse sum A + constraint couplings, sp.bmat for
+    the pressure-mean border, setdiff1d for the kept dofs, two slices and
+    splu."""
+    core = asm.a_operator() + asm._matrix(*asm._placed(slab.STEADY_PLACEMENTS[asm.formulation]))
+    pm = asm._integral_vector("p")
+    mat = sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
+    rhs = np.concatenate([asm.load_vector(wall), [0.0]])
+    keep = np.setdiff1d(np.arange(mat.shape[0]), asm.essential_dofs)
+    red = mat[keep][:, keep].tocsc()
+    xr = spla.splu(red).solve(rhs[keep])
+    res = float(np.linalg.norm(red @ xr - rhs[keep]))
+    x = np.zeros(mat.shape[0])
+    x[keep] = xr
+    state = slab.DiscreteState(assembly=asm, coefficients=x[:-1], multiplier=float(x[-1]))
+    rel = res / float(np.linalg.norm(rhs[keep]))
+    return mat, state, monitors(state, asm, wall=wall, residual=res, residual_rel=rel)
+
+
+# Every grouping with a steady solve (D16 rejects a Maxwell-type model in
+# the coercive one).
+STEADY_GROUPINGS = [(name, formulation) for name, formulation in GROUPINGS
+                    if formulation == "maxwell" or not resolve_model(name).is_maxwell]
+
+
+class TestOnePassSteadySystem:
+    """steady_system() is one COO pass over the A operator entries, the
+    scattered constraint couplings and the border; the steady solve equals,
+    bit for bit, the former chain of sparse sum, bmat and setdiff1d."""
+
+    @pytest.mark.parametrize("kn", [0.1, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", STEADY_GROUPINGS)
+    def test_solve_matches_chain(self, name, formulation, degree, n, kn):
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), kn, formulation)
+        wall = WallData(theta_w=np.array([-0.2, 0.4]), u_t=np.array([[0.1, -0.3], [0.5, 0.2]]))
+        mat, ref_state, ref_mon = _chain_steady_solve(asm, wall)
+        state, mon = solve_steady(asm, wall)
+        # Raw arrays: the same stored entries, in the same order, of the same dtypes.
+        raw = [(m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())
+               for m in (asm.steady_system(), mat)]
+        assert raw[0] == raw[1]
+        assert state.coefficients.tobytes() == ref_state.coefficients.tobytes()
+        assert np.float64(state.multiplier).tobytes() == np.float64(ref_state.multiplier).tobytes()
+        assert (np.array(dataclasses.astuple(mon)).tobytes()
+                == np.array(dataclasses.astuple(ref_mon)).tobytes())
+
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_solve_uses_no_bmat_or_setdiff1d(self, name, formulation, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("steady solve used the former chain")
+
+        asm = SlabAssembly(SlabMesh(8, 2), resolve_model(name), KN, formulation)
+        monkeypatch.setattr(slab.sp, "bmat", banned)
+        monkeypatch.setattr(slab.np, "setdiff1d", banned)
+        solve_steady(asm, WallData.couette())
+
+    def test_essential_dofs_computed_once_read_only(self, asm_eta7, asm_maxwell):
+        for asm in (asm_eta7, asm_maxwell):
+            assert asm.essential_dofs is asm.essential_dofs
+            assert not asm.essential_dofs.flags.writeable
+            # u1 is CG in both groupings: its first and last dof.
+            u1 = asm.dofs("u1")
+            assert asm.essential_dofs.tolist() == [u1[0], u1[-1]]
 
 
 def _per_call_wall_term(self, out, group, wall, term):
@@ -1184,6 +1255,13 @@ class TestKernelMemo:
             tracemalloc.stop()
         assert slab._monitor_kernels.cache_info().misses == 1
         assert peak <= 3 * 2**20
+
+    def test_wall_monitor_memo_holds_only_wall_blocks(self, asm_eta7, asm_maxwell):
+        # 3 wall monitors x 2 walls x one 13 x 13 block each; the dense
+        # (3, 52, 52) operator is expanded per assembly.
+        for asm in (asm_eta7, asm_maxwell):
+            assert slab._monitor_kernels(asm.model, asm.kn, asm.coeffs)[1].size <= 1014
+            assert slab._monitor_operators(asm).wall.shape == (3, 52, 52)
 
     def test_cached_kernels_are_read_only(self, asm_eta7):
         asm = asm_eta7
