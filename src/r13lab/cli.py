@@ -137,16 +137,20 @@ def _require_model(cfg: dict) -> str:
     return str(cfg["model"])
 
 
-def _model_file(source: str) -> Path:
-    """The file a model source resolves to, for hashing in the manifest."""
+def _model_file(source: str) -> tuple[Path, str]:
+    """The file a model source resolves to, for hashing in the manifest,
+    and the path the manifest records: a model file's path as given, and a
+    bundled model's path within the package (data/<name>.yaml), so that the
+    manifest does not depend on where the package is installed."""
     from .models import bundled_model_path
 
     path = Path(source)
     if path.suffix in (".yaml", ".yml") or path.exists():
         if not path.is_file():
             raise ConfigError(f"model file not found: {source}")
-        return path
-    return Path(str(bundled_model_path(source)))
+        return path, str(path)
+    bundled = bundled_model_path(source)
+    return Path(str(bundled)), f"data/{bundled.name}"
 
 
 def _positive_int(cfg: dict, key: str) -> int:
@@ -194,7 +198,9 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Raises ValueError, writing nothing, if the payload holds a NaN or an
+    infinity, which JSON cannot represent."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -218,9 +224,9 @@ def _finish(out_dir: Path, command: str, cfg: dict, args,
 
     inputs = {}
     if cfg.get("model"):
-        model_path = _model_file(str(cfg["model"]))
+        model_path, recorded = _model_file(str(cfg["model"]))
         inputs["model"] = {"source": str(cfg["model"]),
-                           "path": str(model_path),
+                           "path": recorded,
                            "sha256": _sha256(model_path)}
     if args.config:
         inputs["config"] = {"path": args.config,

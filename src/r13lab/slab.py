@@ -6,9 +6,12 @@ the slab gradient helpers of :mod:`r13lab.tensors`.  The bilinear forms are
 never hand-reduced: each one is probed numerically from its 3-D definition
 on unit value / derivative inputs, all stacked into one batched evaluation,
 which yields a constant pointwise kernel because the coefficients are
-homogeneous.  Each matrix is then assembled in one broadcast pass: the
-kernel entries of every coupled component pair scale 1-D element matrices
-that are cached once per pair of space kinds.
+homogeneous.  Which dofs couple is fixed by the mesh and the grouping
+alone, so each (mesh, grouping) has one memoized layout: its dof tables,
+wall traces, mass matrix and trace map, and one sparsity pattern per set
+of coupled component pairs with the plan that scatters values into it.  A
+matrix is then the kernel entries of its coupled pairs scaling the 1-D
+element matrices of their space kinds, scattered into its cached pattern.
 
 Wall frames: at x = 1 the outward normal is +e1, at x = 0 it is -e1, with
 t1 = e2 and t2 = e3 at both walls.  Normal components of odd fields flip
@@ -329,7 +332,8 @@ def _probe_boundary_kernel(form, g1: str, g2: str, wall: int) -> np.ndarray:
 
 # The kernels depend on the model, Kn and the wall coefficients but never on
 # the mesh: each key is probed once per process, and every assembly of it
-# shares the read-only arrays.  One key holds about 21 KB of kernels in the
+# shares the read-only arrays (what depends on the mesh alone is in the
+# layout memo below).  One key holds about 21 KB of kernels in the
 # form and monitor memos together; the wall monitor kernel is kept as its 8
 # KB of wall blocks, and each assembly expands it to the mostly zero 65 KB
 # operator.  Keys compare as the dataclasses do, so a parameter of -0.0 shares
@@ -369,20 +373,316 @@ def _mass_kernel() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# layouts and sparsity patterns
+
+
+def _int32(arr) -> np.ndarray:
+    return _read_only(np.asarray(arr, dtype=np.int32))
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """Compressed sparsity pattern, CSR or CSC, with the plan that sums a
+    short value array into it: one value per entry of each element matrix
+    and wall block (the elements of a pair share theirs), and one per
+    border entry.  first[k] is the index of the first value of stored entry
+    k; later holds, per rank r >= 1, the stored entries that receive an
+    r-th value and its indices.  A matrix assigns the first values and adds
+    the later ones rank by rank, so every stored entry sums its values in
+    scatter order and a lone zero keeps its sign.  Every array is read-only
+    int32.
+    """
+
+    shape: tuple
+    csc: bool
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    later: tuple
+
+    @classmethod
+    def build(cls, keys: np.ndarray, src: np.ndarray, shape: tuple,
+              csc: bool = False) -> "_Pattern":
+        """Pattern of entries listed in scatter order, each with its key
+        major * n_minor + minor (row major for CSR, column major for CSC)
+        and the index src of its value; an entry with a negative key, on a
+        padded or dropped row or column, is not stored."""
+        n_major, n_minor = shape[::-1] if csc else shape
+        order = np.argsort(keys, kind="stable")  # each stored entry's values in scatter order
+        keys = keys[order]
+        skip = np.searchsorted(keys, 0)
+        order, keys = order[skip:], keys[skip:]
+        new = np.empty(keys.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        stored, n_sorted = keys[starts], keys.size
+        del keys, new
+        # The r-th value of a stored entry is at sorted position start + r.
+        count = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=count[:-1])
+        count[-1:] = n_sorted - starts[-1:]
+        later = []
+        for r in range(1, count.max(initial=1)):
+            slots = np.flatnonzero(count > r)
+            later.append((_int32(slots), _int32(src[order[starts[slots] + r]])))
+        majors = np.arange(n_major + 1, dtype=stored.dtype) * n_minor
+        return cls(shape=shape, csc=csc, indptr=_int32(np.searchsorted(stored, majors)),
+                   indices=_int32(stored - stored // n_minor * n_minor),
+                   first=_int32(src[order[starts]]), later=tuple(later))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in (self.indptr, self.indices, self.first,
+                                          *(arr for pair in self.later for arr in pair)))
+
+    def matrix(self, vals: np.ndarray):
+        """The matrix of the value array vals on this pattern.  Its index
+        arrays are copies, so in-place operations on it leave the pattern
+        alone."""
+        data = vals[self.first]
+        for slots, src in self.later:
+            data[slots] += vals[src]
+        fmt = sp.csc_matrix if self.csc else sp.csr_matrix
+        return fmt((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+
+def _frozen(mat):
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
+
+
+class _SlabLayout:
+    """The model-free structure of the assemblies on one (mesh, grouping):
+    element matrices, dof tables, wall traces, essential and kept dofs, the
+    trace map and the mass matrix, and one sparsity pattern per coupled-pair
+    signature, built on first use and kept with the layout.  Every array is
+    read-only, so assemblies share the layout.
+    """
+
+    def __init__(self, mesh: SlabMesh, formulation: str):
+        spaces = build_spaces(mesh, formulation)
+        self.mesh, self.formulation = mesh, formulation
+        kinds, size, m = ("cg", "dg"), mesh.degree + 1, len(COMPONENTS)
+        space_of = {space.kind: space for space in spaces.values()}
+        traces = {kind: space.locate(np.array([0.0, 1.0])) for kind, space in space_of.items()}
+        # Element matrices (vv, vd, dv, dd) per (row kind, column kind), and
+        # per component its element dofs, wall-trace dofs and wall traces
+        # (wall, value | derivative, local basis function), all zero-padded
+        # to the cg local size; padded dofs are -1.
+        blocks = np.zeros((2, 2, 4, size, size))
+        for a, b in np.ndindex(2, 2):
+            elem = element_matrices(space_of[kinds[a]], space_of[kinds[b]])
+            blocks[a, b, :, :elem.shape[1], :elem.shape[2]] = elem
+        elem_dofs = np.full((m, mesh.n_elements, size), -1, dtype=np.int32)
+        wall_dofs = np.full((m, 2, size), -1, dtype=np.int32)
+        wall_traces = np.zeros((m, 2, 2, size))
+        # Per space kind: element dofs, wall-trace dofs and wall traces.
+        tables = {kind: (space.all_element_dofs(), traces[kind][0],
+                         np.stack([traces[kind][1].T, traces[kind][2].T], axis=1))
+                  for kind, space in space_of.items()}
+        offsets, sizes = {}, {}
+        off = 0
+        for i, name in enumerate(COMPONENTS):
+            space = spaces[name]
+            elems, dofs, values = tables[space.kind]
+            elem_dofs[i, :, :space.n_local] = off + elems
+            wall_dofs[i, :, :space.n_local] = off + dofs
+            wall_traces[i, :, :, :space.n_local] = values
+            offsets[name], sizes[name] = off, space.ndof
+            off += space.ndof
+        self.ndof = off
+        self.offsets, self.sizes = MappingProxyType(offsets), MappingProxyType(sizes)
+        self.kind = _read_only(np.array([kinds.index(spaces[c].kind) for c in COMPONENTS]))
+        self.blocks, self.elem_dofs = _read_only(blocks), _read_only(elem_dofs)
+        self.wall_dofs, self.wall_traces = _read_only(wall_dofs), _read_only(wall_traces)
+        # Global dofs of the normal velocity trace at both walls; the CG
+        # Lagrange trace is a single endpoint dof.
+        u1 = COMPONENTS.index("u1")
+        node = np.argmax(np.abs(wall_traces[u1, :, 0]), axis=1)
+        self.essential_dofs = _read_only(np.unique(wall_dofs[u1, [0, 1], node]))
+        # Rows and columns the steady solve keeps: all but the essential
+        # dofs, with the pressure-mean multiplier last.  Less the multiplier,
+        # they are the free dofs of every other solve and probe.
+        free = np.ones(self.ndof + 1, dtype=bool)
+        free[self.essential_dofs] = False
+        self.steady_keep = _read_only(np.flatnonzero(free))
+        self.free_dofs = self.steady_keep[:-1]
+        self._patterns: dict = {}
+        # Trace row (wall, value | derivative) m + component of each wall
+        # dof.  Built once, as is the mass matrix, so their patterns are not
+        # kept.
+        rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)[..., None]
+        cols = wall_dofs[:, :, None]
+        keys = np.where(cols >= 0, rows * self.ndof + cols, -1).ravel()
+        self.traces = _frozen(_Pattern.build(keys, np.arange(keys.size), (4 * m, self.ndof))
+                              .matrix(wall_traces.ravel()))
+        coupled, walled, vals = self.values(_mass_kernel())
+        self.mass = _frozen(self._build_pattern(coupled, walled).matrix(vals))
+        # Bytes of the arrays the layout holds, its patterns included.
+        self.nbytes = sum(arr.nbytes for arr in (
+            self.kind, self.blocks, self.elem_dofs, self.wall_dofs, self.wall_traces,
+            self.essential_dofs, self.steady_keep, *(getattr(mat, name)
+                                                     for mat in (self.mass, self.traces)
+                                                     for name in ("data", "indices", "indptr"))))
+
+    def dofs(self, component: str) -> np.ndarray:
+        return self.offsets[component] + np.arange(self.sizes[component])
+
+    def free(self, components) -> np.ndarray:
+        """The free dofs of the given components, in layout order."""
+        free = self.free_dofs
+        return np.concatenate([free[(free >= self.offsets[c])
+                                    & (free < self.offsets[c] + self.sizes[c])]
+                               for c in components])
+
+    def matrix(self, kern: np.ndarray, walls: np.ndarray | None = None) -> sp.csr_matrix:
+        """Global matrix of the volume integral of a constant pointwise
+        kernel kern, 26 x 26 on (value | derivative, component) of rows and
+        columns, plus the wall integrals of the value-trace kernels walls
+        (wall, component, component) if given.  Only component pairs with a
+        nonzero kernel entry are scattered."""
+        coupled, walled, vals = self.values(kern, walls)
+        return self.pattern(coupled, walled).matrix(vals)
+
+    def values(self, kern, walls=None):
+        """(coupled component pairs, nonzero wall kernel entries, value
+        array) of matrix: the element matrix of each coupled pair, then the
+        wall block of each nonzero wall entry."""
+        m = len(COMPONENTS)
+        if walls is None:
+            walls = np.zeros((2, m, m))
+        # Kernel entries (vv, vd, dv, dd) of each component pair on axis 0.
+        k4 = kern.reshape(2, m, 2, m).transpose(0, 2, 1, 3).reshape(4, m, m)
+        coupled = np.any(k4 != 0, axis=0)
+        c1, c2 = np.nonzero(coupled)
+        w, d1, d2 = np.nonzero(walls)
+        blk = self.blocks[self.kind[c1], self.kind[c2]]
+        k = k4[:, c1, c2, None, None]
+        tv1, tv2 = self.wall_traces[d1, w, 0, :, None], self.wall_traces[d2, w, 0, None]
+        # Four explicit terms: sum() would start from 0 and turn -0.0 into +0.0.
+        vals = [k[0] * blk[:, 0] + k[1] * blk[:, 1] + k[2] * blk[:, 2] + k[3] * blk[:, 3],
+                walls[w, d1, d2, None, None] * (tv1 * tv2)]
+        return coupled, walls != 0, np.concatenate([v.ravel() for v in vals])
+
+    def pattern(self, coupled: np.ndarray, walled: np.ndarray) -> _Pattern:
+        """The CSR pattern of matrix for the coupled component pairs and the
+        nonzero wall kernel entries walled, built on first use."""
+        return self._pattern((coupled.tobytes(), walled.tobytes()),
+                             lambda: self._build_pattern(coupled, walled))
+
+    def steady_pattern(self, a_sig: tuple, c_sig: tuple) -> _Pattern:
+        """The pattern of the matrix a steady solve factors: the entries of
+        the A operator and of its constraint couplings, given by their
+        (coupled, walled) signatures, bordered by the zero-mean pressure row
+        and column, on the rows and columns the solve keeps, as CSC.  Its
+        value array is the two value arrays of matrix, then the border.  The
+        two share no entry, so each stored entry sums, in scatter order, the
+        values of one of them."""
+        def build():
+            size2 = (self.mesh.degree + 1) ** 2
+            n_a, n_c = ((coupled.sum() + walled.sum()) * size2
+                        for coupled, walled in (a_sig, c_sig))
+            # Each dof to its index among the kept ones; dropped dofs and the
+            # padding index -1 go to -1.
+            at = np.full(self.ndof + 2, -1)
+            at[self.steady_keep] = np.arange(self.steady_keep.size)
+            (a_keys, a_src), (c_keys, c_src) = (self._entries(*sig, at) for sig in (a_sig, c_sig))
+            n, p = self.steady_keep.size, at[self.dofs("p")]
+            border = (n_a + n_c + np.arange(p.size)).astype(np.int32)
+            keys = np.concatenate([a_keys, c_keys, *(k.astype(a_keys.dtype)
+                                                     for k in ((n - 1) * n + p, p * n + n - 1))])
+            src = np.concatenate([a_src, c_src + np.int32(n_a), border, border])
+            del a_keys, a_src, c_keys, c_src  # only the concatenations go on
+            return _Pattern.build(keys, src, (n, n), csc=True)
+
+        return self._pattern(("steady", *(sig.tobytes() for sig in (*a_sig, *c_sig))), build)
+
+    def _pattern(self, key: tuple, build) -> _Pattern:
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            pattern = self._patterns[key] = build()
+            self.nbytes += pattern.nbytes
+            _trim_layouts()
+        return pattern
+
+    def _build_pattern(self, coupled, walled) -> _Pattern:
+        return _Pattern.build(*self._entries(coupled, walled), (self.ndof, self.ndof))
+
+    def _entries(self, coupled, walled, at=None):
+        """(keys, value indices) of the entries matrix scatters, in scatter
+        order: the volume terms in pair, element, local row, local column
+        order, then the wall terms in wall, pair, local row, local column
+        order.  A key is row * n + column; with at, a renumbering of the
+        dofs, it is column * n + row of the renumbered dofs.  Keys are
+        negative where a row or a column is -1, padding or dropped."""
+        c1, c2 = np.nonzero(coupled)
+        w, d1, d2 = np.nonzero(walled)
+        elem, wall, n = self.elem_dofs, self.wall_dofs, self.ndof
+        if at is not None:
+            elem, wall, n = at[elem], at[wall], self.steady_keep.size
+        # pad is below -n * n; the keys are int32 where the sum of two pads
+        # fits, which sorts faster.
+        stride, pad = ((n, 1) if at is None else (1, n)), -n * (n + 1)
+        dtype = np.int32 if 2 * n * (n + 1) < 2**31 else np.int64
+
+        def key(dofs, axis):  # the key terms of row (0) or column (1) dofs
+            return np.where(dofs >= 0, dofs.astype(dtype) * stride[axis], pad).astype(dtype)
+
+        def listed(rows, cols):
+            # Element and wall blocks list their entries major index first, so
+            # keys ascend within a block and the sort meets long runs.  Only
+            # duplicates tie, and they come from different elements or
+            # walls, in scatter order either way.
+            return (rows[..., :, None], cols[..., None, :]) if at is None else (
+                rows[..., None, :], cols[..., :, None])
+
+        size = self.mesh.degree + 1
+        vol = (c1.size, self.mesh.n_elements, size, size)
+        n_vol = int(np.prod(vol))
+        keys = np.empty(n_vol + w.size * size * size, dtype=dtype)
+        np.add(*listed(key(elem, 0)[c1], key(elem, 1)[c2]), out=keys[:n_vol].reshape(vol))
+        np.add(*listed(key(wall, 0)[d1, w], key(wall, 1)[d2, w]),
+               out=keys[n_vol:].reshape(w.size, size, size))
+        # Value indices, listed as the keys are: one per element-matrix entry
+        # of each pair, shared by all its elements, then one per wall-block
+        # entry.
+        local = np.add(*listed(np.arange(0, size * size, size), np.arange(size)))
+        src = np.empty(keys.size, dtype=np.int32)
+        src[:n_vol].reshape(vol)[...] = size * size * np.arange(c1.size)[:, None, None, None] + local
+        src[n_vol:] = (size * size * (c1.size + np.arange(w.size)[:, None, None]) + local).ravel()
+        return keys, src
+
+
+# Layouts depend on the mesh and the grouping alone: each is built once per
+# process and shared by every assembly on it, whatever its model and Kn.
+# The memo holds layouts, their patterns included, up to _LAYOUT_MEMO_BYTES
+# and drops the least recently used beyond that; a layout out of the memo
+# lives, with its patterns, as long as its assemblies.  A coercive layout at
+# n 64, degree 2, holds about 0.6 MiB once a steady solve has built its
+# patterns, about 10 KB per element, so steady requests up to n 64 in both
+# groupings fit.
+_LAYOUT_MEMO_BYTES = 2 * 2**20
+_layouts: dict = {}  # (mesh, formulation) -> layout, least recently used first
+
+
+def _slab_layout(mesh: SlabMesh, formulation: str) -> _SlabLayout:
+    key = (mesh, formulation)
+    layout = _layouts[key] = _layouts.pop(key, None) or _SlabLayout(mesh, formulation)
+    _trim_layouts()
+    return layout
+
+
+def _trim_layouts():
+    """Drop least recently used layouts until the memo holds at most
+    _LAYOUT_MEMO_BYTES."""
+    while sum(layout.nbytes for layout in _layouts.values()) > _LAYOUT_MEMO_BYTES:
+        del _layouts[next(iter(_layouts))]
+
+
+# ---------------------------------------------------------------------------
 # assembly
-
-
-def _csr(triplets: list, shape: tuple) -> sp.csr_matrix:
-    """Sum a list of COO (rows, cols, vals) chunks into a CSR matrix."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
-def _unpadded_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """Broadcast COO arrays and keep, in C order, the entries off padding (-1)."""
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], vals[keep]
 
 
 class SlabAssembly:
@@ -392,12 +692,15 @@ class SlabAssembly:
     its first argument.  Matrices are built from kernels on demand, in the
     shared component dof layout; a system operator from its placement table.
 
-    Work that depends on no mesh runs once per process: the form and
-    monitor kernels once per (model, Kn, wall coefficients), the mass
-    kernel once, the Gauss rules once per order.  Each assembly does the
-    rest itself: it derives and audits the wall coefficients of its model
-    unless given them, and builds its spaces, wall traces, element
-    matrices, sparse matrices and factorizations.
+    Mostly the values are the assembly's own work.  The form and monitor
+    kernels are probed once per (model, Kn, wall coefficients), the mass
+    kernel once and the Gauss rules once per order; the layout (dof tables,
+    wall traces, mass matrix, trace map and sparsity patterns) once per
+    (mesh, grouping) while the layout memo keeps it.  Each assembly derives
+    and audits the wall coefficients of its model unless given them, builds
+    its two spaces, which evaluate its states and give its integral
+    functionals, scatters its matrix values into the cached patterns and
+    factors its own systems.
     """
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
@@ -419,52 +722,19 @@ class SlabAssembly:
         self.coeffs = coeffs if coeffs is not None else boundary_coefficients(model)
 
         self.spaces = build_spaces(mesh, formulation)
+        self._layout = _slab_layout(mesh, formulation)
+        self.offsets, self.ndof = self._layout.offsets, self._layout.ndof
+        self.essential_dofs = self._layout.essential_dofs
         self._kernels = _form_kernels(model, self.kn, self.coeffs)
         self._factorizations: dict = {}
+        self._a_values = None
         self._a_operator: sp.csr_matrix | None = None
         self._monitor_ops = None
-        kinds, size, m = ("cg", "dg"), mesh.degree + 1, len(COMPONENTS)
-        space_of = {space.kind: space for space in self.spaces.values()}
-        traces = {kind: space.locate(np.array([0.0, 1.0])) for kind, space in space_of.items()}
-        # Element matrices (vv, vd, dv, dd) per (row kind, column kind), and
-        # per component its element dofs, wall-trace dofs and wall traces
-        # (wall, value | derivative, local basis function), all zero-padded
-        # to the cg local size; padded dofs are -1.
-        self._blocks = np.zeros((2, 2, 4, size, size))
-        for a, b in np.ndindex(2, 2):
-            elem = element_matrices(space_of[kinds[a]], space_of[kinds[b]])
-            self._blocks[a, b, :, :elem.shape[1], :elem.shape[2]] = elem
-        self._kind = np.array([kinds.index(self.spaces[c].kind) for c in COMPONENTS])
-        self._elem_dofs = np.full((m, mesh.n_elements, size), -1)
-        self._wall_dofs = np.full((m, 2, size), -1)
-        self._wall_traces = np.zeros((m, 2, 2, size))
-        self.offsets: dict[str, int] = {}
-        off = 0
-        for i, name in enumerate(COMPONENTS):
-            space = self.spaces[name]
-            dofs, vals, ders = traces[space.kind]
-            self._elem_dofs[i, :, :space.n_local] = off + space.all_element_dofs()
-            self._wall_dofs[i, :, :space.n_local] = off + dofs
-            self._wall_traces[i, :, :, :space.n_local] = np.stack([vals.T, ders.T], axis=1)
-            self.offsets[name] = off
-            off += space.ndof
-        self.ndof = off
-        # Global dofs of the normal velocity trace at both walls; the CG
-        # Lagrange trace is a single endpoint dof.
-        u1 = COMPONENTS.index("u1")
-        node = np.argmax(np.abs(self._wall_traces[u1, :, 0]), axis=1)
-        self.essential_dofs = _read_only(np.unique(self._wall_dofs[u1, [0, 1], node]))
-        # Rows and columns the steady solve keeps: all but the essential
-        # dofs, with the pressure-mean multiplier last.
-        free = np.ones(self.ndof + 1, dtype=bool)
-        free[self.essential_dofs] = False
-        self._steady_keep = _read_only(np.flatnonzero(free))
-        self._mass = self._matrix(_mass_kernel())
 
     # -- layout helpers ----------------------------------------------------
 
     def dofs(self, component: str) -> np.ndarray:
-        return self.offsets[component] + np.arange(self.spaces[component].ndof)
+        return self._layout.dofs(component)
 
     def group_dofs(self, group: str) -> np.ndarray:
         return np.concatenate([self.dofs(c) for c in GROUPS[group]])
@@ -474,43 +744,16 @@ class SlabAssembly:
         return self._matrix(*self._placed({name: (1, 0)}))
 
     def mass_matrix(self) -> sp.csr_matrix:
-        """Mass-weighted L2 Gram in the stored (p, theta, ...) variables."""
-        return self._mass
+        """Mass-weighted L2 Gram in the stored (p, theta, ...) variables;
+        shared by every assembly of the layout, so read-only."""
+        return self._layout.mass
 
     # -- element assembly ----------------------------------------------------
 
     def _matrix(self, kern: np.ndarray, walls: np.ndarray | None = None) -> sp.csr_matrix:
-        """Global matrix of the volume integral of a constant pointwise
-        kernel kern, 26 x 26 on (value | derivative, component) of rows and
-        columns, plus the wall integrals of the value-trace kernels walls
-        (wall, component, component) if given."""
-        return _csr(self._triplets(kern, walls), (self.ndof, self.ndof))
-
-    def _triplets(self, kern: np.ndarray, walls: np.ndarray | None = None) -> list:
-        """COO chunks of _matrix(kern, walls).
-
-        Only component pairs with a nonzero kernel entry are scattered, all
-        at once: the volume terms in pair, element, local row, local column
-        order, then the wall terms in wall, pair, local row, local column
-        order.  That is the order in which duplicates are summed.
-        """
-        m = len(COMPONENTS)
-        # Kernel entries (vv, vd, dv, dd) of each component pair on axis 0.
-        k4 = kern.reshape(2, m, 2, m).transpose(0, 2, 1, 3).reshape(4, m, m)
-        c1, c2 = np.nonzero(np.any(k4 != 0, axis=0))
-        blk = self._blocks[self._kind[c1], self._kind[c2]]
-        k = k4[:, c1, c2, None, None]
-        # Four explicit terms: sum() would start from 0 and turn -0.0 into +0.0.
-        elem = k[0] * blk[:, 0] + k[1] * blk[:, 1] + k[2] * blk[:, 2] + k[3] * blk[:, 3]
-        triplets = [_unpadded_coo(self._elem_dofs[c1][..., None],
-                                  self._elem_dofs[c2][..., None, :], elem[:, None])]
-        if walls is not None:
-            w, c1, c2 = np.nonzero(walls)
-            tv1, tv2 = self._wall_traces[c1, w, 0, :, None], self._wall_traces[c2, w, 0, None]
-            triplets.append(_unpadded_coo(self._wall_dofs[c1, w, :, None],
-                                          self._wall_dofs[c2, w, None],
-                                          walls[w, c1, c2, None, None] * (tv1 * tv2)))
-        return triplets
+        """Global matrix of a volume kernel and wall kernels (see
+        _SlabLayout.matrix)."""
+        return self._layout.matrix(kern, walls)
 
     def _placed(self, placements: dict):
         """(volume, wall) kernels of _matrix for the sum of s * form + t *
@@ -560,8 +803,8 @@ class SlabAssembly:
         c = _GROUP_SLICE[group]
         coeffs = term(_unit_traces(group, wall)[0]).ravel()
         i = np.nonzero(coeffs)[0]
-        dofs = self._wall_dofs[c][i, wall]
-        vals = coeffs[i, None] * self._wall_traces[c][i, wall, 0]
+        dofs = self._layout.wall_dofs[c][i, wall]
+        vals = coeffs[i, None] * self._layout.wall_traces[c][i, wall, 0]
         out[dofs[dofs >= 0]] += vals[dofs >= 0]
 
     # -- system operators ------------------------------------------------------
@@ -575,29 +818,34 @@ class SlabAssembly:
         once and cached; every caller shares it, so none may modify it.
         """
         if self._a_operator is None:
-            self._a_operator = self._matrix(*self._placed(A_PLACEMENTS[self.formulation]))
+            coupled, walled, vals = self._a_placed_values()
+            self._a_operator = self._layout.pattern(coupled, walled).matrix(vals)
             self._a_operator.eliminate_zeros()
         return self._a_operator
 
-    def steady_system(self) -> sp.csr_matrix:
-        """Matrix of the steady solve: the A operator plus its constraint
-        couplings, bordered by the zero-mean pressure row and column.
+    def _a_placed_values(self):
+        """(coupled, walled, values) of the A placements, computed once."""
+        if self._a_values is None:
+            self._a_values = self._layout.values(*self._placed(A_PLACEMENTS[self.formulation]))
+        return self._a_values
 
-        Built in one COO pass from the entries of the cached A operator, the
-        scattered constraint couplings and the border.  The couplings cover
-        no component pair of the A operator, and no dof pair collects more
-        than two terms, so every sum is exact whatever the order; exact
-        zeros are not stored, as in the sparse sum A + couplings.
+    def steady_system(self) -> sp.csc_matrix:
+        """Matrix the steady solve factors: the A operator plus its
+        constraint couplings, bordered by the zero-mean pressure row and
+        column, on the rows and columns the solve keeps (all but the
+        essential dofs, the multiplier last), as CSC.
+
+        One scatter of the A values, the constraint values and the border
+        into the cached steady pattern.  The couplings cover no component
+        pair of the A operator, so every entry sums the terms it sums
+        there.  Exact zeros are not stored.
         """
-        a, n = self.a_operator(), self.ndof
-        p = self.dofs("p")
-        pm = self._integral_vector("p")[p]
-        last = np.full(p.size, n)
-        triplets = [(np.repeat(np.arange(n), np.diff(a.indptr)), a.indices, a.data),
-                    *self._triplets(*self._placed(STEADY_PLACEMENTS[self.formulation])),
-                    (np.concatenate([p, last]), np.concatenate([last, p]),
-                     np.concatenate([pm, pm]))]
-        mat = _csr(triplets, (n + 1, n + 1))
+        a_coupled, a_walled, a_vals = self._a_placed_values()
+        c_coupled, c_walled, c_vals = self._layout.values(
+            *self._placed(STEADY_PLACEMENTS[self.formulation]))
+        border = self._integral_vector("p")[self.dofs("p")]
+        pattern = self._layout.steady_pattern((a_coupled, a_walled), (c_coupled, c_walled))
+        mat = pattern.matrix(np.concatenate([a_vals, c_vals, border]))
         mat.eliminate_zeros()
         return mat
 
@@ -659,13 +907,13 @@ class DiscreteState:
         coefficients of its components, so points are located once per kind.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        asm = self.assembly
+        spaces = self.assembly.spaces
         vals = np.empty((len(COMPONENTS), x.size))
         ders = np.empty((len(COMPONENTS), x.size))
-        for kind in np.unique(asm._kind):
-            comps = np.nonzero(asm._kind == kind)[0]
+        for kind in ("cg", "dg"):
+            comps = [i for i, c in enumerate(COMPONENTS) if spaces[c].kind == kind]
             coeffs = np.stack([self.component(COMPONENTS[i]) for i in comps])
-            vals[comps], ders[comps] = asm.spaces[COMPONENTS[comps[0]]].evaluate(coeffs, x)
+            vals[comps], ders[comps] = spaces[COMPONENTS[comps[0]]].evaluate(coeffs, x)
         return vals, ders
 
     def sample_grid(self, ref_pts: np.ndarray):
@@ -896,14 +1144,11 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     wall = np.zeros((3, 2, 2, m, 2, 2, m))
     for o, w in np.ndindex(3, 2):
         wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = blocks[o, w]
-    # Trace row (2 wall + value | derivative) m + component.
-    rows = np.arange(4 * m).reshape(2, 2, m).transpose(2, 0, 1)
     assembly._monitor_ops = _MonitorOperators(
         a=assembly.a_operator(), w1=assembly._matrix(w1),
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
-        traces=_csr([_unpadded_coo(rows[..., None], assembly._wall_dofs[:, :, None],
-                                   assembly._wall_traces)], (4 * m, assembly.ndof)),
-        wall=wall.reshape(3, 4 * m, 4 * m), wall_load=wall_load)
+        traces=assembly._layout.traces, wall=wall.reshape(3, 4 * m, 4 * m),
+        wall_load=wall_load)
     return assembly._monitor_ops
 
 
@@ -943,12 +1188,10 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
 # steady solves
 
 
-def _factor(mat: sp.csr_matrix, keep: np.ndarray):
-    """(sparse LU factor, reduced CSC matrix) of mat on the rows and
-    columns in keep; raises SolverError if the factorization fails."""
-    red = mat[keep][:, keep].tocsc()
+def _factor(red: sp.csc_matrix):
+    """Sparse LU factor of red; raises SolverError if the factorization fails."""
     try:
-        return spla.splu(red), red
+        return spla.splu(red)
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
@@ -980,11 +1223,10 @@ def solve_steady(assembly: SlabAssembly, wall: WallData):
     if assembly.model.is_maxwell and assembly.formulation == "nonmaxwell":
         raise ValueError("the coercive grouping has no well-posed steady solve for a "
                          "Maxwell-type model; use formulation: maxwell")
-    mat = assembly.steady_system()
+    red = assembly.steady_system()
     rhs = np.concatenate([assembly.load_vector(wall), [0.0]])
-    keep = assembly._steady_keep
-    lu, red = _factor(mat, keep)
-    x, res, rel = _checked_solve(lu, red, rhs[keep], keep, mat.shape[0])
+    keep = assembly._layout.steady_keep
+    x, res, rel = _checked_solve(_factor(red), red, rhs[keep], keep, assembly.ndof + 1)
     state = DiscreteState(assembly=assembly, coefficients=x[:-1],
                           multiplier=float(x[-1]))
     mon = monitors(state, assembly, wall=wall, residual=res, residual_rel=rel)
@@ -1013,12 +1255,12 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
     key = (float(dt), scheme)
     cached = assembly._factorizations.get(key)
     if cached is None:
-        keep = np.setdiff1d(np.arange(assembly.ndof), assembly.essential_dofs)
+        keep = assembly._layout.free_dofs
         mass = assembly.mass_matrix()
         op = assembly.transient_operator()
-        lu, left = _factor(mass / dt + theta_s * op, keep)
+        left = (mass / dt + theta_s * op)[keep][:, keep].tocsc()
         right = (mass / dt - (1.0 - theta_s) * op)[keep][:, keep]
-        cached = (lu, left, right, keep)
+        cached = (_factor(left), left, right, keep)
         assembly._factorizations[key] = cached
     lu, left, right, keep = cached
     b = right @ state.coefficients[keep]
@@ -1128,7 +1370,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     gram = assembly.t1_gram()
     # Free dofs per primary component, each run closed under the reflection.
     primary = [c for c in COMPONENTS if c != "p"]
-    free = [np.setdiff1d(assembly.dofs(c), assembly.essential_dofs) for c in primary]
+    free = [assembly._layout.free([c]) for c in primary]
     t1_dofs = np.concatenate(free)
     a_t1 = sym[t1_dofs][:, t1_dofs]
     g_t1 = gram[t1_dofs][:, t1_dofs]
@@ -1141,7 +1383,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.
     bmat = assembly.form("g")
     p_dofs = assembly.dofs("p")
-    u_dofs = np.setdiff1d(assembly.group_dofs("u"), assembly.essential_dofs)
+    u_dofs = assembly._layout.free(GROUPS["u"])
     b_d = bmat[p_dofs][:, u_dofs].toarray()
     # The pressure block of the mass matrix is the pressure Gram.
     mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
@@ -1209,14 +1451,18 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
     if ref_factor < 2:
         raise ValueError(f"ref_factor must be at least 2, got {ref_factor!r}")
     n_ref = n_list[-1] * ref_factor
-    ref_asm = SlabAssembly(SlabMesh(n_ref, degree), model, kn, formulation)
-    ref_state, _ = solve_steady(ref_asm, wall)
+    ref_state, _ = solve_steady(SlabAssembly(SlabMesh(n_ref, degree), model, kn, formulation),
+                                wall)
+    # The reference is sampled at every level's quadrature points first, so
+    # that it is released before the levels are solved.
+    meshes = [SlabMesh(n, degree) for n in n_list]
+    rules = [mesh.quadrature(degree + 2) for mesh in meshes]
+    refs = [ref_state.sample(x)[0] for x, _ in rules]
+    del ref_state
     rows = []
-    for n in n_list:
-        asm = SlabAssembly(SlabMesh(n, degree), model, kn, formulation)
-        state, _ = solve_steady(asm, wall)
-        x, wts = asm.mesh.quadrature(degree + 2)
-        err2 = ((state.sample(x)[0] - ref_state.sample(x)[0]) ** 2) @ wts
+    for n, mesh, (x, wts), ref in zip(n_list, meshes, rules, refs):
+        state, _ = solve_steady(SlabAssembly(mesh, model, kn, formulation), wall)
+        err2 = ((state.sample(x)[0] - ref) ** 2) @ wts
         comp_err = {name: float(np.sqrt(err2[i])) for i, name in enumerate(COMPONENTS)}
         rows.append(ConvergenceRow(n_elements=n, component_errors=comp_err,
                                    total=float(np.sqrt(err2.sum()))))

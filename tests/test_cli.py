@@ -286,6 +286,48 @@ class TestPlumbing:
         name = "m[3, 2]" if field == "m" else field
         assert f"r13lab: {name} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_output_writes_no_invalid_json(self, tmp_path, outdir, monkeypatch,
+                                                      value):
+        monitor_dict = cli._monitor_dict
+        monkeypatch.setattr(cli, "_monitor_dict",
+                            lambda mon: {**monitor_dict(mon), "w1": value})
+        config = write_config(tmp_path, elements=4)
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code != EXIT_OK
+        assert not (outdir / "monitors.json").exists()
+        assert not (outdir / "manifest.json").exists()
+        for path in outdir.iterdir():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
+    def test_manifest_independent_of_install_location(self, tmp_path, monkeypatch):
+        # A bundled model is recorded by its path within the package, so a
+        # copy of the package data elsewhere writes the same manifest; a
+        # model file keeps its path as given.
+        from r13lab import models
+
+        out = tmp_path / "a"
+        assert run("validate-params", "--model", "eta7", "--out", str(out)) == EXIT_OK
+        manifest = (out / "manifest.json").read_bytes()
+        record = json.loads(manifest)["inputs"]["model"]
+        assert record["path"] == "data/eta7.yaml"
+        elsewhere = tmp_path / "elsewhere" / "data"
+        elsewhere.mkdir(parents=True)
+        for name in models.bundled_models():
+            (elsewhere / f"{name}.yaml").write_bytes(bundled_model_path(name).read_bytes())
+        monkeypatch.setattr(models, "_data_dir", lambda: elsewhere)
+        out = tmp_path / "b"
+        assert run("validate-params", "--model", "eta7", "--out", str(out)) == EXIT_OK
+        assert (out / "manifest.json").read_bytes() == manifest
+        user = tmp_path / "mine.yaml"
+        user.write_bytes(bundled_model_path("eta7").read_bytes())
+        out = tmp_path / "c"
+        assert run("validate-params", "--model", str(user), "--out", str(out)) == EXIT_OK
+        mine = json.loads((out / "manifest.json").read_text())["inputs"]["model"]
+        assert mine == {"source": str(user), "path": str(user), "sha256": record["sha256"]}
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("R13LAB_OUT", str(target))

@@ -1,6 +1,8 @@
 """Slab assembly, steady solves, transient stepping, and monitors."""
 
 import dataclasses
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -303,7 +305,7 @@ class TestMonitors:
         gap = 0.5 * (a + a.T) - (b_wall - ops.w1).toarray()
         assert np.abs(gap).max() <= 1e-14 * np.abs(a).max()
 
-    def test_wall_traces_located_once_per_space_kind(self, maxwell, monkeypatch):
+    def test_wall_traces_located_once_per_space_kind(self, maxwell, monkeypatch, cold_memos):
         calls = []
         locate = slab.ScalarSpace.locate
 
@@ -582,6 +584,40 @@ def _csr_bytes(mat):
     return mat.indptr.tobytes(), mat.indices.tobytes(), mat.data.tobytes()
 
 
+def _form_references(asm):
+    """Every form of asm scattered pair by pair from freshly probed kernels."""
+    forms = {}
+    for form, (g1, g2) in slab.FORM_GROUPS.items():
+        kern = slab._probe_volume_kernel(slab._volume_forms(asm.model, asm.kn)[form], g1, g2)
+        walls = [(w, slab._probe_boundary_kernel(slab._boundary_forms(asm.coeffs)[form],
+                                                 g1, g2, w))
+                 for w in range(2)]
+        forms[form] = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
+    return forms
+
+
+def _assert_matches_pair_by_pair(asm):
+    """The forms, mass matrix, t1 Gram and W of asm equal bit for bit the
+    pair-by-pair scatter of the same kernels."""
+    comps, m = slab.COMPONENTS, len(slab.COMPONENTS)
+    for form, ref in _form_references(asm).items():
+        assert _csr_bytes(asm.form(form)) == _csr_bytes(ref), form
+    units = np.eye(m)
+    mass = np.zeros((2 * m, 2 * m))
+    mass[:m, :m] = mass_inner(slab._state_from_components(units[:, None]),
+                              slab._state_from_components(units[None]))
+    assert _csr_bytes(asm.mass_matrix()) == _csr_bytes(
+        _pair_by_pair_csr(asm, mass, comps, comps))
+    primary = [float(c != "p") for c in comps]
+    assert _csr_bytes(asm.t1_gram()) == _csr_bytes(
+        _pair_by_pair_csr(asm, np.diag(primary + primary), comps, comps))
+    units = np.eye(2 * m)
+    k_w1 = slab._w1_integrand(asm.model, asm.kn, *(slab._volume_fields(e[..., :m], e[..., m:])
+                                                   for e in (units[:, None], units[None])))
+    assert _csr_bytes(slab._monitor_operators(asm).w1) == _csr_bytes(
+        _pair_by_pair_csr(asm, k_w1, comps, comps))
+
+
 class TestOnePassAssembly:
     """Every slab matrix equals, bit for bit, the pair-by-pair scatter of
     the same kernels.  At n = 1 both walls lie in the one element, so the
@@ -593,32 +629,11 @@ class TestOnePassAssembly:
     @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
                                                   ("maxwell", "maxwell")])
     def test_matches_pair_by_pair_scatter(self, name, formulation, degree, n):
-        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
-        comps, m = slab.COMPONENTS, len(slab.COMPONENTS)
-        for form, (g1, g2) in slab.FORM_GROUPS.items():
-            kern = slab._probe_volume_kernel(slab._volume_forms(asm.model, asm.kn)[form], g1, g2)
-            walls = [(w, slab._probe_boundary_kernel(slab._boundary_forms(asm.coeffs)[form],
-                                                     g1, g2, w))
-                     for w in range(2)]
-            ref = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
-            assert _csr_bytes(asm.form(form)) == _csr_bytes(ref), form
-        units = np.eye(m)
-        mass = np.zeros((2 * m, 2 * m))
-        mass[:m, :m] = mass_inner(slab._state_from_components(units[:, None]),
-                                  slab._state_from_components(units[None]))
-        assert _csr_bytes(asm.mass_matrix()) == _csr_bytes(
-            _pair_by_pair_csr(asm, mass, comps, comps))
-        primary = [float(c != "p") for c in comps]
-        assert _csr_bytes(asm.t1_gram()) == _csr_bytes(
-            _pair_by_pair_csr(asm, np.diag(primary + primary), comps, comps))
-        units = np.eye(2 * m)
-        k_w1 = slab._w1_integrand(asm.model, asm.kn, *(slab._volume_fields(e[..., :m], e[..., m:])
-                                                       for e in (units[:, None], units[None])))
-        assert _csr_bytes(slab._monitor_operators(asm).w1) == _csr_bytes(
-            _pair_by_pair_csr(asm, k_w1, comps, comps))
+        _assert_matches_pair_by_pair(
+            SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation))
 
     def test_monitor_operator_build_stays_small(self, eta7):
-        # W is one COO pass over its coupled component pairs only (22 for
+        # W is one scatter of its coupled component pairs only (22 for
         # eta7, D15); scattering all 140 pairs that polarization roundoff
         # once filled would more than double this peak at n = 64.
         import tracemalloc
@@ -665,6 +680,29 @@ def _covered_pairs(placements):
     return pairs
 
 
+def _raw_bytes(mat):
+    """Format and raw index and value arrays, dtypes included, as bytes."""
+    return mat.format, mat.indptr.tobytes(), mat.indices.tobytes(), mat.data.tobytes()
+
+
+def _kept(asm, steady):
+    """The former slice of the bordered steady system: the rows and columns
+    a steady solve keeps, by setdiff1d, as CSC."""
+    keep = np.setdiff1d(np.arange(steady.shape[0]), asm.essential_dofs)
+    return steady[keep][:, keep].tocsc()
+
+
+def _assert_matches_chain(asm):
+    """The system operators of asm equal bit for bit the chains of sparse
+    sums of the pair-by-pair form matrices."""
+    a, steady, transient = _chain_operators(_form_references(asm), asm.formulation,
+                                            asm._integral_vector("p"))
+    assert _csr_bytes(asm.a_operator()) == _csr_bytes(a)
+    assert _raw_bytes(asm.steady_system()) == _raw_bytes(_kept(asm, steady))
+    if asm.formulation == "nonmaxwell":
+        assert _csr_bytes(asm.transient_operator()) == _csr_bytes(transient)
+
+
 class TestPlacementTables:
     """Every system operator, built from its placement table, equals bit
     for bit the chain of sparse sums of the pair-by-pair form matrices."""
@@ -675,19 +713,8 @@ class TestPlacementTables:
                                                   ("maxwell", "maxwell"),
                                                   ("maxwell", "nonmaxwell")])
     def test_matches_chain_of_sparse_sums(self, name, formulation, degree, n):
-        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
-        forms = {}
-        for form, (g1, g2) in slab.FORM_GROUPS.items():
-            kern = slab._probe_volume_kernel(slab._volume_forms(asm.model, asm.kn)[form], g1, g2)
-            walls = [(w, slab._probe_boundary_kernel(slab._boundary_forms(asm.coeffs)[form],
-                                                     g1, g2, w))
-                     for w in range(2)]
-            forms[form] = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
-        a, steady, transient = _chain_operators(forms, formulation, asm._integral_vector("p"))
-        assert _csr_bytes(asm.a_operator()) == _csr_bytes(a)
-        assert _csr_bytes(asm.steady_system()) == _csr_bytes(steady)
-        if formulation == "nonmaxwell":
-            assert _csr_bytes(asm.transient_operator()) == _csr_bytes(transient)
+        _assert_matches_chain(
+            SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation))
 
     @pytest.mark.parametrize("formulation", ["nonmaxwell", "maxwell"])
     def test_placements_cover_disjoint_component_pairs(self, formulation):
@@ -715,26 +742,31 @@ class TestPlacementTables:
 
     @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
                                                   ("maxwell", "maxwell")])
-    def test_steady_solve_builds_five_matrices(self, name, formulation, monkeypatch):
-        # Mass matrix, A operator, steady system, W and the trace map.
+    def test_steady_solve_builds_five_matrices(self, name, formulation, monkeypatch,
+                                               cold_memos):
+        # Mass matrix, A operator, steady system, W and the trace map, each
+        # one scatter into a pattern; on a warm layout the mass matrix and
+        # the trace map are shared, so a solve scatters only three.
         calls = []
-        csr = slab._csr
+        scatter = slab._Pattern.matrix
 
-        def counting(triplets, shape):
-            calls.append(shape)
-            return csr(triplets, shape)
+        def counting(self, vals):
+            calls.append(self.shape)
+            return scatter(self, vals)
 
-        monkeypatch.setattr(slab, "_csr", counting)
-        asm = SlabAssembly(SlabMesh(8, 2), resolve_model(name), KN, formulation)
-        solve_steady(asm, WallData.couette())
-        assert len(calls) <= 5
+        monkeypatch.setattr(slab._Pattern, "matrix", counting)
+        for bound in (5, 3):
+            calls.clear()
+            asm = SlabAssembly(SlabMesh(8, 2), resolve_model(name), KN, formulation)
+            solve_steady(asm, WallData.couette())
+            assert len(calls) <= bound
 
 
 def _chain_steady_solve(asm, wall):
-    """Reference: (steady matrix, state, monitors) of solve_steady through
-    the former chain: the sparse sum A + constraint couplings, sp.bmat for
-    the pressure-mean border, setdiff1d for the kept dofs, two slices and
-    splu."""
+    """Reference: (kept steady matrix, state, monitors) of solve_steady
+    through the former chain: the sparse sum A + constraint couplings,
+    sp.bmat for the pressure-mean border, setdiff1d for the kept dofs, two
+    slices and splu."""
     core = asm.a_operator() + asm._matrix(*asm._placed(slab.STEADY_PLACEMENTS[asm.formulation]))
     pm = asm._integral_vector("p")
     mat = sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
@@ -747,7 +779,7 @@ def _chain_steady_solve(asm, wall):
     x[keep] = xr
     state = slab.DiscreteState(assembly=asm, coefficients=x[:-1], multiplier=float(x[-1]))
     rel = res / float(np.linalg.norm(rhs[keep]))
-    return mat, state, monitors(state, asm, wall=wall, residual=res, residual_rel=rel)
+    return red, state, monitors(state, asm, wall=wall, residual=res, residual_rel=rel)
 
 
 # Every grouping with a steady solve (D16 rejects a Maxwell-type model in
@@ -757,9 +789,10 @@ STEADY_GROUPINGS = [(name, formulation) for name, formulation in GROUPINGS
 
 
 class TestOnePassSteadySystem:
-    """steady_system() is one COO pass over the A operator entries, the
-    scattered constraint couplings and the border; the steady solve equals,
-    bit for bit, the former chain of sparse sum, bmat and setdiff1d."""
+    """steady_system() is one scatter of the A and constraint placements and
+    the border into the cached steady pattern of the kept rows and columns;
+    the steady solve equals, bit for bit, the former chain of sparse sum,
+    bmat, setdiff1d and slices."""
 
     @pytest.mark.parametrize("kn", [0.1, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 16])
@@ -768,12 +801,10 @@ class TestOnePassSteadySystem:
     def test_solve_matches_chain(self, name, formulation, degree, n, kn):
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), kn, formulation)
         wall = WallData(theta_w=np.array([-0.2, 0.4]), u_t=np.array([[0.1, -0.3], [0.5, 0.2]]))
-        mat, ref_state, ref_mon = _chain_steady_solve(asm, wall)
+        red, ref_state, ref_mon = _chain_steady_solve(asm, wall)
         state, mon = solve_steady(asm, wall)
         # Raw arrays: the same stored entries, in the same order, of the same dtypes.
-        raw = [(m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())
-               for m in (asm.steady_system(), mat)]
-        assert raw[0] == raw[1]
+        assert _raw_bytes(asm.steady_system()) == _raw_bytes(red)
         assert state.coefficients.tobytes() == ref_state.coefficients.tobytes()
         assert np.float64(state.multiplier).tobytes() == np.float64(ref_state.multiplier).tobytes()
         assert (np.array(dataclasses.astuple(mon)).tobytes()
@@ -805,8 +836,8 @@ def _per_call_wall_term(self, out, group, wall, term):
     c = slab._GROUP_SLICE[group]
     coeffs = term(slab._frame_comps(group, np.eye(slab._GROUP_DIM[group]), slab.WALL_FRAMES[wall]))
     i = np.nonzero(coeffs)[0]
-    dofs = self._wall_dofs[c][i, wall]
-    vals = coeffs[i, None] * self._wall_traces[c][i, wall, 0]
+    dofs = self._layout.wall_dofs[c][i, wall]
+    vals = coeffs[i, None] * self._layout.wall_traces[c][i, wall, 0]
     out[dofs[dofs >= 0]] += vals[dofs >= 0]
 
 
@@ -1100,10 +1131,14 @@ class TestWallReflection:
         a = asm.a_operator()
         # The symmetric part of A does not couple sig4 to any other
         # component, so a sign flip of sig4 alone commutes with it too; the
-        # whole operator and the steady system pin sig4's parity.
-        for mat in (0.5 * (a + a.T), asm.t1_gram(), asm.mass_matrix(), asm.form("g"),
-                    a, asm.steady_system()[:-1, :-1]):
-            gap = abs(refl @ mat @ refl.T - mat).max()
+        # whole operator and the steady system pin sig4's parity.  The
+        # steady system is on the kept dofs, a set the reflection maps to
+        # itself.
+        free = asm._layout.free_dofs
+        for mat, r in ((0.5 * (a + a.T), refl), (asm.t1_gram(), refl), (asm.mass_matrix(), refl),
+                       (asm.form("g"), refl), (a, refl),
+                       (asm.steady_system()[:-1, :-1], refl[free][:, free])):
+            gap = abs(r @ mat @ r.T - mat).max()
             assert gap <= 1e-15 * abs(mat).max()
 
     @pytest.mark.parametrize("n,degree", [(1, 2), (2, 1), (3, 1), (3, 2), (8, 2)])
@@ -1179,16 +1214,33 @@ class TestConvergence:
         with pytest.raises(ValueError, match=match):
             convergence_study(eta7, WallData.couette(), levels, ref_factor=ref_factor)
 
+    def test_reference_released_before_the_levels(self, eta7, monkeypatch):
+        # The reference is the largest mesh; it is sampled first and freed,
+        # so it does not stay alive beside the levels.
+        solved, solve = [], slab.solve_steady
+
+        def recording(asm, wall):
+            gc.collect()
+            assert not solved or solved[0]() is None, "reference alive during a level"
+            solved.append(weakref.ref(asm))
+            return solve(asm, wall)
+
+        monkeypatch.setattr(slab, "solve_steady", recording)
+        table = convergence_study(eta7, WallData.couette(), [2, 4, 8], kn=KN)
+        assert len(solved) == 4 and table.reference_elements == 32
+
 
 def _clear_kernel_memos():
     for memo in (slab._form_kernels, slab._monitor_kernels, slab._mass_kernel):
         memo.cache_clear()
+    slab._layouts.clear()
 
 
 @pytest.fixture
 def cold_memos():
-    """Empty kernel memos, emptied again afterwards, so tests that count
-    probes do not depend on which tests ran before them."""
+    """Empty kernel and layout memos, emptied again afterwards, so tests
+    that count probes or builds do not depend on which tests ran before
+    them."""
     _clear_kernel_memos()
     yield
     _clear_kernel_memos()
@@ -1243,7 +1295,8 @@ class TestKernelMemo:
 
     def test_cold_monitor_build_stays_small(self, eta7, cold_memos):
         # test_monitor_operator_build_stays_small on empty memos, so that
-        # its bound covers the kernel probe whichever tests ran before.
+        # its bound covers the kernel probe and the first builds of the A
+        # and W patterns whichever tests ran before.
         import tracemalloc
 
         asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
@@ -1286,6 +1339,172 @@ class TestKernelMemo:
         first, second = (SlabAssembly(SlabMesh(4, 2), eta7, KN) for _ in range(2))
         assert calls == [eta7, eta7]
         assert first._kernels is second._kernels
+
+def _layout_arrays(layout):
+    """Every array a layout holds, its patterns' included."""
+    arrays = [layout.kind, layout.blocks, layout.elem_dofs, layout.wall_dofs,
+              layout.wall_traces, layout.essential_dofs, layout.steady_keep,
+              layout.free_dofs]
+    for mat in (layout.mass, layout.traces):
+        arrays += [mat.data, mat.indices, mat.indptr]
+    for pattern in layout._patterns.values():
+        arrays += [pattern.indptr, pattern.indices, pattern.first]
+        arrays += [arr for pair in pattern.later for arr in pair]
+    return arrays
+
+
+def _operator_bytes(asm):
+    return [_raw_bytes(mat) for mat in (
+        asm.form("d"), asm.t1_gram(), asm.a_operator(), asm.steady_system(),
+        slab._monitor_operators(asm).w1)]
+
+
+class TestPattern:
+    def test_scatter_sums_in_scatter_order(self):
+        # Reference: a loop that assigns the first value of each stored
+        # entry and adds the later ones in scatter order.  The values make
+        # the sum depend on that order and keep zeros of either sign.
+        rng = np.random.default_rng(5)
+        n = 6
+        rows, cols = rng.integers(-1, n, 90), rng.integers(-1, n, 90)
+        vals = np.array([1.0, -1.0, 1e-16, -0.0, 0.0, 3.0, -3e-16])
+        src = rng.integers(0, vals.size, 90)
+        ref, keys = {}, []
+        for r, c, v in zip(rows, cols, src):
+            if r >= 0 and c >= 0:
+                ref[r, c] = ref[r, c] + vals[v] if (r, c) in ref else vals[v]
+                keys.append(r * n + c)
+            else:
+                keys.append(-1 - v)  # a padded row or column: any negative key
+        pattern = slab._Pattern.build(np.array(keys), src, (n, n))
+        mat = pattern.matrix(vals)
+        keys = sorted(ref)
+        indptr = np.searchsorted([major for major, _ in keys], np.arange(n + 1))
+        assert mat.format == "csr"
+        assert mat.indptr.tobytes() == indptr.astype(np.int32).tobytes()
+        assert mat.indices.tobytes() == np.array([minor for _, minor in keys], np.int32).tobytes()
+        assert mat.data.tobytes() == np.array([ref[key] for key in keys]).tobytes()
+        assert len(pattern.later) >= 2
+
+
+class TestLayoutMemo:
+    """The model-free layout is built once per (mesh, grouping) in a process
+    and each of its sparsity patterns once per coupled-pair signature,
+    while the byte-bounded memo keeps it; every assembly on it shares them
+    read-only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell"),
+                                                  ("maxwell", "nonmaxwell")])
+    def test_byte_identity_on_cold_and_warm_memo(self, name, formulation, degree, n,
+                                                 cold_memos):
+        mesh = SlabMesh(n, degree)
+        layouts = []
+        for _ in ("cold", "warm"):
+            asm = SlabAssembly(mesh, resolve_model(name), KN, formulation)
+            _assert_matches_pair_by_pair(asm)
+            _assert_matches_chain(asm)
+            layouts.append(asm._layout)
+        assert layouts[0] is layouts[1]
+
+    def test_other_model_builds_no_pattern(self, eta7, monkeypatch, cold_memos):
+        builds = []
+        build = slab._Pattern.build
+
+        def counting(*args, **kwargs):
+            builds.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(slab._Pattern, "build", counting)
+        mesh = SlabMesh(16, 2)
+        first = SlabAssembly(mesh, eta7, KN)
+        solve_steady(first, WallData.couette())
+        # The trace map, the mass matrix, the A operator, the steady system
+        # and W.
+        assert len(builds) == 5
+        second = SlabAssembly(mesh, resolve_model("eta10"), 1.0)
+        solve_steady(second, WallData.fourier())
+        assert len(builds) == 5
+        assert second._layout is first._layout
+
+    def test_cached_arrays_are_read_only(self, eta7, maxwell, cold_memos):
+        for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
+            asm = SlabAssembly(SlabMesh(4, 2), model, KN, formulation)
+            solve_steady(asm, WallData.couette())
+            layout = asm._layout
+            assert len(layout._patterns) >= 3
+            for arr in _layout_arrays(layout):
+                assert not arr.flags.writeable
+            for pattern in layout._patterns.values():
+                assert {pattern.indptr.dtype, pattern.indices.dtype, pattern.first.dtype} == {
+                    np.dtype(np.int32)}
+            with pytest.raises(TypeError):
+                layout.offsets["p"] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                asm.mass_matrix().eliminate_zeros()
+
+    def test_in_place_edits_cannot_reach_the_memo(self, eta7, cold_memos):
+        # An in-place eliminate_zeros once compacted index arrays shared
+        # with a later matrix; every returned matrix owns its index arrays.
+        mesh = SlabMesh(4, 2)
+        ref = _operator_bytes(SlabAssembly(mesh, eta7, KN))
+        asm = SlabAssembly(mesh, eta7, KN)
+        for mat in (asm.form("d"), asm.t1_gram(), asm.a_operator(), asm.steady_system(),
+                    slab._monitor_operators(asm).w1):
+            mat.data[::2] = 0.0
+            mat.eliminate_zeros()
+            mat.indices[:] = mat.indices[::-1]
+            mat.has_sorted_indices = False
+            mat.sort_indices()
+        assert _operator_bytes(SlabAssembly(mesh, eta7, KN)) == ref
+
+    def test_steady_request_layouts_stay_small(self, cold_memos):
+        # Every grouping of a stream of steady requests at n 16, 32 and 64:
+        # the six layouts with all their patterns hold at most 2 MiB.
+        layouts = set()
+        for name in ("eta7", "eta10", "eta-infinity", "maxwell"):
+            formulation = "maxwell" if name == "maxwell" else "nonmaxwell"
+            for n in (16, 32, 64):
+                asm = SlabAssembly(SlabMesh(n, 2), resolve_model(name), KN, formulation)
+                solve_steady(asm, WallData.couette())
+                layouts.add(asm._layout)
+        assert len(layouts) == 6
+        assert sum(arr.nbytes for lay in layouts for arr in _layout_arrays(lay)) <= 2 * 2**20
+
+    def test_memo_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
+        # Room for the n 8 and n 16 layouts with their steady patterns, not
+        # for n 4 besides them.
+        monkeypatch.setattr(slab, "_LAYOUT_MEMO_BYTES", 2**18)
+        ref = {}
+        for n in (4, 8, 16, 4, 16, 8):
+            asm = SlabAssembly(SlabMesh(n, 2), eta7, KN)
+            solve_steady(asm, WallData.couette())
+            memo = list(slab._layouts.values())
+            assert memo[-1] is asm._layout
+            assert sum(layout.nbytes for layout in memo) <= 2**18
+            ref.setdefault(n, _raw_bytes(asm.steady_system()))
+            assert _raw_bytes(asm.steady_system()) == ref[n]
+        # Least recently used first: n 4 went when n 8 came back.
+        assert [mesh.n_elements for mesh, _ in slab._layouts] == [16, 8]
+
+    def test_layout_out_of_the_memo_lives_with_its_assemblies(self, eta7, monkeypatch,
+                                                               cold_memos):
+        # A layout larger than the memo, as a convergence study's reference
+        # can be, is not kept: it goes with the last assembly on it.
+        mesh = SlabMesh(16, 2)
+        ref = _operator_bytes(SlabAssembly(mesh, eta7, KN))
+        slab._layouts.clear()
+        monkeypatch.setattr(slab, "_LAYOUT_MEMO_BYTES", 2**10)
+        asm = SlabAssembly(mesh, eta7, KN)
+        solve_steady(asm, WallData.couette())
+        assert _operator_bytes(asm) == ref
+        assert not slab._layouts
+        layout = weakref.ref(asm._layout)
+        del asm
+        gc.collect()
+        assert layout() is None
 
 
 # ---------------------------------------------------------------------------
