@@ -3,10 +3,13 @@
 Geometry is the interval [0, 1] with walls at x = 0 and x = 1; all fields
 vary along axis 1 only, so every 3-D differential operator reduces through
 the slab gradient helpers of :mod:`r13lab.tensors`.  The bilinear forms are
-never hand-reduced: each one is probed numerically from its 3-D definition
-on unit value / derivative inputs, all stacked into one batched evaluation,
+never hand-reduced: each one is probed numerically from its 3-D definition,
 which yields a constant pointwise kernel because the coefficients are
-homogeneous.  Which dofs couple is fixed by the mesh and the grouping
+homogeneous.  Forms, wall loads and monitors are all evaluated on one
+cached set of unit probes of the 13-component state (unit values and
+derivatives in the volume, unit value traces at each wall), stacked on
+crossed batch axes so one batched evaluation gives a whole kernel.  Which
+dofs couple is fixed by the mesh and the grouping
 alone, so each (mesh, grouping) has one memoized layout: its dof tables,
 wall traces, mass matrix and trace map, and one sparsity pattern per set
 of coupled component pairs with the plan that scatters values into it.  A
@@ -28,6 +31,7 @@ pressure constraint.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -84,8 +88,7 @@ FORM_GROUPS = {
     "h": ("th", "th"),
 }
 
-# Size of each group, and its slice: each group is a contiguous run of COMPONENTS.
-_GROUP_DIM = {g: len(c) for g, c in GROUPS.items()}
+# Slice of each group: each group is a contiguous run of COMPONENTS.
 _GROUP_SLICE = {g: slice(COMPONENTS.index(c[0]), COMPONENTS.index(c[0]) + len(c))
                 for g, c in GROUPS.items()}
 
@@ -296,38 +299,41 @@ def _frame_comps(group: str, vals: np.ndarray, frame: Frame):
     return vals[..., 0]
 
 
-def _probe_volume_kernel(form, g1: str, g2: str) -> np.ndarray:
-    """Constant kernel K with K[i, j] = form(probe_i, probe_j).
+def _volume_fields(vals: np.ndarray, ders: np.ndarray) -> dict:
+    """Prepared volume fields of every group, keyed by group, from the
+    component values and derivatives on the trailing axis."""
+    return {g: _prepare(g, vals[..., c], ders[..., c]) for g, c in _GROUP_SLICE.items()}
 
-    Probe index layout per argument: first the value components, then the
-    derivative components of the group.  The unit probes of the two
-    arguments are stacked along crossed batch axes, (2 m1, 1) and
-    (1, 2 m2), so one form evaluation gives the whole kernel.
-    """
-    m1, m2 = _GROUP_DIM[g1], _GROUP_DIM[g2]
-    x = np.eye(2 * m1)[:, None]
-    y = np.eye(2 * m2)[None]
-    return form(_prepare(g1, x[..., :m1], x[..., m1:]),
-                _prepare(g2, y[..., :m2], y[..., m2:]))
+
+def _wall_fields(vals: np.ndarray, frame: Frame) -> dict:
+    """Outward-frame trace fields of every group, keyed by group, from the
+    component values on the trailing axis."""
+    return {g: _frame_comps(g, vals[..., c], frame) for g, c in _GROUP_SLICE.items()}
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @functools.cache
-def _unit_traces(group: str, wall: int):
-    """Wall-frame components of the unit traces of a group at one wall, as
-    row probes (batch shape (m, 1)) and column probes (batch shape (1, m)).
-
-    They depend on neither model nor mesh, so every assembly shares them;
-    the forms only read them.
-    """
-    eye = np.eye(_GROUP_DIM[group])
-    return tuple(_frame_comps(group, e, WALL_FRAMES[wall]) for e in (eye[:, None], eye[None]))
-
-
-def _probe_boundary_kernel(form, g1: str, g2: str, wall: int) -> np.ndarray:
-    """Wall kernel K with K[i, j] = form(unit trace i, unit trace j)."""
-    kern = form(_unit_traces(g1, wall)[0], _unit_traces(g2, wall)[1])
-    # A form without wall terms returns a plain zero.
-    return np.broadcast_to(kern, (_GROUP_DIM[g1], _GROUP_DIM[g2]))
+def _unit_probes():
+    """((rows, cols), walls): the _volume_fields of the 2 m unit probes
+    (value | derivative, component) on crossed batch axes (2 m, 1) and
+    (1, 2 m), and per wall the (rows, cols) _wall_fields of the m unit
+    value traces on (m, 1) and (1, m).  One evaluation of a pointwise form
+    on them gives its whole kernel.  Model- and mesh-free: built once per
+    process, every array read-only."""
+    m = len(COMPONENTS)
+    units, traces = np.eye(2 * m), np.eye(m)
+    vol = tuple(_volume_fields(e[..., :m], e[..., m:]) for e in (units[:, None], units[None]))
+    walls = tuple(tuple(_wall_fields(e, frame) for e in (traces[:, None], traces[None]))
+                  for frame in WALL_FRAMES)
+    for fields in (*vol, *(fr for pair in walls for fr in pair)):
+        for field in fields.values():
+            for arr in (field.values() if isinstance(field, dict) else [field]):
+                _read_only(arr.components if isinstance(arr, StfTensor3) else arr)
+    return vol, walls
 
 
 # The kernels depend on the model, Kn and the wall coefficients but never on
@@ -341,23 +347,22 @@ def _probe_boundary_kernel(form, g1: str, g2: str, wall: int) -> np.ndarray:
 _KERNEL_MEMO_SIZE = 64
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
 def _form_kernels(model: MolecularModel, kn: float,
                   coeffs: BoundaryCoeffs) -> MappingProxyType:
     """Per form: volume kernel (2, m1, 2, m2) and wall kernels (2, m1, m2),
-    rows on its first argument."""
+    rows on its first argument, cut from its group block on the unit probes."""
     vol_forms, wall_forms = _volume_forms(model, kn), _boundary_forms(coeffs)
+    (rows, cols), walls = _unit_probes()
+    m = len(COMPONENTS)
     kernels = {}
     for name, (g1, g2) in FORM_GROUPS.items():
-        vol = _probe_volume_kernel(vol_forms[name], g1, g2)
-        walls = [_probe_boundary_kernel(wall_forms[name], g1, g2, w) for w in range(2)]
-        kernels[name] = (_read_only(vol).reshape(2, _GROUP_DIM[g1], 2, -1),
-                         _read_only(np.stack(walls)))
+        r, c = _GROUP_SLICE[g1], _GROUP_SLICE[g2]
+        vol = vol_forms[name](rows[g1], cols[g2]).reshape(2, m, 2, m)[:, r, :, c]
+        # A form without wall terms returns a plain zero.
+        wall = [np.broadcast_to(wall_forms[name](w_rows[g1], w_cols[g2]), (m, m))[r, c]
+                for w_rows, w_cols in walls]
+        kernels[name] = (_read_only(vol.copy()), _read_only(np.stack(wall)))
     return MappingProxyType(kernels)
 
 
@@ -697,15 +702,14 @@ class SlabAssembly:
     kernel once and the Gauss rules once per order; the layout (dof tables,
     wall traces, mass matrix, trace map and sparsity patterns) once per
     (mesh, grouping) while the layout memo keeps it.  Each assembly derives
-    and audits the wall coefficients of its model unless given them, builds
-    its two spaces, which evaluate its states and give its integral
-    functionals, scatters its matrix values into the cached patterns and
-    factors its own systems.
+    and audits the wall coefficients of its model, builds its two spaces,
+    which evaluate its states and give its integral functionals, scatters
+    its matrix values into the cached patterns and factors its own systems.
     """
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
-                 formulation: str = "nonmaxwell", coeffs: BoundaryCoeffs | None = None):
-        if not (np.isfinite(kn) and kn > 0):
+                 formulation: str = "nonmaxwell"):
+        if isinstance(kn, bool) or not (np.isfinite(kn) and kn > 0):
             raise ValueError(f"Kn must be positive and finite, got {kn!r}")
         if formulation == "maxwell" and not model.is_maxwell:
             raise ValueError("grouped degenerate solve requires a Maxwell-type model")
@@ -719,7 +723,7 @@ class SlabAssembly:
         self.model = model
         self.kn = float(kn)
         self.formulation = formulation
-        self.coeffs = coeffs if coeffs is not None else boundary_coefficients(model)
+        self.coeffs = boundary_coefficients(model)
 
         self.spaces = build_spaces(mesh, formulation)
         self._layout = _slab_layout(mesh, formulation)
@@ -800,11 +804,11 @@ class SlabAssembly:
         return out
 
     def _add_wall_term(self, out: np.ndarray, group: str, wall: int, term):
-        c = _GROUP_SLICE[group]
-        coeffs = term(_unit_traces(group, wall)[0]).ravel()
+        # The term on the unit value traces, by component.
+        coeffs = term(_unit_probes()[1][wall][0][group]).ravel()
         i = np.nonzero(coeffs)[0]
-        dofs = self._layout.wall_dofs[c][i, wall]
-        vals = coeffs[i, None] * self._layout.wall_traces[c][i, wall, 0]
+        dofs = self._layout.wall_dofs[i, wall]
+        vals = coeffs[i, None] * self._layout.wall_traces[i, wall, 0]
         out[dofs[dofs >= 0]] += vals[dofs >= 0]
 
     # -- system operators ------------------------------------------------------
@@ -981,18 +985,6 @@ class SolveMonitors:
     residual_rel: float
 
 
-def _volume_fields(vals: np.ndarray, ders: np.ndarray) -> dict:
-    """Prepared volume fields of every group, keyed by group, from the
-    component values and derivatives on the trailing axis."""
-    return {g: _prepare(g, vals[..., c], ders[..., c]) for g, c in _GROUP_SLICE.items()}
-
-
-def _wall_fields(vals: np.ndarray, frame: Frame) -> dict:
-    """Outward-frame trace fields of every group, keyed by group, from the
-    component values on the trailing axis."""
-    return {g: _frame_comps(g, vals[..., c], frame) for g, c in _GROUP_SLICE.items()}
-
-
 # The w1, i_bdry and f1 integrands are symmetric bilinear forms q(a, b) of
 # two field dictionaries, cross terms split in half; the monitor is q(x, x).
 
@@ -1117,16 +1109,11 @@ def _monitor_kernels(model: MolecularModel, kn: float, coeffs: BoundaryCoeffs):
     apart from the form kernels, so the coercivity probe never probes them.
     """
     m = len(COMPONENTS)
-    # Every kernel is one evaluation on unit probes stacked along crossed
-    # batch axes: (value | derivative, component) volume probes, and value
-    # traces at the walls.
-    units, traces = np.eye(2 * m), np.eye(m)
-    vol = [_volume_fields(e[..., :m], e[..., m:]) for e in (units[:, None], units[None])]
+    vol, walls = _unit_probes()
     w1 = _w1_integrand(model, kn, *vol)
     wall = np.zeros((3, 2, m, m))
     wall_load = np.zeros((2, 3, 2, 2, m))
-    for w, frame in enumerate(WALL_FRAMES):
-        fr = [_wall_fields(e, frame) for e in (traces[:, None], traces[None])]
+    for w, (frame, fr) in enumerate(zip(WALL_FRAMES, walls)):
         wall[0, w] = _wall_quadratic(coeffs, *fr)
         wall[1, w] = _f1_value(model, *fr)
         wall[2, w] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
@@ -1199,15 +1186,17 @@ def _factor(red: sp.csc_matrix):
 def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray, keep: np.ndarray, n: int):
     """(x, absolute, relative residual) of red x = b solved with its factor
     lu, x scattered into n entries at keep.  Raises SolverError on
-    non-finite entries or a relative residual above RESIDUAL_RTOL."""
+    non-finite entries or a relative residual not within RESIDUAL_RTOL."""
     xr = lu.solve(b)
     if not np.all(np.isfinite(xr)):
         raise SolverError("solution contains non-finite entries")
-    res = float(np.linalg.norm(red @ xr - b))
-    bnorm = float(np.linalg.norm(b))
+    # Norms of huge entries overflow to inf, and inf / inf is NaN: both fail below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.linalg.norm(red @ xr - b))
+        bnorm = float(np.linalg.norm(b))
     rel = res / bnorm if bnorm > 0 else 0.0
-    if rel > RESIDUAL_RTOL:
-        raise SolverError(f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||rhs||")
+    if not rel <= RESIDUAL_RTOL:
+        raise SolverError(f"residual {res:.3e} is not within {RESIDUAL_RTOL:.1e} * ||rhs||")
     x = np.zeros(n)
     x[keep] = xr
     return x, res, rel
@@ -1245,7 +1234,7 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
     operator; implicit Euler (theta = 1) is unconditionally dissipative,
     the trapezoidal scheme (theta = 1/2) nearly conserves for small dt.
     """
-    if not (np.isfinite(dt) and dt > 0):
+    if isinstance(dt, bool) or not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if wall is not None and not wall.is_homogeneous:
         raise ValueError("transient stepping supports homogeneous wall data only")
@@ -1277,8 +1266,8 @@ def transient_run(assembly: SlabAssembly, initial: DiscreteState, dt: float,
     The monitor list starts with the initial state so trajectories expose
     E^0 alongside every later step.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps!r}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative and integral, got {n_steps!r}")
     state = initial
     trace = [monitors(state, assembly)]
     for _ in range(n_steps):
@@ -1443,7 +1432,8 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
                       formulation: str = "nonmaxwell",
                       ref_factor: int = 4) -> ConvergenceTable:
     """Self-convergence against a reference mesh ref_factor x finest."""
-    n_list = sorted(int(n) for n in n_list)
+    meshes = [SlabMesh(n, degree) for n in sorted(n_list)]  # rejects a level of 8.7 or True
+    n_list = [int(mesh.n_elements) for mesh in meshes]
     if len(n_list) < 3:
         raise ValueError("need at least three meshes")
     if len(set(n_list)) < len(n_list):
@@ -1455,7 +1445,6 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
                                 wall)
     # The reference is sampled at every level's quadrature points first, so
     # that it is released before the levels are solved.
-    meshes = [SlabMesh(n, degree) for n in n_list]
     rules = [mesh.quadrature(degree + 2) for mesh in meshes]
     refs = [ref_state.sample(x)[0] for x, _ in rules]
     del ref_state

@@ -187,6 +187,16 @@ class TestSolves:
         code = run("solve-steady", "--model", "eta7", "--out", str(outdir))
         assert code == EXIT_SOLVER
 
+    def test_overflowing_wall_data_is_solver_failure(self, tmp_path, outdir):
+        # A drive of 1e308 overflows the residual and load norms, and their
+        # ratio is NaN: the solve fails and writes no output.
+        config = write_config(tmp_path, problem="couette", wall_speed=1.0e308, elements=16)
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_SOLVER
+        for name in ("profile.csv", "monitors.json", "manifest.json"):
+            assert not (outdir / name).exists()
+
 
 class TestPlumbing:
     def test_missing_model_is_config_error(self, outdir):

@@ -470,7 +470,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("name", sorted(slab.FORM_GROUPS))
     def test_volume_form(self, eta7, name):
         g1, g2 = slab.FORM_GROUPS[name]
-        m1, m2 = slab._GROUP_DIM[g1], slab._GROUP_DIM[g2]
+        m1, m2 = len(slab.GROUPS[g1]), len(slab.GROUPS[g2])
         form = slab._volume_forms(eta7, KN)[name]
         rng = np.random.default_rng(302)
         x = rng.uniform(-1.0, 1.0, size=self.SHAPE + (2 * m1,))
@@ -488,7 +488,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("name", sorted(slab.FORM_GROUPS))
     def test_boundary_form(self, eta7, name):
         g1, g2 = slab.FORM_GROUPS[name]
-        m1, m2 = slab._GROUP_DIM[g1], slab._GROUP_DIM[g2]
+        m1, m2 = len(slab.GROUPS[g1]), len(slab.GROUPS[g2])
         form = slab._boundary_forms(slab.boundary_coefficients(eta7))[name]
         rng = np.random.default_rng(303)
         x = rng.uniform(-1.0, 1.0, size=self.SHAPE + (m1,))
@@ -585,13 +585,20 @@ def _csr_bytes(mat):
 
 
 def _form_references(asm):
-    """Every form of asm scattered pair by pair from freshly probed kernels."""
+    """Every form of asm scattered pair by pair from kernels probed afresh
+    on unit probes of its two groups alone, (value | derivative, group
+    component) in the volume and value traces at the walls."""
+    vol_forms, wall_forms = slab._volume_forms(asm.model, asm.kn), slab._boundary_forms(asm.coeffs)
     forms = {}
     for form, (g1, g2) in slab.FORM_GROUPS.items():
-        kern = slab._probe_volume_kernel(slab._volume_forms(asm.model, asm.kn)[form], g1, g2)
-        walls = [(w, slab._probe_boundary_kernel(slab._boundary_forms(asm.coeffs)[form],
-                                                 g1, g2, w))
-                 for w in range(2)]
+        m1, m2 = len(slab.GROUPS[g1]), len(slab.GROUPS[g2])
+        x, y = np.eye(2 * m1)[:, None], np.eye(2 * m2)[None]
+        kern = vol_forms[form](slab._prepare(g1, x[..., :m1], x[..., m1:]),
+                               slab._prepare(g2, y[..., :m2], y[..., m2:]))
+        walls = [(w, np.broadcast_to(wall_forms[form](
+            slab._frame_comps(g1, np.eye(m1)[:, None], frame),
+            slab._frame_comps(g2, np.eye(m2)[None], frame)), (m1, m2)))
+            for w, frame in enumerate(slab.WALL_FRAMES)]
         forms[form] = _pair_by_pair_csr(asm, kern, slab.GROUPS[g1], slab.GROUPS[g2], walls)
     return forms
 
@@ -834,7 +841,8 @@ def _per_call_wall_term(self, out, group, wall, term):
     """The former SlabAssembly._add_wall_term: projects the identity onto
     the wall frame on every call instead of reading the cached traces."""
     c = slab._GROUP_SLICE[group]
-    coeffs = term(slab._frame_comps(group, np.eye(slab._GROUP_DIM[group]), slab.WALL_FRAMES[wall]))
+    eye = np.eye(len(slab.GROUPS[group]))
+    coeffs = term(slab._frame_comps(group, eye, slab.WALL_FRAMES[wall]))
     i = np.nonzero(coeffs)[0]
     dofs = self._layout.wall_dofs[c][i, wall]
     vals = coeffs[i, None] * self._layout.wall_traces[c][i, wall, 0]
@@ -956,6 +964,12 @@ class TestTransient:
         asm = SlabAssembly(SlabMesh(4, 2), eta7, KN, "nonmaxwell")
         with pytest.raises(slab.SolverError, match="residual"):
             solve_steady(asm, WallData.couette())
+
+    def test_nan_residual_fails_the_gate(self, eta7):
+        # The load overflows the norms: residual inf over load norm inf.
+        asm = SlabAssembly(SlabMesh(16, 2), eta7, KN, "nonmaxwell")
+        with pytest.raises(slab.SolverError, match="residual"):
+            solve_steady(asm, WallData.couette(1e308))
 
     def test_factorization_failure_is_solver_error(self, eta7, monkeypatch):
         def failing(mat):
@@ -1326,6 +1340,30 @@ class TestKernelMemo:
         with pytest.raises(TypeError):
             asm._kernels["a"] = asm._kernels["d"]
 
+    def test_unit_probes_built_once_and_read_only(self, eta7):
+        # Forms, wall loads and monitors of every key read the one probe set.
+        probes = slab._unit_probes()
+        for kn in (0.1, 1.0):
+            asm = SlabAssembly(SlabMesh(2, 2), eta7, kn)
+            asm.load_vector(WallData.couette())
+            slab._monitor_operators(asm)
+        assert slab._unit_probes() is probes
+        assert slab._unit_probes.cache_info().misses == 1
+        arrays = []
+
+        def collect(obj):
+            if isinstance(obj, (dict, tuple)):
+                for item in (obj.values() if isinstance(obj, dict) else obj):
+                    collect(item)
+            else:
+                arrays.append(obj.components if isinstance(obj, slab.StfTensor3) else obj)
+
+        collect(probes)
+        assert arrays and all(isinstance(arr, np.ndarray) for arr in arrays)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
     def test_each_assembly_derives_its_wall_coefficients(self, eta7, monkeypatch):
         # Counted inside the derivation, so memoizing it anywhere shows.
         calls = []
@@ -1547,6 +1585,25 @@ class TestValidation:
             SlabMesh(4, 3)
         with pytest.raises(ValueError):
             SlabMesh(0, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda asm: SlabAssembly(SlabMesh(4, 2), asm.model, True),
+        lambda asm: step_transient(zero_state(asm), True, "implicit-euler", asm),
+        lambda asm: transient_run(asm, zero_state(asm), 0.01, True),
+        lambda asm: transient_run(asm, zero_state(asm), 0.01, 2.5),
+        lambda asm: convergence_study(asm.model, WallData.couette(), [8.7, 16, 32]),
+        lambda asm: convergence_study(asm.model, WallData.couette(), [True, 2, 4]),
+    ], ids=["kn", "dt", "n_steps-bool", "n_steps-fraction", "levels-fraction", "levels-bool"])
+    def test_booleans_and_fractional_counts_rejected(self, asm_eta7, monkeypatch, call):
+        # As SlabMesh rejects them: True is not Kn 1, a time step or one
+        # step, and a level of 8.7 is not 8.
+        def no_solve(*args):
+            raise AssertionError("solved with a rejected parameter")
+
+        monkeypatch.setattr(slab, "solve_steady", no_solve)
+        monkeypatch.setattr(slab, "_factor", no_solve)
+        with pytest.raises(ValueError):
+            call(asm_eta7)
 
     def test_positive_knudsen_required(self, eta7):
         for kn in (0.0, float("nan"), float("inf")):
