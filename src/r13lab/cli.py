@@ -142,15 +142,14 @@ def _model_file(source: str) -> tuple[Path, str]:
     and the path the manifest records: a model file's path as given, and a
     bundled model's path within the package (data/<name>.yaml), so that the
     manifest does not depend on where the package is installed."""
-    from .models import bundled_model_path
+    from .models import model_file
 
-    path = Path(source)
-    if path.suffix in (".yaml", ".yml") or path.exists():
-        if not path.is_file():
-            raise ConfigError(f"model file not found: {source}")
-        return path, str(path)
-    bundled = bundled_model_path(source)
-    return Path(str(bundled)), f"data/{bundled.name}"
+    path, bundled = model_file(source)
+    if bundled:
+        return Path(str(path)), f"data/{path.name}"
+    if not path.is_file():
+        raise ConfigError(f"model file not found: {source}")
+    return path, str(path)
 
 
 def _positive_int(cfg: dict, key: str) -> int:

@@ -308,11 +308,15 @@ def bundled_model_path(name: str):
     return path
 
 
-def resolve_model(source) -> MolecularModel:
-    """Load from a mapping, a file path, or a bundled model name like 'eta7'."""
-    if isinstance(source, dict):
-        return load_model(source)
+def model_file(source) -> tuple:
+    """(file, bundled) of a model source other than a mapping: a path ending
+    in .yaml or .yml or naming an existing file, else a bundled model."""
     path = Path(source)
     if path.suffix in (".yaml", ".yml") or path.exists():
-        return load_model(path)
-    return load_model(bundled_model_path(str(source)))
+        return path, False
+    return bundled_model_path(str(source)), True
+
+
+def resolve_model(source) -> MolecularModel:
+    """Load from a mapping, a file path, or a bundled model name like 'eta7'."""
+    return load_model(source if isinstance(source, dict) else model_file(source)[0])

@@ -167,6 +167,9 @@ class WallData:
             raise ValueError("theta_w must have one value per wall")
         if ut.shape != (2, 2):
             raise ValueError("u_t must be 2x2: walls by (t1, t2)")
+        for name, arr in (("theta_w", tw), ("u_t", ut)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
         object.__setattr__(self, "theta_w", tw)
         object.__setattr__(self, "u_t", ut)
 
@@ -339,31 +342,49 @@ def _unit_probes():
 # The kernels depend on the model, Kn and the wall coefficients but never on
 # the mesh: each key is probed once per process, and every assembly of it
 # shares the read-only arrays (what depends on the mesh alone is in the
-# layout memo below).  One key holds about 21 KB of kernels in the
-# form and monitor memos together; the wall monitor kernel is kept as its 8
-# KB of wall blocks, and each assembly expands it to the mostly zero 65 KB
-# operator.  Keys compare as the dataclasses do, so a parameter of -0.0 shares
-# the entry of +0.0; the kernels of the two differ at most in zero signs.
+# layout memo below).  One key holds about 21 KB of kernels; the wall
+# monitor kernel is kept as its 8 KB of wall blocks, and each assembly
+# expands it to the mostly zero 65 KB operator.  Keys compare as the
+# dataclasses do, so a parameter of -0.0 shares the entry of +0.0; the
+# kernels of the two differ at most in zero signs.
 _KERNEL_MEMO_SIZE = 64
+_Kernels = namedtuple("_Kernels", "forms w1 wall wall_load")
 
 
 @functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
-def _form_kernels(model: MolecularModel, kn: float,
-                  coeffs: BoundaryCoeffs) -> MappingProxyType:
-    """Per form: volume kernel (2, m1, 2, m2) and wall kernels (2, m1, m2),
-    rows on its first argument, cut from its group block on the unit probes."""
+def _kernels(model: MolecularModel, kn: float, coeffs: BoundaryCoeffs) -> _Kernels:
+    """Every kernel of one key on the unit probes: forms maps each form to
+    its volume kernel (2, m1, 2, m2) and wall kernels (2, m1, m2), rows on
+    its first argument; w1 is on (value | derivative, component) squared;
+    wall holds the (output, wall) blocks on (component, component) of the
+    wall monitors, the only entries that can be nonzero (see
+    _WALL_COLUMN_KIND); wall_load is on (wall, datum, wall trace).
+
+    Each family is probed from its own pointwise transcription (the form
+    integrands, the w1 integrand and the wall formulas), never from another,
+    so b_diag = i_bdry - w1 and f1 - f2_trace stay independent checks.
+    """
     vol_forms, wall_forms = _volume_forms(model, kn), _boundary_forms(coeffs)
-    (rows, cols), walls = _unit_probes()
+    vol, walls = _unit_probes()
     m = len(COMPONENTS)
-    kernels = {}
+    forms = {}
     for name, (g1, g2) in FORM_GROUPS.items():
         r, c = _GROUP_SLICE[g1], _GROUP_SLICE[g2]
-        vol = vol_forms[name](rows[g1], cols[g2]).reshape(2, m, 2, m)[:, r, :, c]
+        kern = vol_forms[name](vol[0][g1], vol[1][g2]).reshape(2, m, 2, m)[:, r, :, c]
         # A form without wall terms returns a plain zero.
         wall = [np.broadcast_to(wall_forms[name](w_rows[g1], w_cols[g2]), (m, m))[r, c]
                 for w_rows, w_cols in walls]
-        kernels[name] = (_read_only(vol.copy()), _read_only(np.stack(wall)))
-    return MappingProxyType(kernels)
+        forms[name] = (_read_only(kern.copy()), _read_only(np.stack(wall)))
+    w1 = _w1_integrand(model, kn, *vol)
+    wall = np.zeros((3, 2, m, m))
+    wall_load = np.zeros((2, 3, 2, 2, m))
+    for w, (frame, fr) in enumerate(zip(WALL_FRAMES, walls)):
+        wall[0, w] = _wall_quadratic(coeffs, *fr)
+        wall[1, w] = _f1_value(model, *fr)
+        wall[2, w] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
+        wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr[1], *np.eye(3)[:, :, None])
+    return _Kernels(MappingProxyType(forms), _read_only(w1), _read_only(wall),
+                    _read_only(wall_load).reshape(2, 3, 4 * m))
 
 
 @functools.cache
@@ -591,13 +612,12 @@ class _SlabLayout:
                         for coupled, walled in (a_sig, c_sig))
             # Each dof to its index among the kept ones; dropped dofs and the
             # padding index -1 go to -1.
-            at = np.full(self.ndof + 2, -1)
+            at = np.full(self.ndof + 2, -1, dtype=np.int64)
             at[self.steady_keep] = np.arange(self.steady_keep.size)
             (a_keys, a_src), (c_keys, c_src) = (self._entries(*sig, at) for sig in (a_sig, c_sig))
             n, p = self.steady_keep.size, at[self.dofs("p")]
             border = (n_a + n_c + np.arange(p.size)).astype(np.int32)
-            keys = np.concatenate([a_keys, c_keys, *(k.astype(a_keys.dtype)
-                                                     for k in ((n - 1) * n + p, p * n + n - 1))])
+            keys = np.concatenate([a_keys, c_keys, (n - 1) * n + p, p * n + n - 1])
             src = np.concatenate([a_src, c_src + np.int32(n_a), border, border])
             del a_keys, a_src, c_keys, c_src  # only the concatenations go on
             return _Pattern.build(keys, src, (n, n), csc=True)
@@ -620,20 +640,18 @@ class _SlabLayout:
         order: the volume terms in pair, element, local row, local column
         order, then the wall terms in wall, pair, local row, local column
         order.  A key is row * n + column; with at, a renumbering of the
-        dofs, it is column * n + row of the renumbered dofs.  Keys are
-        negative where a row or a column is -1, padding or dropped."""
+        dofs, it is column * n + row of the renumbered dofs.  Keys are int64,
+        made from int64 dofs so that no product wraps, and negative where a
+        row or a column is -1, padding or dropped."""
         c1, c2 = np.nonzero(coupled)
         w, d1, d2 = np.nonzero(walled)
         elem, wall, n = self.elem_dofs, self.wall_dofs, self.ndof
         if at is not None:
             elem, wall, n = at[elem], at[wall], self.steady_keep.size
-        # pad is below -n * n; the keys are int32 where the sum of two pads
-        # fits, which sorts faster.
-        stride, pad = ((n, 1) if at is None else (1, n)), -n * (n + 1)
-        dtype = np.int32 if 2 * n * (n + 1) < 2**31 else np.int64
+        stride, pad = ((n, 1) if at is None else (1, n)), -n * (n + 1)  # pad is below -n * n
 
         def key(dofs, axis):  # the key terms of row (0) or column (1) dofs
-            return np.where(dofs >= 0, dofs.astype(dtype) * stride[axis], pad).astype(dtype)
+            return np.where(dofs >= 0, dofs.astype(np.int64) * stride[axis], pad)
 
         def listed(rows, cols):
             # Element and wall blocks list their entries major index first, so
@@ -646,7 +664,7 @@ class _SlabLayout:
         size = self.mesh.degree + 1
         vol = (c1.size, self.mesh.n_elements, size, size)
         n_vol = int(np.prod(vol))
-        keys = np.empty(n_vol + w.size * size * size, dtype=dtype)
+        keys = np.empty(n_vol + w.size * size * size, dtype=np.int64)
         np.add(*listed(key(elem, 0)[c1], key(elem, 1)[c2]), out=keys[:n_vol].reshape(vol))
         np.add(*listed(key(wall, 0)[d1, w], key(wall, 1)[d2, w]),
                out=keys[n_vol:].reshape(w.size, size, size))
@@ -691,20 +709,22 @@ def _trim_layouts():
 
 
 class SlabAssembly:
-    """Form kernels, system operators and load machinery for one configuration.
+    """Kernels, system operators and load machinery for one configuration.
 
     Each bilinear form is kept as its probed volume and wall kernels, rows on
-    its first argument.  Matrices are built from kernels on demand, in the
-    shared component dof layout; a system operator from its placement table.
+    its first argument, beside the monitor kernels.  Matrices are built from
+    kernels on demand by the layout, in the shared component dof layout; a
+    system operator from its placement table.
 
-    Mostly the values are the assembly's own work.  The form and monitor
-    kernels are probed once per (model, Kn, wall coefficients), the mass
-    kernel once and the Gauss rules once per order; the layout (dof tables,
-    wall traces, mass matrix, trace map and sparsity patterns) once per
-    (mesh, grouping) while the layout memo keeps it.  Each assembly derives
-    and audits the wall coefficients of its model, builds its two spaces,
-    which evaluate its states and give its integral functionals, scatters
-    its matrix values into the cached patterns and factors its own systems.
+    Mostly the values are the assembly's own work.  Its kernels, forms and
+    monitors alike, are probed once per (model, Kn, wall coefficients) in
+    one memo, the mass kernel once and the Gauss rules once per order; the
+    layout (dof tables, wall traces, mass matrix, trace map and sparsity
+    patterns) once per (mesh, grouping) while the layout memo keeps it.
+    Each assembly derives and audits the wall coefficients of its model,
+    builds its two spaces, which evaluate its states and give its integral
+    functionals, scatters its matrix values into the cached patterns and
+    factors its own systems.
     """
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
@@ -729,7 +749,7 @@ class SlabAssembly:
         self._layout = _slab_layout(mesh, formulation)
         self.offsets, self.ndof = self._layout.offsets, self._layout.ndof
         self.essential_dofs = self._layout.essential_dofs
-        self._kernels = _form_kernels(model, self.kn, self.coeffs)
+        self._kernels = _kernels(model, self.kn, self.coeffs)
         self._factorizations: dict = {}
         self._a_values = None
         self._a_operator: sp.csr_matrix | None = None
@@ -745,7 +765,7 @@ class SlabAssembly:
 
     def form(self, name: str) -> sp.csr_matrix:
         """One bilinear form, rows on its first argument; built per call."""
-        return self._matrix(*self._placed({name: (1, 0)}))
+        return self._layout.matrix(*self._placed({name: (1, 0)}))
 
     def mass_matrix(self) -> sp.csr_matrix:
         """Mass-weighted L2 Gram in the stored (p, theta, ...) variables;
@@ -754,20 +774,15 @@ class SlabAssembly:
 
     # -- element assembly ----------------------------------------------------
 
-    def _matrix(self, kern: np.ndarray, walls: np.ndarray | None = None) -> sp.csr_matrix:
-        """Global matrix of a volume kernel and wall kernels (see
-        _SlabLayout.matrix)."""
-        return self._layout.matrix(kern, walls)
-
     def _placed(self, placements: dict):
-        """(volume, wall) kernels of _matrix for the sum of s * form + t *
-        form^T over placements {form: (s, t)}; their blocks are disjoint, so
-        assigning them keeps the sign of zeros."""
+        """(volume, wall) kernels of _SlabLayout.matrix for the sum of s *
+        form + t * form^T over placements {form: (s, t)}; their blocks are
+        disjoint, so assigning them keeps the sign of zeros."""
         m = len(COMPONENTS)
         kern, walls = np.zeros((2, m, 2, m)), np.zeros((2, m, m))
         for name, (s, t) in placements.items():
             r, c = (_GROUP_SLICE[g] for g in FORM_GROUPS[name])
-            vol, wall = self._kernels[name]
+            vol, wall = self._kernels.forms[name]
             if s:
                 kern[:, r, :, c], walls[:, r, c] = s * vol, s * wall
             if t:
@@ -857,7 +872,7 @@ class SlabAssembly:
         """Weak operator of the evolution system (no zero-mean constraint)."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
-        return self.a_operator() + self._matrix(*self._placed(TRANSIENT_PLACEMENTS))
+        return self.a_operator() + self._layout.matrix(*self._placed(TRANSIENT_PLACEMENTS))
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -870,7 +885,7 @@ class SlabAssembly:
     def t1_gram(self) -> sp.csr_matrix:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
         primary = [float(c != "p") for c in COMPONENTS]
-        return self._matrix(np.diag(primary + primary))
+        return self._layout.matrix(np.diag(primary + primary))
 
 
 def _state_from_components(comp: np.ndarray) -> StateVector:
@@ -1084,11 +1099,10 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: 
 
 
 # Monitor forms on the coefficient vector x: b_diag = x.a.x, w1 = x.w1.x,
-# mass = mass.x (integral of rho = p - theta), and t = traces @ x gives the
-# 4 m wall traces, index (wall, value | derivative, component).  On t,
-# (i_bdry, f1, f2_trace) = (wall @ t) @ t, and wall_load contracts the
-# (wall, datum, trace) kernel with the data (theta_w, u_t1, u_t2) and t.
-_MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces wall wall_load")
+# mass = mass.x (integral of rho = p - theta).  On the 4 m wall traces t
+# of x, index (wall, value | derivative, component), (i_bdry, f1, f2_trace)
+# = (wall @ t) @ t; wall_load contracts its kernel with the data and t.
+_MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass wall")
 
 # Trace kind (value 0 | derivative 1) of the columns of the wall monitors
 # i_bdry, f1 and f2_trace; their rows are value traces.  Each couples the
@@ -1096,46 +1110,19 @@ _MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass traces wall wall_
 _WALL_COLUMN_KIND = (0, 0, 1)
 
 
-@functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
-def _monitor_kernels(model: MolecularModel, kn: float, coeffs: BoundaryCoeffs):
-    """(w1, wall, wall_load) kernels of the monitors: w1 on (value |
-    derivative, component) squared, wall as its (output, wall) blocks on
-    (component, component), the only entries that can be nonzero (see
-    _WALL_COLUMN_KIND), and wall_load as (wall, datum, wall trace).
-
-    Every kernel is probed from its own pointwise transcription (the w1
-    integrand and the wall formulas), never from the bilinear forms, so
-    b_diag = i_bdry - w1 and f1 - f2_trace stay independent checks.  Kept
-    apart from the form kernels, so the coercivity probe never probes them.
-    """
-    m = len(COMPONENTS)
-    vol, walls = _unit_probes()
-    w1 = _w1_integrand(model, kn, *vol)
-    wall = np.zeros((3, 2, m, m))
-    wall_load = np.zeros((2, 3, 2, 2, m))
-    for w, (frame, fr) in enumerate(zip(WALL_FRAMES, walls)):
-        wall[0, w] = _wall_quadratic(coeffs, *fr)
-        wall[1, w] = _f1_value(model, *fr)
-        wall[2, w] = _f2_trace_value(model, kn, frame, *vol)[:m, m:]
-        wall_load[w, :, w, 0] = _wall_load_value(coeffs, model, fr[1], *np.eye(3)[:, :, None])
-    return _read_only(w1), _read_only(wall), _read_only(wall_load).reshape(2, 3, 4 * m)
-
-
 def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     """Monitor operators of an assembly, built on first use and cached."""
     if assembly._monitor_ops is not None:
         return assembly._monitor_ops
-    m = len(COMPONENTS)
-    w1, blocks, wall_load = _monitor_kernels(assembly.model, assembly.kn, assembly.coeffs)
+    m, kernels = len(COMPONENTS), assembly._kernels
     # The wall kernels as (output, wall trace, wall trace) matrices.
     wall = np.zeros((3, 2, 2, m, 2, 2, m))
     for o, w in np.ndindex(3, 2):
-        wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = blocks[o, w]
+        wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = kernels.wall[o, w]
     assembly._monitor_ops = _MonitorOperators(
-        a=assembly.a_operator(), w1=assembly._matrix(w1),
+        a=assembly.a_operator(), w1=assembly._layout.matrix(kernels.w1),
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
-        traces=assembly._layout.traces, wall=wall.reshape(3, 4 * m, 4 * m),
-        wall_load=wall_load)
+        wall=wall.reshape(3, 4 * m, 4 * m))
     return assembly._monitor_ops
 
 
@@ -1146,8 +1133,9 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
 
     Every monitor is a small product with the assembly's cached monitor
     operators: the volume monitors are quadratic and linear forms on the
-    coefficient vector, and the wall monitors are quadratic kernels and a
-    data-weighted linear kernel on its 4 x 13 wall traces.
+    coefficient vector, and the wall monitors are quadratic kernels and the
+    data-weighted wall-load kernel on its 4 x 13 wall traces, which the
+    layout's trace map gives.
     """
     if wall is None:
         wall = WallData.homogeneous()
@@ -1157,10 +1145,10 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
     w1 = float(x @ (ops.w1 @ x))
     entropy = _ENTROPY_REFERENCE - energy
     mass = float(ops.mass @ x)
-    t = ops.traces @ x
+    t = assembly._layout.traces @ x
     i_bdry, f1, f2_trace = ((ops.wall @ t) @ t).tolist()
     data = np.column_stack([wall.theta_w, wall.u_t])
-    wall_load = float(np.sum(data * (ops.wall_load @ t)))
+    wall_load = float(np.sum(data * (assembly._kernels.wall_load @ t)))
     i_bdry_data = i_bdry - wall_load
     b_diag = float(x @ (ops.a @ x))
     return SolveMonitors(
@@ -1186,17 +1174,22 @@ def _factor(red: sp.csc_matrix):
 def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray, keep: np.ndarray, n: int):
     """(x, absolute, relative residual) of red x = b solved with its factor
     lu, x scattered into n entries at keep.  Raises SolverError on
-    non-finite entries or a relative residual not within RESIDUAL_RTOL."""
+    non-finite entries, a relative residual not within RESIDUAL_RTOL or a
+    load norm that overflows."""
     xr = lu.solve(b)
     if not np.all(np.isfinite(xr)):
         raise SolverError("solution contains non-finite entries")
-    # Norms of huge entries overflow to inf, and inf / inf is NaN: both fail below.
+    # Norms of huge entries overflow to inf, and inf / inf is NaN: both fail
+    # the gate.  Over an infinite load norm a finite residual reads 0, so an
+    # overflowing load fails too.
     with np.errstate(over="ignore", invalid="ignore"):
         res = float(np.linalg.norm(red @ xr - b))
         bnorm = float(np.linalg.norm(b))
     rel = res / bnorm if bnorm > 0 else 0.0
     if not rel <= RESIDUAL_RTOL:
         raise SolverError(f"residual {res:.3e} is not within {RESIDUAL_RTOL:.1e} * ||rhs||")
+    if bnorm == np.inf:
+        raise SolverError("load norm overflows: the relative residual cannot be checked")
     x = np.zeros(n)
     x[keep] = xr
     return x, res, rel

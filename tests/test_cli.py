@@ -197,6 +197,15 @@ class TestSolves:
         for name in ("profile.csv", "monitors.json", "manifest.json"):
             assert not (outdir / name).exists()
 
+    def test_overflowing_load_norm_is_solver_failure(self, tmp_path, outdir):
+        # At 1e160 the load norm overflows but the residual norm does not:
+        # the solve fails before any output is written.
+        config = write_config(tmp_path, problem="couette", wall_speed=1.0e160, elements=16)
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_SOLVER
+        assert not outdir.exists() or not any(outdir.iterdir())
+
 
 class TestPlumbing:
     def test_missing_model_is_config_error(self, outdir):
@@ -337,6 +346,13 @@ class TestPlumbing:
         assert run("validate-params", "--model", str(user), "--out", str(out)) == EXIT_OK
         mine = json.loads((out / "manifest.json").read_text())["inputs"]["model"]
         assert mine == {"source": str(user), "path": str(user), "sha256": record["sha256"]}
+        # An existing file without a .yaml or .yml suffix is a model file too.
+        bare = tmp_path / "mine"
+        bare.write_bytes(user.read_bytes())
+        out = tmp_path / "d"
+        assert run("validate-params", "--model", str(bare), "--out", str(out)) == EXIT_OK
+        mine = json.loads((out / "manifest.json").read_text())["inputs"]["model"]
+        assert mine == {"source": str(bare), "path": str(bare), "sha256": record["sha256"]}
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

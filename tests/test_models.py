@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from r13lab.models import (
     bundled_models,
     load_model,
     maxwell_specialize,
+    model_file,
     resolve_model,
     thermo_discriminants,
 )
@@ -435,6 +437,19 @@ class TestBundled:
     def test_resolve_unknown_name(self):
         with pytest.raises(ValueError, match="available"):
             resolve_model("eta99")
+
+    def test_model_file_rule(self, tmp_path, monkeypatch):
+        # A source ending in .yaml or .yml, or naming an existing file, is
+        # that file, so an existing file shadows a bundled name; any other
+        # source names a bundled model.
+        missing = tmp_path / "missing.yml"
+        assert model_file(str(missing)) == (missing, False)
+        path, bundled = model_file("eta7")
+        assert bundled and path == bundled_model_path("eta7")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "eta7").write_text(yaml.safe_dump(make_doc(chi=0.5)))
+        assert model_file("eta7") == (Path("eta7"), False)
+        assert resolve_model("eta7") == load_model(make_doc(chi=0.5))
 
     def test_eta_infinity_label_round_trip(self):
         assert load_model(bundled_model_path("eta-infinity")).eta == "infinity"

@@ -299,7 +299,7 @@ class TestMonitors:
         for w, frame in enumerate(slab.WALL_FRAMES):
             kern = slab._wall_quadratic(asm.coeffs, *(slab._wall_fields(e, frame)
                                                       for e in (units[:, None], units[None])))
-            trace = ops.traces[2 * w * m:(2 * w + 1) * m]
+            trace = asm._layout.traces[2 * w * m:(2 * w + 1) * m]
             b_wall = b_wall + trace.T @ sp.csr_matrix(kern) @ trace
         a = asm.a_operator().toarray()
         gap = 0.5 * (a + a.T) - (b_wall - ops.w1).toarray()
@@ -774,7 +774,8 @@ def _chain_steady_solve(asm, wall):
     through the former chain: the sparse sum A + constraint couplings,
     sp.bmat for the pressure-mean border, setdiff1d for the kept dofs, two
     slices and splu."""
-    core = asm.a_operator() + asm._matrix(*asm._placed(slab.STEADY_PLACEMENTS[asm.formulation]))
+    core = asm.a_operator() + asm._layout.matrix(
+        *asm._placed(slab.STEADY_PLACEMENTS[asm.formulation]))
     pm = asm._integral_vector("p")
     mat = sp.bmat([[core, pm[:, None]], [pm[None, :], None]], format="csr")
     rhs = np.concatenate([asm.load_vector(wall), [0.0]])
@@ -970,6 +971,16 @@ class TestTransient:
         asm = SlabAssembly(SlabMesh(16, 2), eta7, KN, "nonmaxwell")
         with pytest.raises(slab.SolverError, match="residual"):
             solve_steady(asm, WallData.couette(1e308))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_load_norm_fails_the_gate(self, eta7):
+        # At 1e160 the load norm overflows while the residual norm does not,
+        # so the relative residual would read 0; at 1e150 both are finite.
+        asm = SlabAssembly(SlabMesh(16, 2), eta7, KN, "nonmaxwell")
+        with pytest.raises(slab.SolverError, match="load norm overflows"):
+            solve_steady(asm, WallData.couette(1e160))
+        _, mon = solve_steady(asm, WallData.couette(1e150))
+        assert 0.0 < mon.residual_rel <= 1e-15
 
     def test_factorization_failure_is_solver_error(self, eta7, monkeypatch):
         def failing(mat):
@@ -1245,7 +1256,7 @@ class TestConvergence:
 
 
 def _clear_kernel_memos():
-    for memo in (slab._form_kernels, slab._monitor_kernels, slab._mass_kernel):
+    for memo in (slab._kernels, slab._mass_kernel):
         memo.cache_clear()
     slab._layouts.clear()
 
@@ -1302,43 +1313,62 @@ class TestKernelMemo:
         assert len(table.rows) == 3
         assert calls == dict.fromkeys(calls, 1)
 
-    def test_coercivity_probe_probes_no_monitor_kernels(self, eta7, cold_memos):
+    def test_coercivity_probe_and_steady_solve_make_one_memo_miss(self, eta7, cold_memos):
+        # Forms and monitors of one key are probed together, once.
         coercivity_probe(SlabAssembly(SlabMesh(4, 2), eta7, KN))
-        assert slab._form_kernels.cache_info().currsize == 1
-        assert slab._monitor_kernels.cache_info().currsize == 0
+        solve_steady(SlabAssembly(SlabMesh(8, 2), eta7, KN), WallData.couette())
+        info = slab._kernels.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_monitors_and_steps_skip_the_memo_once_built(self, eta7, monkeypatch):
+        # After an assembly's first monitors call, the monitors and the
+        # steps read its own kernels and operators only.
+        asm = SlabAssembly(SlabMesh(8, 2), eta7, KN, "nonmaxwell")
+        wall = WallData.couette()
+        steady, mon = solve_steady(asm, wall)
+
+        def no_memo(*args):
+            raise AssertionError("kernel memo called after the monitors were built")
+
+        monkeypatch.setattr(slab, "_kernels", no_memo)
+        state = random_state(asm, np.random.default_rng(3))
+        for _ in range(3):
+            state, _ = step_transient(state, 0.01, "implicit-euler", asm)
+        assert monitors(steady, asm, wall, mon.residual, mon.residual_rel) == mon
 
     def test_cold_monitor_build_stays_small(self, eta7, cold_memos):
         # test_monitor_operator_build_stays_small on empty memos, so that
         # its bound covers the kernel probe and the first builds of the A
-        # and W patterns whichever tests ran before.
+        # and W patterns whichever tests ran before.  The assembly probes
+        # the kernels, so it is built inside the traced window too.
         import tracemalloc
 
-        asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
         tracemalloc.start()
         try:
+            asm = SlabAssembly(SlabMesh(64, 2), eta7, KN, "nonmaxwell")
             slab._monitor_operators(asm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert slab._monitor_kernels.cache_info().misses == 1
+        assert slab._kernels.cache_info().misses == 1
         assert peak <= 3 * 2**20
 
     def test_wall_monitor_memo_holds_only_wall_blocks(self, asm_eta7, asm_maxwell):
         # 3 wall monitors x 2 walls x one 13 x 13 block each; the dense
         # (3, 52, 52) operator is expanded per assembly.
         for asm in (asm_eta7, asm_maxwell):
-            assert slab._monitor_kernels(asm.model, asm.kn, asm.coeffs)[1].size <= 1014
+            assert slab._kernels(asm.model, asm.kn, asm.coeffs).wall.size <= 1014
             assert slab._monitor_operators(asm).wall.shape == (3, 52, 52)
 
     def test_cached_kernels_are_read_only(self, asm_eta7):
         asm = asm_eta7
-        arrays = [arr for pair in asm._kernels.values() for arr in pair]
-        arrays += [slab._mass_kernel(), *slab._monitor_kernels(asm.model, asm.kn, asm.coeffs)]
+        arrays = [arr for pair in asm._kernels.forms.values() for arr in pair]
+        arrays += [slab._mass_kernel(), *asm._kernels[1:]]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
         with pytest.raises(TypeError):
-            asm._kernels["a"] = asm._kernels["d"]
+            asm._kernels.forms["a"] = asm._kernels.forms["d"]
 
     def test_unit_probes_built_once_and_read_only(self, eta7):
         # Forms, wall loads and monitors of every key read the one probe set.
@@ -1579,6 +1609,13 @@ class TestValidation:
             WallData(theta_w=np.zeros(3), u_t=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             WallData(theta_w=np.zeros(2), u_t=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_wall_data_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="theta_w must be finite"):
+            WallData(theta_w=np.array([0.0, bad]), u_t=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="u_t must be finite"):
+            WallData(theta_w=np.zeros(2), u_t=np.array([[0.0, bad], [0.0, 0.0]]))
 
     def test_mesh_degree_limited(self):
         with pytest.raises(ValueError):
