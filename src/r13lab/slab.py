@@ -161,8 +161,10 @@ class WallData:
     u_t: np.ndarray
 
     def __post_init__(self):
-        tw = np.asarray(self.theta_w, dtype=float)
-        ut = np.asarray(self.u_t, dtype=float)
+        # Read-only copies: later edits of the caller's arrays cannot reach
+        # the data, and no instance can be edited past the checks below.
+        tw = np.array(self.theta_w, dtype=float)
+        ut = np.array(self.u_t, dtype=float)
         if tw.shape != (2,):
             raise ValueError("theta_w must have one value per wall")
         if ut.shape != (2, 2):
@@ -170,8 +172,8 @@ class WallData:
         for name, arr in (("theta_w", tw), ("u_t", ut)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
-        object.__setattr__(self, "theta_w", tw)
-        object.__setattr__(self, "u_t", ut)
+        object.__setattr__(self, "theta_w", _read_only(tw))
+        object.__setattr__(self, "u_t", _read_only(ut))
 
     @classmethod
     def homogeneous(cls) -> "WallData":
@@ -1098,32 +1100,64 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: 
     return kn * out
 
 
-# Monitor forms on the coefficient vector x: b_diag = x.a.x, w1 = x.w1.x,
-# mass = mass.x (integral of rho = p - theta).  On the 4 m wall traces t
-# of x, index (wall, value | derivative, component), (i_bdry, f1, f2_trace)
-# = (wall @ t) @ t; wall_load contracts its kernel with the data and t.
-_MonitorOperators = namedtuple("_MonitorOperators", "a w1 mass wall")
+# Monitor forms on the coefficient vector x.  products stacks, by rows, the
+# mass matrix M, W, the A operator and the trace map T, so y = products @ x
+# holds M x, W x, A x and the 4 m wall traces t = T x: energy = x.Mx / 2,
+# w1 = x.Wx and b_diag = x.Ax, while mass = mass.x (integral of rho = p -
+# theta) is a dense dot.  On t, index (wall, value | derivative,
+# component), (i_bdry, f1, f2_trace) = (wall @ t) @ t; wall_load contracts
+# its kernel with the data and t.
+_MonitorOperators = namedtuple("_MonitorOperators", "products mass wall")
 
 # Trace kind (value 0 | derivative 1) of the columns of the wall monitors
 # i_bdry, f1 and f2_trace; their rows are value traces.  Each couples the
 # traces of one wall only.
 _WALL_COLUMN_KIND = (0, 0, 1)
 
+# Homogeneous wall data as the wall-load kernel reads it: per wall,
+# (theta_w, u_t1, u_t2).
+_HOMOGENEOUS_DATA = _read_only(np.zeros((2, 3)))
+
+
+def _stacked(mats) -> sp.csr_matrix:
+    """CSR matrices with one column count stacked by rows, read-only: their
+    data, indices and shifted indptr arrays concatenated, so each row keeps
+    its entry order and its products sum as in the matrix it came from."""
+    ends = np.cumsum([0] + [mat.nnz for mat in mats])  # int64, so no shift wraps
+    indptr = np.concatenate([[0]] + [mat.indptr[1:] + end for mat, end in zip(mats, ends)])
+    return _frozen(sp.csr_matrix(
+        (np.concatenate([mat.data for mat in mats]),
+         np.concatenate([mat.indices for mat in mats]), indptr),
+        shape=(indptr.size - 1, mats[0].shape[1])))
+
 
 def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     """Monitor operators of an assembly, built on first use and cached."""
     if assembly._monitor_ops is not None:
         return assembly._monitor_ops
-    m, kernels = len(COMPONENTS), assembly._kernels
+    m, kernels, layout = len(COMPONENTS), assembly._kernels, assembly._layout
     # The wall kernels as (output, wall trace, wall trace) matrices.
     wall = np.zeros((3, 2, 2, m, 2, 2, m))
     for o, w in np.ndindex(3, 2):
         wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = kernels.wall[o, w]
     assembly._monitor_ops = _MonitorOperators(
-        a=assembly.a_operator(), w1=assembly._layout.matrix(kernels.w1),
+        products=_stacked([layout.mass, layout.matrix(kernels.w1), assembly.a_operator(),
+                           layout.traces]),
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
         wall=wall.reshape(3, 4 * m, 4 * m))
     return assembly._monitor_ops
+
+
+def _coefficients(state: DiscreteState, assembly: SlabAssembly) -> np.ndarray:
+    """The coefficient vector of a state of assembly; raises ValueError for
+    a state of another assembly or of the wrong length."""
+    x = state.coefficients
+    if state.assembly is not assembly:
+        raise ValueError("the state belongs to another assembly")
+    if x.shape != (assembly.ndof,):
+        raise ValueError(f"the state's coefficients have shape {x.shape}, "
+                         f"the assembly has {assembly.ndof} dofs")
+    return x
 
 
 def monitors(state: DiscreteState, assembly: SlabAssembly,
@@ -1131,26 +1165,25 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
              residual: float = 0.0, residual_rel: float = 0.0) -> SolveMonitors:
     """All energy monitors of one state.
 
-    Every monitor is a small product with the assembly's cached monitor
-    operators: the volume monitors are quadratic and linear forms on the
-    coefficient vector, and the wall monitors are quadratic kernels and the
-    data-weighted wall-load kernel on its 4 x 13 wall traces, which the
-    layout's trace map gives.
+    One sparse product with the assembly's cached stacked monitor operator
+    gives M x, W x, A x and the 4 x 13 wall traces of the coefficient
+    vector x: the volume monitors are dots of x with its slices, and the
+    wall monitors are quadratic kernels and the data-weighted wall-load
+    kernel on the traces.  The mass is a dense dot of x.
     """
-    if wall is None:
-        wall = WallData.homogeneous()
-    ops = _monitor_operators(assembly)
-    x = state.coefficients
-    energy = 0.5 * float(x @ (assembly.mass_matrix() @ x))
-    w1 = float(x @ (ops.w1 @ x))
+    x = _coefficients(state, assembly)
+    ops, n = _monitor_operators(assembly), assembly.ndof
+    y = ops.products @ x
+    energy = 0.5 * float(x @ y[:n])
+    w1 = float(x @ y[n:2 * n])
+    b_diag = float(x @ y[2 * n:3 * n])
+    t = y[3 * n:]
     entropy = _ENTROPY_REFERENCE - energy
     mass = float(ops.mass @ x)
-    t = assembly._layout.traces @ x
     i_bdry, f1, f2_trace = ((ops.wall @ t) @ t).tolist()
-    data = np.column_stack([wall.theta_w, wall.u_t])
+    data = _HOMOGENEOUS_DATA if wall is None else np.column_stack([wall.theta_w, wall.u_t])
     wall_load = float(np.sum(data * (assembly._kernels.wall_load @ t)))
     i_bdry_data = i_bdry - wall_load
-    b_diag = float(x @ (ops.a @ x))
     return SolveMonitors(
         energy=energy, w1=w1, i_bdry=i_bdry, wall_load=wall_load,
         i_bdry_data=i_bdry_data, f1=f1, f2=f1 - i_bdry_data, f2_trace=f2_trace,
@@ -1226,7 +1259,9 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
     Solves (M/dt + theta L) U+ = (M/dt - (1-theta) L) U with L the weak
     operator; implicit Euler (theta = 1) is unconditionally dissipative,
     the trapezoidal scheme (theta = 1/2) nearly conserves for small dt.
+    state must be a state of assembly.
     """
+    x = _coefficients(state, assembly)
     if isinstance(dt, bool) or not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if wall is not None and not wall.is_homogeneous:
@@ -1242,10 +1277,14 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
         op = assembly.transient_operator()
         left = (mass / dt + theta_s * op)[keep][:, keep].tocsc()
         right = (mass / dt - (1.0 - theta_s) * op)[keep][:, keep]
+        # The kept columns renumbered as dofs, so right applies to the whole
+        # coefficient vector; every row keeps its entries and their order.
+        right = sp.csr_matrix((right.data, keep[right.indices], right.indptr),
+                              shape=(keep.size, assembly.ndof))
         cached = (_factor(left), left, right, keep)
         assembly._factorizations[key] = cached
     lu, left, right, keep = cached
-    b = right @ state.coefficients[keep]
+    b = right @ x
     coeffs, res, rel = _checked_solve(lu, left, b, keep, assembly.ndof)
     new_state = DiscreteState(assembly=assembly, coefficients=coeffs)
     mon = monitors(new_state, assembly, residual=res, residual_rel=rel)

@@ -292,7 +292,6 @@ class TestMonitors:
         # unit traces and written as a matrix over the value traces, minus
         # the assembled W.  At n = 1 both walls share the one element.
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
-        ops = slab._monitor_operators(asm)
         m = len(slab.COMPONENTS)
         units = np.eye(m)
         b_wall = sp.csr_matrix((asm.ndof, asm.ndof))
@@ -302,8 +301,40 @@ class TestMonitors:
             trace = asm._layout.traces[2 * w * m:(2 * w + 1) * m]
             b_wall = b_wall + trace.T @ sp.csr_matrix(kern) @ trace
         a = asm.a_operator().toarray()
-        gap = 0.5 * (a + a.T) - (b_wall - ops.w1).toarray()
+        gap = 0.5 * (a + a.T) - (b_wall - _w1_rows(asm)).toarray()
         assert np.abs(gap).max() <= 1e-14 * np.abs(a).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_stacked_products_match_separate_products(self, name, formulation, degree, n):
+        # Reference: the four products M x, W x, A x and T x, each with its
+        # own matrix, and the monitors written out from them.
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        ops, kernels = slab._monitor_operators(asm), asm._kernels
+        mats = [asm.mass_matrix(), asm._layout.matrix(kernels.w1), asm.a_operator(),
+                asm._layout.traces]
+        rng = np.random.default_rng(n + 10 * degree)
+        for _ in range(3):
+            state = random_state(asm, rng)
+            wall = WallData(theta_w=rng.uniform(-1.0, 1.0, 2),
+                            u_t=rng.uniform(-1.0, 1.0, (2, 2)))
+            x = state.coefficients
+            mx, wx, ax, t = (mat @ x for mat in mats)
+            assert (ops.products @ x).tobytes() == np.concatenate([mx, wx, ax, t]).tobytes()
+            i_bdry, f1, f2_trace = ((ops.wall @ t) @ t).tolist()
+            data = np.column_stack([wall.theta_w, wall.u_t])
+            wall_load = float(np.sum(data * (kernels.wall_load @ t)))
+            energy = 0.5 * float(x @ mx)
+            expect = SolveMonitors(
+                energy=energy, w1=float(x @ wx), i_bdry=i_bdry, wall_load=wall_load,
+                i_bdry_data=i_bdry - wall_load, f1=f1, f2=f1 - (i_bdry - wall_load),
+                f2_trace=f2_trace, entropy=slab._ENTROPY_REFERENCE - energy,
+                mass=float(ops.mass @ x), b_diag=float(x @ ax), residual=0.0,
+                residual_rel=0.0)
+            assert monitors(state, asm, wall) == expect
+            assert wall_load != 0.0
 
     def test_wall_traces_located_once_per_space_kind(self, maxwell, monkeypatch, cold_memos):
         calls = []
@@ -577,6 +608,11 @@ def _pair_by_pair_csr(asm, kern, comps1, comps2, walls=()):
     return sp.coo_matrix((vals, (rows, cols)), shape=(asm.ndof, asm.ndof)).tocsr()
 
 
+def _w1_rows(asm):
+    """W, the w1 operator: its rows of the stacked monitor operator."""
+    return slab._monitor_operators(asm).products[asm.ndof:2 * asm.ndof]
+
+
 def _csr_bytes(mat):
     """Canonical CSR arrays as bytes, so that even the sign of a zero counts."""
     mat = sp.csr_matrix(mat, copy=True)
@@ -621,7 +657,7 @@ def _assert_matches_pair_by_pair(asm):
     units = np.eye(2 * m)
     k_w1 = slab._w1_integrand(asm.model, asm.kn, *(slab._volume_fields(e[..., :m], e[..., m:])
                                                    for e in (units[:, None], units[None])))
-    assert _csr_bytes(slab._monitor_operators(asm).w1) == _csr_bytes(
+    assert _csr_bytes(_w1_rows(asm)) == _csr_bytes(
         _pair_by_pair_csr(asm, k_w1, comps, comps))
 
 
@@ -907,6 +943,36 @@ class TestTransient:
         _, trace = transient_run(asm, u0, dt=0.05, n_steps=30)
         energy = np.array([m.energy for m in trace])
         assert np.all(np.diff(energy) <= 1e-12 * energy[0])
+
+    @pytest.fixture(scope="class")
+    def eigenmode(self, eta7):
+        """(assembly, rate, mode): a simple real eigenpair L v = rate M v of
+        the evolution operator on the free dofs at kn 1, n 16, scattered
+        into all dofs, so exp(-rate t) v solves M U' + L U = 0 exactly."""
+        asm = SlabAssembly(SlabMesh(16, 2), eta7, 1.0, "nonmaxwell")
+        keep = asm._layout.free_dofs
+        op = asm.transient_operator()[keep][:, keep].tocsc()
+        mass = asm.mass_matrix()[keep][:, keep].tocsc()
+        # Rates near 0.4: 0.3614 (a pair), 0.4106 and 0.4262.
+        rate, vec = spla.eigs(op, k=1, M=mass, sigma=0.4, v0=np.ones(keep.size))
+        assert rate[0].imag == 0.0 and not np.any(vec.imag)
+        rate, mode = rate[0].real, np.zeros(asm.ndof)
+        mode[keep] = vec[:, 0].real / np.abs(vec[:, 0].real).max()
+        assert np.abs(op @ mode[keep] - rate * (mass @ mode[keep])).max() <= 1e-12
+        return asm, rate, mode
+
+    @pytest.mark.parametrize("scheme,order", [("implicit-euler", 1), ("crank-nicolson", 2)])
+    def test_temporal_order_on_an_eigenmode(self, eigenmode, scheme, order):
+        # The error at T = 0.5 against the exact decay falls by 2^order per
+        # halving of dt.
+        asm, rate, mode = eigenmode
+        errors = []
+        for steps in (8, 16, 32):
+            final, _ = transient_run(asm, slab.DiscreteState(asm, mode.copy()),
+                                     0.5 / steps, steps, scheme)
+            errors.append(np.abs(final.coefficients - np.exp(-0.5 * rate) * mode).max())
+        ratios = np.array(errors[:-1]) / errors[1:]
+        assert np.all(np.abs(ratios - 2**order) <= 0.05 * 2**order), ratios
 
     def test_step_rejects_bad_arguments(self, asm_eta7):
         state = zero_state(asm_eta7)
@@ -1282,9 +1348,8 @@ class TestKernelMemo:
 
         def build():
             asm = SlabAssembly(SlabMesh(4, 2), model, kn, formulation)
-            ops = slab._monitor_operators(asm)
             mon = monitors(random_state(asm, np.random.default_rng(7)), asm, wall)
-            mats = [asm.a_operator(), asm.steady_system(), asm.mass_matrix(), ops.w1]
+            mats = [asm.a_operator(), asm.steady_system(), asm.mass_matrix(), _w1_rows(asm)]
             return asm, ([_csr_bytes(mat) for mat in mats],
                          np.array(dataclasses.astuple(mon)).tobytes())
 
@@ -1424,7 +1489,7 @@ def _layout_arrays(layout):
 def _operator_bytes(asm):
     return [_raw_bytes(mat) for mat in (
         asm.form("d"), asm.t1_gram(), asm.a_operator(), asm.steady_system(),
-        slab._monitor_operators(asm).w1)]
+        _w1_rows(asm))]
 
 
 class TestPattern:
@@ -1520,7 +1585,7 @@ class TestLayoutMemo:
         ref = _operator_bytes(SlabAssembly(mesh, eta7, KN))
         asm = SlabAssembly(mesh, eta7, KN)
         for mat in (asm.form("d"), asm.t1_gram(), asm.a_operator(), asm.steady_system(),
-                    slab._monitor_operators(asm).w1):
+                    _w1_rows(asm)):
             mat.data[::2] = 0.0
             mat.eliminate_zeros()
             mat.indices[:] = mat.indices[::-1]
@@ -1616,6 +1681,37 @@ class TestValidation:
             WallData(theta_w=np.array([0.0, bad]), u_t=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="u_t must be finite"):
             WallData(theta_w=np.zeros(2), u_t=np.array([[0.0, bad], [0.0, 0.0]]))
+
+    def test_wall_data_owns_read_only_copies(self):
+        # Editing the caller's arrays afterwards changes nothing, and the
+        # data cannot be edited past its finiteness check.
+        tw, ut = np.array([0.1, 0.2]), np.array([[0.3, 0.0], [0.0, -0.3]])
+        wall = WallData(tw, ut)
+        tw[0], ut[1, 1] = np.nan, np.inf
+        assert wall.theta_w.tolist() == [0.1, 0.2]
+        assert wall.u_t.tolist() == [[0.3, 0.0], [0.0, -0.3]]
+        for arr in (wall.theta_w, wall.u_t, WallData.homogeneous().theta_w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = np.nan
+
+    def test_state_of_another_assembly_rejected(self, eta7):
+        # x[keep] once truncated an n 16 state to the n 8 free dofs and
+        # stepped it without complaint.
+        fine = SlabAssembly(SlabMesh(16, 2), eta7, KN, "nonmaxwell")
+        coarse = SlabAssembly(SlabMesh(8, 2), eta7, KN, "nonmaxwell")
+        state = random_state(fine, np.random.default_rng(12))
+        twin = SlabAssembly(SlabMesh(16, 2), eta7, KN, "nonmaxwell")
+        for asm in (coarse, twin):
+            with pytest.raises(ValueError, match="another assembly"):
+                step_transient(state, 0.01, "implicit-euler", asm)
+            with pytest.raises(ValueError, match="another assembly"):
+                monitors(state, asm)
+        for coeffs in (state.coefficients[:coarse.ndof - 1], state.coefficients):
+            bad = slab.DiscreteState(assembly=coarse, coefficients=coeffs)
+            with pytest.raises(ValueError, match="coefficients"):
+                step_transient(bad, 0.01, "implicit-euler", coarse)
+            with pytest.raises(ValueError, match="coefficients"):
+                monitors(bad, coarse)
 
     def test_mesh_degree_limited(self):
         with pytest.raises(ValueError):
