@@ -190,10 +190,6 @@ class WallData:
         """Wall temperatures -delta / +delta, no tangential drive."""
         return cls(theta_w=np.array([-delta, delta]), u_t=np.zeros((2, 2)))
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return not (np.any(self.theta_w) or np.any(self.u_t))
-
 
 # ---------------------------------------------------------------------------
 # pointwise kernels probed from the 3-D form definitions
@@ -1101,7 +1097,8 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: 
 
 
 # Monitor forms on the coefficient vector x.  products stacks, by rows, the
-# mass matrix M, W, the A operator and the trace map T, so y = products @ x
+# mass matrix M, W, the A operator and the trace map T (sp.vstack of their
+# CSR arrays, so each row keeps its entry order), so y = products @ x
 # holds M x, W x, A x and the 4 m wall traces t = T x: energy = x.Mx / 2,
 # w1 = x.Wx and b_diag = x.Ax, while mass = mass.x (integral of rho = p -
 # theta) is a dense dot.  On t, index (wall, value | derivative,
@@ -1119,18 +1116,6 @@ _WALL_COLUMN_KIND = (0, 0, 1)
 _HOMOGENEOUS_DATA = _read_only(np.zeros((2, 3)))
 
 
-def _stacked(mats) -> sp.csr_matrix:
-    """CSR matrices with one column count stacked by rows, read-only: their
-    data, indices and shifted indptr arrays concatenated, so each row keeps
-    its entry order and its products sum as in the matrix it came from."""
-    ends = np.cumsum([0] + [mat.nnz for mat in mats])  # int64, so no shift wraps
-    indptr = np.concatenate([[0]] + [mat.indptr[1:] + end for mat, end in zip(mats, ends)])
-    return _frozen(sp.csr_matrix(
-        (np.concatenate([mat.data for mat in mats]),
-         np.concatenate([mat.indices for mat in mats]), indptr),
-        shape=(indptr.size - 1, mats[0].shape[1])))
-
-
 def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     """Monitor operators of an assembly, built on first use and cached."""
     if assembly._monitor_ops is not None:
@@ -1141,8 +1126,8 @@ def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     for o, w in np.ndindex(3, 2):
         wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = kernels.wall[o, w]
     assembly._monitor_ops = _MonitorOperators(
-        products=_stacked([layout.mass, layout.matrix(kernels.w1), assembly.a_operator(),
-                           layout.traces]),
+        products=_frozen(sp.vstack([layout.mass, layout.matrix(kernels.w1),
+                                    assembly.a_operator(), layout.traces], format="csr")),
         mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
         wall=wall.reshape(3, 4 * m, 4 * m))
     return assembly._monitor_ops
@@ -1204,27 +1189,25 @@ def _factor(red: sp.csc_matrix):
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
 
-def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray, keep: np.ndarray, n: int):
+def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray):
     """(x, absolute, relative residual) of red x = b solved with its factor
-    lu, x scattered into n entries at keep.  Raises SolverError on
-    non-finite entries, a relative residual not within RESIDUAL_RTOL or a
-    load norm that overflows."""
-    xr = lu.solve(b)
-    if not np.all(np.isfinite(xr)):
+    lu, for one right-hand side or a block of them (Frobenius norms).
+    Raises SolverError on non-finite entries, a relative residual not
+    within RESIDUAL_RTOL or a load norm that overflows."""
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
         raise SolverError("solution contains non-finite entries")
     # Norms of huge entries overflow to inf, and inf / inf is NaN: both fail
     # the gate.  Over an infinite load norm a finite residual reads 0, so an
     # overflowing load fails too.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = float(np.linalg.norm(red @ xr - b))
+        res = float(np.linalg.norm(red @ x - b))
         bnorm = float(np.linalg.norm(b))
     rel = res / bnorm if bnorm > 0 else 0.0
     if not rel <= RESIDUAL_RTOL:
         raise SolverError(f"residual {res:.3e} is not within {RESIDUAL_RTOL:.1e} * ||rhs||")
     if bnorm == np.inf:
         raise SolverError("load norm overflows: the relative residual cannot be checked")
-    x = np.zeros(n)
-    x[keep] = xr
     return x, res, rel
 
 
@@ -1241,7 +1224,9 @@ def solve_steady(assembly: SlabAssembly, wall: WallData):
     red = assembly.steady_system()
     rhs = np.concatenate([assembly.load_vector(wall), [0.0]])
     keep = assembly._layout.steady_keep
-    x, res, rel = _checked_solve(_factor(red), red, rhs[keep], keep, assembly.ndof + 1)
+    xr, res, rel = _checked_solve(_factor(red), red, rhs[keep])
+    x = np.zeros(assembly.ndof + 1)
+    x[keep] = xr
     state = DiscreteState(assembly=assembly, coefficients=x[:-1],
                           multiplier=float(x[-1]))
     mon = monitors(state, assembly, wall=wall, residual=res, residual_rel=rel)
@@ -1252,8 +1237,7 @@ def solve_steady(assembly: SlabAssembly, wall: WallData):
 # transient stepping
 
 
-def step_transient(state: DiscreteState, dt: float, scheme: str,
-                   assembly: SlabAssembly, wall: WallData | None = None):
+def step_transient(state: DiscreteState, dt: float, scheme: str, assembly: SlabAssembly):
     """One theta-scheme step of the homogeneous evolution problem.
 
     Solves (M/dt + theta L) U+ = (M/dt - (1-theta) L) U with L the weak
@@ -1264,8 +1248,6 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
     x = _coefficients(state, assembly)
     if isinstance(dt, bool) or not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if wall is not None and not wall.is_homogeneous:
-        raise ValueError("transient stepping supports homogeneous wall data only")
     theta_s = {"implicit-euler": 1.0, "crank-nicolson": 0.5}.get(scheme)
     if theta_s is None:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -1284,8 +1266,9 @@ def step_transient(state: DiscreteState, dt: float, scheme: str,
         cached = (_factor(left), left, right, keep)
         assembly._factorizations[key] = cached
     lu, left, right, keep = cached
-    b = right @ x
-    coeffs, res, rel = _checked_solve(lu, left, b, keep, assembly.ndof)
+    xr, res, rel = _checked_solve(lu, left, right @ x)
+    coeffs = np.zeros(assembly.ndof)
+    coeffs[keep] = xr
     new_state = DiscreteState(assembly=assembly, coefficients=coeffs)
     mon = monitors(new_state, assembly, residual=res, residual_rel=rel)
     return new_state, mon
@@ -1383,8 +1366,10 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     theta in the degenerate grouping) contribute exact zeros unsolved.  The
     spectrum is the sorted union over both classes.
 
-    The inf-sup constant applies the inverse velocity Gram through a sparse
-    LU factor.
+    The inf-sup constant applies the inverse velocity Gram on the free u1
+    dofs, the only velocity component the pressure coupling g reaches in
+    the slab, through the checked sparse direct solve of the steady and
+    transient paths.
     """
     a_full = assembly.a_operator()
     sym = 0.5 * (a_full + a_full.T)
@@ -1402,13 +1387,15 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     low = tuple(float(v) for v in eigs[:n_report])
 
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.
-    bmat = assembly.form("g")
+    # In the slab div v = d v1/dx, so g stores nothing in the u2, u3 columns,
+    # and the t1 Gram couples no two velocity components: u1 alone is exact.
     p_dofs = assembly.dofs("p")
-    u_dofs = assembly._layout.free(GROUPS["u"])
-    b_d = bmat[p_dofs][:, u_dofs].toarray()
+    u_dofs = assembly._layout.free(["u1"])
+    b_d = assembly.form("g")[p_dofs][:, u_dofs].toarray()
     # The pressure block of the mass matrix is the pressure Gram.
     mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
-    s_mat = b_d @ spla.splu(gram[u_dofs][:, u_dofs].tocsc()).solve(b_d.T)
+    gu = gram[u_dofs][:, u_dofs].tocsc()
+    s_mat = b_d @ _checked_solve(_factor(gu), gu, b_d.T)[0]
     ones = np.ones(p_dofs.size)
     # Basis of the zero-mean complement in the pressure mass metric.
     zvecs = scipy.linalg.null_space((mp @ ones)[None, :])

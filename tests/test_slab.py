@@ -980,7 +980,7 @@ class TestTransient:
             step_transient(state, -0.1, "implicit-euler", asm_eta7)
         with pytest.raises(ValueError):
             step_transient(state, 0.1, "leapfrog", asm_eta7)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             step_transient(state, 0.1, "implicit-euler", asm_eta7,
                            wall=WallData.couette())
 
@@ -1059,6 +1059,38 @@ class TestTransient:
         with pytest.raises(slab.SolverError, match="direct factorization failed"):
             step_transient(random_state(asm, np.random.default_rng(1)), 0.05,
                            "implicit-euler", asm)
+        with pytest.raises(slab.SolverError, match="direct factorization failed"):
+            coercivity_probe(asm)
+
+    def test_block_solve_matches_column_solves(self, asm_eta7):
+        # One checked solve for a block of right-hand sides is the solve of
+        # each column, bit for bit; the factor of another matrix fails the
+        # gate on the block as on one column.
+        red = asm_eta7.steady_system()
+        b = np.random.default_rng(4).standard_normal((red.shape[0], 5))
+        lu = slab._factor(red)
+        x, res, rel = slab._checked_solve(lu, red, b)
+        for j in range(b.shape[1]):
+            assert np.array_equal(x[:, j], slab._checked_solve(lu, red, b[:, j])[0])
+        assert res == np.linalg.norm(red @ x - b)
+        assert rel == res / np.linalg.norm(b) <= slab.RESIDUAL_RTOL
+        other = slab._factor((1.001 * red).tocsc())
+        with pytest.raises(slab.SolverError, match="residual"):
+            slab._checked_solve(other, red, b)
+
+    @pytest.mark.parametrize("n,below", [(64, 13), (128, 3)])
+    def test_default_mesh_slow_spectrum(self, eta7, n, below):
+        # DECISIONS.md D19: at eta7, kn 0.1, degree 2 the default transient
+        # mesh n 64 carries ten real eigenvalues in 0.56-0.96 that no finer
+        # mesh has; below 1.0 n 128 keeps only 0 and the 0.00952 pair.
+        asm = SlabAssembly(SlabMesh(n, 2), eta7, KN, "nonmaxwell")
+        keep = asm._layout.free_dofs
+        op = asm.transient_operator()[keep][:, keep].tocsc()
+        mass = asm.mass_matrix()[keep][:, keep].tocsc()
+        rates = spla.eigs(op, k=16, M=mass, sigma=-0.5, v0=np.ones(keep.size),
+                          return_eigenvectors=False)
+        assert np.abs(rates.imag).max() <= 1e-12
+        assert np.sum(rates.real < 1.0) == below
 
     def test_transient_requires_coercive_spaces(self, asm_maxwell):
         with pytest.raises(ValueError):
@@ -1170,6 +1202,22 @@ class TestCoercivity:
         s = z.T @ b @ np.linalg.solve(gu, b.T) @ z
         ref = np.sqrt(scipy.linalg.eigh(s, z.T @ mp @ z, eigvals_only=True)[0])
         assert abs(coercivity_probe(asm).infsup - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_pressure_coupling_reaches_u1_alone(self, name, formulation, degree, n):
+        # The premise of the probe's u1-only inf-sup solve: g stores nothing
+        # in the u2, u3 columns, and the t1 Gram couples u1 to no other
+        # component.
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        u1 = asm.dofs("u1")
+        rest = np.setdiff1d(np.arange(asm.ndof), u1)
+        assert asm.form("g")[asm.dofs("p")][:, np.concatenate(
+            [asm.dofs("u2"), asm.dofs("u3")])].nnz == 0
+        gram = asm.t1_gram()
+        assert gram[u1][:, rest].nnz == 0 and gram[rest][:, u1].nnz == 0
 
 
 def _t1_dofs(asm):
