@@ -191,6 +191,12 @@ class WallData:
         return cls(theta_w=np.array([-delta, delta]), u_t=np.zeros((2, 2)))
 
 
+def _wall_data(wall: WallData | None) -> np.ndarray:
+    """Wall data as the wall-load kernel reads it: per wall (theta_w, u_t1,
+    u_t2); zero for None, homogeneous walls."""
+    return np.zeros((2, 3)) if wall is None else np.column_stack([wall.theta_w, wall.u_t])
+
+
 # ---------------------------------------------------------------------------
 # pointwise kernels probed from the 3-D form definitions
 #
@@ -748,6 +754,15 @@ class SlabAssembly:
         self.offsets, self.ndof = self._layout.offsets, self._layout.ndof
         self.essential_dofs = self._layout.essential_dofs
         self._kernels = _kernels(model, self.kn, self.coeffs)
+        # A form the grouping does not place must vanish, or the solve and
+        # the monitors would disagree on the model.
+        unplaced = (FORM_GROUPS.keys() - A_PLACEMENTS[formulation].keys()
+                    - STEADY_PLACEMENTS[formulation].keys())
+        nonzero = sorted(name for name in unplaced
+                         if any(np.any(kern) for kern in self._kernels.forms[name]))
+        if nonzero:
+            raise ValueError(f"the {formulation} grouping does not place the forms "
+                             f"{', '.join(nonzero)}, which are nonzero for this model")
         self._factorizations: dict = {}
         self._a_values = None
         self._a_operator: sp.csr_matrix | None = None
@@ -791,38 +806,13 @@ class SlabAssembly:
     # -- loads ---------------------------------------------------------------
 
     def load_vector(self, wall: WallData) -> np.ndarray:
-        """Wall-data functional on the test layout of this formulation.
-
-        Rows: heat-flux tests get the temperature-jump functional, stress
-        tests the tangential-drive and temperature couplings, and (in the
-        coercive grouping) velocity and temperature tests their wall terms.
-        """
-        c = self.coeffs
-        k = self.model
-        out = np.zeros(self.ndof)
-        include_wt = self.formulation == "nonmaxwell"
-        for w in (0, 1):
-            tw = wall.theta_w[w]
-            ut1, ut2 = wall.u_t[w]
-            # L1 on heat-flux tests r: -(R1 + k0) theta_W r_n + T1 u_W.r_t
-            self._add_wall_term(out, "s", w, lambda fc: -(c.R1 + k.k0) * tw * fc["n"]
-                                + c.T1 * (ut1 * fc["t1"] + ut2 * fc["t2"]))
-            # L3 on stress tests tau: T2 theta_W tau_nn - (R4 + k5) u_W.tau_nt
-            self._add_wall_term(out, "sg", w, lambda fc: c.T2 * tw * fc["nn"]
-                                - (c.R4 + k.k5) * (ut1 * fc["nt1"] + ut2 * fc["nt2"]))
-            if include_wt:
-                # L4 on velocity tests v and L2 on temperature tests gamma.
-                self._add_wall_term(out, "u", w, lambda fc: c.S2 * (ut1 * fc["t1"] + ut2 * fc["t2"]))
-                self._add_wall_term(out, "th", w, lambda fc: c.S4 * tw * fc)
-        return out
-
-    def _add_wall_term(self, out: np.ndarray, group: str, wall: int, term):
-        # The term on the unit value traces, by component.
-        coeffs = term(_unit_probes()[1][wall][0][group]).ravel()
-        i = np.nonzero(coeffs)[0]
-        dofs = self._layout.wall_dofs[i, wall]
-        vals = coeffs[i, None] * self._layout.wall_traces[i, wall, 0]
-        out[dofs[dofs >= 0]] += vals[dofs >= 0]
+        """Wall-data functional on the test layout: the trace map applied to
+        the wall-load kernel, the one that monitors contracts with the wall
+        traces of a state.  In the grouped degenerate formulation the
+        velocity and temperature terms vanish with the unplaced forms f and
+        h (see __init__)."""
+        return self._layout.traces.T @ np.einsum("wd,wdt->t", _wall_data(wall),
+                                                 self._kernels.wall_load)
 
     # -- system operators ------------------------------------------------------
 
@@ -1048,7 +1038,8 @@ def _wall_quadratic(coeffs: BoundaryCoeffs, a: dict, b: dict):
 
 def _wall_load_value(coeffs: BoundaryCoeffs, model: MolecularModel, fr: dict,
                      tw, ut1, ut2):
-    """Wall-data functional density at one wall (all four test couplings)."""
+    """Wall-data functional density at one wall (all four test couplings);
+    its kernel is both the load vector and the wall_load monitor."""
     c = coeffs
     s, u, sg, th = fr["s"], fr["u"], fr["sg"], fr["th"]
     out = -(c.R1 + model.k0) * tw * s["n"] + c.T1 * (ut1 * s["t1"] + ut2 * s["t2"])
@@ -1111,10 +1102,6 @@ _MonitorOperators = namedtuple("_MonitorOperators", "products mass wall")
 # traces of one wall only.
 _WALL_COLUMN_KIND = (0, 0, 1)
 
-# Homogeneous wall data as the wall-load kernel reads it: per wall,
-# (theta_w, u_t1, u_t2).
-_HOMOGENEOUS_DATA = _read_only(np.zeros((2, 3)))
-
 
 def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
     """Monitor operators of an assembly, built on first use and cached."""
@@ -1166,8 +1153,7 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
     entropy = _ENTROPY_REFERENCE - energy
     mass = float(ops.mass @ x)
     i_bdry, f1, f2_trace = ((ops.wall @ t) @ t).tolist()
-    data = _HOMOGENEOUS_DATA if wall is None else np.column_stack([wall.theta_w, wall.u_t])
-    wall_load = float(np.sum(data * (assembly._kernels.wall_load @ t)))
+    wall_load = float(np.sum(_wall_data(wall) * (assembly._kernels.wall_load @ t)))
     i_bdry_data = i_bdry - wall_load
     return SolveMonitors(
         energy=energy, w1=w1, i_bdry=i_bdry, wall_load=wall_load,

@@ -221,6 +221,19 @@ class TestPlumbing:
         assert run("solve-steady", "--model", "maxwell", "--config", config,
                    "--out", str(outdir)) == EXIT_OK
 
+    def test_flagged_nonmaxwell_model_is_config_error(self, tmp_path, outdir, capsys):
+        # A maxwell flag on a model whose unplaced forms do not vanish: the
+        # grouped solve would drop their terms, so the assembly rejects it.
+        doc = yaml.safe_load(bundled_model_path("eta7").read_text())
+        doc["maxwell"] = True
+        model = tmp_path / "eta7-flagged.yaml"
+        model.write_text(yaml.safe_dump(doc))
+        config = write_config(tmp_path, formulation="maxwell", elements=8)
+        assert run("solve-steady", "--model", str(model), "--config", config,
+                   "--out", str(outdir)) == EXIT_CONFIG
+        assert "does not place the forms f, h, j, z" in capsys.readouterr().err
+        assert not (outdir / "profile.csv").exists()
+
     def test_unknown_bundled_model(self, outdir):
         code = run("validate-params", "--model", "nosuch", "--out", str(outdir))
         assert code == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Model loading, validation, and thermodynamic constraint checks."""
 
 import dataclasses
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -450,6 +451,21 @@ class TestBundled:
         (tmp_path / "eta7").write_text(yaml.safe_dump(make_doc(chi=0.5)))
         assert model_file("eta7") == (Path("eta7"), False)
         assert resolve_model("eta7") == load_model(make_doc(chi=0.5))
+
+    def test_generator_reproduces_bundled_files(self, tmp_path):
+        # scripts/generate_model_data.py, run into an empty directory, writes
+        # the five bundled files byte for byte.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "generate_model_data.py"
+        spec = importlib.util.spec_from_file_location("generate_model_data", script)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        generator.DATA_DIR = tmp_path
+        generator.main()
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(f"{name}.yaml" for name in bundled_models())
+        for name in written:
+            bundled = bundled_model_path(name[:-5]).read_bytes()
+            assert (tmp_path / name).read_bytes() == bundled, name
 
     def test_eta_infinity_label_round_trip(self):
         assert load_model(bundled_model_path("eta-infinity")).eta == "infinity"

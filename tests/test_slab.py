@@ -39,6 +39,11 @@ GROUPINGS = [(name, formulation) for name in bundled_models()
              for formulation in ("nonmaxwell", "maxwell")
              if formulation == "nonmaxwell" or resolve_model(name).is_maxwell]
 
+# Every grouping with a steady solve (D16 rejects a Maxwell-type model in
+# the coercive one).
+STEADY_GROUPINGS = [(name, formulation) for name, formulation in GROUPINGS
+                    if formulation == "maxwell" or not resolve_model(name).is_maxwell]
+
 
 @pytest.fixture(scope="module")
 def eta7():
@@ -228,6 +233,18 @@ class TestSteady:
     def test_steady_entropy_balance(self, couette_eta7, couette_maxwell):
         for _, _, mon in (couette_eta7, couette_maxwell):
             assert mon.i_bdry_data == pytest.approx(mon.w1, abs=1e-8 * (1 + abs(mon.w1)))
+
+    @pytest.mark.parametrize("wall", [WallData.couette(), WallData.fourier(),
+                                      WallData(theta_w=np.array([0.5, 0.5]),
+                                               u_t=np.zeros((2, 2)))],
+                             ids=["couette", "fourier", "equilibrium"])
+    @pytest.mark.parametrize("name,formulation", STEADY_GROUPINGS)
+    def test_steady_entropy_balance_every_grouping(self, name, formulation, wall):
+        # The load vector and the wall_load monitor read one kernel; the
+        # balance checks the solve against the monitors in every grouping.
+        asm = SlabAssembly(SlabMesh(16, 2), resolve_model(name), KN, formulation)
+        _, mon = solve_steady(asm, wall)
+        assert mon.i_bdry_data == pytest.approx(mon.w1, abs=1e-8 * (1 + abs(mon.w1)))
 
 
 # ---------------------------------------------------------------------------
@@ -826,12 +843,6 @@ def _chain_steady_solve(asm, wall):
     return red, state, monitors(state, asm, wall=wall, residual=res, residual_rel=rel)
 
 
-# Every grouping with a steady solve (D16 rejects a Maxwell-type model in
-# the coercive one).
-STEADY_GROUPINGS = [(name, formulation) for name, formulation in GROUPINGS
-                    if formulation == "maxwell" or not resolve_model(name).is_maxwell]
-
-
 class TestOnePassSteadySystem:
     """steady_system() is one scatter of the A and constraint placements and
     the border into the cached steady pattern of the kept rows and columns;
@@ -874,33 +885,78 @@ class TestOnePassSteadySystem:
             assert asm.essential_dofs.tolist() == [u1[0], u1[-1]]
 
 
-def _per_call_wall_term(self, out, group, wall, term):
-    """The former SlabAssembly._add_wall_term: projects the identity onto
-    the wall frame on every call instead of reading the cached traces."""
-    c = slab._GROUP_SLICE[group]
-    eye = np.eye(len(slab.GROUPS[group]))
-    coeffs = term(slab._frame_comps(group, eye, slab.WALL_FRAMES[wall]))
-    i = np.nonzero(coeffs)[0]
-    dofs = self._layout.wall_dofs[c][i, wall]
-    vals = coeffs[i, None] * self._layout.wall_traces[c][i, wall, 0]
-    out[dofs[dofs >= 0]] += vals[dofs >= 0]
+def _reference_load(asm, wall):
+    """The wall-data functional transcribed per test group, the reference
+    for load_vector: L1 on heat-flux tests, L3 on stress tests and, in
+    the coercive grouping only, L4 on velocity and L2 on temperature tests,
+    each projected onto the wall frame and scattered through the layout's
+    wall dofs and value traces."""
+    c, k, layout = asm.coeffs, asm.model, asm._layout
+    out = np.zeros(asm.ndof)
+
+    def add(group, w, term):
+        rows = slab._GROUP_SLICE[group]
+        eye = np.eye(len(slab.GROUPS[group]))
+        coeffs = np.ravel(term(slab._frame_comps(group, eye, slab.WALL_FRAMES[w])))
+        i = np.nonzero(coeffs)[0]
+        dofs = layout.wall_dofs[rows][i, w]
+        vals = coeffs[i, None] * layout.wall_traces[rows][i, w, 0]
+        out[dofs[dofs >= 0]] += vals[dofs >= 0]
+
+    for w in (0, 1):
+        tw = wall.theta_w[w]
+        ut1, ut2 = wall.u_t[w]
+        # L1: -(R1 + k0) theta_W r_n + T1 u_W.r_t
+        add("s", w, lambda fc: -(c.R1 + k.k0) * tw * fc["n"]
+            + c.T1 * (ut1 * fc["t1"] + ut2 * fc["t2"]))
+        # L3: T2 theta_W tau_nn - (R4 + k5) u_W.tau_nt
+        add("sg", w, lambda fc: c.T2 * tw * fc["nn"]
+            - (c.R4 + k.k5) * (ut1 * fc["nt1"] + ut2 * fc["nt2"]))
+        if asm.formulation == "nonmaxwell":
+            # L4: S2 u_W.v_t and L2: S4 theta_W gamma
+            add("u", w, lambda fc: c.S2 * (ut1 * fc["t1"] + ut2 * fc["t2"]))
+            add("th", w, lambda fc: c.S4 * tw * fc)
+    return out
+
+
+LOAD_WALLS = [WallData(theta_w=np.array([0.7, 0.7]), u_t=np.zeros((2, 2))),
+              WallData.couette(), WallData.fourier(),
+              WallData(theta_w=np.array([-0.3, 1.1]), u_t=np.array([[0.2, -0.4], [0.9, 0.05]]))]
 
 
 class TestLoadVector:
-    """load_vector reads the cached wall unit traces; its loads equal bit for
-    bit those of the per-call projection."""
+    """load_vector is the trace map applied to the wall-load kernel that the
+    monitors read; its loads equal bit for bit those of the per-group
+    transcription, grouping rule included."""
 
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("name,formulation", GROUPINGS)
-    def test_matches_per_call_projection(self, name, formulation, monkeypatch):
-        asm = SlabAssembly(SlabMesh(4, 2), resolve_model(name), KN, formulation)
-        walls = [WallData(theta_w=np.array([0.7, 0.7]), u_t=np.zeros((2, 2))),
-                 WallData.couette(), WallData.fourier()]
-        loads = [asm.load_vector(wall) for wall in walls]
-        monkeypatch.setattr(SlabAssembly, "_add_wall_term", _per_call_wall_term)
-        for wall, load in zip(walls, loads):
-            expect = asm.load_vector(wall)
+    def test_matches_per_group_transcription(self, name, formulation, degree, n):
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        for wall in LOAD_WALLS:
+            load, expect = asm.load_vector(wall), _reference_load(asm, wall)
             assert np.any(expect != 0.0)
             assert load.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
+    def test_monitors_without_data_are_homogeneous(self, name, formulation):
+        asm = SlabAssembly(SlabMesh(4, 2), resolve_model(name), KN, formulation)
+        state = random_state(asm, np.random.default_rng(11))
+        mon = monitors(state, asm)
+        ref = monitors(state, asm, WallData.homogeneous())
+        assert (np.array(dataclasses.astuple(mon)).tobytes()
+                == np.array(dataclasses.astuple(ref)).tobytes())
+
+
+class TestGroupingGuard:
+    """An assembly rejects a model whose forms outside its grouping's
+    placements do not vanish: the solve would drop terms the monitors keep."""
+
+    def test_flagged_nonmaxwell_model_rejected(self, eta7):
+        flagged = dataclasses.replace(eta7, is_maxwell=True)
+        with pytest.raises(ValueError, match="forms f, h, j, z"):
+            SlabAssembly(SlabMesh(8, 2), flagged, KN, "maxwell")
 
 
 # ---------------------------------------------------------------------------
