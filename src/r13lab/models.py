@@ -33,6 +33,9 @@ M_COLS = 9
 
 _K_NAMES = tuple(f"k{i}" for i in range(11))
 
+# The transport coefficients of the Maxwell limit; the others are free.
+_MAXWELL_LIMIT = {"k0": 1.0, "k1": 0.0, "k2": 0.0, "k3": 0.0, "k4": 0.0, "k5": 1.0}
+
 
 class MTable:
     """Wall coefficient table, indexed 1-based as m[j, k] with j in 1..8, k in 1..9."""
@@ -223,6 +226,11 @@ def _model_from_doc(doc) -> MolecularModel:
     is_maxwell = doc.get("maxwell", False)
     if not isinstance(is_maxwell, bool):
         raise ValueError(f"maxwell must be true or false, got {is_maxwell!r}")
+    off = [f"{name} = {kvals[name]!r}" for name, value in _MAXWELL_LIMIT.items()
+           if kvals[name] != value]
+    if is_maxwell and off:
+        raise ValueError("maxwell: true needs the Maxwell limit k0 = k5 = 1, "
+                         f"k1 = k2 = k3 = k4 = 0; got {', '.join(off)}")
     return MolecularModel(
         eta=eta,
         **kvals,
@@ -285,9 +293,7 @@ def maxwell_specialize(model: MolecularModel) -> MolecularModel:
     model generally stops being self-consistent after specialization; the
     bundled Maxwell model ships its own consistent table.
     """
-    return replace(
-        model, k0=1.0, k1=0.0, k2=0.0, k3=0.0, k4=0.0, k5=1.0, is_maxwell=True
-    )
+    return replace(model, **_MAXWELL_LIMIT, is_maxwell=True)
 
 
 def _data_dir():

@@ -527,11 +527,9 @@ class _SlabLayout:
         self.kind = _read_only(np.array([kinds.index(spaces[c].kind) for c in COMPONENTS]))
         self.blocks, self.elem_dofs = _read_only(blocks), _read_only(elem_dofs)
         self.wall_dofs, self.wall_traces = _read_only(wall_dofs), _read_only(wall_traces)
-        # Global dofs of the normal velocity trace at both walls; the CG
-        # Lagrange trace is a single endpoint dof.
-        u1 = COMPONENTS.index("u1")
-        node = np.argmax(np.abs(wall_traces[u1, :, 0]), axis=1)
-        self.essential_dofs = _read_only(np.unique(wall_dofs[u1, [0, 1], node]))
+        # Global dofs of the normal velocity trace at both walls: u1 is CG in
+        # both groupings, and its Lagrange trace is its first and last dof.
+        self.essential_dofs = _int32([offsets["u1"], offsets["u1"] + sizes["u1"] - 1])
         # Rows and columns the steady solve keeps: all but the essential
         # dofs, with the pressure-mean multiplier last.  Less the multiplier,
         # they are the free dofs of every other solve and probe.
@@ -717,8 +715,10 @@ class SlabAssembly:
 
     Each bilinear form is kept as its probed volume and wall kernels, rows on
     its first argument, beside the monitor kernels.  Matrices are built from
-    kernels on demand by the layout, in the shared component dof layout; a
-    system operator from its placement table.
+    kernels per call by the layout, in the shared component dof layout; a
+    system operator as one scatter of its placement table.  Across calls
+    it keeps its A values, its monitor operators, whose stack holds its only
+    kept A, and the factorizations of its transient steps.
 
     Mostly the values are the assembly's own work.  Its kernels, forms and
     monitors alike, are probed once per (model, Kn, wall coefficients) in
@@ -764,9 +764,6 @@ class SlabAssembly:
             raise ValueError(f"the {formulation} grouping does not place the forms "
                              f"{', '.join(nonzero)}, which are nonzero for this model")
         self._factorizations: dict = {}
-        self._a_values = None
-        self._a_operator: sp.csr_matrix | None = None
-        self._monitor_ops = None
 
     # -- layout helpers ----------------------------------------------------
 
@@ -822,19 +819,19 @@ class SlabAssembly:
         Coercive grouping: all forms but g in their saddle arrangement on
         (s, u, sigma, theta).  Grouped degenerate formulation: only the
         (a, c, d) block on (sigma, s).  Exact zeros are not stored.  Built
-        once and cached; every caller shares it, so none may modify it.
+        per call from the cached A values; the monitor stack holds the
+        assembly's only kept copy.
         """
-        if self._a_operator is None:
-            coupled, walled, vals = self._a_placed_values()
-            self._a_operator = self._layout.pattern(coupled, walled).matrix(vals)
-            self._a_operator.eliminate_zeros()
-        return self._a_operator
+        coupled, walled, vals = self._a_values
+        mat = self._layout.pattern(coupled, walled).matrix(vals)
+        mat.eliminate_zeros()
+        return mat
 
-    def _a_placed_values(self):
-        """(coupled, walled, values) of the A placements, computed once."""
-        if self._a_values is None:
-            self._a_values = self._layout.values(*self._placed(A_PLACEMENTS[self.formulation]))
-        return self._a_values
+    @functools.cached_property
+    def _a_values(self):
+        """(coupled, walled, values) of the A placements, shared by the A
+        operator and the steady system."""
+        return self._layout.values(*self._placed(A_PLACEMENTS[self.formulation]))
 
     def steady_system(self) -> sp.csc_matrix:
         """Matrix the steady solve factors: the A operator plus its
@@ -847,7 +844,7 @@ class SlabAssembly:
         pair of the A operator, so every entry sums the terms it sums
         there.  Exact zeros are not stored.
         """
-        a_coupled, a_walled, a_vals = self._a_placed_values()
+        a_coupled, a_walled, a_vals = self._a_values
         c_coupled, c_walled, c_vals = self._layout.values(
             *self._placed(STEADY_PLACEMENTS[self.formulation]))
         border = self._integral_vector("p")[self.dofs("p")]
@@ -857,10 +854,14 @@ class SlabAssembly:
         return mat
 
     def transient_operator(self) -> sp.csr_matrix:
-        """Weak operator of the evolution system (no zero-mean constraint)."""
+        """Weak operator of the evolution system (no zero-mean constraint),
+        one scatter of its placements.  Exact zeros are not stored."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
-        return self.a_operator() + self._layout.matrix(*self._placed(TRANSIENT_PLACEMENTS))
+        mat = self._layout.matrix(*self._placed({**A_PLACEMENTS["nonmaxwell"],
+                                                 **TRANSIENT_PLACEMENTS}))
+        mat.eliminate_zeros()
+        return mat
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -874,6 +875,20 @@ class SlabAssembly:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
         primary = [float(c != "p") for c in COMPONENTS]
         return self._layout.matrix(np.diag(primary + primary))
+
+    @functools.cached_property
+    def _monitor_ops(self) -> _MonitorOperators:
+        """Monitor operators (see _MonitorOperators), built on first use."""
+        m, kernels, layout = len(COMPONENTS), self._kernels, self._layout
+        # The wall kernels as (output, wall trace, wall trace) matrices.
+        wall = np.zeros((3, 2, 2, m, 2, 2, m))
+        for o, w in np.ndindex(3, 2):
+            wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = kernels.wall[o, w]
+        return _MonitorOperators(
+            products=_frozen(sp.vstack([layout.mass, layout.matrix(kernels.w1),
+                                        self.a_operator(), layout.traces], format="csr")),
+            mass=self._integral_vector("p") - self._integral_vector("theta"),
+            wall=wall.reshape(3, 4 * m, 4 * m))
 
 
 def _state_from_components(comp: np.ndarray) -> StateVector:
@@ -1103,23 +1118,6 @@ _MonitorOperators = namedtuple("_MonitorOperators", "products mass wall")
 _WALL_COLUMN_KIND = (0, 0, 1)
 
 
-def _monitor_operators(assembly: SlabAssembly) -> _MonitorOperators:
-    """Monitor operators of an assembly, built on first use and cached."""
-    if assembly._monitor_ops is not None:
-        return assembly._monitor_ops
-    m, kernels, layout = len(COMPONENTS), assembly._kernels, assembly._layout
-    # The wall kernels as (output, wall trace, wall trace) matrices.
-    wall = np.zeros((3, 2, 2, m, 2, 2, m))
-    for o, w in np.ndindex(3, 2):
-        wall[o, w, 0, :, w, _WALL_COLUMN_KIND[o]] = kernels.wall[o, w]
-    assembly._monitor_ops = _MonitorOperators(
-        products=_frozen(sp.vstack([layout.mass, layout.matrix(kernels.w1),
-                                    assembly.a_operator(), layout.traces], format="csr")),
-        mass=assembly._integral_vector("p") - assembly._integral_vector("theta"),
-        wall=wall.reshape(3, 4 * m, 4 * m))
-    return assembly._monitor_ops
-
-
 def _coefficients(state: DiscreteState, assembly: SlabAssembly) -> np.ndarray:
     """The coefficient vector of a state of assembly; raises ValueError for
     a state of another assembly or of the wrong length."""
@@ -1144,7 +1142,7 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
     kernel on the traces.  The mass is a dense dot of x.
     """
     x = _coefficients(state, assembly)
-    ops, n = _monitor_operators(assembly), assembly.ndof
+    ops, n = assembly._monitor_ops, assembly.ndof
     y = ops.products @ x
     energy = 0.5 * float(x @ y[:n])
     w1 = float(x @ y[n:2 * n])

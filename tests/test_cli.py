@@ -222,8 +222,8 @@ class TestPlumbing:
                    "--out", str(outdir)) == EXIT_OK
 
     def test_flagged_nonmaxwell_model_is_config_error(self, tmp_path, outdir, capsys):
-        # A maxwell flag on a model whose unplaced forms do not vanish: the
-        # grouped solve would drop their terms, so the assembly rejects it.
+        # A maxwell flag on a model off the Maxwell limit: the loader
+        # rejects it, so every command that reads the model exits 2.
         doc = yaml.safe_load(bundled_model_path("eta7").read_text())
         doc["maxwell"] = True
         model = tmp_path / "eta7-flagged.yaml"
@@ -231,8 +231,11 @@ class TestPlumbing:
         config = write_config(tmp_path, formulation="maxwell", elements=8)
         assert run("solve-steady", "--model", str(model), "--config", config,
                    "--out", str(outdir)) == EXIT_CONFIG
-        assert "does not place the forms f, h, j, z" in capsys.readouterr().err
+        assert "maxwell: true needs the Maxwell limit" in capsys.readouterr().err
         assert not (outdir / "profile.csv").exists()
+        for command in ("validate-params", "derive-bcs"):
+            assert run(command, "--model", str(model), "--out", str(outdir)) == EXIT_CONFIG
+            assert "maxwell: true needs the Maxwell limit" in capsys.readouterr().err
 
     def test_unknown_bundled_model(self, outdir):
         code = run("validate-params", "--model", "nosuch", "--out", str(outdir))

@@ -178,7 +178,9 @@ class TestLoadModel:
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_maxwell_flag_boolean(self, flag):
-        assert load_model(make_doc(maxwell=flag)).is_maxwell is flag
+        k = {**make_doc()["k"], "k0": 1.0, "k1": 0.0, "k2": 0.0, "k3": 0.0, "k4": 0.0,
+             "k5": 1.0}
+        assert load_model(make_doc(k=k, maxwell=flag)).is_maxwell is flag
 
     def test_missing_top_level_field(self):
         doc = make_doc()
@@ -428,6 +430,19 @@ class TestBundled:
         model = load_model(bundled_model_path("maxwell"))
         assert model.is_maxwell
         assert model.k0 == 1.0 and model.k5 == 1.0
+
+    def test_maxwell_flag_off_the_limit_rejected(self):
+        # The flag selects the grouped solve, which drops the forms that
+        # vanish only in the Maxwell limit; each entry off it is named.
+        doc = yaml.safe_load(bundled_model_path("eta7").read_text())
+        doc["maxwell"] = True
+        with pytest.raises(ValueError, match=r"limit .*; got k0 = 0\.9, k1 = .*, k5 = 1\.1$"):
+            load_model(doc)
+        doc = yaml.safe_load(bundled_model_path("maxwell").read_text())
+        assert load_model(doc).is_maxwell
+        doc["k"]["k2"] = 0.25
+        with pytest.raises(ValueError, match=r"; got k2 = 0\.25$"):
+            load_model(doc)
 
     def test_resolve_by_name(self):
         assert resolve_model("eta10").k1 == APPENDIX["eta10"]["k1"]
