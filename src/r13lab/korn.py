@@ -47,9 +47,10 @@ spectral tails and counts the stf kernel, and the 10-fold conformal Killing
 kernel of the stf pencil makes a Krylov solver restart from its internal
 seed, which would break run-to-run bit-identity.
 `boundary_korn_eigenvalue` needs only the smallest eigenvalue of an SPD
-pencil, so it runs shift-invert Lanczos (ARPACK) on each such sparse
-block, from one sparse LU and a fixed-seed start vector per block, and
-takes the minimum.
+pencil, and takes the minimum over the blocks.  A block of at most
+`DENSE_CLASS_ROWS` rows is solved densely for its lowest eigenvalue alone;
+a larger one runs shift-invert Lanczos (ARPACK) on the sparse block, from
+one sparse LU and a fixed-seed start vector per block.
 """
 
 from __future__ import annotations
@@ -66,12 +67,18 @@ from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, parity_bases
 
 # Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
-# Size cap of the sparse boundary_korn_eigenvalue, just above the top of the
-# mesh ladder its solve was checked on: 73,167 dofs, cube(28,1) and (14,2).
+# Size cap of boundary_korn_eigenvalue, just above the top of the mesh ladder
+# its sparse solve was checked on: 73,167 dofs, cube(28,1) and (14,2).
 MAX_SPARSE_DOFS = 80_000
 
-# Seed of the start vectors of the sparse boundary probe, one stream per
-# reflection class.  Fixed random vectors, not symmetric ones such as all
+# Largest reflection-class block that boundary_korn_eigenvalue solves
+# densely.  Shift-invert Lanczos converges slowly on the clustered low
+# spectra of the blocks, and a dense solve of the lowest eigenvalue alone is
+# faster up to blocks of about this size (DECISIONS.md D20).
+DENSE_CLASS_ROWS = 500
+
+# Seed of the start vectors of the boundary probe's sparse route, one stream
+# per reflection class.  Fixed random vectors, not symmetric ones such as all
 # ones, which can be orthogonal to whole symmetry classes of a block.
 _START_SEED = 20061
 
@@ -319,6 +326,18 @@ class CubeForms:
             factors[p, q] = i, j, mats[:, i, j], mats.shape[1:]
         return factors
 
+    def _class_layout(self, s: tuple) -> tuple:
+        """Per component c, its parities along (x, y, z) in reflection class
+        s, and the offsets of the components' rows in the class basis, the
+        last one being the class size."""
+        parity = [tuple(-sa if a == c else sa for a, sa in enumerate(s)) for c in range(3)]
+        dim = {p: basis.shape[1] for p, basis in _line_parity(len(self.lines["M"])).items()}
+        return parity, np.cumsum([0] + [dim[px] * dim[py] * dim[pz] for px, py, pz in parity])
+
+    def class_size(self, s: tuple) -> int:
+        """Number of dofs in reflection class s = (s_x, s_y, s_z)."""
+        return int(self._class_layout(s)[1][-1])
+
     def _evaluate(self, sums: tuple, s: tuple | None):
         """The size of reflection class s = (s_x, s_y, s_z), or of all dofs
         if s is None, and an iterator over its component pairs of the rows,
@@ -334,9 +353,7 @@ class CubeForms:
             parity, offset, stride = [(0, 0, 0)] * 3, range(3), 3
             size = self.mesh.n_dofs
         else:
-            parity = [tuple(-sa if a == c else sa for a, sa in enumerate(s)) for c in range(3)]
-            dim = {p: basis.shape[1] for p, basis in _line_parity(len(self.lines["M"])).items()}
-            offset = np.cumsum([0] + [dim[px] * dim[py] * dim[pz] for px, py, pz in parity])
+            parity, offset = self._class_layout(s)
             stride, size = 1, offset[-1]
 
         def pairs():
@@ -480,22 +497,30 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only.
 
-    Shift-invert Lanczos about 0 on one reflection-class block of the
-    sparse SPD pencil per axis-permutation orbit, converged to machine
-    precision from a fixed-seed start vector per class, so repeated calls
-    return the same bits; the minimum over the orbits is the pencil's.
-    Agrees with a dense solve of the unsplit pencil to roundoff.
+    Solves one reflection-class block of the SPD pencil per
+    axis-permutation orbit and returns the minimum over the orbits, which
+    is the pencil's.  A block of at most DENSE_CLASS_ROWS rows is built
+    dense and solved for its lowest eigenvalue alone; a larger one is built
+    sparse and solved by shift-invert Lanczos about 0, converged to machine
+    precision from a fixed-seed start vector per class.  Either way repeated
+    calls return the same bits, and the result agrees with a dense solve of
+    the unsplit pencil to roundoff.
     """
     _check_size(mesh.n_dofs, sparse=True)
     forms = assemble_cube_forms(mesh)
     lowest = []
     for s in _CLASS_ORBITS:
-        pencil, h1 = forms.sparse_blocks(_BOUNDARY_SUMS, s)
-        # Seed stream: the index of s among all 8 classes, x fastest.
-        k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
-        v0 = np.random.default_rng((_START_SEED, k)).standard_normal(h1.shape[0])
-        lowest.append(scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
-                                                return_eigenvectors=False)[0])
+        if forms.class_size(s) <= DENSE_CLASS_ROWS:
+            pencil, h1 = forms.dense_blocks(_BOUNDARY_SUMS, s)
+            lowest.append(scipy.linalg.eigh(pencil, h1, eigvals_only=True,
+                                            subset_by_index=[0, 0])[0])
+        else:
+            pencil, h1 = forms.sparse_blocks(_BOUNDARY_SUMS, s)
+            # Seed stream: the index of s among all 8 classes, x fastest.
+            k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
+            v0 = np.random.default_rng((_START_SEED, k)).standard_normal(h1.shape[0])
+            lowest.append(scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0,
+                                                    v0=v0, return_eigenvectors=False)[0])
     return float(min(lowest))
 
 

@@ -386,22 +386,69 @@ class TestKornConstants:
             boundary_korn_eigenvalue(build_cube_mesh(1, 1))
 
 
-class TestSparseBoundaryProbe:
-    """boundary_korn_eigenvalue solves sparsely; korn_constants is dense."""
+# DENSE_CLASS_ROWS that force every class block of boundary_korn_eigenvalue
+# onto one route: no class has 0 rows, and none passes the size guard with
+# more than MAX_SPARSE_DOFS.
+ROUTE_ROWS = {"sparse": 0, "dense": korn.MAX_SPARSE_DOFS}
 
-    @pytest.mark.parametrize("n,degree", [(2, 1), (3, 1), (2, 2)])
-    def test_matches_dense_korn_constants(self, n, degree):
+
+@pytest.fixture(params=list(ROUTE_ROWS))
+def route(request, monkeypatch):
+    monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", ROUTE_ROWS[request.param])
+    return request.param
+
+
+def counting_eigensolvers(monkeypatch):
+    """Record the block size of every dense eigh and sparse eigsh call."""
+    def recording(solve, sizes):
+        def counting(*args, **kwargs):
+            sizes.append(args[0].shape[0])
+            return solve(*args, **kwargs)
+        return counting
+
+    calls = {"eigh": [], "eigsh": []}
+    for module, name in ((scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name), calls[name]))
+    return calls
+
+
+class TestBoundaryProbeRoutes:
+    """boundary_korn_eigenvalue solves a class block of at most
+    DENSE_CLASS_ROWS rows densely and a larger one by sparse shift-invert
+    Lanczos; korn_constants is dense."""
+
+    @pytest.mark.parametrize("n,degree", [(2, 1), (3, 1), (4, 1), (2, 2)])
+    def test_matches_dense_korn_constants(self, monkeypatch, n, degree):
         mesh = build_cube_mesh(n, degree)
         dense = korn_constants(assemble_cube_forms(mesh)).lambda_min_boundary
-        assert boundary_korn_eigenvalue(mesh) == pytest.approx(dense, rel=1e-12)
+        lams = {}
+        for name, rows in ROUTE_ROWS.items():
+            monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", rows)
+            lams[name] = boundary_korn_eigenvalue(mesh)
+            assert lams[name] == pytest.approx(dense, rel=1e-12), name
+            assert boundary_korn_eigenvalue(mesh) == lams[name], name
+        assert lams["sparse"] == pytest.approx(lams["dense"], rel=1e-12)
 
-    def test_repeatable_bit_for_bit(self):
+    def test_mixed_routes_match_dense_route(self, monkeypatch):
+        # cube(8,1) classes have 300, 285, 264 and 240 rows: at 270 the first
+        # two take the sparse route and the last two the dense one.
+        mesh = build_cube_mesh(8, 1)
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", ROUTE_ROWS["dense"])
+        dense = boundary_korn_eigenvalue(mesh)
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 270)
+        calls = counting_eigensolvers(monkeypatch)
+        mixed = boundary_korn_eigenvalue(mesh)
+        assert calls == {"eigh": [264, 240], "eigsh": [300, 285]}
+        assert mixed == pytest.approx(dense, rel=1e-12)
+        assert boundary_korn_eigenvalue(mesh) == mixed
+
+    def test_repeatable_bit_for_bit(self, route):
         meshes = [build_cube_mesh(2, 1), build_cube_mesh(4, 1)]
         first = [boundary_korn_eigenvalue(m) for m in meshes]
         forms = assemble_cube_forms(meshes[0])
         for _ in range(3):
             # Dense solves and ARPACK runs from its own internal start
-            # vector in between must not change the sparse probe's bits.
+            # vector in between must not change the probe's bits.
             korn_constants(forms)
             scipy.sparse.linalg.eigsh(forms.h1, k=2, M=forms.l2)
             assert [boundary_korn_eigenvalue(m) for m in meshes] == first
@@ -410,6 +457,7 @@ class TestSparseBoundaryProbe:
         def no_dense(*args, **kwargs):
             raise AssertionError("dense eigh called")
 
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", ROUTE_ROWS["sparse"])
         monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
         assert boundary_korn_eigenvalue(build_cube_mesh(3, 1)) > 0.0
 
@@ -644,6 +692,7 @@ class TestClassBlocks:
         mesh = build_cube_mesh(n, degree)
         forms = assemble_cube_forms(mesh)
         for s, q in reflection_classes(mesh).items():
+            assert forms.class_size(s) == q.shape[1]
             for name in FORM_NAMES:
                 ref = (q.T @ getattr(forms, name) @ q).toarray()
                 block = forms.block(name, s)
@@ -744,7 +793,7 @@ class TestAxisPermutationSplit:
         for name in ("classical_tail", "boundary_tail", "stf_tail"):
             assert np.array_equal(getattr(again, name), getattr(first, name)), name
 
-    def test_probes_evaluate_each_solved_class_once(self, monkeypatch):
+    def test_probes_evaluate_each_solved_class_once(self, monkeypatch, route):
         evaluate = korn.CubeForms._evaluate
         calls = []
 
@@ -766,17 +815,12 @@ class TestAxisPermutationSplit:
         assert boundary_korn_eigenvalue(mesh) == first
         assert calls == 2 * orbits
 
-    def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch):
-        eigsh = scipy.sparse.linalg.eigsh
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch, route):
+        solver, other = ("eigsh", "eigh") if route == "sparse" else ("eigh", "eigsh")
+        calls = counting_eigensolvers(monkeypatch)
         mesh = build_cube_mesh(3, 1)
         first = boundary_korn_eigenvalue(mesh)
-        assert len(calls) == 4
+        assert len(calls[solver]) == 4
         assert boundary_korn_eigenvalue(mesh) == first
-        assert len(calls) == 8
+        assert len(calls[solver]) == 8
+        assert calls[other] == []
