@@ -2,7 +2,8 @@
 uniform mesh of [0, 1] and its scalar spaces, which only this module knows,
 a Gauss rule, a Lagrange tabulator, element points and matrices, a scatter
 that repeats one element matrix over every element, the parity bases of
-the mirror x -> 1 - x, and the global CG matrices of the cube forms.
+the mirror x -> 1 - x, the global CG matrices of the cube forms, and the
+inertia certificate that lets the spectral probes skip a block.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 DEFAULT_DEGREE = 2
@@ -221,3 +223,24 @@ def cg_line_matrices(n: int, degree: int) -> dict:
     mass, _, g, stiff = mats
     return {"M": mass, "K": stiff, "G": g, "GT": g.T,
             "T": np.diag(np.r_[1.0, np.zeros(cg.ndof - 2), 1.0])}
+
+
+def pencil_above(a: np.ndarray, g: np.ndarray, tau: float) -> bool:
+    """True iff the dense Cholesky factorization (LAPACK potrf) of
+    a - tau * g succeeds, g symmetric positive definite.
+
+    By Sylvester's law of inertia a - tau * g is positive definite exactly
+    when every eigenvalue of the symmetric pencil (a, g) exceeds tau, so a
+    pass certifies that the pencil has no eigenvalue at or below tau, up to
+    the backward error of the factorization (DECISIONS.md D21).  The
+    factorization takes n^3 / 3 flops, a small part of a dense eigensolve
+    of the pencil.  A NaN fails: some LAPACK builds let one through potrf,
+    but it always reaches the factor's diagonal.
+    """
+    shifted = g * -tau
+    shifted += a
+    # The transpose is a Fortran-ordered view, so potrf factors in place
+    # instead of in a copy; its upper triangle is the lower triangle of
+    # a - tau * g, the one scipy.linalg.eigh reads.
+    factor, info = scipy.linalg.lapack.dpotrf(shifted.T, overwrite_a=True, clean=False)
+    return info == 0 and bool(np.isfinite(np.diagonal(factor)).all())

@@ -40,17 +40,20 @@ up to relabelling, and maps class s onto class s o sigma^-1, so the two
 blocks are permutation-similar and share one spectrum.  The 8 classes
 fall into 4 orbits, counted by the number of -1 signs: {+++} and {---}
 of size 1, the three classes with one -1 and the three with two.  Both
-probes solve one representative per orbit and count its spectrum
+probes take one representative per orbit and count its spectrum
 orbit-size times.
-`korn_constants` runs a dense solve of each such block: it reports whole
-spectral tails and counts the stf kernel, and the 10-fold conformal Killing
-kernel of the stf pencil makes a Krylov solver restart from its internal
-seed, which would break run-to-run bit-identity.
+`korn_constants` runs a dense solve of each such block and skips none: it
+reports whole spectral tails, the largest stf eigenvalue and the size of
+the stf kernel, which need every block's spectrum, and the 10-fold
+conformal Killing kernel of the stf pencil makes a Krylov solver restart
+from its internal seed, which would break run-to-run bit-identity.
 `boundary_korn_eigenvalue` needs only the smallest eigenvalue of an SPD
 pencil, and takes the minimum over the blocks.  A block of at most
-`DENSE_CLASS_ROWS` rows is solved densely for its lowest eigenvalue alone;
-a larger one runs shift-invert Lanczos (ARPACK) on the sparse block, from
-one sparse LU and a fixed-seed start vector per block.
+`DENSE_CLASS_ROWS` rows is solved densely for its lowest eigenvalue alone,
+unless one Cholesky factorization (`fe1d.pencil_above`) certifies that it
+lies above the minimum of the blocks solved before it; a larger one runs
+shift-invert Lanczos (ARPACK) on the sparse block, from one sparse LU and a
+fixed-seed start vector per block, and is always solved.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, parity_bases
+from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, parity_bases, pencil_above
 
 # Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
@@ -497,10 +500,12 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only.
 
-    Solves one reflection-class block of the SPD pencil per
-    axis-permutation orbit and returns the minimum over the orbits, which
-    is the pencil's.  A block of at most DENSE_CLASS_ROWS rows is built
-    dense and solved for its lowest eigenvalue alone; a larger one is built
+    Goes through one reflection-class block of the SPD pencil per
+    axis-permutation orbit, in `_CLASS_ORBITS` order, and returns the
+    minimum over the orbits, which is the pencil's.  A block of at most
+    DENSE_CLASS_ROWS rows is built dense; if `fe1d.pencil_above` certifies
+    it above the running minimum it is skipped, else it is solved for its
+    lowest eigenvalue alone (DECISIONS.md D21).  A larger one is built
     sparse and solved by shift-invert Lanczos about 0, converged to machine
     precision from a fixed-seed start vector per class.  Either way repeated
     calls return the same bits, and the result agrees with a dense solve of
@@ -508,20 +513,22 @@ def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """
     _check_size(mesh.n_dofs, sparse=True)
     forms = assemble_cube_forms(mesh)
-    lowest = []
+    lowest = np.inf
     for s in _CLASS_ORBITS:
         if forms.class_size(s) <= DENSE_CLASS_ROWS:
             pencil, h1 = forms.dense_blocks(_BOUNDARY_SUMS, s)
-            lowest.append(scipy.linalg.eigh(pencil, h1, eigvals_only=True,
-                                            subset_by_index=[0, 0])[0])
+            if lowest < np.inf and pencil_above(pencil, h1, lowest):
+                continue
+            lam = scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])[0]
         else:
             pencil, h1 = forms.sparse_blocks(_BOUNDARY_SUMS, s)
             # Seed stream: the index of s among all 8 classes, x fastest.
             k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
             v0 = np.random.default_rng((_START_SEED, k)).standard_normal(h1.shape[0])
-            lowest.append(scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0,
-                                                    v0=v0, return_eigenvectors=False)[0])
-    return float(min(lowest))
+            lam = scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0,
+                                            v0=v0, return_eigenvectors=False)[0]
+        lowest = min(lowest, lam)
+    return float(lowest)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe1d import DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, parity_bases
+from .fe1d import (DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, parity_bases,
+                   pencil_above)
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import StateVector, entropy_density, mass_inner, physical_fluxes
@@ -1303,13 +1304,11 @@ class CoercivityReport:
     theta_bubble: float | None
 
 
-def _block_spectrum(a: sp.csr_matrix, g: sp.csr_matrix) -> np.ndarray:
-    """Unsorted eigenvalues of the symmetric pencil (a, g), g SPD.
-
-    The pencil is block diagonal up to a permutation, one block per
-    connected component of the joint sparsity pattern of a and g; each
-    block gets its own dense eigensolve.  A block where a is zero has only
-    exact zero eigenvalues and is not solved.
+def _pencil_blocks(a: sp.csr_matrix, g: sp.csr_matrix) -> list:
+    """Dense blocks (a_b, g_b) of the symmetric pencil (a, g), one per
+    connected component of the joint sparsity pattern of a and g: the
+    pencil is block diagonal up to a permutation, so its spectrum is the
+    union of the block spectra.
     """
     # Imported here: only the coercivity probe uses it, and at import it would
     # add about 1 MiB and 4 ms to every process that imports the slab solver.
@@ -1332,9 +1331,48 @@ def _block_spectrum(a: sp.csr_matrix, g: sp.csr_matrix) -> np.ndarray:
         buf[offsets[lab] + local[coo.row] * sizes[lab] + local[coo.col]] = coo.data
         return [buf[o:o + k * k].reshape(k, k) for o, k in zip(offsets, sizes)]
 
-    return np.concatenate([
-        scipy.linalg.eigh(ab, gb, eigvals_only=True) if ab.any() else np.zeros(len(ab))
-        for ab, gb in zip(blocks(a), blocks(g))])
+    return list(zip(blocks(a), blocks(g)))
+
+
+def _merge_lowest(low: np.ndarray, a: sp.csr_matrix, g: sp.csr_matrix,
+                  keep: int) -> np.ndarray:
+    """The `keep` lowest of the ascending values `low` and the eigenvalues
+    of the symmetric pencil (a, g), g SPD, solving only the blocks that can
+    reach them (DECISIONS.md D21).
+
+    A zero block gives exact zeros unsolved.  The others go in ascending
+    order of their Rayleigh bound min(diag(a_b) / diag(g_b)), an upper
+    bound on the block's lowest eigenvalue.  Once `keep` values are known,
+    a block is skipped if its bound lies above the highest of them and
+    `pencil_above` certifies the block above it; otherwise it gets a dense
+    eigensolve.  A block bytewise equal to one handled before it reuses
+    that block's outcome.
+    """
+    blocks = _pencil_blocks(a, g)
+    bounds = [np.min(np.diag(ab) / np.diag(gb)) for ab, gb in blocks]
+    # Twins have equal bounds, so they are adjacent in this order; `tied`
+    # holds the blocks handled at the current bound with their values,
+    # None where certified.
+    tied, bound = [], None
+    for i in np.argsort(bounds, kind="stable"):
+        ab, gb = blocks[i]
+        if not ab.any():
+            vals = np.zeros(len(ab))
+        else:
+            if bounds[i] != bound:
+                tied, bound = [], bounds[i]
+            twin = next((t for t in tied
+                         if np.array_equal(t[0], ab) and np.array_equal(t[1], gb)), None)
+            if twin is not None:
+                vals = twin[2]
+            elif low.size == keep and bound > low[-1] and pencil_above(ab, gb, low[-1]):
+                vals = None
+            else:
+                vals = scipy.linalg.eigh(ab, gb, eigvals_only=True)
+            tied.append((ab, gb, vals))
+        if vals is not None:
+            low = np.sort(np.concatenate([low, vals]))[:keep]
+    return low
 
 
 def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityReport:
@@ -1344,17 +1382,22 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     with the wall reflection x -> 1 - x (DECISIONS.md D18), so it splits
     into an even and an odd parity class.  Each class is block diagonal up
     to a permutation, one block per connected component of the joint
-    sparsity pattern of its two matrices, and each block gets its own
-    dense eigensolve: exact, at the sum of the blocks' cubes instead of the
-    cube of their total.  Blocks where the symmetric part is zero (u and
-    theta in the degenerate grouping) contribute exact zeros unsolved.  The
-    spectrum is the sorted union over both classes.
+    sparsity pattern of its two matrices, and the spectrum is the union of
+    the block spectra.  The probe keeps only the max(n_report, 1) lowest
+    values as it goes through the classes one at a time, and solves only
+    the blocks that can reach them (`_merge_lowest`, DECISIONS.md D21).
+    Zero blocks (u and theta in the degenerate grouping) give exact zeros
+    unsolved; with n_report at least the pencil size every other block is
+    solved.  n_report must be a non-negative integer.
 
     The inf-sup constant applies the inverse velocity Gram on the free u1
     dofs, the only velocity component the pressure coupling g reaches in
     the slab, through the checked sparse direct solve of the steady and
     transient paths.
     """
+    if (isinstance(n_report, bool) or not isinstance(n_report, numbers.Integral)
+            or n_report < 0):
+        raise ValueError(f"n_report must be a non-negative integer, got {n_report!r}")
     a_full = assembly.a_operator()
     sym = 0.5 * (a_full + a_full.T)
     gram = assembly.t1_gram()
@@ -1364,11 +1407,13 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     t1_dofs = np.concatenate(free)
     a_t1 = sym[t1_dofs][:, t1_dofs]
     g_t1 = gram[t1_dofs][:, t1_dofs]
-    classes = parity_bases([f.size for f in free],
-                           [-1.0 if c in _MIRROR_ODD else 1.0 for c in primary])
-    eigs = np.sort(np.concatenate([_block_spectrum(q.T @ a_t1 @ q, q.T @ g_t1 @ q)
-                                   for q in classes]))
-    low = tuple(float(v) for v in eigs[:n_report])
+    keep = max(n_report, 1)
+    low = np.empty(0)
+    # One class at a time, so that only one class's blocks are alive.
+    for q in parity_bases([f.size for f in free],
+                          [-1.0 if c in _MIRROR_ODD else 1.0 for c in primary]):
+        low = _merge_lowest(low, q.T @ a_t1 @ q, q.T @ g_t1 @ q, keep)
+    low_eigs = tuple(float(v) for v in low[:n_report])
 
     # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.
     # In the slab div v = d v1/dx, so g stores nothing in the u2, u3 columns,
@@ -1398,7 +1443,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
         theta_bubble = float(vec @ (sym @ vec))
     return CoercivityReport(
         formulation=assembly.formulation, n_dofs=int(t1_dofs.size),
-        min_eig=float(eigs[0]), low_eigs=low, infsup=infsup,
+        min_eig=float(low[0]), low_eigs=low_eigs, infsup=infsup,
         theta_bubble=theta_bubble,
     )
 

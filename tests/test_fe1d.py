@@ -1,9 +1,10 @@
 """Shared 1-D finite-element toolkit: mesh and spaces, Gauss rule, Lagrange
 basis, element matrices, scatter, mirror parity bases, global line
-matrices."""
+matrices, and the Cholesky certificate of a symmetric pencil."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from r13lab.fe1d import (
@@ -15,6 +16,7 @@ from r13lab.fe1d import (
     gauss01,
     lagrange,
     parity_bases,
+    pencil_above,
 )
 
 
@@ -214,3 +216,22 @@ def test_single_block_parity_bases_match_dense_grid_bases(m):
     even, odd = parity_bases([m], [1.0])
     assert np.array_equal(even.toarray(), expect_even)
     assert np.array_equal(odd.toarray(), expect_odd)
+
+
+@pytest.mark.parametrize("n,degree,shift", [(5, 2, 0.0), (8, 1, 0.0), (4, 2, -30.0)])
+def test_pencil_above_brackets_the_lowest_eigenvalue(n, degree, shift):
+    # (K + T + shift M, M): stiffness plus endpoint trace against mass, SPD
+    # unshifted and indefinite with a negative lowest eigenvalue shifted.
+    lines = cg_line_matrices(n, degree)
+    a, g = lines["K"] + lines["T"] + shift * lines["M"], lines["M"]
+    a0, g0 = a.copy(), g.copy()
+    lam = scipy.linalg.eigh(a, g, eigvals_only=True)[0]
+    assert (lam < 0.0) == (shift < 0.0)
+    step = 1e-9 * abs(lam)
+    assert pencil_above(a, g, lam - step)
+    assert not pencil_above(a, g, lam + step)
+    assert not pencil_above(a, g, np.nan)
+    bad = a.copy()
+    bad[0, -1] = bad[-1, 0] = np.nan
+    assert not pencil_above(bad, g, lam - step)
+    assert np.array_equal(a, a0) and np.array_equal(g, g0)

@@ -399,16 +399,27 @@ def route(request, monkeypatch):
 
 
 def counting_eigensolvers(monkeypatch):
-    """Record the block size of every dense eigh and sparse eigsh call."""
+    """Record the block size of every dense eigh and sparse eigsh call, and
+    of every class block that `pencil_above` certifies, so that the probe
+    skips its solve."""
     def recording(solve, sizes):
         def counting(*args, **kwargs):
             sizes.append(args[0].shape[0])
             return solve(*args, **kwargs)
         return counting
 
-    calls = {"eigh": [], "eigsh": []}
+    calls = {"eigh": [], "eigsh": [], "certified": []}
     for module, name in ((scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
         monkeypatch.setattr(module, name, recording(getattr(module, name), calls[name]))
+    above = korn.pencil_above
+
+    def certifying(a, g, tau):
+        passed = above(a, g, tau)
+        if passed:
+            calls["certified"].append(a.shape[0])
+        return passed
+
+    monkeypatch.setattr(korn, "pencil_above", certifying)
     return calls
 
 
@@ -431,16 +442,44 @@ class TestBoundaryProbeRoutes:
 
     def test_mixed_routes_match_dense_route(self, monkeypatch):
         # cube(8,1) classes have 300, 285, 264 and 240 rows: at 270 the first
-        # two take the sparse route and the last two the dense one.
+        # two take the sparse route and the last two the dense one, where a
+        # Cholesky factorization certifies each above the sparse minimum.
         mesh = build_cube_mesh(8, 1)
         monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", ROUTE_ROWS["dense"])
         dense = boundary_korn_eigenvalue(mesh)
         monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 270)
         calls = counting_eigensolvers(monkeypatch)
         mixed = boundary_korn_eigenvalue(mesh)
-        assert calls == {"eigh": [264, 240], "eigsh": [300, 285]}
+        assert calls == {"eigh": [], "eigsh": [300, 285], "certified": [264, 240]}
         assert mixed == pytest.approx(dense, rel=1e-12)
         assert boundary_korn_eigenvalue(mesh) == mixed
+
+    @pytest.mark.parametrize("n,degree", [(n, 1) for n in range(1, 11)]
+                             + [(n, 2) for n in range(1, 6)])
+    def test_equals_the_minimum_of_every_class_solve(self, n, degree):
+        # DECISIONS.md D21: the probe certifies a dense-route class above the
+        # running minimum by a Cholesky factorization instead of solving it,
+        # which changes no bit.  Reference: every orbit's class solved by its
+        # route, dense for lambda_min alone up to DENSE_CLASS_ROWS rows (every
+        # class up to cube(9,1) and cube(4,2)), else the probe's seeded
+        # shift-invert Lanczos (two classes of cube(10,1) and cube(5,2)).
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        lowest = []
+        for s in korn._CLASS_ORBITS:
+            if forms.class_size(s) <= korn.DENSE_CLASS_ROWS:
+                pencil, h1 = forms.dense_blocks(korn._BOUNDARY_SUMS, s)
+                lowest.append(scipy.linalg.eigh(pencil, h1, eigvals_only=True,
+                                                subset_by_index=[0, 0])[0])
+            else:
+                pencil, h1 = forms.sparse_blocks(korn._BOUNDARY_SUMS, s)
+                k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
+                v0 = np.random.default_rng((korn._START_SEED, k)).standard_normal(h1.shape[0])
+                lowest.append(scipy.sparse.linalg.eigsh(
+                    pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
+                    return_eigenvectors=False)[0])
+        assert len(lowest) == 4
+        assert boundary_korn_eigenvalue(mesh) == min(lowest)
 
     def test_repeatable_bit_for_bit(self, route):
         meshes = [build_cube_mesh(2, 1), build_cube_mesh(4, 1)]
@@ -816,11 +855,16 @@ class TestAxisPermutationSplit:
         assert calls == 2 * orbits
 
     def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch, route):
+        # The sparse route solves every orbit's class.  The dense route
+        # solves or certifies each, and solves the first.
         solver, other = ("eigsh", "eigh") if route == "sparse" else ("eigh", "eigsh")
         calls = counting_eigensolvers(monkeypatch)
         mesh = build_cube_mesh(3, 1)
         first = boundary_korn_eigenvalue(mesh)
-        assert len(calls[solver]) == 4
+        solved = len(calls[solver])
+        assert 1 <= solved <= 4
+        assert solved + len(calls["certified"]) == 4
+        assert solved == 4 or route == "dense"
         assert boundary_korn_eigenvalue(mesh) == first
-        assert len(calls[solver]) == 8
+        assert len(calls[solver]) == 2 * solved
         assert calls[other] == []

@@ -1225,35 +1225,44 @@ class TestCoercivity:
                                                   ("maxwell", "maxwell")])
     def test_block_scatter_matches_sliced_blocks_bit_for_bit(self, name, formulation, n,
                                                              degree):
-        # Reference: each connected block of each parity class's pencil cut
-        # out of the permuted class pencil by sparse slicing, and solved even
-        # where its A part is zero.  The probe scatters the same entries into
-        # dense buffers and gives zero blocks exact zeros unsolved, so the
-        # spectrum has the same bits.
-        from scipy.sparse.csgraph import connected_components
-
+        # The probe scatters the entries of each connected block into dense
+        # buffers and gives zero blocks exact zeros unsolved; with the whole
+        # spectrum reported it skips no block, so it has the reference's bits.
         asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
-        t1 = _t1_dofs(asm)
-        a = asm.a_operator()
-        sym = (0.5 * (a + a.T))[t1][:, t1]
-        gram = asm.t1_gram()[t1][:, t1]
-        ref = []
-        for q in _t1_classes(asm):
-            a_q, g_q = q.T @ sym @ q, q.T @ gram @ q
-            _, labels = connected_components(abs(a_q) + abs(g_q), directed=False)
-            order = np.argsort(labels, kind="stable")
-            a_q, g_q = a_q[order][:, order], g_q[order][:, order]
-            ends = np.cumsum(np.bincount(labels))
-            ref += [scipy.linalg.eigh(a_q[s:e, s:e].toarray(), g_q[s:e, s:e].toarray(),
-                                      eigvals_only=True)
-                    for s, e in zip(np.r_[0, ends[:-1]], ends)]
-        ref = np.sort(np.concatenate(ref))
-        report = coercivity_probe(asm, n_report=t1.size)
+        ref = _sliced_block_spectrum(asm)
+        report = coercivity_probe(asm, n_report=ref.size)
         assert report.low_eigs == tuple(float(v) for v in ref)
+
+    @pytest.mark.parametrize("kn", [0.1, 1.0])
+    @pytest.mark.parametrize("n,degree", [(1, 2), (3, 2), (16, 2), (2, 1), (5, 1), (16, 1)])
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
+    def test_default_report_matches_every_block_reference(self, name, formulation, n,
+                                                           degree, kn):
+        # DECISIONS.md D21: the default probe solves only the blocks that can
+        # hold its six lowest values and certifies the rest by a Cholesky
+        # factorization, which changes no bit of the report.
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), kn, formulation)
+        ref = _sliced_block_spectrum(asm)
+        report = coercivity_probe(asm)
+        assert report.low_eigs == tuple(float(v) for v in ref[:6])
+        assert report.min_eig == ref[0]
+
+    @pytest.mark.parametrize("n_report", [True, False, -1, 2.0, 6.5, "6", None])
+    def test_rejects_a_report_count_that_is_not_a_count(self, asm_eta7, n_report):
+        with pytest.raises(ValueError, match="n_report"):
+            coercivity_probe(asm_eta7, n_report=n_report)
+
+    def test_report_count_zero_keeps_the_minimum(self, asm_eta7):
+        full = coercivity_probe(asm_eta7)
+        none = coercivity_probe(asm_eta7, n_report=np.int64(0))
+        assert none.low_eigs == ()
+        assert none.min_eig == full.min_eig == full.low_eigs[0]
 
     def test_maxwell_probe_solves_no_zero_block(self, maxwell, monkeypatch):
         # In the grouped degenerate formulation A lives on (sigma, s) only;
         # the u and theta blocks of the pencil are zero and are not solved.
+        # Reporting the whole spectrum keeps every other block from being
+        # certified and skipped, so each of them is solved.
         real, solved = scipy.linalg.eigh, []
 
         def counting(a, b=None, **kwargs):
@@ -1262,12 +1271,59 @@ class TestCoercivity:
 
         asm = SlabAssembly(SlabMesh(8, 2), maxwell, KN, "maxwell")
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
-        report = coercivity_probe(asm)
+        report = coercivity_probe(asm, n_report=_t1_dofs(asm).size)
         # The last call is the inf-sup pencil on the pressure complement.
         pencil = solved[:-1]
         assert pencil and all(a.any() for a in pencil)
         assert sum(len(a) for a in pencil) < report.n_dofs
         assert report.min_eig == 0.0
+
+    @pytest.mark.parametrize("degree,levels", [(1, [2, 4, 8, 16, 32]), (2, [2, 4, 8, 16])],
+                             ids=["deg1", "deg2"])
+    @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
+                                                  ("maxwell", "maxwell")])
+    def test_infsup_converges_from_above_to_the_continuous_constant(self, name, formulation,
+                                                                   degree, levels):
+        # The inf-sup constant of d/dx from H1_0 to L2_0 in the full H1 norm
+        # is pi / sqrt(pi^2 + 1), attained by p = cos(pi x).  The measured
+        # local rates are 1.85, 1.97, 1.99, 2.00 at degree 1 and 3.87, 3.97,
+        # 3.99 at degree 2, the same in both groupings: 2 * degree.
+        limit = np.pi / np.sqrt(np.pi ** 2 + 1.0)
+        model = resolve_model(name)
+        gaps = np.array([coercivity_probe(SlabAssembly(SlabMesh(n, degree), model, KN,
+                                                       formulation)).infsup - limit
+                         for n in levels])
+        rates = np.log2(gaps[:-1] / gaps[1:])
+        order = 2 * degree
+        assert np.all(gaps > 0.0)
+        assert np.all(np.diff(rates) > 0.0)
+        assert rates[0] > order - 0.2
+        assert order - 0.01 < rates[-1] < order
+
+    @pytest.mark.parametrize("name,formulation,solved,certified", [
+        ("eta7", "nonmaxwell", [130, 128], 10), ("maxwell", "maxwell", [], 12)])
+    def test_default_probe_solves_only_blocks_that_reach_the_report(
+            self, monkeypatch, name, formulation, solved, certified):
+        # DECISIONS.md D21 at n 64: eta7 solves the first tangential twin of
+        # each class and reuses it for the second; maxwell's zero blocks give
+        # the six lowest values, and every other block is certified above 0.
+        real, above, calls = scipy.linalg.eigh, slab.pencil_above, {"eigh": [], "above": []}
+
+        def counting(a, b=None, **kwargs):
+            calls["eigh"].append(len(a))
+            return real(a, b, **kwargs)
+
+        def certifying(a, g, tau):
+            calls["above"].append(above(a, g, tau))
+            return calls["above"][-1]
+
+        asm = SlabAssembly(SlabMesh(64, 2), resolve_model(name), KN, formulation)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        monkeypatch.setattr(slab, "pencil_above", certifying)
+        coercivity_probe(asm)
+        # The last call is the inf-sup pencil on the pressure complement.
+        assert calls["eigh"][:-1] == solved
+        assert sum(calls["above"]) == certified
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("name,formulation", [("eta7", "nonmaxwell"),
@@ -1305,6 +1361,30 @@ def _t1_dofs(asm):
     """Free primary dofs of the coercivity pencil."""
     return np.setdiff1d(np.concatenate([asm.group_dofs(g) for g in ("s", "u", "sg", "th")]),
                         asm.essential_dofs)
+
+
+def _sliced_block_spectrum(asm):
+    """Sorted spectrum of the coercivity pencil, every block solved: each
+    connected block of each parity class's pencil cut out of the permuted
+    class pencil by sparse slicing and solved densely, even where its A
+    part is zero."""
+    from scipy.sparse.csgraph import connected_components
+
+    t1 = _t1_dofs(asm)
+    a = asm.a_operator()
+    sym = (0.5 * (a + a.T))[t1][:, t1]
+    gram = asm.t1_gram()[t1][:, t1]
+    ref = []
+    for q in _t1_classes(asm):
+        a_q, g_q = q.T @ sym @ q, q.T @ gram @ q
+        _, labels = connected_components(abs(a_q) + abs(g_q), directed=False)
+        order = np.argsort(labels, kind="stable")
+        a_q, g_q = a_q[order][:, order], g_q[order][:, order]
+        ends = np.cumsum(np.bincount(labels))
+        ref += [scipy.linalg.eigh(a_q[s:e, s:e].toarray(), g_q[s:e, s:e].toarray(),
+                                  eigvals_only=True)
+                for s, e in zip(np.r_[0, ends[:-1]], ends)]
+    return np.sort(np.concatenate(ref))
 
 
 def _t1_classes(asm):
