@@ -487,9 +487,10 @@ def _frozen(mat):
 class _SlabLayout:
     """The model-free structure of the assemblies on one (mesh, grouping):
     element matrices, dof tables, wall traces, essential and kept dofs, the
-    trace map and the mass matrix, and one sparsity pattern per coupled-pair
-    signature, built on first use and kept with the layout.  Every array is
-    read-only, so assemblies share the layout.
+    trace map and the mass matrix; and, built on first use and kept with
+    the layout, one sparsity pattern per coupled-pair signature and the
+    mesh-only half of the coercivity probe (`_ProbeHalf`, DECISIONS.md
+    D22).  Every array is read-only, so assemblies share the layout.
     """
 
     def __init__(self, mesh: SlabMesh, formulation: str):
@@ -539,6 +540,7 @@ class _SlabLayout:
         self.steady_keep = _read_only(np.flatnonzero(free))
         self.free_dofs = self.steady_keep[:-1]
         self._patterns: dict = {}
+        self._probe = None
         # Trace row (wall, value | derivative) m + component of each wall
         # dof.  Built once, as is the mass matrix, so their patterns are not
         # kept.
@@ -627,6 +629,16 @@ class _SlabLayout:
 
         return self._pattern(("steady", *(sig.tobytes() for sig in (*a_sig, *c_sig))), build)
 
+    def probe_half(self, assembly: "SlabAssembly") -> "_ProbeHalf":
+        """The mesh-only half of coercivity_probe, built on the first probe
+        of the layout from that assembly's t1 Gram, which reads no model
+        coefficient."""
+        if self._probe is None:
+            self._probe = _ProbeHalf(self, assembly.t1_gram())
+            self.nbytes += self._probe.nbytes
+            _trim_layouts()
+        return self._probe
+
     def _pattern(self, key: tuple, build) -> _Pattern:
         pattern = self._patterns.get(key)
         if pattern is None:
@@ -683,12 +695,14 @@ class _SlabLayout:
 
 # Layouts depend on the mesh and the grouping alone: each is built once per
 # process and shared by every assembly on it, whatever its model and Kn.
-# The memo holds layouts, their patterns included, up to _LAYOUT_MEMO_BYTES
-# and drops the least recently used beyond that; a layout out of the memo
-# lives, with its patterns, as long as its assemblies.  A coercive layout at
+# The memo holds layouts, with their patterns and probe halves, up to
+# _LAYOUT_MEMO_BYTES and drops the least recently used beyond that; a layout
+# out of the memo lives, with what it keeps, as long as its assemblies.  A coercive layout at
 # n 64, degree 2, holds about 0.6 MiB once a steady solve has built its
 # patterns, about 10 KB per element, so steady requests up to n 64 in both
-# groupings fit.
+# groupings fit.  A layout that only probes coercivity, its A pattern and
+# the probe's mesh-only half included, holds about 0.46 MiB at n 64 and
+# 1.8 MiB at n 256, so the probes of a mesh ladder share one layout per mesh.
 _LAYOUT_MEMO_BYTES = 2 * 2**20
 _layouts: dict = {}  # (mesh, formulation) -> layout, least recently used first
 
@@ -724,8 +738,10 @@ class SlabAssembly:
     Mostly the values are the assembly's own work.  Its kernels, forms and
     monitors alike, are probed once per (model, Kn, wall coefficients) in
     one memo, the mass kernel once and the Gauss rules once per order; the
-    layout (dof tables, wall traces, mass matrix, trace map and sparsity
-    patterns) once per (mesh, grouping) while the layout memo keeps it.
+    layout (dof tables, wall traces, mass matrix, trace map, sparsity
+    patterns and the mesh-only half of the coercivity probe, its inf-sup
+    constant included) once per (mesh, grouping) while the layout memo
+    keeps it.
     Each assembly derives and audits the wall coefficients of its model,
     builds its two spaces, which evaluate its states and give its integral
     functionals, scatters its matrix values into the cached patterns and
@@ -873,9 +889,12 @@ class SlabAssembly:
                            minlength=self.ndof)
 
     def t1_gram(self) -> sp.csr_matrix:
-        """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere."""
+        """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere.
+        Its pattern is not kept: the coercivity probe, which builds it once
+        per layout, keeps the Gram's parity-class blocks instead."""
         primary = [float(c != "p") for c in COMPONENTS]
-        return self._layout.matrix(np.diag(primary + primary))
+        coupled, walled, vals = self._layout.values(np.diag(primary + primary))
+        return self._layout._build_pattern(coupled, walled).matrix(vals)
 
     @functools.cached_property
     def _monitor_ops(self) -> _MonitorOperators:
@@ -1304,43 +1323,136 @@ class CoercivityReport:
     theta_bubble: float | None
 
 
-def _pencil_blocks(a: sp.csr_matrix, g: sp.csr_matrix) -> list:
-    """Dense blocks (a_b, g_b) of the symmetric pencil (a, g), one per
-    connected component of the joint sparsity pattern of a and g: the
-    pencil is block diagonal up to a permutation, so its spectrum is the
-    union of the block spectra.
-    """
-    # Imported here: only the coercivity probe uses it, and at import it would
-    # add about 1 MiB and 4 ms to every process that imports the slab solver.
-    from scipy.sparse.csgraph import connected_components
+_ParityClass = namedtuple("_ParityClass", "q qt gram component")
 
-    _, labels = connected_components(abs(a) + abs(g), directed=False)
-    # Every block is laid out row-major in one flat buffer, its dofs in
-    # their original order; local[i] is dof i's row within its block.
+
+class _ProbeHalf:
+    """The mesh-only half of coercivity_probe on one layout, kept with the
+    layout (DECISIONS.md D22): the free primary dofs (t1_dofs) and the
+    primary component of each; per parity class of the wall reflection
+    (D18) its basis q, q.T, the t1-Gram block q.T g q, sparse and
+    canonical, and the component of each class column; and the inf-sup
+    constant, solved on its first read.  Every array is read-only, and q.T
+    shares the arrays of q.
+    """
+
+    def __init__(self, layout: _SlabLayout, gram: sp.csr_matrix):
+        # Free dofs per primary component, each run closed under the reflection.
+        primary = [c for c in COMPONENTS if c != "p"]
+        free = [layout.free([c]) for c in primary]
+        sizes = [f.size for f in free]
+        self.t1_dofs = _read_only(np.concatenate(free))
+        self.component = _read_only(np.repeat(np.arange(len(primary)), sizes))
+        g_t1 = gram[self.t1_dofs][:, self.t1_dofs]
+        classes = []
+        for q in parity_bases(sizes, [-1.0 if c in _MIRROR_ODD else 1.0 for c in primary]):
+            g_q = q.T @ g_t1 @ q
+            g_q.sum_duplicates()
+            # Each column of q lies in one component's run.
+            coo = q.tocoo()
+            component = np.empty(q.shape[1], dtype=self.component.dtype)
+            component[coo.col] = self.component[coo.row]
+            classes.append(_ParityClass(_frozen(q), q.T, _frozen(g_q), _read_only(component)))
+        self.classes = tuple(classes)
+        self._infsup = ()  # (infsup,) once solved
+        self.nbytes = sum(arr.nbytes for arr in (
+            self.t1_dofs, self.component, *(arr for cls in classes for arr in (
+                cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
+                cls.gram.indptr, cls.component))))
+
+    def infsup(self, assembly: "SlabAssembly") -> float | None:
+        """The inf-sup constant of the layout, solved by `_infsup` for the
+        first assembly that asks and kept: its inputs, the t1 Gram, the
+        pressure mass and the form g, whose kernel p div v reads no model
+        coefficient, depend on the mesh alone."""
+        if not self._infsup:
+            self._infsup = (_infsup(assembly),)
+        return self._infsup[0]
+
+
+def _infsup(assembly: SlabAssembly) -> float | None:
+    """Pressure coupling inf-sup on the zero-mean complement, velocity in
+    H1, None if the complement is empty.  It applies the inverse velocity
+    Gram on the free u1 dofs through the checked sparse direct solve of the
+    steady and transient paths: in the slab div v = d v1/dx, so g stores
+    nothing in the u2, u3 columns, and the t1 Gram couples no two velocity
+    components, so u1 alone is exact."""
+    p_dofs = assembly.dofs("p")
+    u_dofs = assembly._layout.free(["u1"])
+    b_d = assembly.form("g")[p_dofs][:, u_dofs].toarray()
+    # The pressure block of the mass matrix is the pressure Gram.
+    mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
+    gu = assembly.t1_gram()[u_dofs][:, u_dofs].tocsc()
+    s_mat = b_d @ _checked_solve(_factor(gu), gu, b_d.T)[0]
+    ones = np.ones(p_dofs.size)
+    # Basis of the zero-mean complement in the pressure mass metric.
+    zvecs = scipy.linalg.null_space((mp @ ones)[None, :])
+    sz = zvecs.T @ s_mat @ zvecs
+    mz = zvecs.T @ mp @ zvecs
+    gevals = scipy.linalg.eigh(sz, mz, eigvals_only=True)
+    return float(np.sqrt(max(gevals[0], 0.0))) if gevals.size else None
+
+
+def _component_blocks(a: sp.csr_matrix, component: np.ndarray):
+    """(lowest, empty) per primary component c: the lowest component that
+    the stored entries of a connect c to, itself included, and whether a
+    stores no entry in the rows of c.  component is the primary component
+    of each row and column of a."""
+    m = len(COMPONENTS) - 1
+    coo = a.tocoo()
+    graph = np.zeros((m, m), dtype=bool)
+    graph[component[coo.row], component[coo.col]] = True
+    reach = graph | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):  # each squaring doubles the path length reached
+        reach = reach @ reach
+    return reach.argmax(axis=0), ~graph.any(axis=1)
+
+
+def _pencil_blocks(a: sp.csr_matrix, g: sp.csr_matrix, group: np.ndarray,
+                   empty: np.ndarray):
+    """(size, blocks) of the symmetric pencil (a, g), whose columns fall
+    into blocks that neither matrix couples, group[j] naming the block of
+    column j and empty[group[j]] saying whether a stores nothing in it:
+    size counts the columns of the empty blocks, and blocks holds the dense
+    pair (a_b, g_b) of every other block in order of its first column, its
+    columns in their original order.  The spectrum of the pencil is the
+    union of the block spectra, with one zero per column counted in size.
+    """
+    # Blocks numbered in order of their first column.
+    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse]
+    zero = empty[group[np.sort(first)]]
+    # Every dense block is laid out row-major in one flat buffer; local[i] is
+    # column i's row within its block.
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     local = np.empty_like(order)
     local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    area = np.where(zero, 0, sizes * sizes)
+    offsets = np.cumsum(area) - area
 
     def blocks(mat):
         mat.sum_duplicates()  # one stored entry per coupling, so assign
         coo = mat.tocoo()
         lab = labels[coo.row]
-        buf = np.zeros(offsets[-1] + sizes[-1] ** 2)
-        buf[offsets[lab] + local[coo.row] * sizes[lab] + local[coo.col]] = coo.data
-        return [buf[o:o + k * k].reshape(k, k) for o, k in zip(offsets, sizes)]
+        dense = ~zero[lab]
+        row, lab = coo.row[dense], lab[dense]
+        buf = np.zeros(area.sum())
+        buf[offsets[lab] + local[row] * sizes[lab] + local[coo.col[dense]]] = coo.data[dense]
+        return [buf[o:o + k * k].reshape(k, k) for o, k in zip(offsets[~zero], sizes[~zero])]
 
-    return list(zip(blocks(a), blocks(g)))
+    return int(sizes[zero].sum()), list(zip(blocks(a), blocks(g)))
 
 
 def _merge_lowest(low: np.ndarray, a: sp.csr_matrix, g: sp.csr_matrix,
-                  keep: int) -> np.ndarray:
+                  group: np.ndarray, empty: np.ndarray, keep: int) -> np.ndarray:
     """The `keep` lowest of the ascending values `low` and the eigenvalues
-    of the symmetric pencil (a, g), g SPD, solving only the blocks that can
-    reach them (DECISIONS.md D21).
+    of the symmetric pencil (a, g), g SPD, whose blocks are given by group
+    and empty (see _pencil_blocks), solving only the blocks that can reach
+    them (DECISIONS.md D21).
 
-    A zero block gives exact zeros unsolved.  The others go in ascending
+    The empty blocks, where a stores nothing, give one exact zero per
+    column, merged in one step and unsolved.  The others go in ascending
     order of their Rayleigh bound min(diag(a_b) / diag(g_b)), an upper
     bound on the block's lowest eigenvalue.  Once `keep` values are known,
     a block is skipped if its bound lies above the highest of them and
@@ -1348,7 +1460,8 @@ def _merge_lowest(low: np.ndarray, a: sp.csr_matrix, g: sp.csr_matrix,
     eigensolve.  A block bytewise equal to one handled before it reuses
     that block's outcome.
     """
-    blocks = _pencil_blocks(a, g)
+    n_zero, blocks = _pencil_blocks(a, g, group, empty)
+    low = np.sort(np.concatenate([low, np.zeros(n_zero)]))[:keep]
     bounds = [np.min(np.diag(ab) / np.diag(gb)) for ab, gb in blocks]
     # Twins have equal bounds, so they are adjacent in this order; `tied`
     # holds the blocks handled at the current bound with their values,
@@ -1356,20 +1469,17 @@ def _merge_lowest(low: np.ndarray, a: sp.csr_matrix, g: sp.csr_matrix,
     tied, bound = [], None
     for i in np.argsort(bounds, kind="stable"):
         ab, gb = blocks[i]
-        if not ab.any():
-            vals = np.zeros(len(ab))
+        if bounds[i] != bound:
+            tied, bound = [], bounds[i]
+        twin = next((t for t in tied
+                     if np.array_equal(t[0], ab) and np.array_equal(t[1], gb)), None)
+        if twin is not None:
+            vals = twin[2]
+        elif low.size == keep and bound > low[-1] and pencil_above(ab, gb, low[-1]):
+            vals = None
         else:
-            if bounds[i] != bound:
-                tied, bound = [], bounds[i]
-            twin = next((t for t in tied
-                         if np.array_equal(t[0], ab) and np.array_equal(t[1], gb)), None)
-            if twin is not None:
-                vals = twin[2]
-            elif low.size == keep and bound > low[-1] and pencil_above(ab, gb, low[-1]):
-                vals = None
-            else:
-                vals = scipy.linalg.eigh(ab, gb, eigvals_only=True)
-            tied.append((ab, gb, vals))
+            vals = scipy.linalg.eigh(ab, gb, eigvals_only=True)
+        tied.append((ab, gb, vals))
         if vals is not None:
             low = np.sort(np.concatenate([low, vals]))[:keep]
     return low
@@ -1381,57 +1491,36 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     The pencil (symmetric part, t1 Gram) on the free primary dofs commutes
     with the wall reflection x -> 1 - x (DECISIONS.md D18), so it splits
     into an even and an odd parity class.  Each class is block diagonal up
-    to a permutation, one block per connected component of the joint
-    sparsity pattern of its two matrices, and the spectrum is the union of
-    the block spectra.  The probe keeps only the max(n_report, 1) lowest
-    values as it goes through the classes one at a time, and solves only
-    the blocks that can reach them (`_merge_lowest`, DECISIONS.md D21).
-    Zero blocks (u and theta in the degenerate grouping) give exact zeros
-    unsolved; with n_report at least the pencil size every other block is
-    solved.  n_report must be a non-negative integer.
+    to a permutation, one block per connected component of the graph that
+    the stored entries of the symmetric part draw between the 12 primary
+    components, and the spectrum is the union of the block spectra.  A
+    component where the symmetric part stores nothing (u and theta in the
+    degenerate grouping) gives one exact zero per free dof, counted, not
+    blocked.  The probe keeps only the max(n_report, 1) lowest values as it
+    goes through the classes one at a time, and solves only the blocks that
+    can reach them (`_merge_lowest`, DECISIONS.md D21); with n_report at
+    least the pencil size every other block is solved.  n_report must be a
+    non-negative integer.
 
-    The inf-sup constant applies the inverse velocity Gram on the free u1
-    dofs, the only velocity component the pressure coupling g reaches in
-    the slab, through the checked sparse direct solve of the steady and
-    transient paths.
+    What depends on the mesh alone is built on the first probe of a layout
+    and kept with it (`_ProbeHalf`, DECISIONS.md D22): the class bases,
+    their t1-Gram blocks and the inf-sup constant.  Each call builds only
+    the symmetric part and its class projections.
     """
     if (isinstance(n_report, bool) or not isinstance(n_report, numbers.Integral)
             or n_report < 0):
         raise ValueError(f"n_report must be a non-negative integer, got {n_report!r}")
+    half = assembly._layout.probe_half(assembly)
     a_full = assembly.a_operator()
     sym = 0.5 * (a_full + a_full.T)
-    gram = assembly.t1_gram()
-    # Free dofs per primary component, each run closed under the reflection.
-    primary = [c for c in COMPONENTS if c != "p"]
-    free = [assembly._layout.free([c]) for c in primary]
-    t1_dofs = np.concatenate(free)
-    a_t1 = sym[t1_dofs][:, t1_dofs]
-    g_t1 = gram[t1_dofs][:, t1_dofs]
+    a_t1 = sym[half.t1_dofs][:, half.t1_dofs]
+    lowest, empty = _component_blocks(a_t1, half.component)
     keep = max(n_report, 1)
     low = np.empty(0)
     # One class at a time, so that only one class's blocks are alive.
-    for q in parity_bases([f.size for f in free],
-                          [-1.0 if c in _MIRROR_ODD else 1.0 for c in primary]):
-        low = _merge_lowest(low, q.T @ a_t1 @ q, q.T @ g_t1 @ q, keep)
+    for q, qt, gram, component in half.classes:
+        low = _merge_lowest(low, qt @ a_t1 @ q, gram, lowest[component], empty, keep)
     low_eigs = tuple(float(v) for v in low[:n_report])
-
-    # Pressure coupling inf-sup on the zero-mean complement, velocity in H1.
-    # In the slab div v = d v1/dx, so g stores nothing in the u2, u3 columns,
-    # and the t1 Gram couples no two velocity components: u1 alone is exact.
-    p_dofs = assembly.dofs("p")
-    u_dofs = assembly._layout.free(["u1"])
-    b_d = assembly.form("g")[p_dofs][:, u_dofs].toarray()
-    # The pressure block of the mass matrix is the pressure Gram.
-    mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
-    gu = gram[u_dofs][:, u_dofs].tocsc()
-    s_mat = b_d @ _checked_solve(_factor(gu), gu, b_d.T)[0]
-    ones = np.ones(p_dofs.size)
-    # Basis of the zero-mean complement in the pressure mass metric.
-    zvecs = scipy.linalg.null_space((mp @ ones)[None, :])
-    sz = zvecs.T @ s_mat @ zvecs
-    mz = zvecs.T @ mp @ zvecs
-    gevals = scipy.linalg.eigh(sz, mz, eigvals_only=True)
-    infsup = float(np.sqrt(max(gevals[0], 0.0))) if gevals.size else None
 
     theta_bubble = None
     if assembly.model.is_maxwell:
@@ -1442,8 +1531,8 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
         vec[mid] = 1.0
         theta_bubble = float(vec @ (sym @ vec))
     return CoercivityReport(
-        formulation=assembly.formulation, n_dofs=int(t1_dofs.size),
-        min_eig=float(low[0]), low_eigs=low_eigs, infsup=infsup,
+        formulation=assembly.formulation, n_dofs=int(half.t1_dofs.size),
+        min_eig=float(low[0]), low_eigs=low_eigs, infsup=half.infsup(assembly),
         theta_bubble=theta_bubble,
     )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -1258,7 +1259,7 @@ class TestCoercivity:
         assert none.low_eigs == ()
         assert none.min_eig == full.min_eig == full.low_eigs[0]
 
-    def test_maxwell_probe_solves_no_zero_block(self, maxwell, monkeypatch):
+    def test_maxwell_probe_solves_no_zero_block(self, maxwell, monkeypatch, cold_memos):
         # In the grouped degenerate formulation A lives on (sigma, s) only;
         # the u and theta blocks of the pencil are zero and are not solved.
         # Reporting the whole spectrum keeps every other block from being
@@ -1272,7 +1273,8 @@ class TestCoercivity:
         asm = SlabAssembly(SlabMesh(8, 2), maxwell, KN, "maxwell")
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         report = coercivity_probe(asm, n_report=_t1_dofs(asm).size)
-        # The last call is the inf-sup pencil on the pressure complement.
+        # On a cold layout the last call is the inf-sup pencil on the pressure
+        # complement (D22).
         pencil = solved[:-1]
         assert pencil and all(a.any() for a in pencil)
         assert sum(len(a) for a in pencil) < report.n_dofs
@@ -1303,7 +1305,7 @@ class TestCoercivity:
     @pytest.mark.parametrize("name,formulation,solved,certified", [
         ("eta7", "nonmaxwell", [130, 128], 10), ("maxwell", "maxwell", [], 12)])
     def test_default_probe_solves_only_blocks_that_reach_the_report(
-            self, monkeypatch, name, formulation, solved, certified):
+            self, monkeypatch, name, formulation, solved, certified, cold_memos):
         # DECISIONS.md D21 at n 64: eta7 solves the first tangential twin of
         # each class and reuses it for the second; maxwell's zero blocks give
         # the six lowest values, and every other block is certified above 0.
@@ -1321,7 +1323,8 @@ class TestCoercivity:
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         monkeypatch.setattr(slab, "pencil_above", certifying)
         coercivity_probe(asm)
-        # The last call is the inf-sup pencil on the pressure complement.
+        # On a cold layout the last call is the inf-sup pencil on the pressure
+        # complement (D22).
         assert calls["eigh"][:-1] == solved
         assert sum(calls["above"]) == certified
 
@@ -1454,6 +1457,156 @@ class TestWallReflection:
         np.testing.assert_allclose(basis.T @ basis, np.eye(t1.size), rtol=0, atol=1e-15)
         assert abs(refl @ even - even).max() == 0.0
         assert abs(refl @ odd + odd).max() == 0.0
+
+
+def _raw_dense(arr):
+    return arr.shape, arr.tobytes()
+
+
+class TestProbeHalf:
+    """The layout keeps the mesh-only half of the coercivity probe (D22):
+    the class bases, their t1-Gram blocks and the inf-sup constant, which
+    no model coefficient reaches; each probe builds only the symmetric part
+    and its blocks, which come from component coupling."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_pressure_coupling_is_model_free(self, degree, n):
+        # One layout per grouping: g is the same bytes for every model and Kn
+        # on it.
+        mesh, ref = SlabMesh(n, degree), {}
+        for name, formulation in GROUPINGS:
+            for kn in (0.1, 1.0):
+                g = SlabAssembly(mesh, resolve_model(name), kn, formulation).form("g")
+                assert ref.setdefault(formulation, _raw_bytes(g)) == _raw_bytes(g), (name, kn)
+        assert ref.keys() == {"nonmaxwell", "maxwell"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name,formulation", GROUPINGS)
+    def test_component_blocks_are_the_connected_blocks(self, name, formulation, degree, n):
+        # The blocks the probe takes from the 12 x 12 component graph of sym
+        # A's stored entries are the connected components of each class
+        # pencil's joint sparsity pattern, in the same order and bit for
+        # bit; the components where sym A stores nothing split there into
+        # blocks with no A entry, which the probe counts instead.
+        from scipy.sparse.csgraph import connected_components
+
+        asm = SlabAssembly(SlabMesh(n, degree), resolve_model(name), KN, formulation)
+        t1 = _t1_dofs(asm)
+        primary = [c for c in slab.COMPONENTS if c != "p"]
+        component = np.concatenate([np.full(np.intersect1d(asm.dofs(c), t1).size, i)
+                                    for i, c in enumerate(primary)])
+        a = asm.a_operator()
+        sym = (0.5 * (a + a.T))[t1][:, t1]
+        gram = asm.t1_gram()[t1][:, t1]
+        lowest, empty = slab._component_blocks(sym, component)
+        for q in _t1_classes(asm):
+            a_q, g_q = q.T @ sym @ q, q.T @ gram @ q
+            coo = q.tocoo()
+            column = np.empty(q.shape[1], dtype=int)
+            column[coo.col] = component[coo.row]
+            n_zero, blocks = slab._pencil_blocks(a_q.copy(), g_q.copy(), lowest[column], empty)
+            n_ref, labels = connected_components(abs(a_q) + abs(g_q), directed=False)
+            ref = [np.flatnonzero(labels == k) for k in range(n_ref)]
+            dense = [cols for cols in ref if a_q[cols][:, cols].nnz]
+            assert n_zero == sum(cols.size for cols in ref) - sum(cols.size for cols in dense)
+            assert n_zero == sum(np.isin(column, np.flatnonzero(empty)))
+            assert len(blocks) == len(dense)
+            for (ab, gb), cols in zip(blocks, dense):
+                assert _raw_dense(ab) == _raw_dense(a_q[cols][:, cols].toarray())
+                assert _raw_dense(gb) == _raw_dense(g_q[cols][:, cols].toarray())
+
+    def test_one_infsup_solve_per_layout(self, monkeypatch, cold_memos):
+        # The inf-sup constant of D22 is solved on the first probe of the
+        # layout alone, with the parent's arithmetic, and shared by every
+        # model and Kn; a warm probe builds nothing mesh-only again.
+        mesh = SlabMesh(8, 2)
+        calls = []
+        real_eigh = scipy.linalg.eigh
+
+        def counting_eigh(a, b=None, **kwargs):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return real_eigh(a, b, **kwargs)
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        form = SlabAssembly.form
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(scipy.linalg, "null_space", counted("null_space",
+                                                                scipy.linalg.null_space))
+        monkeypatch.setattr(slab, "parity_bases", counted("parity_bases", slab.parity_bases))
+        monkeypatch.setattr(SlabAssembly, "t1_gram", counted("t1_gram", SlabAssembly.t1_gram))
+        monkeypatch.setattr(SlabAssembly, "form",
+                            lambda self, name: counted(f"form {name}", form)(self, name))
+        reports, per_probe = [], []
+        for name in ("eta7", "eta10", "eta-infinity"):
+            for kn in (0.1, 1.0):
+                calls.clear()
+                reports.append(coercivity_probe(SlabAssembly(mesh, resolve_model(name), kn)))
+                per_probe.append([c for c in calls if c != "_merge_lowest"])
+        assert per_probe[0].count("_infsup") == 1
+        assert {"t1_gram", "form g", "null_space", "parity_bases"} <= set(per_probe[0])
+        assert per_probe[1:] == [[]] * 5
+        monkeypatch.undo()
+        # The parent's inf-sup arithmetic, written out.
+        asm = SlabAssembly(mesh, resolve_model("eta7"), KN)
+        p, u = asm.dofs("p"), np.setdiff1d(asm.dofs("u1"), asm.essential_dofs)
+        b = asm.form("g")[p][:, u].toarray()
+        mp = asm.mass_matrix()[p][:, p].toarray()
+        gu = asm.t1_gram()[u][:, u].tocsc()
+        s = b @ spla.splu(gu).solve(b.T)
+        z = scipy.linalg.null_space((mp @ np.ones(p.size))[None, :])
+        ref = float(np.sqrt(max(scipy.linalg.eigh(z.T @ s @ z, z.T @ mp @ z,
+                                                  eigvals_only=True)[0], 0.0)))
+        assert {report.infsup for report in reports} == {ref}
+
+    def test_probe_half_is_read_only_and_counted(self, eta7, maxwell, cold_memos):
+        for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
+            asm = SlabAssembly(SlabMesh(8, 2), model, KN, formulation)
+            layout = asm._layout
+            # Build the patterns the probe scatters into, so that only the
+            # half is left to count.
+            asm.a_operator(), asm.form("g")
+            before = layout.nbytes
+            coercivity_probe(asm)
+            half = layout._probe
+            # Every array the half holds; q.T's are views of q's.
+            arrays = [half.t1_dofs, half.component, *(
+                arr for cls in half.classes for arr in (
+                    cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
+                    cls.gram.indptr, cls.component))]
+            assert layout.nbytes - before == sum(arr.nbytes for arr in arrays)
+            for arr in arrays:
+                assert not arr.flags.writeable
+            for cls in half.classes:
+                for key in ("data", "indices", "indptr"):
+                    assert np.shares_memory(getattr(cls.qt, key), getattr(cls.q, key))
+                assert cls.gram.has_canonical_format
+            coercivity_probe(asm)
+            assert layout._probe is half and layout.nbytes - before == sum(
+                arr.nbytes for arr in arrays)
+
+    def test_memo_of_probed_layouts_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
+        # Room for the n 4 or the n 8 probed layout, not for both, but for
+        # either beside the other without its half.
+        budget = 10**5
+        monkeypatch.setattr(slab, "_LAYOUT_MEMO_BYTES", budget)
+        ref = {}
+        for n in (4, 8, 4, 8):
+            asm = SlabAssembly(SlabMesh(n, 2), eta7, KN)
+            # With its patterns built first, the half is the last thing the
+            # probe adds to the layout.
+            asm.a_operator(), asm.form("g")
+            report = coercivity_probe(asm)
+            memo = list(slab._layouts.values())
+            assert memo == [asm._layout] and asm._layout._probe is not None
+            assert asm._layout.nbytes <= budget
+            assert ref.setdefault(n, report) == report
 
 
 @pytest.mark.parametrize("degree", [1, 2])
