@@ -42,6 +42,19 @@ fall into 4 orbits, counted by the number of -1 signs: {+++} and {---}
 of size 1, the three classes with one -1 and the three with two.  Both
 probes take one representative per orbit and count its spectrum
 orbit-size times.
+
+The permutations that map a solved class onto itself, its stabilizer H,
+split it further (Bossavit 1986, "Symmetry, groups, and boundary value
+problems", CMAME 56).  H is all of S3 for {+++} and {---} and the swap of
+the two equal-sign axes for the others; on the class dofs it acts as a
+plain permutation, found by index arithmetic on the class layout.  A form
+that commutes with H is block diagonal on the irreducible subspaces of H:
+trivial, sign and one partner of the 2-dim standard irrep under S3, even
+and odd under a swap.  Their bases are orbit sums, signed orbit sums and
+(1 + tau)(2 - rho - rho^2) applied to one or two orbit members, normalized
+(`_irreducible_bases`); a block of a 2-dim irrep stands for both partners.
+The class block is built once and every block projected from it through
+one side of the projection only (`Irrep`).
 `korn_constants` runs a dense solve of each such block and skips none: it
 reports whole spectral tails, the largest stf eigenvalue and the size of
 the stf kernel, which need every block's spectrum, and the 10-fold
@@ -81,18 +94,43 @@ MAX_SPARSE_DOFS = 80_000
 DENSE_CLASS_ROWS = 500
 
 # Seed of the start vectors of the boundary probe's sparse route, one stream
-# per reflection class.  Fixed random vectors, not symmetric ones such as all
-# ones, which can be orthogonal to whole symmetry classes of a block.
+# per irreducible block.  Fixed random vectors, not symmetric ones such as
+# all ones, which can be orthogonal to whole symmetry classes of a block.
 _START_SEED = 20061
 
 # The solved reflection classes, one per axis-permutation orbit (the
 # classes with equal numbers of -1 signs), each with its orbit size.
 _CLASS_ORBITS = {(1, 1, 1): 1, (-1, 1, 1): 3, (-1, -1, 1): 3, (-1, -1, -1): 1}
 
-# The form sums of the probes' pencils: korn_constants solves (l2 + stf) and
-# (boundary + stf) against h1 and stf against l2, boundary_korn_eigenvalue
-# (boundary + stf) against h1.
-_KORN_SUMS = (("l2", "stf"), ("h1",), ("boundary", "stf"), ("stf",), ("l2",))
+# The axis cycle x -> y -> z -> x, as the image of each axis.
+_CYCLE = (1, 2, 0)
+
+# The irreducible representations of the stabilizer H of a solved class,
+# keyed by |H|, over its elements in the order of `_stabilizer`:
+# (1, tau) for a swap tau, (1, rho, rho^2, tau, tau rho, tau rho^2) for S3
+# with rho the axis cycle.  Each irrep has its dimension and its basis rows.
+# A row gives one basis vector E y per orbit of class dofs, normalized, from
+# a dof x of the orbit: the coefficients of E y on the images g x, those of
+# its preimage y on x and on the image of x under the second element, and
+# whether it is kept on free orbits only.  E is the irrep's group-algebra
+# element: the sum of g, of sign(g) g, and for the 2-dim standard irrep
+# e = (1 + tau)(2 - rho - rho^2).  Each E is self-adjoint with E^2 = |H| E.
+# A free standard orbit (6 dofs) carries e x and
+# (1 + tau)(rho - rho^2) x = e (x + 2 rho x) / 3, an orbit of 3 dofs e x.
+_IRREPS = {
+    2: ((1, (((1, 1), (1, 0), False),)),
+        (1, (((1, -1), (1, 0), False),))),
+    6: ((1, (((1, 1, 1, 1, 1, 1), (1, 0), False),)),
+        (1, (((1, 1, 1, -1, -1, -1), (1, 0), False),)),
+        (2, (((2, -1, -1, 2, -1, -1), (1, 0), False),
+             ((0, 1, -1, 0, 1, -1), (1 / 3, 2 / 3), True)))),
+}
+
+# The form sums of the probes' pencils: korn_constants builds the four
+# forms and solves (l2 + stf) and (boundary + stf) against h1 and stf against
+# l2, summed on each irreducible block; boundary_korn_eigenvalue builds
+# (boundary + stf) and h1.
+_KORN_SUMS = (("l2",), ("h1",), ("stf",), ("boundary",))
 _BOUNDARY_SUMS = (("boundary", "stf"), ("h1",))
 
 # Near-zero eigenvalues below this multiple of the largest one count as kernel.
@@ -292,6 +330,135 @@ def _line_parity(m: int) -> dict:
     return {1: even.toarray(), -1: odd.toarray(), 0: np.eye(m)}
 
 
+def _class_layout(m: int, s: tuple) -> tuple:
+    """Per component c, its parities along (x, y, z) in reflection class s
+    on m nodes per axis, and the offsets of the components' rows in the
+    class basis, the last one being the class size."""
+    parity = [tuple(-sa if a == c else sa for a, sa in enumerate(s)) for c in range(3)]
+    dim = {p: basis.shape[1] for p, basis in _line_parity(m).items()}
+    return parity, np.cumsum([0] + [dim[px] * dim[py] * dim[pz] for px, py, pz in parity])
+
+
+def _stabilizer(m: int, s: tuple) -> np.ndarray:
+    """The images of the dofs of class s, on m nodes per axis, under each
+    axis permutation that fixes s, one row per element in the order of
+    `_IRREPS`.  Every class is fixed by the swap tau of two equal-sign
+    axes, {+++} and {---} by all of S3, generated by tau = (x y) and the
+    cycle rho.
+
+    A permutation sigma that fixes s maps component c to component
+    sigma[c], sigma[a] being the image of axis a, and the parity-basis index
+    of a dof along axis a to axis sigma[a].  The 1-D bases are the same along
+    every axis, so this is a plain permutation of the class dofs.
+    """
+    parity, offset = _class_layout(m, s)
+    dim = {p: basis.shape[1] for p, basis in _line_parity(m).items()}
+    # Basis sizes along (x, y, z) per component, and each dof's component
+    # and indices along (x, y, z), x fastest.
+    shape = np.array([[dim[p] for p in parity[c]] for c in range(3)])
+    comp = np.repeat(np.arange(3), np.diff(offset))
+    local = np.arange(offset[-1]) - offset[comp]
+    nx, ny = shape[comp, 0], shape[comp, 1]
+    index = np.stack([local % nx, local // nx % ny, local // (nx * ny)])
+
+    def image(sigma):
+        sigma = np.array(sigma)
+        jx, jy, jz = index[np.argsort(sigma)]
+        to = sigma[comp]
+        return offset[to] + (jz * shape[to, 1] + jy) * shape[to, 0] + jx
+
+    a, b = next((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if s[a] == s[b])
+    tau = image([b if k == a else a if k == b else k for k in range(3)])
+    one = np.arange(tau.size)
+    if len(set(s)) > 1:
+        return np.stack([one, tau])
+    rho = image(_CYCLE)
+    return np.stack([one, rho, rho[rho], tau, tau[rho], tau[rho[rho]]])
+
+
+@dataclass(frozen=True)
+class Irrep:
+    """One irreducible block of a reflection class: the irrep's dimension
+    `dim`, the transpose qt (k x n) of its orthonormal basis q, and the
+    transpose yt of its preimage columns y, both CSR and read-only.
+
+    Each basis column is q_j = E y_j / |H| with E self-adjoint and
+    E^2 = |H| E (`_IRREPS`), so E q_j = |H| q_j.  Every form a of the class
+    commutes with the stabilizer H, hence with E, and
+    q_i^T a q_j = q_i^T E a y_j / |H| = q_i^T a y_j.  A column of y has one
+    or two entries, so one side of the projection q^T a y is a gather of
+    one or two rows of a per column.
+    """
+
+    dim: int
+    qt: scipy.sparse.csr_matrix
+    yt: scipy.sparse.csr_matrix
+
+    @property
+    def rows(self) -> int:
+        return self.qt.shape[0]
+
+    def project(self, rows_of: np.ndarray) -> np.ndarray:
+        """q^T a y for a stack of dense class matrices a given by rows,
+        rows_of[i, m] being row i of matrix m: a stack (len, k, k)."""
+        n, count, _ = rows_of.shape
+        ya = self.yt @ rows_of.reshape(n, -1)
+        # a y for each matrix a by rows (a is symmetric): row i of every
+        # product side by side.
+        ay = np.ascontiguousarray(ya.reshape(self.rows, count, n).transpose(2, 1, 0))
+        return (self.qt @ ay.reshape(n, -1)).reshape(self.rows, count, self.rows).transpose(1, 0, 2)
+
+
+def _read_only_rows(n: int, at: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The CSR matrix (k x n) whose row j has weights w[:, j] at columns
+    at[:, j], repeated columns adding up, with read-only arrays."""
+    rows = scipy.sparse.csr_matrix((w.T.ravel(), at.T.ravel(), np.arange(0, at.size + 1, len(at))),
+                                   shape=(at.shape[1], n))
+    for arr in (rows.data, rows.indices, rows.indptr):
+        arr.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _irreducible_bases(m: int, s: tuple) -> tuple:
+    """The irreducible blocks of class s, on m nodes per axis, under its
+    stabilizer H, as `Irrep` records in the order of `_IRREPS`; the mesh
+    alone sets them, so the last two meshes' are kept.
+
+    The dofs fall into orbits under H, each named by its smallest dof x.
+    Every basis row of `_IRREPS` gives a column q_x = E y_x / c_x per orbit
+    where E y_x is nonzero, c_x being its norm, and a preimage column
+    |H| y_x / c_x.  Columns of different orbits have disjoint supports, and
+    those of one orbit are orthogonal, so q is orthonormal.  An irrep with
+    no column is an empty block.
+    """
+    images = _stabilizer(m, s)
+    order, n = images.shape
+    members = images[:, np.flatnonzero((images >= np.arange(n)).all(axis=0))]
+    # same[g * order + h, x]: g x and h x are the same dof of the orbit of x.
+    same = (members[:, None, :] == members[None, :, :]).reshape(order * order, -1)
+    free = same.sum(axis=0) == order
+    same = same.astype(float)
+    bases = []
+    for dim, patterns in _IRREPS[order]:
+        at, w, pre_at, pre_w = [], [], [], []
+        for coef, pre, free_only in patterns:
+            coef, pre = np.array(coef, dtype=float), np.array(pre, dtype=float)
+            norm2 = np.outer(coef, coef).ravel() @ same
+            keep = (norm2 > 0.0) & (free | (not free_only))
+            norm = np.sqrt(norm2[keep])
+            at.append(members[:, keep])
+            w.append(coef[:, None] / norm)
+            pre_at.append(members[:2, keep])
+            pre_w.append(order * pre[:, None] / norm)
+        pre_at, pre_w = np.hstack(pre_at), np.hstack(pre_w)
+        # A preimage on x alone gathers one row per column.
+        terms = 2 if pre_w[1].any() else 1
+        bases.append(Irrep(dim, _read_only_rows(n, np.hstack(at), np.hstack(w)),
+                           _read_only_rows(n, pre_at[:terms], pre_w[:terms])))
+    return tuple(bases)
+
+
 def _global_gram(form: str):
     """Cached property: one form's Gram over the interleaved dofs 3 * node + c."""
     def gram(self) -> scipy.sparse.csr_matrix:
@@ -304,8 +471,9 @@ class CubeForms:
     """The four quadratic forms of a cube mesh, kept as its 1-D line
     matrices.  `l2`, `h1`, `stf` and `boundary` are the global Grams, built
     on first access; `dense_blocks` and `sparse_blocks` build sums of forms
-    on one reflection class without any global Gram, and `block(form, s)`
-    one form."""
+    on one reflection class without any global Gram, `block(form, s)` one
+    form, and `irreducible_blocks` the sums on each irreducible block of a
+    class under its axis-permutation stabilizer."""
 
     mesh: CubeMesh
     lines: dict = field(repr=False)
@@ -329,17 +497,9 @@ class CubeForms:
             factors[p, q] = i, j, mats[:, i, j], mats.shape[1:]
         return factors
 
-    def _class_layout(self, s: tuple) -> tuple:
-        """Per component c, its parities along (x, y, z) in reflection class
-        s, and the offsets of the components' rows in the class basis, the
-        last one being the class size."""
-        parity = [tuple(-sa if a == c else sa for a, sa in enumerate(s)) for c in range(3)]
-        dim = {p: basis.shape[1] for p, basis in _line_parity(len(self.lines["M"])).items()}
-        return parity, np.cumsum([0] + [dim[px] * dim[py] * dim[pz] for px, py, pz in parity])
-
     def class_size(self, s: tuple) -> int:
         """Number of dofs in reflection class s = (s_x, s_y, s_z)."""
-        return int(self._class_layout(s)[1][-1])
+        return int(_class_layout(len(self.lines["M"]), s)[1][-1])
 
     def _evaluate(self, sums: tuple, s: tuple | None):
         """The size of reflection class s = (s_x, s_y, s_z), or of all dofs
@@ -356,7 +516,7 @@ class CubeForms:
             parity, offset, stride = [(0, 0, 0)] * 3, range(3), 3
             size = self.mesh.n_dofs
         else:
-            parity, offset = self._class_layout(s)
+            parity, offset = _class_layout(len(self.lines["M"]), s)
             stride, size = 1, offset[-1]
 
         def pairs():
@@ -370,15 +530,16 @@ class CubeForms:
                        coef @ outer.reshape(len(triples), -1))
         return size, pairs()
 
-    def dense_blocks(self, sums: tuple, s: tuple | None) -> list:
-        """The form sums on class s (all dofs if None) as dense matrices,
-        scattered straight from the evaluation."""
+    def dense_blocks(self, sums: tuple, s: tuple | None) -> np.ndarray:
+        """The form sums on class s (all dofs if None) as a stack of dense
+        matrices (len(sums), n, n), scattered straight from the evaluation.
+        The stack is a view of rows (n, len(sums), n): row i of every matrix
+        side by side, the layout `irreducible_blocks` projects."""
         n, pairs = self._evaluate(sums, s)
-        mats = [np.zeros((n, n)) for _ in sums]
+        rows_of = np.zeros((n, len(sums), n))
         for rows, cols, vals in pairs:
-            for mat, v in zip(mats, vals):
-                mat[rows, cols] = v
-        return mats
+            rows_of[rows, :, cols] = vals.T
+        return rows_of.transpose(1, 0, 2)
 
     def sparse_blocks(self, sums: tuple, s: tuple | None) -> list:
         """The form sums on class s (all dofs if None) as CSR matrices on
@@ -398,6 +559,18 @@ class CubeForms:
     def block(self, form: str, s: tuple) -> scipy.sparse.csr_matrix:
         """Gram of one form on reflection class s = (s_x, s_y, s_z)."""
         return self.sparse_blocks(((form,),), s)[0]
+
+    def irreducible_blocks(self, sums: tuple, s: tuple, dense: bool) -> list:
+        """The form sums on each irreducible block of class s, as
+        (dim, mats) in the order of `_irreducible_bases`: a stack of dense
+        matrices if dense, else a list of CSR matrices.  The class blocks are
+        built once, dense or sparse, and each is projected as q^T a y."""
+        bases = _irreducible_bases(len(self.lines["M"]), s)
+        if not dense:
+            mats = self.sparse_blocks(sums, s)
+            return [(b.dim, [b.qt @ a @ b.yt.T for a in mats]) for b in bases]
+        rows_of = self.dense_blocks(sums, s).transpose(1, 0, 2)
+        return [(b.dim, b.project(rows_of)) for b in bases]
 
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:
@@ -468,17 +641,19 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """Solve the three generalized eigenproblems and summarize.
 
     Pencils: (L2 + stf) vs H1, (boundary + stf) vs H1, and stf vs L2 for
-    the kernel count.  Dense solves of one reflection-class block per
-    axis-permutation orbit; raises for oversized meshes.
+    the kernel count.  Dense solves of every irreducible block of one
+    reflection class per axis-permutation orbit; raises for oversized
+    meshes.
     """
     mesh = forms.mesh
     _check_size(mesh.n_dofs)
-    # Each class block spectrum stands for its whole orbit.
+    # Each block spectrum stands for its class's whole orbit, and for every
+    # partner of its irrep; an empty block has none.
     spectra = ([], [], [])
     for s, orbit in _CLASS_ORBITS.items():
-        classical, h1, boundary, stf, l2 = forms.dense_blocks(_KORN_SUMS, s)
-        for out, (a, b) in zip(spectra, ((classical, h1), (boundary, h1), (stf, l2))):
-            out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), orbit))
+        for dim, (l2, h1, stf, boundary) in forms.irreducible_blocks(_KORN_SUMS, s, True):
+            for out, (a, b) in zip(spectra, ((l2 + stf, h1), (boundary + stf, h1), (stf, l2))):
+                out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), orbit * dim))
     classical, boundary, stf = (np.sort(np.concatenate(s)) for s in spectra)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
     kernel_dim = int(np.count_nonzero(stf < threshold))
@@ -500,34 +675,49 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only.
 
-    Goes through one reflection-class block of the SPD pencil per
-    axis-permutation orbit, in `_CLASS_ORBITS` order, and returns the
-    minimum over the orbits, which is the pencil's.  A block of at most
-    DENSE_CLASS_ROWS rows is built dense; if `fe1d.pencil_above` certifies
-    it above the running minimum it is skipped, else it is solved for its
-    lowest eigenvalue alone (DECISIONS.md D21).  A larger one is built
-    sparse and solved by shift-invert Lanczos about 0, converged to machine
-    precision from a fixed-seed start vector per class.  Either way repeated
-    calls return the same bits, and the result agrees with a dense solve of
-    the unsplit pencil to roundoff.
+    Goes through one reflection class of the SPD pencil per
+    axis-permutation orbit, in `_CLASS_ORBITS` order, and through the
+    irreducible blocks of each class in ascending order of their Rayleigh
+    bound min(diag(a) / diag(g)), and returns the minimum over the blocks,
+    which is the pencil's.  A class of at most DENSE_CLASS_ROWS rows is
+    built dense, a larger one sparse.  A block of at most DENSE_CLASS_ROWS
+    rows is made dense; if its bound lies above the running minimum and
+    `fe1d.pencil_above` certifies it there, it is skipped, else it is
+    solved for its lowest eigenvalue alone (DECISIONS.md D21).  A larger
+    one is solved by shift-invert Lanczos about 0, converged to machine
+    precision from a fixed-seed start vector per block.  ARPACK needs more
+    rows than wanted eigenvalues, so a one-row block is always dense, and
+    an empty one is passed over.  Either way repeated calls return the same
+    bits, and the result agrees with a dense solve of the unsplit pencil to
+    roundoff.
     """
     _check_size(mesh.n_dofs, sparse=True)
     forms = assemble_cube_forms(mesh)
     lowest = np.inf
     for s in _CLASS_ORBITS:
-        if forms.class_size(s) <= DENSE_CLASS_ROWS:
-            pencil, h1 = forms.dense_blocks(_BOUNDARY_SUMS, s)
-            if lowest < np.inf and pencil_above(pencil, h1, lowest):
+        dense = forms.class_size(s) <= DENSE_CLASS_ROWS
+        blocks = [mats for _, mats in forms.irreducible_blocks(_BOUNDARY_SUMS, s, dense)]
+        bounds = [np.min(a.diagonal() / g.diagonal()) if g.shape[0] else np.inf
+                  for a, g in blocks]
+        # Seed streams: the index of s among all 8 classes, x fastest, and
+        # the block's index in the class.
+        k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
+        for j in np.argsort(bounds, kind="stable"):
+            pencil, h1 = blocks[j]
+            rows = h1.shape[0]
+            if rows == 0:
                 continue
-            lam = scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])[0]
-        else:
-            pencil, h1 = forms.sparse_blocks(_BOUNDARY_SUMS, s)
-            # Seed stream: the index of s among all 8 classes, x fastest.
-            k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
-            v0 = np.random.default_rng((_START_SEED, k)).standard_normal(h1.shape[0])
-            lam = scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0,
-                                            v0=v0, return_eigenvectors=False)[0]
-        lowest = min(lowest, lam)
+            if rows <= max(DENSE_CLASS_ROWS, 1):
+                if not dense:
+                    pencil, h1 = pencil.toarray(), h1.toarray()
+                if bounds[j] > lowest and pencil_above(pencil, h1, lowest):
+                    continue
+                lam = scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])[0]
+            else:
+                v0 = np.random.default_rng((_START_SEED, k, j)).standard_normal(rows)
+                lam = scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0,
+                                                v0=v0, return_eigenvectors=False)[0]
+            lowest = min(lowest, lam)
     return float(lowest)
 
 

@@ -791,8 +791,11 @@ class SlabAssembly:
         return np.concatenate([self.dofs(c) for c in GROUPS[group]])
 
     def form(self, name: str) -> sp.csr_matrix:
-        """One bilinear form, rows on its first argument; built per call."""
-        return self._layout.matrix(*self._placed({name: (1, 0)}))
+        """One bilinear form, rows on its first argument; built per call.
+        Its pattern is not kept: in the package only the coercivity probe's
+        inf-sup solve, once per layout, reads a form alone."""
+        coupled, walled, vals = self._layout.values(*self._placed({name: (1, 0)}))
+        return self._layout._build_pattern(coupled, walled).matrix(vals)
 
     def mass_matrix(self) -> sp.csr_matrix:
         """Mass-weighted L2 Gram in the stored (p, theta, ...) variables;

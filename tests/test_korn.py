@@ -441,44 +441,60 @@ class TestBoundaryProbeRoutes:
         assert lams["sparse"] == pytest.approx(lams["dense"], rel=1e-12)
 
     def test_mixed_routes_match_dense_route(self, monkeypatch):
-        # cube(8,1) classes have 300, 285, 264 and 240 rows: at 270 the first
-        # two take the sparse route and the last two the dense one, where a
-        # Cholesky factorization certifies each above the sparse minimum.
+        # cube(8,1) classes have 300, 285, 264 and 240 rows, all above 120,
+        # so each is built sparse.  Its irreducible blocks have 60, 40 and
+        # 100 rows in {+++}, 155 and 130 in {-++}, 140 and 124 in {--+}, and
+        # 50, 30 and 80 in {---}: at 120 the blocks above it take the sparse
+        # route, and the others are made dense, where {---}'s are certified
+        # above the minimum of the blocks before them.
         mesh = build_cube_mesh(8, 1)
         monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", ROUTE_ROWS["dense"])
         dense = boundary_korn_eigenvalue(mesh)
-        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 270)
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 120)
         calls = counting_eigensolvers(monkeypatch)
         mixed = boundary_korn_eigenvalue(mesh)
-        assert calls == {"eigh": [], "eigsh": [300, 285], "certified": [264, 240]}
+        assert calls == {"eigh": [40, 100, 60], "eigsh": [130, 155, 124, 140],
+                         "certified": [30, 80, 50]}
         assert mixed == pytest.approx(dense, rel=1e-12)
         assert boundary_korn_eigenvalue(mesh) == mixed
 
+    @pytest.mark.parametrize("rows", [korn.DENSE_CLASS_ROWS, ROUTE_ROWS["sparse"]],
+                             ids=["default", "sparse"])
     @pytest.mark.parametrize("n,degree", [(n, 1) for n in range(1, 11)]
                              + [(n, 2) for n in range(1, 6)])
-    def test_equals_the_minimum_of_every_class_solve(self, n, degree):
-        # DECISIONS.md D21: the probe certifies a dense-route class above the
+    def test_equals_the_minimum_of_every_block_solve(self, monkeypatch, n, degree, rows):
+        # DECISIONS.md D21: the probe certifies a dense-route block above the
         # running minimum by a Cholesky factorization instead of solving it,
-        # which changes no bit.  Reference: every orbit's class solved by its
-        # route, dense for lambda_min alone up to DENSE_CLASS_ROWS rows (every
-        # class up to cube(9,1) and cube(4,2)), else the probe's seeded
-        # shift-invert Lanczos (two classes of cube(10,1) and cube(5,2)).
+        # which changes no bit.  Reference: every irreducible block of every
+        # orbit's class solved by its route, dense for lambda_min alone up to
+        # DENSE_CLASS_ROWS rows and for one-row blocks, which ARPACK cannot
+        # take, else shift-invert Lanczos from the block's own seed stream.
+        # By default the 540- and 516-row classes of cube(10,1) and cube(5,2)
+        # are built sparse and their blocks made dense.
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", rows)
         mesh = build_cube_mesh(n, degree)
         forms = assemble_cube_forms(mesh)
         lowest = []
         for s in korn._CLASS_ORBITS:
-            if forms.class_size(s) <= korn.DENSE_CLASS_ROWS:
-                pencil, h1 = forms.dense_blocks(korn._BOUNDARY_SUMS, s)
-                lowest.append(scipy.linalg.eigh(pencil, h1, eigvals_only=True,
-                                                subset_by_index=[0, 0])[0])
-            else:
-                pencil, h1 = forms.sparse_blocks(korn._BOUNDARY_SUMS, s)
-                k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
-                v0 = np.random.default_rng((korn._START_SEED, k)).standard_normal(h1.shape[0])
-                lowest.append(scipy.sparse.linalg.eigsh(
-                    pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
-                    return_eigenvectors=False)[0])
-        assert len(lowest) == 4
+            dense = forms.class_size(s) <= korn.DENSE_CLASS_ROWS
+            k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
+            blocks = forms.irreducible_blocks(korn._BOUNDARY_SUMS, s, dense)
+            for j, (_, (pencil, h1)) in enumerate(blocks):
+                if h1.shape[0] == 0:
+                    continue
+                if h1.shape[0] <= max(korn.DENSE_CLASS_ROWS, 1):
+                    if not dense:
+                        pencil, h1 = pencil.toarray(), h1.toarray()
+                    lowest.append(scipy.linalg.eigh(pencil, h1, eigvals_only=True,
+                                                    subset_by_index=[0, 0])[0])
+                else:
+                    v0 = np.random.default_rng((korn._START_SEED, k, j)).standard_normal(h1.shape[0])
+                    lowest.append(scipy.sparse.linalg.eigsh(
+                        pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
+                        return_eigenvectors=False)[0])
+        # 10 nonempty blocks, less the empty {+++} and {---} sign blocks of
+        # cube(1,1) and the empty {---} sign block of cube(2,1) and (1,2).
+        assert len(lowest) == {(1, 1): 8, (2, 1): 9, (1, 2): 9}.get((n, degree), 10)
         assert boundary_korn_eigenvalue(mesh) == min(lowest)
 
     def test_repeatable_bit_for_bit(self, route):
@@ -823,9 +839,11 @@ class TestAxisPermutationSplit:
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         forms = assemble_cube_forms(build_cube_mesh(2, 2))
         first = korn_constants(forms)
-        assert len(calls) == 12  # 4 orbits x 3 pencils
+        # 4 orbits with 3, 2, 2 and 3 irreducible blocks x 3 pencils.
+        assert len(calls) == 30
+        assert sorted({shape[0] for shape in calls}) == [3, 6, 9, 12, 18, 20, 21, 24, 30]
         again = korn_constants(forms)
-        assert len(calls) == 24
+        assert len(calls) == 60
         for name in ("lambda_min_classical", "lambda_min_boundary", "stf_kernel_dim",
                      "stf_eig_max", "kernel_threshold"):
             assert getattr(again, name) == getattr(first, name), name
@@ -855,16 +873,129 @@ class TestAxisPermutationSplit:
         assert calls == 2 * orbits
 
     def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch, route):
-        # The sparse route solves every orbit's class.  The dense route
-        # solves or certifies each, and solves the first.
+        # cube(3,1) has 10 irreducible blocks in the 4 solved classes, of 6,
+        # 2 and 8 rows, 14 and 10, 14 and 10, and 6, 2 and 8.  The sparse
+        # route solves every block.  The dense route solves or certifies
+        # each, and solves the first.
         solver, other = ("eigsh", "eigh") if route == "sparse" else ("eigh", "eigsh")
         calls = counting_eigensolvers(monkeypatch)
         mesh = build_cube_mesh(3, 1)
         first = boundary_korn_eigenvalue(mesh)
         solved = len(calls[solver])
-        assert 1 <= solved <= 4
-        assert solved + len(calls["certified"]) == 4
-        assert solved == 4 or route == "dense"
+        assert 1 <= solved <= 10
+        assert solved + len(calls["certified"]) == 10
+        assert solved == 10 or route == "dense"
         assert boundary_korn_eigenvalue(mesh) == first
         assert len(calls[solver]) == 2 * solved
         assert calls[other] == []
+
+
+# The axis permutations that fix each solved class, as (image of x, of y,
+# of z).
+STABILIZERS = {(1, 1, 1): list(itertools.permutations(range(3))),
+               (-1, 1, 1): [(0, 1, 2), (0, 2, 1)],
+               (-1, -1, 1): [(0, 1, 2), (1, 0, 2)],
+               (-1, -1, -1): list(itertools.permutations(range(3)))}
+
+
+class TestStabilizerSplit:
+    """The axis permutations that fix a solved class split its block into
+    irreducible blocks: S3 for {+++} and {---} (trivial, sign, standard),
+    a swap for the others (even, odd)."""
+
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    def test_stabilizer_permutes_class_dofs_and_commutes_with_blocks(self, n, degree):
+        # Reference: Q_s^T P Q_s for the dof permutation P of each axis map
+        # that fixes s, from node coordinates and the reference class bases.
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        classes = reflection_classes(mesh)
+        m = n * degree + 1
+        for s in korn._CLASS_ORBITS:
+            q = classes[s]
+            images = korn._stabilizer(m, s)
+            assert images.shape == (len(STABILIZERS[s]), q.shape[1])
+            mats = {}
+            for perm in STABILIZERS[s]:
+                p = (q.T @ axis_permutation(mesh, perm) @ q).toarray()
+                assert np.array_equal(np.sort(p, axis=0)[:-1], np.zeros_like(p)[:-1])
+                assert np.allclose(p.max(axis=0), 1.0, rtol=0.0, atol=1e-15)
+                mats[tuple(np.argmax(p, axis=0))] = p
+            assert {tuple(row) for row in images} == set(mats)
+            assert tuple(images[0]) == tuple(range(q.shape[1]))
+            blocks = forms.dense_blocks((("l2",), ("h1",), ("stf",), ("boundary",)), s)
+            for row in images:
+                for block in blocks:
+                    gap = np.abs(block[np.ix_(row, row)] - block).max()
+                    assert gap <= 1e-14 * np.abs(block).max(), (s, gap)
+
+    @pytest.mark.parametrize("n,degree", [(n, 1) for n in range(1, 9)]
+                             + [(n, 2) for n in range(1, 6)])
+    def test_census_counts_every_dof(self, n, degree):
+        # Every orbit's class stands for orbit classes, and every block for
+        # dim partners of its irrep, empty blocks included.
+        mesh = build_cube_mesh(n, degree)
+        forms = assemble_cube_forms(mesh)
+        total = 0
+        for s, orbit in korn._CLASS_ORBITS.items():
+            bases = korn._irreducible_bases(n * degree + 1, s)
+            assert [b.dim for b in bases] == ([1, 1, 2] if len(set(s)) == 1 else [1, 1])
+            assert sum(b.dim * b.rows for b in bases) == forms.class_size(s)
+            total += orbit * sum(b.dim * b.rows for b in bases)
+        assert total == mesh.n_dofs
+
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    def test_blocks_are_projections_on_orthonormal_partners(self, n, degree):
+        # The partners of a class's irreps are orthonormal and orthogonal to
+        # one another, and each projected block, q^T a y, equals the
+        # two-sided projection q^T a q of the class block.
+        forms = assemble_cube_forms(build_cube_mesh(n, degree))
+        for s in korn._CLASS_ORBITS:
+            bases = korn._irreducible_bases(n * degree + 1, s)
+            q_all = np.hstack([b.qt.toarray().T for b in bases])
+            assert np.abs(q_all.T @ q_all - np.eye(q_all.shape[1])).max() <= 1e-15
+            class_blocks = forms.dense_blocks(korn._KORN_SUMS, s)
+            sparse = forms.sparse_blocks(korn._KORN_SUMS, s)
+            for (dim, dense), (_, projected), b in zip(
+                    forms.irreducible_blocks(korn._KORN_SUMS, s, True),
+                    forms.irreducible_blocks(korn._KORN_SUMS, s, False), bases):
+                q = b.qt.toarray().T
+                for block, mat, sp_mat in zip(class_blocks, dense, projected):
+                    ref = q.T @ block @ q
+                    scale = np.abs(block).max()
+                    assert np.abs(mat - ref).max(initial=0.0) <= 1e-15 * scale
+                    assert np.abs(sp_mat.toarray() - ref).max(initial=0.0) <= 1e-15 * scale
+                    assert mat.shape == (b.rows, b.rows)
+
+    @pytest.mark.parametrize("n,degree", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    def test_stf_kernel_sits_where_the_conformal_killing_fields_do(self, n, degree):
+        # The dilation is in {+++} trivial; the translation along x, and at
+        # degree 2 the special conformal field along x, in the {-++} block
+        # even under the swap of y and z; the rotation about z in the {--+}
+        # block odd under the swap of x and y.  Each standard-irrep or
+        # orbit partner repeats it: 1 + 3 + 3 = 7, 1 + 6 + 3 = 10.
+        forms = assemble_cube_forms(build_cube_mesh(n, degree))
+        spectra = {(s, j): (orbit * dim, scipy.linalg.eigh(a, b, eigvals_only=True))
+                   for s, orbit in korn._CLASS_ORBITS.items()
+                   for j, (dim, (a, b)) in enumerate(
+                       forms.irreducible_blocks((("stf",), ("l2",)), s, True))
+                   if b.shape[0]}
+        top = max(eigs[-1] for _, eigs in spectra.values())
+        kernel = {key: int(np.count_nonzero(eigs < korn.KERNEL_REL_THRESHOLD * top))
+                  for key, (_, eigs) in spectra.items()}
+        expected = {((1, 1, 1), 0): 1, ((-1, 1, 1), 0): degree, ((-1, -1, 1), 1): 1}
+        assert {key: k for key, k in kernel.items() if k} == expected
+        assert sum(spectra[key][0] * k for key, k in kernel.items()) == (
+            CK_DIM if degree == 2 else AFFINE_CK_DIM)
+
+    def test_bases_are_kept_read_only(self):
+        # The bases depend on the mesh alone and are shared between calls.
+        first = korn._irreducible_bases(5, (1, 1, 1))
+        forms = assemble_cube_forms(build_cube_mesh(2, 2))
+        korn_constants(forms)
+        assert korn._irreducible_bases(5, (1, 1, 1)) is first
+        for b in first:
+            for mat in (b.qt, b.yt):
+                for arr in (mat.data, mat.indices, mat.indptr):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[0]

@@ -1569,9 +1569,9 @@ class TestProbeHalf:
         for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
             asm = SlabAssembly(SlabMesh(8, 2), model, KN, formulation)
             layout = asm._layout
-            # Build the patterns the probe scatters into, so that only the
+            # Build the pattern the probe scatters into, so that only the
             # half is left to count.
-            asm.a_operator(), asm.form("g")
+            asm.a_operator()
             before = layout.nbytes
             coercivity_probe(asm)
             half = layout._probe
@@ -1590,6 +1590,18 @@ class TestProbeHalf:
             coercivity_probe(asm)
             assert layout._probe is half and layout.nbytes - before == sum(
                 arr.nbytes for arr in arrays)
+
+    def test_probe_keeps_only_the_a_pattern(self, eta7, maxwell, cold_memos):
+        # The cold inf-sup solve reads form("g") once per layout, built into
+        # a pattern the layout does not keep, so a probed layout holds one
+        # pattern: the A pattern every probe scatters into.
+        for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
+            for degree in (1, 2):
+                asm = SlabAssembly(SlabMesh(8, degree), model, KN, formulation)
+                coercivity_probe(asm)
+                assert len(asm._layout._patterns) == 1
+                asm.form("g")
+                assert len(asm._layout._patterns) == 1
 
     def test_memo_of_probed_layouts_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
         # Room for the n 4 or the n 8 probed layout, not for both, but for
