@@ -3,7 +3,8 @@ uniform mesh of [0, 1] and its scalar spaces, which only this module knows,
 a Gauss rule, a Lagrange tabulator, element points and matrices, a scatter
 that repeats one element matrix over every element, the parity bases of
 the mirror x -> 1 - x, the global CG matrices of the cube forms, and the
-inertia certificate that lets the spectral probes skip a block.
+block loop of both spectral probes with the inertia certificate by which
+it skips a block.
 """
 
 from __future__ import annotations
@@ -244,3 +245,37 @@ def pencil_above(a: np.ndarray, g: np.ndarray, tau: float) -> bool:
     # a - tau * g, the one scipy.linalg.eigh reads.
     factor, info = scipy.linalg.lapack.dpotrf(shifted.T, overwrite_a=True, clean=False)
     return info == 0 and bool(np.isfinite(np.diagonal(factor)).all())
+
+
+def merge_lowest(low: np.ndarray, blocks: list, keep: int, solve) -> np.ndarray:
+    """The `keep` lowest of the ascending values `low` and the eigenvalues
+    of the symmetric pencils `blocks`, dense or CSR pairs (a, g) with g SPD.
+    Only the blocks that can reach them are solved, by solve(i, a, g),
+    which returns at least the `keep` lowest eigenvalues of block i; a dense
+    block may instead be certified above them or reuse a twin's outcome
+    (DECISIONS.md D21).  The blocks go in ascending Rayleigh bound
+    min(diag(a) / diag(g)), an upper bound on a block's lowest eigenvalue.
+    """
+    bounds = [np.min(a.diagonal() / g.diagonal()) for a, g in blocks]
+    # Twins have equal bounds, so `tied` holds the dense blocks handled at
+    # the current bound with their values, None where certified.
+    tied, bound = [], None
+    for i in np.argsort(bounds, kind="stable"):
+        a, g = blocks[i]
+        if bounds[i] != bound:
+            tied, bound = [], bounds[i]
+        if sp.issparse(a):
+            vals = solve(i, a, g)
+        else:
+            twin = next((t for t in tied if np.array_equal(t[0], a) and np.array_equal(t[1], g)),
+                        None)
+            if twin is not None:
+                vals = twin[2]
+            elif low.size == keep and bound > low[-1] and pencil_above(a, g, low[-1]):
+                vals = None
+            else:
+                vals = solve(i, a, g)
+            tied.append((a, g, vals))
+        if vals is not None:
+            low = np.sort(np.concatenate([low, vals]))[:keep]
+    return low

@@ -61,17 +61,18 @@ the stf kernel, which need every block's spectrum, and the 10-fold
 conformal Killing kernel of the stf pencil makes a Krylov solver restart
 from its internal seed, which would break run-to-run bit-identity.
 `boundary_korn_eigenvalue` needs only the smallest eigenvalue of an SPD
-pencil, and takes the minimum over the blocks.  A block of at most
+pencil, and takes the minimum over the blocks by `fe1d.merge_lowest`, the
+block loop of the slab coercivity probe too.  A block of at most
 `DENSE_CLASS_ROWS` rows is solved densely for its lowest eigenvalue alone,
-unless one Cholesky factorization (`fe1d.pencil_above`) certifies that it
-lies above the minimum of the blocks solved before it; a larger one runs
-shift-invert Lanczos (ARPACK) on the sparse block, from one sparse LU and a
-fixed-seed start vector per block, and is always solved.
+unless certified above the running minimum; a larger one runs shift-invert
+Lanczos (ARPACK) on the sparse block, from one sparse LU and a fixed-seed
+start vector per block.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, parity_bases, pencil_above
+from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, merge_lowest, parity_bases
 
 # Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
@@ -643,8 +644,10 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     Pencils: (L2 + stf) vs H1, (boundary + stf) vs H1, and stf vs L2 for
     the kernel count.  Dense solves of every irreducible block of one
     reflection class per axis-permutation orbit; raises for oversized
-    meshes.
+    meshes.  n_tail must be a non-negative integer.
     """
+    if isinstance(n_tail, bool) or not isinstance(n_tail, numbers.Integral) or n_tail < 0:
+        raise ValueError(f"n_tail must be a non-negative integer, got {n_tail!r}")
     mesh = forms.mesh
     _check_size(mesh.n_dofs)
     # Each block spectrum stands for its class's whole orbit, and for every
@@ -675,50 +678,41 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
 def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     """Smallest eigenvalue of (boundary + stf) vs H1 only.
 
-    Goes through one reflection class of the SPD pencil per
-    axis-permutation orbit, in `_CLASS_ORBITS` order, and through the
-    irreducible blocks of each class in ascending order of their Rayleigh
-    bound min(diag(a) / diag(g)), and returns the minimum over the blocks,
-    which is the pencil's.  A class of at most DENSE_CLASS_ROWS rows is
-    built dense, a larger one sparse.  A block of at most DENSE_CLASS_ROWS
-    rows is made dense; if its bound lies above the running minimum and
-    `fe1d.pencil_above` certifies it there, it is skipped, else it is
-    solved for its lowest eigenvalue alone (DECISIONS.md D21).  A larger
-    one is solved by shift-invert Lanczos about 0, converged to machine
-    precision from a fixed-seed start vector per block.  ARPACK needs more
-    rows than wanted eigenvalues, so a one-row block is always dense, and
-    an empty one is passed over.  Either way repeated calls return the same
-    bits, and the result agrees with a dense solve of the unsplit pencil to
-    roundoff.
+    Merges by `fe1d.merge_lowest` (DECISIONS.md D21) the lowest eigenvalue
+    of the non-empty irreducible blocks of one reflection class per
+    axis-permutation orbit, in `_CLASS_ORBITS` order.  A class of at most
+    DENSE_CLASS_ROWS rows is built dense, a larger one sparse.  A block of
+    at most DENSE_CLASS_ROWS rows, or of one, which ARPACK cannot take, is
+    made dense and solved for its lowest eigenvalue alone; a larger one by
+    shift-invert Lanczos about 0, converged to machine precision from a
+    fixed-seed start vector per block.  Either way repeated calls return
+    the same bits, and the result agrees with a dense solve of the unsplit
+    pencil to roundoff.
     """
     _check_size(mesh.n_dofs, sparse=True)
     forms = assemble_cube_forms(mesh)
-    lowest = np.inf
+    low = np.empty(0)
     for s in _CLASS_ORBITS:
         dense = forms.class_size(s) <= DENSE_CLASS_ROWS
-        blocks = [mats for _, mats in forms.irreducible_blocks(_BOUNDARY_SUMS, s, dense)]
-        bounds = [np.min(a.diagonal() / g.diagonal()) if g.shape[0] else np.inf
-                  for a, g in blocks]
+        index, blocks = [], []
+        for j, (_, (pencil, h1)) in enumerate(forms.irreducible_blocks(_BOUNDARY_SUMS, s, dense)):
+            if h1.shape[0]:
+                index.append(j)
+                small = dense or h1.shape[0] > max(DENSE_CLASS_ROWS, 1)
+                blocks.append((pencil, h1) if small else (pencil.toarray(), h1.toarray()))
         # Seed streams: the index of s among all 8 classes, x fastest, and
         # the block's index in the class.
         k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
-        for j in np.argsort(bounds, kind="stable"):
-            pencil, h1 = blocks[j]
-            rows = h1.shape[0]
-            if rows == 0:
-                continue
-            if rows <= max(DENSE_CLASS_ROWS, 1):
-                if not dense:
-                    pencil, h1 = pencil.toarray(), h1.toarray()
-                if bounds[j] > lowest and pencil_above(pencil, h1, lowest):
-                    continue
-                lam = scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])[0]
-            else:
-                v0 = np.random.default_rng((_START_SEED, k, j)).standard_normal(rows)
-                lam = scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0,
-                                                v0=v0, return_eigenvectors=False)[0]
-            lowest = min(lowest, lam)
-    return float(lowest)
+
+        def solve(i, pencil, h1):
+            if not scipy.sparse.issparse(pencil):
+                return scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])
+            v0 = np.random.default_rng((_START_SEED, k, index[i])).standard_normal(h1.shape[0])
+            return scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
+                                             return_eigenvectors=False)
+
+        low = merge_lowest(low, blocks, 1, solve)
+    return float(low[0])
 
 
 # ---------------------------------------------------------------------------

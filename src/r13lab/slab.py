@@ -41,8 +41,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe1d import (DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, parity_bases,
-                   pencil_above)
+from .fe1d import (DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, merge_lowest,
+                   parity_bases)
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import StateVector, entropy_density, mass_inner, physical_fluxes
@@ -731,7 +731,8 @@ class SlabAssembly:
     Each bilinear form is kept as its probed volume and wall kernels, rows on
     its first argument, beside the monitor kernels.  Matrices are built from
     kernels per call by the layout, in the shared component dof layout; a
-    system operator as one scatter of its placement table.  Across calls
+    system operator as one scatter of its placement table, the evolution
+    operator as the A operator plus its pressure coupling.  Across calls
     it keeps its A values, its monitor operators, whose stack holds its only
     kept A, and the factorizations of its transient steps.
 
@@ -874,14 +875,15 @@ class SlabAssembly:
         return mat
 
     def transient_operator(self) -> sp.csr_matrix:
-        """Weak operator of the evolution system (no zero-mean constraint),
-        one scatter of its placements.  Exact zeros are not stored."""
+        """Weak operator of the evolution system (no zero-mean constraint):
+        the A operator plus its pressure coupling, which shares no entry with
+        it.  The coupling's pattern is not kept, as for `form`: a transient
+        step builds the operator once per factorization, so the layout keeps
+        one A pattern.  Exact zeros are not stored."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
-        mat = self._layout.matrix(*self._placed({**A_PLACEMENTS["nonmaxwell"],
-                                                 **TRANSIENT_PLACEMENTS}))
-        mat.eliminate_zeros()
-        return mat
+        coupled, walled, vals = self._layout.values(*self._placed(TRANSIENT_PLACEMENTS))
+        return self.a_operator() + self._layout._build_pattern(coupled, walled).matrix(vals)
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -1447,45 +1449,9 @@ def _pencil_blocks(a: sp.csr_matrix, g: sp.csr_matrix, group: np.ndarray,
     return int(sizes[zero].sum()), list(zip(blocks(a), blocks(g)))
 
 
-def _merge_lowest(low: np.ndarray, a: sp.csr_matrix, g: sp.csr_matrix,
-                  group: np.ndarray, empty: np.ndarray, keep: int) -> np.ndarray:
-    """The `keep` lowest of the ascending values `low` and the eigenvalues
-    of the symmetric pencil (a, g), g SPD, whose blocks are given by group
-    and empty (see _pencil_blocks), solving only the blocks that can reach
-    them (DECISIONS.md D21).
-
-    The empty blocks, where a stores nothing, give one exact zero per
-    column, merged in one step and unsolved.  The others go in ascending
-    order of their Rayleigh bound min(diag(a_b) / diag(g_b)), an upper
-    bound on the block's lowest eigenvalue.  Once `keep` values are known,
-    a block is skipped if its bound lies above the highest of them and
-    `pencil_above` certifies the block above it; otherwise it gets a dense
-    eigensolve.  A block bytewise equal to one handled before it reuses
-    that block's outcome.
-    """
-    n_zero, blocks = _pencil_blocks(a, g, group, empty)
-    low = np.sort(np.concatenate([low, np.zeros(n_zero)]))[:keep]
-    bounds = [np.min(np.diag(ab) / np.diag(gb)) for ab, gb in blocks]
-    # Twins have equal bounds, so they are adjacent in this order; `tied`
-    # holds the blocks handled at the current bound with their values,
-    # None where certified.
-    tied, bound = [], None
-    for i in np.argsort(bounds, kind="stable"):
-        ab, gb = blocks[i]
-        if bounds[i] != bound:
-            tied, bound = [], bounds[i]
-        twin = next((t for t in tied
-                     if np.array_equal(t[0], ab) and np.array_equal(t[1], gb)), None)
-        if twin is not None:
-            vals = twin[2]
-        elif low.size == keep and bound > low[-1] and pencil_above(ab, gb, low[-1]):
-            vals = None
-        else:
-            vals = scipy.linalg.eigh(ab, gb, eigvals_only=True)
-        tied.append((ab, gb, vals))
-        if vals is not None:
-            low = np.sort(np.concatenate([low, vals]))[:keep]
-    return low
+def _block_spectrum(i: int, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a dense block, coercivity_probe's solve."""
+    return scipy.linalg.eigh(a, g, eigvals_only=True)
 
 
 def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityReport:
@@ -1499,10 +1465,11 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     components, and the spectrum is the union of the block spectra.  A
     component where the symmetric part stores nothing (u and theta in the
     degenerate grouping) gives one exact zero per free dof, counted, not
-    blocked.  The probe keeps only the max(n_report, 1) lowest values as it
-    goes through the classes one at a time, and solves only the blocks that
-    can reach them (`_merge_lowest`, DECISIONS.md D21); with n_report at
-    least the pencil size every other block is solved.  n_report must be a
+    blocked: the zeros of a class are merged before its blocks.  The probe
+    keeps only the max(n_report, 1) lowest values as it goes through the
+    classes one at a time, and solves only the blocks that can reach them
+    (`fe1d.merge_lowest`, DECISIONS.md D21); with n_report at least the
+    pencil size every other block is solved.  n_report must be a
     non-negative integer.
 
     What depends on the mesh alone is built on the first probe of a layout
@@ -1522,7 +1489,10 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     low = np.empty(0)
     # One class at a time, so that only one class's blocks are alive.
     for q, qt, gram, component in half.classes:
-        low = _merge_lowest(low, qt @ a_t1 @ q, gram, lowest[component], empty, keep)
+        n_zero, blocks = _pencil_blocks(qt @ a_t1 @ q, gram, lowest[component], empty)
+        low = np.sort(np.concatenate([low, np.zeros(n_zero)]))[:keep]
+        low = merge_lowest(low, blocks, keep, _block_spectrum)
+        del blocks
     low_eigs = tuple(float(v) for v in low[:n_report])
 
     theta_bubble = None

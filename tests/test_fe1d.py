@@ -1,12 +1,14 @@
 """Shared 1-D finite-element toolkit: mesh and spaces, Gauss rule, Lagrange
 basis, element matrices, scatter, mirror parity bases, global line
-matrices, and the Cholesky certificate of a symmetric pencil."""
+matrices, the Cholesky certificate of a symmetric pencil, and the block
+loop of the spectral probes."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from r13lab import fe1d
 from r13lab.fe1d import (
     ScalarSpace,
     SlabMesh,
@@ -15,6 +17,7 @@ from r13lab.fe1d import (
     element_matrices,
     gauss01,
     lagrange,
+    merge_lowest,
     parity_bases,
     pencil_above,
 )
@@ -235,3 +238,120 @@ def test_pencil_above_brackets_the_lowest_eigenvalue(n, degree, shift):
     bad[0, -1] = bad[-1, 0] = np.nan
     assert not pencil_above(bad, g, lam - step)
     assert np.array_equal(a, a0) and np.array_equal(g, g0)
+
+
+def _block(rng, n, shift):
+    """A random symmetric pencil (a, g) of n rows, g SPD, whose eigenvalues
+    all lie above shift."""
+    x, y = rng.standard_normal((2, n, n))
+    g = x @ x.T + n * np.eye(n)
+    return y @ y.T + shift * g, g
+
+
+def _spectrum(a, g):
+    if sp.issparse(a):
+        a, g = a.toarray(), g.toarray()
+    return scipy.linalg.eigh(a, g, eigvals_only=True)
+
+
+def _recording(solved):
+    """A solve for merge_lowest that returns a block's whole spectrum and
+    records the block's index."""
+    def solve(i, a, g):
+        solved.append(i)
+        return _spectrum(a, g)
+    return solve
+
+
+def _union(blocks, keep, low=()):
+    return np.sort(np.concatenate([low, *(_spectrum(a, g) for a, g in blocks)]))[:keep]
+
+
+# Blocks of 1 to 6 rows at shifts from 0 to 60: the low ones hold every
+# kept value, the high ones lie far above them.
+SIZES_SHIFTS = [(4, 20.0), (3, 0.0), (6, 60.0), (1, 5.0), (5, 0.5), (2, 40.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("keep", [1, 3, 6, 21])
+@pytest.mark.parametrize("sparse_at", [None, 1, 2])
+def test_merge_lowest_keeps_the_lowest_of_every_block_spectrum(seed, keep, sparse_at):
+    rng = np.random.default_rng(seed)
+    blocks = [_block(rng, n, shift) for n, shift in SIZES_SHIFTS]
+    if sparse_at is not None:
+        blocks[sparse_at] = tuple(sp.csr_matrix(m) for m in blocks[sparse_at])
+    solved = []
+    low = merge_lowest(np.empty(0), blocks, keep, _recording(solved))
+    assert low.tobytes() == _union(blocks, keep).tobytes()
+    assert len(set(solved)) == len(solved)
+    if sparse_at is not None:
+        assert sparse_at in solved
+    if keep >= sum(n for n, _ in SIZES_SHIFTS):
+        assert sorted(solved) == list(range(len(blocks)))
+
+
+def test_merge_lowest_solves_twins_once():
+    rng = np.random.default_rng(3)
+    low, high = _block(rng, 3, 0.0), _block(rng, 4, 50.0)
+    twin = tuple(m.copy() for m in low)
+    blocks = [high, low, twin]
+    solved = []
+    out = merge_lowest(np.empty(0), blocks, 6, _recording(solved))
+    # The twin's values count twice, from one solve, and fill the six kept
+    # values, so the high block is certified.
+    assert solved == [1]
+    assert out.tobytes() == _union(blocks, 6).tobytes()
+    assert out.tobytes() == np.sort(np.tile(_spectrum(*low), 2)).tobytes()
+
+
+def test_merge_lowest_certifies_a_dense_block_above_the_kept_values(monkeypatch):
+    rng = np.random.default_rng(4)
+    blocks = [_block(rng, 3, 30.0), _block(rng, 4, 0.0), _block(rng, 3, 30.0)]
+    certified, solved = [], []
+    above = fe1d.pencil_above
+
+    def certifying(a, g, tau):
+        certified.append(above(a, g, tau))
+        return certified[-1]
+
+    monkeypatch.setattr(fe1d, "pencil_above", certifying)
+    out = merge_lowest(np.empty(0), blocks, 2, _recording(solved))
+    assert solved == [1]
+    assert certified == [True, True]
+    assert out.tobytes() == _union(blocks, 2).tobytes()
+    # A CSR block far above the kept values is solved all the same, with no
+    # certificate tried.
+    certified.clear()
+    solved.clear()
+    blocks[2] = tuple(sp.csr_matrix(m) for m in blocks[2])
+    assert merge_lowest(np.empty(0), blocks, 2, _recording(solved)).tobytes() == out.tobytes()
+    assert sorted(solved) == [1, 2]
+    assert certified == [True]
+    # A Rayleigh bound at or below the kept values, here the lowest
+    # eigenvalue 1.5 of a diagonal pencil below 2, rules the certificate
+    # out, so it is not tried.
+    certified.clear()
+    solved.clear()
+    diagonal = [(np.diag(d), np.eye(len(d))) for d in ([1.0, 2.0, 3.0], [1.5, 10.0])]
+    assert merge_lowest(np.empty(0), diagonal, 2, _recording(solved)).tolist() == [1.0, 1.5]
+    assert solved == [0, 1]
+    assert certified == []
+
+
+def test_merge_lowest_carries_low_across_calls():
+    rng = np.random.default_rng(5)
+    blocks = [_block(rng, n, shift) for n, shift in SIZES_SHIFTS]
+    solved = []
+    low = merge_lowest(np.empty(0), blocks[:3], 4, _recording(solved))
+    low = merge_lowest(low, blocks[3:], 4, _recording(solved))
+    assert low.tobytes() == _union(blocks, 4).tobytes()
+    # Values already kept below every block leave every dense block
+    # certified and unsolved.
+    solved.clear()
+    kept = np.array([-2.0, -1.0, -0.5, -0.25])
+    assert merge_lowest(kept, blocks, 4, _recording(solved)).tobytes() == kept.tobytes()
+    assert solved == []
+    # Fewer than keep values carried in: the lowest block is still solved.
+    assert merge_lowest(kept[:3], blocks, 4, _recording(solved)).tobytes() == _union(
+        blocks, 4, kept[:3]).tobytes()
+    assert solved == [1]

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from r13lab import korn
+from r13lab import fe1d, korn
 from r13lab.korn import (
     CKField,
     assemble_cube_forms,
@@ -385,6 +385,20 @@ class TestKornConstants:
         with pytest.raises(ValueError, match="sparse eigensolves"):
             boundary_korn_eigenvalue(build_cube_mesh(1, 1))
 
+    @pytest.mark.parametrize("n_tail", [-1, True, False, 2.5, 3.0, "3", None])
+    def test_n_tail_must_be_a_non_negative_integer(self, n_tail):
+        # A negative count once dropped the last value of each tail, True
+        # gave one value, and 2.5 raised a TypeError from the slicing.
+        forms = assemble_cube_forms(build_cube_mesh(1, 1))
+        with pytest.raises(ValueError, match="n_tail must be a non-negative integer"):
+            korn_constants(forms, n_tail=n_tail)
+
+    @pytest.mark.parametrize("n_tail,size", [(0, 0), (np.int64(5), 5), (30, 24)])
+    def test_n_tail_bounds_the_tails(self, n_tail, size):
+        rep = korn_constants(assemble_cube_forms(build_cube_mesh(1, 1)), n_tail=n_tail)
+        for tail in (rep.classical_tail, rep.boundary_tail, rep.stf_tail):
+            assert tail.shape == (size,)
+
 
 # DENSE_CLASS_ROWS that force every class block of boundary_korn_eigenvalue
 # onto one route: no class has 0 rows, and none passes the size guard with
@@ -411,7 +425,7 @@ def counting_eigensolvers(monkeypatch):
     calls = {"eigh": [], "eigsh": [], "certified": []}
     for module, name in ((scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
         monkeypatch.setattr(module, name, recording(getattr(module, name), calls[name]))
-    above = korn.pencil_above
+    above = fe1d.pencil_above
 
     def certifying(a, g, tau):
         passed = above(a, g, tau)
@@ -419,7 +433,7 @@ def counting_eigensolvers(monkeypatch):
             calls["certified"].append(a.shape[0])
         return passed
 
-    monkeypatch.setattr(korn, "pencil_above", certifying)
+    monkeypatch.setattr(fe1d, "pencil_above", certifying)
     return calls
 
 

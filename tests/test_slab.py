@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from r13lab import onsager, slab
+from r13lab import fe1d, onsager, slab
 from r13lab.fe1d import parity_bases
 from r13lab.models import bundled_models, resolve_model
 from r13lab.state import mass_inner, physical_fluxes
@@ -1077,7 +1077,9 @@ class TestTransient:
         with pytest.raises(ValueError, match="n_steps must be nonnegative"):
             transient_run(asm_eta7, zero_state(asm_eta7), dt=0.01, n_steps=-3)
 
-    def test_a_operator_built_once_per_assembly(self, eta7, monkeypatch):
+    def test_a_operator_not_built_per_step(self, eta7, monkeypatch):
+        # Once for the monitor stack and once for the run's one
+        # factorization, through transient_operator; never per step.
         calls = []
         build = SlabAssembly.a_operator
 
@@ -1093,7 +1095,7 @@ class TestTransient:
             transient_run(asm, random_state(asm, np.random.default_rng(3)),
                           dt=0.05, n_steps=steps)
             counts.append(len(calls))
-        assert counts == [1, 1]
+        assert counts == [2, 2]
 
     def test_step_residual_gate(self, eta7, monkeypatch):
         # A factor of the scaled matrix leaves a relative residual near 1e-3.
@@ -1309,7 +1311,7 @@ class TestCoercivity:
         # DECISIONS.md D21 at n 64: eta7 solves the first tangential twin of
         # each class and reuses it for the second; maxwell's zero blocks give
         # the six lowest values, and every other block is certified above 0.
-        real, above, calls = scipy.linalg.eigh, slab.pencil_above, {"eigh": [], "above": []}
+        real, above, calls = scipy.linalg.eigh, fe1d.pencil_above, {"eigh": [], "above": []}
 
         def counting(a, b=None, **kwargs):
             calls["eigh"].append(len(a))
@@ -1321,7 +1323,7 @@ class TestCoercivity:
 
         asm = SlabAssembly(SlabMesh(64, 2), resolve_model(name), KN, formulation)
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
-        monkeypatch.setattr(slab, "pencil_above", certifying)
+        monkeypatch.setattr(fe1d, "pencil_above", certifying)
         coercivity_probe(asm)
         # On a cold layout the last call is the inf-sup pencil on the pressure
         # complement (D22).
@@ -1548,7 +1550,7 @@ class TestProbeHalf:
             for kn in (0.1, 1.0):
                 calls.clear()
                 reports.append(coercivity_probe(SlabAssembly(mesh, resolve_model(name), kn)))
-                per_probe.append([c for c in calls if c != "_merge_lowest"])
+                per_probe.append([c for c in calls if c != "_block_spectrum"])
         assert per_probe[0].count("_infsup") == 1
         assert {"t1_gram", "form g", "null_space", "parity_bases"} <= set(per_probe[0])
         assert per_probe[1:] == [[]] * 5
@@ -1979,6 +1981,16 @@ class TestLayoutMemo:
                 layouts.add(asm._layout)
         assert len(layouts) == 6
         assert sum(arr.nbytes for lay in layouts for arr in _layout_arrays(lay)) <= 2 * 2**20
+
+    def test_transient_run_keeps_one_a_pattern(self, eta7, cold_memos):
+        # The evolution operator is the A operator plus a pressure coupling
+        # whose pattern is not kept: after a run the n 64 layout holds the A
+        # pattern and the monitors' W pattern, 408.8 KiB, where an A ∪ g
+        # pattern beside them held 587.7 KiB.
+        asm = SlabAssembly(SlabMesh(64, 2), eta7, KN)
+        transient_run(asm, random_state(asm, np.random.default_rng(5)), dt=0.01, n_steps=3)
+        assert len(asm._layout._patterns) == 2
+        assert asm._layout.nbytes <= 421.3 * 1024
 
     def test_memo_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
         # Room for the n 8 and n 16 layouts with their steady patterns, not
