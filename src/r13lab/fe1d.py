@@ -20,15 +20,19 @@ import scipy.sparse as sp
 DEFAULT_DEGREE = 2
 
 
+def read_only(*arrays) -> tuple:
+    """The arrays, each made read-only in place."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=16)
 def gauss01(q: int):
     """(points, weights) of the q-point Gauss-Legendre rule on [0, 1], as
     read-only arrays computed once per q and shared by every caller."""
     pts, wts = np.polynomial.legendre.leggauss(q)
-    rule = 0.5 * (pts + 1.0), 0.5 * wts
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
+    return read_only(0.5 * (pts + 1.0), 0.5 * wts)
 
 
 def lagrange(nodes: np.ndarray, x: np.ndarray):
@@ -123,9 +127,9 @@ class ScalarSpace:
     @functools.cached_property
     def gauss_tabulation(self):
         """(values, physical derivatives, element weights) at the degree + 1
-        Gauss points of one element; built once, callers only read it."""
+        Gauss points of one element; built once, as read-only arrays."""
         pts, wts = gauss01(self.mesh.degree + 1)
-        return (*self.tabulate(pts), wts * self.mesh.h)
+        return read_only(*self.tabulate(pts), wts * self.mesh.h)
 
     def locate(self, x: np.ndarray):
         """(element dofs of shape (len(x), n_local), basis values, basis

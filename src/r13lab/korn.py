@@ -80,7 +80,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, merge_lowest, parity_bases
+from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, merge_lowest, parity_bases, read_only
 
 # Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
@@ -313,22 +313,23 @@ def _term_table(sums: tuple) -> dict:
     """The Kronecker terms of a tuple of form sums, such as (("boundary",
     "stf"), ("h1",)), grouped by component pair: (c, d) maps to the distinct
     factor triples, as indices into _LINES along (x, y, z), and to the
-    coefficient table with one row per sum and one column per triple."""
+    coefficient table with one row per sum and one column per triple, as
+    read-only arrays shared by every caller."""
     table = {}
     for k, names in enumerate(sums):
         for coef, factors, c, d in (t for name in names for t in _FORM_TERMS[name]):
             key = tuple(map(_LINES.index, factors))
             table.setdefault((c, d), {}).setdefault(key, np.zeros(len(sums)))[k] += coef
-    return {cd: (np.array(list(terms)), np.array(list(terms.values())).T)
+    return {cd: read_only(np.array(list(terms)), np.array(list(terms.values())).T)
             for cd, terms in sorted(table.items())}
 
 
 @functools.cache
 def _line_parity(m: int) -> dict:
     """Dense even (+1) and odd (-1) bases on m mirror-symmetric nodes, and
-    the identity (0); read only."""
+    the identity (0); read-only arrays, shared by every caller."""
     even, odd = parity_bases([m], [1.0])
-    return {1: even.toarray(), -1: odd.toarray(), 0: np.eye(m)}
+    return dict(zip((1, -1, 0), read_only(even.toarray(), odd.toarray(), np.eye(m))))
 
 
 def _class_layout(m: int, s: tuple) -> tuple:
@@ -415,8 +416,7 @@ def _read_only_rows(n: int, at: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_m
     at[:, j], repeated columns adding up, with read-only arrays."""
     rows = scipy.sparse.csr_matrix((w.T.ravel(), at.T.ravel(), np.arange(0, at.size + 1, len(at))),
                                    shape=(at.shape[1], n))
-    for arr in (rows.data, rows.indices, rows.indptr):
-        arr.flags.writeable = False
+    read_only(rows.data, rows.indices, rows.indptr)
     return rows
 
 

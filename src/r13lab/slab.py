@@ -42,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fe1d import (DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, merge_lowest,
-                   parity_bases)
+                   parity_bases, read_only)
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import StateVector, entropy_density, mass_inner, physical_fluxes
@@ -479,17 +479,16 @@ class _Pattern:
 
 
 def _frozen(mat):
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.setflags(write=False)
+    read_only(mat.data, mat.indices, mat.indptr)
     return mat
 
 
 class _SlabLayout:
     """The model-free structure of the assemblies on one (mesh, grouping):
     element matrices, dof tables, wall traces, essential and kept dofs, the
-    trace map and the mass matrix; and, built on first use and kept with
-    the layout, one sparsity pattern per coupled-pair signature and the
-    mesh-only half of the coercivity probe (`_ProbeHalf`, DECISIONS.md
+    trace map and the mass matrix; and, built on first use and kept in
+    the layout's one memo, one sparsity pattern per coupled-pair signature
+    and the mesh-only half of the coercivity probe (`_ProbeHalf`, DECISIONS.md
     D22).  Every array is read-only, so assemblies share the layout.
     """
 
@@ -539,8 +538,7 @@ class _SlabLayout:
         free[self.essential_dofs] = False
         self.steady_keep = _read_only(np.flatnonzero(free))
         self.free_dofs = self.steady_keep[:-1]
-        self._patterns: dict = {}
-        self._probe = None
+        self._kept: dict = {}  # what is built on first use, by key
         # Trace row (wall, value | derivative) m + component of each wall
         # dof.  Built once, as is the mass matrix, so their patterns are not
         # kept.
@@ -600,8 +598,8 @@ class _SlabLayout:
     def pattern(self, coupled: np.ndarray, walled: np.ndarray) -> _Pattern:
         """The CSR pattern of matrix for the coupled component pairs and the
         nonzero wall kernel entries walled, built on first use."""
-        return self._pattern((coupled.tobytes(), walled.tobytes()),
-                             lambda: self._build_pattern(coupled, walled))
+        return self._keep((coupled.tobytes(), walled.tobytes()),
+                          lambda: self._build_pattern(coupled, walled))
 
     def steady_pattern(self, a_sig: tuple, c_sig: tuple) -> _Pattern:
         """The pattern of the matrix a steady solve factors: the entries of
@@ -627,25 +625,22 @@ class _SlabLayout:
             del a_keys, a_src, c_keys, c_src  # only the concatenations go on
             return _Pattern.build(keys, src, (n, n), csc=True)
 
-        return self._pattern(("steady", *(sig.tobytes() for sig in (*a_sig, *c_sig))), build)
+        return self._keep(("steady", *(sig.tobytes() for sig in (*a_sig, *c_sig))), build)
 
     def probe_half(self, assembly: "SlabAssembly") -> "_ProbeHalf":
         """The mesh-only half of coercivity_probe, built on the first probe
-        of the layout from that assembly's t1 Gram, which reads no model
-        coefficient."""
-        if self._probe is None:
-            self._probe = _ProbeHalf(self, assembly.t1_gram())
-            self.nbytes += self._probe.nbytes
-            _trim_layouts()
-        return self._probe
+        of the layout from that assembly: its t1 Gram, its pressure mass and
+        its form g (kernel p div v) read no model coefficient."""
+        return self._keep("probe", lambda: _ProbeHalf(self, assembly))
 
-    def _pattern(self, key: tuple, build) -> _Pattern:
-        pattern = self._patterns.get(key)
-        if pattern is None:
-            pattern = self._patterns[key] = build()
-            self.nbytes += pattern.nbytes
+    def _keep(self, key, build):
+        """build(), kept under key from its first use and counted in nbytes."""
+        kept = self._kept.get(key)
+        if kept is None:
+            kept = self._kept[key] = build()
+            self.nbytes += kept.nbytes
             _trim_layouts()
-        return pattern
+        return kept
 
     def _build_pattern(self, coupled, walled) -> _Pattern:
         return _Pattern.build(*self._entries(coupled, walled), (self.ndof, self.ndof))
@@ -732,9 +727,9 @@ class SlabAssembly:
     its first argument, beside the monitor kernels.  Matrices are built from
     kernels per call by the layout, in the shared component dof layout; a
     system operator as one scatter of its placement table, the evolution
-    operator as the A operator plus its pressure coupling.  Across calls
-    it keeps its A values, its monitor operators, whose stack holds its only
-    kept A, and the factorizations of its transient steps.
+    operator as the monitor stack's A operator plus its pressure coupling.
+    Across calls it keeps its A values, its monitor operators, whose stack
+    holds its only kept A, and the factorizations of its transient steps.
 
     Mostly the values are the assembly's own work.  Its kernels, forms and
     monitors alike, are probed once per (model, Kn, wall coefficients) in
@@ -751,7 +746,7 @@ class SlabAssembly:
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
                  formulation: str = "nonmaxwell"):
-        if isinstance(kn, bool) or not (np.isfinite(kn) and kn > 0):
+        if isinstance(kn, bool) or not isinstance(kn, numbers.Real) or not 0 < kn < np.inf:
             raise ValueError(f"Kn must be positive and finite, got {kn!r}")
         if formulation == "maxwell" and not model.is_maxwell:
             raise ValueError("grouped degenerate solve requires a Maxwell-type model")
@@ -876,14 +871,16 @@ class SlabAssembly:
 
     def transient_operator(self) -> sp.csr_matrix:
         """Weak operator of the evolution system (no zero-mean constraint):
-        the A operator plus its pressure coupling, which shares no entry with
-        it.  The coupling's pattern is not kept, as for `form`: a transient
-        step builds the operator once per factorization, so the layout keeps
-        one A pattern.  Exact zeros are not stored."""
+        the A rows of the monitor stack plus their pressure coupling, which
+        shares no entry with them.  The coupling's pattern is not kept, as
+        for `form`: a transient step builds the operator once per
+        factorization, so the layout keeps one A pattern.  Exact zeros are
+        not stored."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
         coupled, walled, vals = self._layout.values(*self._placed(TRANSIENT_PLACEMENTS))
-        return self.a_operator() + self._layout._build_pattern(coupled, walled).matrix(vals)
+        a_rows = self._monitor_ops.products[2 * self.ndof:3 * self.ndof]
+        return a_rows + self._layout._build_pattern(coupled, walled).matrix(vals)
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -1255,7 +1252,7 @@ def step_transient(state: DiscreteState, dt: float, scheme: str, assembly: SlabA
     state must be a state of assembly.
     """
     x = _coefficients(state, assembly)
-    if isinstance(dt, bool) or not (np.isfinite(dt) and dt > 0):
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     theta_s = {"implicit-euler": 1.0, "crank-nicolson": 0.5}.get(scheme)
     if theta_s is None:
@@ -1337,11 +1334,13 @@ class _ProbeHalf:
     primary component of each; per parity class of the wall reflection
     (D18) its basis q, q.T, the t1-Gram block q.T g q, sparse and
     canonical, and the component of each class column; and the inf-sup
-    constant, solved on its first read.  Every array is read-only, and q.T
-    shares the arrays of q.
+    constant, solved from the same t1 Gram when the half is built.  Every
+    array is read-only, and q.T shares the arrays of q.
     """
 
-    def __init__(self, layout: _SlabLayout, gram: sp.csr_matrix):
+    def __init__(self, layout: _SlabLayout, assembly: "SlabAssembly"):
+        gram = assembly.t1_gram()
+        self.infsup = _infsup(assembly, gram)
         # Free dofs per primary component, each run closed under the reflection.
         primary = [c for c in COMPONENTS if c != "p"]
         free = [layout.free([c]) for c in primary]
@@ -1359,35 +1358,25 @@ class _ProbeHalf:
             component[coo.col] = self.component[coo.row]
             classes.append(_ParityClass(_frozen(q), q.T, _frozen(g_q), _read_only(component)))
         self.classes = tuple(classes)
-        self._infsup = ()  # (infsup,) once solved
         self.nbytes = sum(arr.nbytes for arr in (
             self.t1_dofs, self.component, *(arr for cls in classes for arr in (
                 cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
                 cls.gram.indptr, cls.component))))
 
-    def infsup(self, assembly: "SlabAssembly") -> float | None:
-        """The inf-sup constant of the layout, solved by `_infsup` for the
-        first assembly that asks and kept: its inputs, the t1 Gram, the
-        pressure mass and the form g, whose kernel p div v reads no model
-        coefficient, depend on the mesh alone."""
-        if not self._infsup:
-            self._infsup = (_infsup(assembly),)
-        return self._infsup[0]
 
-
-def _infsup(assembly: SlabAssembly) -> float | None:
+def _infsup(assembly: SlabAssembly, gram: sp.csr_matrix) -> float | None:
     """Pressure coupling inf-sup on the zero-mean complement, velocity in
-    H1, None if the complement is empty.  It applies the inverse velocity
-    Gram on the free u1 dofs through the checked sparse direct solve of the
-    steady and transient paths: in the slab div v = d v1/dx, so g stores
-    nothing in the u2, u3 columns, and the t1 Gram couples no two velocity
-    components, so u1 alone is exact."""
+    H1, None if the complement is empty; gram is the assembly's t1 Gram.
+    It applies the inverse velocity Gram on the free u1 dofs through the
+    checked sparse direct solve of the steady and transient paths: in the
+    slab div v = d v1/dx, so g stores nothing in the u2, u3 columns, and
+    the t1 Gram couples no two velocity components, so u1 alone is exact."""
     p_dofs = assembly.dofs("p")
     u_dofs = assembly._layout.free(["u1"])
     b_d = assembly.form("g")[p_dofs][:, u_dofs].toarray()
     # The pressure block of the mass matrix is the pressure Gram.
     mp = assembly.mass_matrix()[p_dofs][:, p_dofs].toarray()
-    gu = assembly.t1_gram()[u_dofs][:, u_dofs].tocsc()
+    gu = gram[u_dofs][:, u_dofs].tocsc()
     s_mat = b_d @ _checked_solve(_factor(gu), gu, b_d.T)[0]
     ones = np.ones(p_dofs.size)
     # Basis of the zero-mean complement in the pressure mass metric.
@@ -1505,7 +1494,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
         theta_bubble = float(vec @ (sym @ vec))
     return CoercivityReport(
         formulation=assembly.formulation, n_dofs=int(half.t1_dofs.size),
-        min_eig=float(low[0]), low_eigs=low_eigs, infsup=half.infsup(assembly),
+        min_eig=float(low[0]), low_eigs=low_eigs, infsup=half.infsup,
         theta_bubble=theta_bubble,
     )
 
@@ -1548,8 +1537,9 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
         raise ValueError("need at least three meshes")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"mesh levels must be distinct, got {n_list}")
-    if ref_factor < 2:
-        raise ValueError(f"ref_factor must be at least 2, got {ref_factor!r}")
+    if (isinstance(ref_factor, bool) or not isinstance(ref_factor, numbers.Integral)
+            or ref_factor < 2):
+        raise ValueError(f"ref_factor must be an integer of at least 2, got {ref_factor!r}")
     n_ref = n_list[-1] * ref_factor
     ref_state, _ = solve_steady(SlabAssembly(SlabMesh(n_ref, degree), model, kn, formulation),
                                 wall)

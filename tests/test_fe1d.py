@@ -43,6 +43,16 @@ def test_gauss01_shares_one_read_only_rule_per_q():
             arr[0] = 0.5
 
 
+@pytest.mark.parametrize("kind", ["cg", "dg"])
+def test_gauss_tabulation_is_read_only(kind):
+    # Built once per space and read by every element-matrix build.
+    space = ScalarSpace(SlabMesh(4, 2), kind)
+    assert space.gauss_tabulation is space.gauss_tabulation
+    for arr in space.gauss_tabulation:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1.0
+
+
 NODE_SETS = {
     "equispaced-1": np.linspace(0.0, 1.0, 2),
     "equispaced-2": np.linspace(0.0, 1.0, 3),

@@ -748,6 +748,17 @@ class TestReflectionSplit:
         assert lam == pytest.approx(dense["boundary"][0], rel=1e-12)
         assert boundary_korn_eigenvalue(mesh) == lam
 
+    def test_shared_tables_are_read_only(self):
+        # Both tables are cached and shared by every later probe: a write
+        # into the line parity bases once moved the boundary Korn constant
+        # of cube(2, 2) for the rest of the process.
+        arrays = [*korn._line_parity(5).values(), *(
+            arr for pair in korn._term_table((("boundary", "stf"), ("h1",))).values()
+            for arr in pair)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] += 1.0
+
 
 FORM_NAMES = ("l2", "h1", "stf", "boundary")
 

@@ -1078,8 +1078,8 @@ class TestTransient:
             transient_run(asm_eta7, zero_state(asm_eta7), dt=0.01, n_steps=-3)
 
     def test_a_operator_not_built_per_step(self, eta7, monkeypatch):
-        # Once for the monitor stack and once for the run's one
-        # factorization, through transient_operator; never per step.
+        # Once, for the monitor stack; the run's one factorization reads A
+        # from the stack's rows through transient_operator.
         calls = []
         build = SlabAssembly.a_operator
 
@@ -1095,7 +1095,7 @@ class TestTransient:
             transient_run(asm, random_state(asm, np.random.default_rng(3)),
                           dt=0.05, n_steps=steps)
             counts.append(len(calls))
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
     def test_step_residual_gate(self, eta7, monkeypatch):
         # A factor of the scaled matrix leaves a relative residual near 1e-3.
@@ -1325,9 +1325,9 @@ class TestCoercivity:
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         monkeypatch.setattr(fe1d, "pencil_above", certifying)
         coercivity_probe(asm)
-        # On a cold layout the last call is the inf-sup pencil on the pressure
-        # complement (D22).
-        assert calls["eigh"][:-1] == solved
+        # On a cold layout the first call is the inf-sup pencil on the
+        # pressure complement, solved as the probe half is built (D22).
+        assert calls["eigh"][1:] == solved
         assert sum(calls["above"]) == certified
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -1521,8 +1521,9 @@ class TestProbeHalf:
 
     def test_one_infsup_solve_per_layout(self, monkeypatch, cold_memos):
         # The inf-sup constant of D22 is solved on the first probe of the
-        # layout alone, with the parent's arithmetic, and shared by every
-        # model and Kn; a warm probe builds nothing mesh-only again.
+        # layout alone, with the parent's arithmetic, from the one t1 Gram
+        # that also gives the class blocks, and shared by every model and
+        # Kn; a warm probe builds nothing mesh-only again.
         mesh = SlabMesh(8, 2)
         calls = []
         real_eigh = scipy.linalg.eigh
@@ -1552,6 +1553,7 @@ class TestProbeHalf:
                 reports.append(coercivity_probe(SlabAssembly(mesh, resolve_model(name), kn)))
                 per_probe.append([c for c in calls if c != "_block_spectrum"])
         assert per_probe[0].count("_infsup") == 1
+        assert per_probe[0].count("t1_gram") == 1
         assert {"t1_gram", "form g", "null_space", "parity_bases"} <= set(per_probe[0])
         assert per_probe[1:] == [[]] * 5
         monkeypatch.undo()
@@ -1576,7 +1578,7 @@ class TestProbeHalf:
             asm.a_operator()
             before = layout.nbytes
             coercivity_probe(asm)
-            half = layout._probe
+            half = layout._kept["probe"]
             # Every array the half holds; q.T's are views of q's.
             arrays = [half.t1_dofs, half.component, *(
                 arr for cls in half.classes for arr in (
@@ -1590,7 +1592,7 @@ class TestProbeHalf:
                     assert np.shares_memory(getattr(cls.qt, key), getattr(cls.q, key))
                 assert cls.gram.has_canonical_format
             coercivity_probe(asm)
-            assert layout._probe is half and layout.nbytes - before == sum(
+            assert layout._kept["probe"] is half and layout.nbytes - before == sum(
                 arr.nbytes for arr in arrays)
 
     def test_probe_keeps_only_the_a_pattern(self, eta7, maxwell, cold_memos):
@@ -1601,9 +1603,9 @@ class TestProbeHalf:
             for degree in (1, 2):
                 asm = SlabAssembly(SlabMesh(8, degree), model, KN, formulation)
                 coercivity_probe(asm)
-                assert len(asm._layout._patterns) == 1
+                assert len(_patterns(asm._layout)) == 1
                 asm.form("g")
-                assert len(asm._layout._patterns) == 1
+                assert len(_patterns(asm._layout)) == 1
 
     def test_memo_of_probed_layouts_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
         # Room for the n 4 or the n 8 probed layout, not for both, but for
@@ -1618,7 +1620,7 @@ class TestProbeHalf:
             asm.a_operator(), asm.form("g")
             report = coercivity_probe(asm)
             memo = list(slab._layouts.values())
-            assert memo == [asm._layout] and asm._layout._probe is not None
+            assert memo == [asm._layout] and "probe" in asm._layout._kept
             assert asm._layout.nbytes <= budget
             assert ref.setdefault(n, report) == report
 
@@ -1668,12 +1670,15 @@ class TestConvergence:
 
     @pytest.mark.parametrize("levels,ref_factor,match", [
         ([2, 2, 4], 4, "distinct"), ([4, 2, 4, 8], 4, "distinct"),
-        ([2, 4, 8], 1, "ref_factor"), ([2, 4, 8], 0, "ref_factor")])
+        ([2, 4, 8], 1, "ref_factor"), ([2, 4, 8], 0, "ref_factor"),
+        ([2, 4, 8], 2.5, "ref_factor"), ([2, 4, 8], "x", "ref_factor"),
+        ([2, 4, 8], True, "ref_factor")])
     def test_degenerate_ladder_rejected_before_solving(self, eta7, monkeypatch,
                                                        levels, ref_factor, match):
         # A repeated level gives a ratio of 1, and ref_factor 1 makes the
         # finest level its own reference (ratio inf); neither measures
-        # convergence.
+        # convergence.  A ref_factor of 2.5 once failed as a reference mesh
+        # of 20.0 elements, and "x" with a TypeError.
         def no_solve(*args):
             raise AssertionError("solved a rejected ladder")
 
@@ -1849,6 +1854,11 @@ class TestKernelMemo:
         assert calls == [eta7, eta7]
         assert first._kernels is second._kernels
 
+def _patterns(layout):
+    """The sparsity patterns a layout keeps."""
+    return [kept for kept in layout._kept.values() if isinstance(kept, slab._Pattern)]
+
+
 def _layout_arrays(layout):
     """Every array a layout holds, its patterns' included."""
     arrays = [layout.kind, layout.blocks, layout.elem_dofs, layout.wall_dofs,
@@ -1856,7 +1866,7 @@ def _layout_arrays(layout):
               layout.free_dofs]
     for mat in (layout.mass, layout.traces):
         arrays += [mat.data, mat.indices, mat.indptr]
-    for pattern in layout._patterns.values():
+    for pattern in _patterns(layout):
         arrays += [pattern.indptr, pattern.indices, pattern.first]
         arrays += [arr for pair in pattern.later for arr in pair]
     return arrays
@@ -1943,10 +1953,10 @@ class TestLayoutMemo:
             asm = SlabAssembly(SlabMesh(4, 2), model, KN, formulation)
             solve_steady(asm, WallData.couette())
             layout = asm._layout
-            assert len(layout._patterns) >= 3
+            assert len(_patterns(layout)) >= 3
             for arr in _layout_arrays(layout):
                 assert not arr.flags.writeable
-            for pattern in layout._patterns.values():
+            for pattern in _patterns(layout):
                 assert {pattern.indptr.dtype, pattern.indices.dtype, pattern.first.dtype} == {
                     np.dtype(np.int32)}
             with pytest.raises(TypeError):
@@ -1989,7 +1999,7 @@ class TestLayoutMemo:
         # pattern beside them held 587.7 KiB.
         asm = SlabAssembly(SlabMesh(64, 2), eta7, KN)
         transient_run(asm, random_state(asm, np.random.default_rng(5)), dt=0.01, n_steps=3)
-        assert len(asm._layout._patterns) == 2
+        assert len(_patterns(asm._layout)) == 2
         assert asm._layout.nbytes <= 421.3 * 1024
 
     def test_memo_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
@@ -2123,6 +2133,14 @@ class TestValidation:
         monkeypatch.setattr(slab, "_factor", no_solve)
         with pytest.raises(ValueError):
             call(asm_eta7)
+
+    @pytest.mark.parametrize("bad", ["0.1", None, 1j])
+    def test_non_real_kn_and_dt_rejected_by_name(self, asm_eta7, bad):
+        # np.isfinite once raised a TypeError on a string Kn or dt.
+        with pytest.raises(ValueError, match="Kn must be positive and finite"):
+            SlabAssembly(SlabMesh(4, 2), asm_eta7.model, bad)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step_transient(zero_state(asm_eta7), bad, "implicit-euler", asm_eta7)
 
     def test_positive_knudsen_required(self, eta7):
         for kn in (0.0, float("nan"), float("inf")):
