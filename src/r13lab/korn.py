@@ -74,6 +74,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -332,6 +333,24 @@ def _line_parity(m: int) -> dict:
     return dict(zip((1, -1, 0), read_only(even.toarray(), odd.toarray(), np.eye(m))))
 
 
+@functools.lru_cache(maxsize=16)
+def _line_factors(n: int, degree: int) -> MappingProxyType:
+    """Per parity pair (p, q), with 0 the unprojected identity basis: the
+    union nonzero pattern (i, j) of the projected 1-D factors P_p^T F P_q
+    of the lines F in _LINES of `fe1d.cg_line_matrices(n, degree)`, their
+    values on it (exact zeros kept) with one row per line, and their
+    shape.  Built once per (n, degree), as read-only arrays shared by every
+    caller."""
+    lines = cg_line_matrices(n, degree)
+    parity = _line_parity(len(lines["M"]))
+    factors = {}
+    for p, q in ((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)):
+        mats = np.stack([parity[p].T @ lines[f] @ parity[q] for f in _LINES])
+        i, j = np.nonzero(np.any(mats != 0.0, axis=0))
+        factors[p, q] = (*read_only(i, j, mats[:, i, j]), mats.shape[1:])
+    return MappingProxyType(factors)
+
+
 def _class_layout(m: int, s: tuple) -> tuple:
     """Per component c, its parities along (x, y, z) in reflection class s
     on m nodes per axis, and the offsets of the components' rows in the
@@ -477,7 +496,7 @@ class CubeForms:
     class under its axis-permutation stabilizer."""
 
     mesh: CubeMesh
-    lines: dict = field(repr=False)
+    lines: MappingProxyType = field(repr=False)
 
     l2 = _global_gram("l2")
     h1 = _global_gram("h1")
@@ -485,18 +504,9 @@ class CubeForms:
     boundary = _global_gram("boundary")
 
     @functools.cached_property
-    def _factors(self) -> dict:
-        """Per parity pair (p, q), with 0 the unprojected identity basis:
-        the union nonzero pattern (i, j) of the projected 1-D factors
-        P_p^T F P_q of the lines F in _LINES, their values on it (exact zeros
-        kept) with one row per line, and their shape."""
-        parity = _line_parity(len(self.lines["M"]))
-        factors = {}
-        for p, q in ((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)):
-            mats = np.stack([parity[p].T @ self.lines[f] @ parity[q] for f in _LINES])
-            i, j = np.nonzero(np.any(mats != 0.0, axis=0))
-            factors[p, q] = i, j, mats[:, i, j], mats.shape[1:]
-        return factors
+    def _factors(self) -> MappingProxyType:
+        """The mesh's `_line_factors`."""
+        return _line_factors(self.mesh.n, self.mesh.degree)
 
     def class_size(self, s: tuple) -> int:
         """Number of dofs in reflection class s = (s_x, s_y, s_z)."""

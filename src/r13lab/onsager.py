@@ -24,6 +24,7 @@ generated this way since physical tables are not published.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,8 +272,19 @@ class BoundaryCoeffs:
         return g1, g2
 
 
+# The derivation is a pure function of a hashable model and returns a
+# frozen table, so each (model, strict) is derived once per process, in a
+# memo of _DERIVATION_MEMO_SIZE keys; a rejection is not kept and is
+# derived again.  Models compare as the dataclasses do, so a model whose
+# parameters differ from a kept one's only in the sign of a zero gets the
+# kept table, as the slab kernel memo shares kernels.
+_DERIVATION_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_DERIVATION_MEMO_SIZE)
 def boundary_coefficients(model: MolecularModel, *, strict: bool = True) -> BoundaryCoeffs:
-    """Run the full pipeline and evaluate all final formulas.
+    """Run the full pipeline and evaluate all final formulas, once per
+    (model, strict) while the memo keeps it.
 
     With strict=True (default) a model whose ratios disagree beyond
     RATIO_TOL or whose 3x2 matching residual exceeds LSQ_TOL is rejected;

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -122,6 +123,16 @@ class SolverError(RuntimeError):
     """Raised when a linear solve fails or misses the residual target."""
 
 
+def _positive_float(value, name: str) -> float:
+    """value as a float; ValueError unless it is a real number, not a bool,
+    in (0, the largest float].  The bound is compared before the
+    conversion, so an int beyond the float range fails here too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # scalar spaces
 
@@ -164,8 +175,14 @@ class WallData:
     def __post_init__(self):
         # Read-only copies: later edits of the caller's arrays cannot reach
         # the data, and no instance can be edited past the checks below.
-        tw = np.array(self.theta_w, dtype=float)
-        ut = np.array(self.u_t, dtype=float)
+        def floats(name):
+            raw = getattr(self, name)
+            try:
+                return np.array(raw, dtype=float)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{name} must be finite, got {raw!r}") from None
+
+        tw, ut = floats("theta_w"), floats("u_t")
         if tw.shape != (2,):
             raise ValueError("theta_w must have one value per wall")
         if ut.shape != (2, 2):
@@ -487,9 +504,11 @@ class _SlabLayout:
     """The model-free structure of the assemblies on one (mesh, grouping):
     element matrices, dof tables, wall traces, essential and kept dofs, the
     trace map and the mass matrix; and, built on first use and kept in
-    the layout's one memo, one sparsity pattern per coupled-pair signature
-    and the mesh-only half of the coercivity probe (`_ProbeHalf`, DECISIONS.md
-    D22).  Every array is read-only, so assemblies share the layout.
+    the layout's one memo, one sparsity pattern per coupled-pair signature,
+    the mesh-only half of the coercivity probe (`_ProbeHalf`, DECISIONS.md
+    D22) and one probe plan per coupling signature of the symmetric part
+    (`_ProbePlan`).  Every array is read-only, so assemblies share the
+    layout.
     """
 
     def __init__(self, mesh: SlabMesh, formulation: str):
@@ -633,6 +652,12 @@ class _SlabLayout:
         its form g (kernel p div v) read no model coefficient."""
         return self._keep("probe", lambda: _ProbeHalf(self, assembly))
 
+    def probe_plan(self, half: "_ProbeHalf", sym: sp.csr_matrix, signature: tuple) -> "_ProbePlan":
+        """The _ProbePlan of the symmetric parts with the (coupled, walled)
+        signature of sym, built on the first probe of the signature."""
+        return self._keep(("probe", *(sig.tobytes() for sig in signature)),
+                          lambda: _ProbePlan(self, half, sym))
+
     def _keep(self, key, build):
         """build(), kept under key from its first use and counted in nbytes."""
         kept = self._kept.get(key)
@@ -690,14 +715,15 @@ class _SlabLayout:
 
 # Layouts depend on the mesh and the grouping alone: each is built once per
 # process and shared by every assembly on it, whatever its model and Kn.
-# The memo holds layouts, with their patterns and probe halves, up to
-# _LAYOUT_MEMO_BYTES and drops the least recently used beyond that; a layout
-# out of the memo lives, with what it keeps, as long as its assemblies.  A coercive layout at
-# n 64, degree 2, holds about 0.6 MiB once a steady solve has built its
-# patterns, about 10 KB per element, so steady requests up to n 64 in both
-# groupings fit.  A layout that only probes coercivity, its A pattern and
-# the probe's mesh-only half included, holds about 0.46 MiB at n 64 and
-# 1.8 MiB at n 256, so the probes of a mesh ladder share one layout per mesh.
+# The memo holds layouts, with their patterns and probe halves and plans,
+# up to _LAYOUT_MEMO_BYTES and drops the least recently used beyond that; a
+# layout out of the memo lives, with what it keeps, as long as its
+# assemblies.  A coercive layout at n 64, degree 2, holds about 0.6 MiB once
+# a steady solve has built its patterns, about 10 KB per element, so steady
+# requests up to n 64 in both groupings fit.  A layout that only probes
+# coercivity, with the symmetric part's pattern, the probe's mesh-only half
+# and one plan, holds about 0.40 MiB at n 64 and 1.6 MiB at n 256 (eta7),
+# so the probes of a mesh ladder share one layout per mesh.
 _LAYOUT_MEMO_BYTES = 2 * 2**20
 _layouts: dict = {}  # (mesh, formulation) -> layout, least recently used first
 
@@ -737,17 +763,17 @@ class SlabAssembly:
     layout (dof tables, wall traces, mass matrix, trace map, sparsity
     patterns and the mesh-only half of the coercivity probe, its inf-sup
     constant included) once per (mesh, grouping) while the layout memo
-    keeps it.
-    Each assembly derives and audits the wall coefficients of its model,
-    builds its two spaces, which evaluate its states and give its integral
-    functionals, scatters its matrix values into the cached patterns and
-    factors its own systems.
+    keeps it; and the derivation and audits of the model's wall
+    coefficients once per model per process, in the memo of
+    `onsager.boundary_coefficients`.
+    Each assembly builds its two spaces, which evaluate its states and give
+    its integral functionals, scatters its matrix values into the cached
+    patterns and factors its own systems.
     """
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
                  formulation: str = "nonmaxwell"):
-        if isinstance(kn, bool) or not isinstance(kn, numbers.Real) or not 0 < kn < np.inf:
-            raise ValueError(f"Kn must be positive and finite, got {kn!r}")
+        kn = _positive_float(kn, "Kn")
         if formulation == "maxwell" and not model.is_maxwell:
             raise ValueError("grouped degenerate solve requires a Maxwell-type model")
         if formulation == "nonmaxwell" and not model.is_maxwell:
@@ -758,7 +784,7 @@ class SlabAssembly:
                     f"z1={report.z1:.3e}, z2={report.z2:.3e}")
         self.mesh = mesh
         self.model = model
-        self.kn = float(kn)
+        self.kn = kn
         self.formulation = formulation
         self.coeffs = boundary_coefficients(model)
 
@@ -1252,12 +1278,11 @@ def step_transient(state: DiscreteState, dt: float, scheme: str, assembly: SlabA
     state must be a state of assembly.
     """
     x = _coefficients(state, assembly)
-    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    dt = _positive_float(dt, "dt")
     theta_s = {"implicit-euler": 1.0, "crank-nicolson": 0.5}.get(scheme)
     if theta_s is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    key = (float(dt), scheme)
+    key = (dt, scheme)
     cached = assembly._factorizations.get(key)
     if cached is None:
         keep = assembly._layout.free_dofs
@@ -1304,6 +1329,8 @@ def transient_run(assembly: SlabAssembly, initial: DiscreteState, dt: float,
 # Components with an odd number of x indices (sig3 = T12, sig4 = T13 by
 # tensors.STF_PAIRS): the wall reflection x -> 1 - x flips their sign.
 _MIRROR_ODD = ("u1", "s1", "sig3", "sig4")
+# The primary components, all but the pressure: the fields of the t1 Gram.
+_PRIMARY = COMPONENTS[1:]
 
 
 @dataclass(frozen=True)
@@ -1328,40 +1355,65 @@ class CoercivityReport:
 _ParityClass = namedtuple("_ParityClass", "q qt gram component")
 
 
+def _primary_free(layout: _SlabLayout):
+    """(dofs, component, sizes): the free dofs of the primary components
+    (all but p) in layout order, each component's run closed under the
+    wall reflection; the primary component of each; and each run's size."""
+    free = [layout.free([c]) for c in _PRIMARY]
+    sizes = [f.size for f in free]
+    return np.concatenate(free), np.repeat(np.arange(len(free)), sizes), sizes
+
+
 class _ProbeHalf:
     """The mesh-only half of coercivity_probe on one layout, kept with the
-    layout (DECISIONS.md D22): the free primary dofs (t1_dofs) and the
-    primary component of each; per parity class of the wall reflection
-    (D18) its basis q, q.T, the t1-Gram block q.T g q, sparse and
-    canonical, and the component of each class column; and the inf-sup
-    constant, solved from the same t1 Gram when the half is built.  Every
-    array is read-only, and q.T shares the arrays of q.
+    layout (DECISIONS.md D22): the number of free primary dofs (t1 dofs);
+    per parity class of the wall reflection (D18) its basis q on the full
+    dof numbering, so that the class block of a matrix s is q.T s q, q.T,
+    the t1-Gram block, sparse and canonical, and the primary component of
+    each class column; and the inf-sup constant, solved from the same t1
+    Gram when the half is built.  Every array is read-only, and q.T shares
+    the arrays of q.
     """
 
     def __init__(self, layout: _SlabLayout, assembly: "SlabAssembly"):
         gram = assembly.t1_gram()
         self.infsup = _infsup(assembly, gram)
-        # Free dofs per primary component, each run closed under the reflection.
-        primary = [c for c in COMPONENTS if c != "p"]
-        free = [layout.free([c]) for c in primary]
-        sizes = [f.size for f in free]
-        self.t1_dofs = _read_only(np.concatenate(free))
-        self.component = _read_only(np.repeat(np.arange(len(primary)), sizes))
-        g_t1 = gram[self.t1_dofs][:, self.t1_dofs]
+        t1, component, sizes = _primary_free(layout)
+        self.n_dofs = t1.size
+        g_t1 = gram[t1][:, t1]
         classes = []
-        for q in parity_bases(sizes, [-1.0 if c in _MIRROR_ODD else 1.0 for c in primary]):
+        for q in parity_bases(sizes, [-1.0 if c in _MIRROR_ODD else 1.0 for c in _PRIMARY]):
             g_q = q.T @ g_t1 @ q
             g_q.sum_duplicates()
-            # Each column of q lies in one component's run.
+            # Each column of q lies in one component's run; row i of q is dof t1[i].
             coo = q.tocoo()
-            component = np.empty(q.shape[1], dtype=self.component.dtype)
-            component[coo.col] = self.component[coo.row]
-            classes.append(_ParityClass(_frozen(q), q.T, _frozen(g_q), _read_only(component)))
+            column = np.empty(q.shape[1], dtype=component.dtype)
+            column[coo.col] = component[coo.row]
+            q = sp.csr_matrix((coo.data, (t1[coo.row], coo.col)), shape=(layout.ndof, q.shape[1]))
+            classes.append(_ParityClass(_frozen(q), q.T, _frozen(g_q), _read_only(column)))
         self.classes = tuple(classes)
-        self.nbytes = sum(arr.nbytes for arr in (
-            self.t1_dofs, self.component, *(arr for cls in classes for arr in (
-                cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
-                cls.gram.indptr, cls.component))))
+        self.nbytes = sum(arr.nbytes for cls in classes for arr in (
+            cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
+            cls.gram.indptr, cls.component))
+
+
+class _ProbePlan:
+    """What coercivity_probe needs beyond the half that the coupling
+    signature of the symmetric part fixes, kept with the layout under that
+    signature (DECISIONS.md D22): per parity class, the _ClassBlocks of the
+    blocks that the nonzero entries of one symmetric part sym draw between
+    the primary components.  A coupled component pair stores a nonzero
+    entry whatever the model, so every model with the signature has the
+    same blocks."""
+
+    def __init__(self, layout: _SlabLayout, half: _ProbeHalf, sym: sp.csr_matrix):
+        t1, component, _ = _primary_free(layout)
+        a_t1 = sym[t1][:, t1]
+        a_t1.eliminate_zeros()
+        lowest, empty = _component_blocks(a_t1, component)
+        self.classes = tuple(_ClassBlocks(lowest[cls.component], empty, cls.gram)
+                             for cls in half.classes)
+        self.nbytes = sum(blocks.nbytes for blocks in self.classes)
 
 
 def _infsup(assembly: SlabAssembly, gram: sp.csr_matrix) -> float | None:
@@ -1402,40 +1454,63 @@ def _component_blocks(a: sp.csr_matrix, component: np.ndarray):
     return reach.argmax(axis=0), ~graph.any(axis=1)
 
 
+class _ClassBlocks:
+    """Where the entries of one class pencil (a, g) go in its dense blocks.
+
+    The columns fall into blocks that neither matrix couples, group[j]
+    naming the block of column j and empty[group[j]] saying whether a
+    stores nothing in it.  n_zero counts the columns of the empty blocks;
+    every other block is laid out row-major, in order of its first
+    column, its columns in their original order, at (offset, size) in
+    `dense` among the first `area` values of one flat buffer, and its g
+    block `area` values later.  Entry (i, j) of an a block goes to
+    rows_at[i] + local[j]; g_at holds the position of each stored entry of
+    g, the one slot past both halves for an entry of an empty block.  Every
+    array is read-only int32.
+    """
+
+    def __init__(self, group: np.ndarray, empty: np.ndarray, g):
+        # Blocks numbered in order of their first column.
+        _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+        labels = np.argsort(np.argsort(first))[inverse]
+        zero = empty[group[np.sort(first)]]
+        sizes = np.bincount(labels)
+        order = np.argsort(labels, kind="stable")
+        local = np.empty_like(order)
+        local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        area = np.where(zero, 0, sizes * sizes)
+        offsets = np.cumsum(area) - area
+        self.n_zero, self.area = int(sizes[zero].sum()), int(area.sum())
+        self.dense = tuple(zip(offsets[~zero].tolist(), sizes[~zero].tolist()))
+        rows_at = offsets[labels] + local * sizes[labels]
+        coo = g.tocoo()
+        self.rows_at, self.local = _int32(rows_at), _int32(local)
+        self.g_at = _int32(np.where(zero[labels[coo.row]], 2 * self.area,
+                                    self.area + rows_at[coo.row] + local[coo.col]))
+        self.nbytes = self.rows_at.nbytes + self.local.nbytes + self.g_at.nbytes
+
+    def blocks(self, a, g) -> list:
+        """The dense pair (a_b, g_b) of every block with an entry of a; a
+        stores no entry twice, and g is the matrix the plan was built on."""
+        coo = a.tocoo()
+        # One buffer for both halves: with two large buffers alive at once,
+        # the allocator handed out fresh pages on every call (at n 64,
+        # about 0.8 ms a class against 0.12 ms).
+        buf = np.zeros(2 * self.area + 1)
+        buf[self.rows_at[coo.row] + self.local[coo.col]] = coo.data
+        buf[self.g_at] = g.data
+        return [(buf[o:o + k * k].reshape(k, k), buf[self.area + o:self.area + o + k * k]
+                 .reshape(k, k)) for o, k in self.dense]
+
+
 def _pencil_blocks(a: sp.csr_matrix, g: sp.csr_matrix, group: np.ndarray,
                    empty: np.ndarray):
-    """(size, blocks) of the symmetric pencil (a, g), whose columns fall
-    into blocks that neither matrix couples, group[j] naming the block of
-    column j and empty[group[j]] saying whether a stores nothing in it:
-    size counts the columns of the empty blocks, and blocks holds the dense
-    pair (a_b, g_b) of every other block in order of its first column, its
-    columns in their original order.  The spectrum of the pencil is the
-    union of the block spectra, with one zero per column counted in size.
-    """
-    # Blocks numbered in order of their first column.
-    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[inverse]
-    zero = empty[group[np.sort(first)]]
-    # Every dense block is laid out row-major in one flat buffer; local[i] is
-    # column i's row within its block.
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    area = np.where(zero, 0, sizes * sizes)
-    offsets = np.cumsum(area) - area
-
-    def blocks(mat):
-        mat.sum_duplicates()  # one stored entry per coupling, so assign
-        coo = mat.tocoo()
-        lab = labels[coo.row]
-        dense = ~zero[lab]
-        row, lab = coo.row[dense], lab[dense]
-        buf = np.zeros(area.sum())
-        buf[offsets[lab] + local[row] * sizes[lab] + local[coo.col[dense]]] = coo.data[dense]
-        return [buf[o:o + k * k].reshape(k, k) for o, k in zip(offsets[~zero], sizes[~zero])]
-
-    return int(sizes[zero].sum()), list(zip(blocks(a), blocks(g)))
+    """(n_zero, blocks) of the symmetric pencil (a, g), neither storing an
+    entry twice, by a _ClassBlocks built on g: the spectrum of the pencil
+    is the union of the block spectra, with one zero per column counted in
+    n_zero."""
+    blocks = _ClassBlocks(group, empty, g)
+    return blocks.n_zero, blocks.blocks(a, g)
 
 
 def _block_spectrum(i: int, a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1450,7 +1525,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     with the wall reflection x -> 1 - x (DECISIONS.md D18), so it splits
     into an even and an odd parity class.  Each class is block diagonal up
     to a permutation, one block per connected component of the graph that
-    the stored entries of the symmetric part draw between the 12 primary
+    the nonzero entries of the symmetric part draw between the 12 primary
     components, and the spectrum is the union of the block spectra.  A
     component where the symmetric part stores nothing (u and theta in the
     degenerate grouping) gives one exact zero per free dof, counted, not
@@ -1461,27 +1536,34 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     pencil size every other block is solved.  n_report must be a
     non-negative integer.
 
-    What depends on the mesh alone is built on the first probe of a layout
-    and kept with it (`_ProbeHalf`, DECISIONS.md D22): the class bases,
-    their t1-Gram blocks and the inf-sup constant.  Each call builds only
-    the symmetric part and its class projections.
+    The symmetric part is one scatter of the symmetrized A kernels,
+    (K + K^T) / 2 with (W + W^T) / 2 walls: the A placements are disjoint,
+    so it is (A + A^T) / 2 bit for bit.  What depends on the mesh alone is
+    built on the first probe of a layout and kept with it (`_ProbeHalf`,
+    DECISIONS.md D22): the class bases, their t1-Gram blocks and the
+    inf-sup constant; and what the symmetric part's coupling signature
+    fixes, the blocks and where each stored entry goes in them
+    (`_ProbePlan`), on the first probe of the signature.  Each call builds
+    the symmetric part, its class projections and their dense blocks.
     """
     if (isinstance(n_report, bool) or not isinstance(n_report, numbers.Integral)
             or n_report < 0):
         raise ValueError(f"n_report must be a non-negative integer, got {n_report!r}")
-    half = assembly._layout.probe_half(assembly)
-    a_full = assembly.a_operator()
-    sym = 0.5 * (a_full + a_full.T)
-    a_t1 = sym[half.t1_dofs][:, half.t1_dofs]
-    lowest, empty = _component_blocks(a_t1, half.component)
+    layout = assembly._layout
+    half = layout.probe_half(assembly)
+    kern, walls = assembly._placed(A_PLACEMENTS[assembly.formulation])
+    coupled, walled, vals = layout.values(0.5 * (kern + kern.transpose(2, 3, 0, 1)),
+                                          0.5 * (walls + walls.transpose(0, 2, 1)))
+    sym = layout.pattern(coupled, walled).matrix(vals)
+    plan = layout.probe_plan(half, sym, (coupled, walled))
+    sym_csc = sym.tocsc()  # q.T is CSC, so each class product reads sym by columns
     keep = max(n_report, 1)
     low = np.empty(0)
     # One class at a time, so that only one class's blocks are alive.
-    for q, qt, gram, component in half.classes:
-        n_zero, blocks = _pencil_blocks(qt @ a_t1 @ q, gram, lowest[component], empty)
-        low = np.sort(np.concatenate([low, np.zeros(n_zero)]))[:keep]
-        low = merge_lowest(low, blocks, keep, _block_spectrum)
-        del blocks
+    for cls, where in zip(half.classes, plan.classes):
+        low = np.sort(np.concatenate([low, np.zeros(where.n_zero)]))[:keep]
+        low = merge_lowest(low, where.blocks(cls.qt @ sym_csc @ cls.q, cls.gram), keep,
+                           _block_spectrum)
     low_eigs = tuple(float(v) for v in low[:n_report])
 
     theta_bubble = None
@@ -1493,7 +1575,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
         vec[mid] = 1.0
         theta_bubble = float(vec @ (sym @ vec))
     return CoercivityReport(
-        formulation=assembly.formulation, n_dofs=int(half.t1_dofs.size),
+        formulation=assembly.formulation, n_dofs=half.n_dofs,
         min_eig=float(low[0]), low_eigs=low_eigs, infsup=half.infsup,
         theta_bubble=theta_bubble,
     )

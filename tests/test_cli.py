@@ -275,6 +275,14 @@ class TestPlumbing:
                    "--out", str(outdir))
         assert code == EXIT_CONFIG
 
+    def test_element_count_beyond_exact_float_nodes_is_config_error(self, tmp_path, outdir):
+        # 10**20 elements once crashed with an OverflowError while the wall
+        # traces were located.
+        config = write_config(tmp_path, elements=10**20)
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+
     @pytest.mark.parametrize("key,value", [("kn", float("nan")),
                                            ("kn", float("inf")),
                                            ("wall_speed", float("-inf"))])

@@ -190,6 +190,15 @@ class TestCubeMesh:
 
 
 class TestAssembledForms:
+    def test_meshes_of_one_size_share_read_only_line_factors(self):
+        # The parity-projected line factors are built once per (n, degree).
+        first, second = (assemble_cube_forms(build_cube_mesh(3, 2)) for _ in range(2))
+        assert first.lines is second.lines and first._factors is second._factors
+        with pytest.raises(TypeError):
+            first._factors[1, 1] = None
+        for *arrays, _ in first._factors.values():
+            assert not any(arr.flags.writeable for arr in arrays)
+
     def test_constant_field_energies(self, n2_deg2):
         mesh, forms = n2_deg2
         u = interpolate(mesh, lambda x: np.tile([1.0, 0.0, 0.0], (len(x), 1)))

@@ -1573,18 +1573,21 @@ class TestProbeHalf:
         for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
             asm = SlabAssembly(SlabMesh(8, 2), model, KN, formulation)
             layout = asm._layout
-            # Build the pattern the probe scatters into, so that only the
-            # half is left to count.
-            asm.a_operator()
             before = layout.nbytes
             coercivity_probe(asm)
             half = layout._kept["probe"]
-            # Every array the half holds; q.T's are views of q's.
-            arrays = [half.t1_dofs, half.component, *(
-                arr for cls in half.classes for arr in (
-                    cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
-                    cls.gram.indptr, cls.component))]
-            assert layout.nbytes - before == sum(arr.nbytes for arr in arrays)
+            # The probe keeps the symmetric part's pattern, the half and one
+            # plan; every array the half and the plan hold, q.T's being views
+            # of q's.
+            (pattern,) = _patterns(layout)
+            (plan,) = [kept for kept in layout._kept.values()
+                       if isinstance(kept, slab._ProbePlan)]
+            arrays = [*(arr for cls in half.classes for arr in (
+                cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
+                cls.gram.indptr, cls.component)), *(
+                arr for blocks in plan.classes for arr in (
+                    blocks.rows_at, blocks.local, blocks.g_at))]
+            assert layout.nbytes - before == pattern.nbytes + sum(arr.nbytes for arr in arrays)
             for arr in arrays:
                 assert not arr.flags.writeable
             for cls in half.classes:
@@ -1592,8 +1595,47 @@ class TestProbeHalf:
                     assert np.shares_memory(getattr(cls.qt, key), getattr(cls.q, key))
                 assert cls.gram.has_canonical_format
             coercivity_probe(asm)
-            assert layout._kept["probe"] is half and layout.nbytes - before == sum(
-                arr.nbytes for arr in arrays)
+            assert layout._kept["probe"] is half and layout.nbytes - before == (
+                pattern.nbytes + sum(arr.nbytes for arr in arrays))
+
+    def test_second_probe_of_a_signature_builds_no_plan(self, eta7, monkeypatch, cold_memos):
+        # The blocks of a coupling signature are found on its first probe;
+        # later probes with the signature, here at another Kn too, find
+        # none and keep nothing more.
+        calls, component_blocks = [], slab._component_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return component_blocks(*args)
+
+        monkeypatch.setattr(slab, "_component_blocks", counting)
+        mesh = SlabMesh(8, 2)
+        first = coercivity_probe(SlabAssembly(mesh, eta7, KN))
+        layout = slab._layouts[mesh, "nonmaxwell"]
+        kept, nbytes = dict(layout._kept), layout.nbytes
+        assert len(calls) == 1
+        assert coercivity_probe(SlabAssembly(mesh, eta7, KN)) == first
+        coercivity_probe(SlabAssembly(mesh, eta7, 1.0))
+        assert len(calls) == 1 and layout.nbytes == nbytes
+        assert layout._kept.keys() == kept.keys()
+        assert all(layout._kept[key] is value for key, value in kept.items())
+
+    @pytest.mark.parametrize("n,degree", [(8, 2), (3, 1)])
+    def test_other_couplings_get_their_own_plan(self, eta7, maxwell, n, degree, cold_memos):
+        # On the coercive layout maxwell's symmetric part couples fewer
+        # component pairs than eta7's (f, h, j and z vanish): its probe
+        # builds a second plan, reports the sliced reference's bits, and
+        # leaves eta7's plan as it was.
+        mesh = SlabMesh(n, degree)
+        first = coercivity_probe(SlabAssembly(mesh, eta7, KN))
+        asm = SlabAssembly(mesh, maxwell, KN)
+        ref = _sliced_block_spectrum(asm)
+        report = coercivity_probe(asm, n_report=ref.size)
+        plans = [kept for kept in asm._layout._kept.values()
+                 if isinstance(kept, slab._ProbePlan)]
+        assert len(plans) == 2
+        assert report.low_eigs == tuple(float(v) for v in ref)
+        assert coercivity_probe(SlabAssembly(mesh, eta7, KN)) == first
 
     def test_probe_keeps_only_the_a_pattern(self, eta7, maxwell, cold_memos):
         # The cold inf-sup solve reads form("g") once per layout, built into
@@ -1840,8 +1882,9 @@ class TestKernelMemo:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
 
-    def test_each_assembly_derives_its_wall_coefficients(self, eta7, monkeypatch):
-        # Counted inside the derivation, so memoizing it anywhere shows.
+    def test_two_assemblies_of_one_model_derive_once(self, eta7, monkeypatch):
+        # Counted inside the derivation, on a cold derivation memo: the
+        # second assembly shares the first one's table.
         calls = []
         derive = onsager.proportionality_constants
 
@@ -1850,8 +1893,10 @@ class TestKernelMemo:
             return derive(model)
 
         monkeypatch.setattr(onsager, "proportionality_constants", counting)
+        onsager.boundary_coefficients.cache_clear()
         first, second = (SlabAssembly(SlabMesh(4, 2), eta7, KN) for _ in range(2))
-        assert calls == [eta7, eta7]
+        assert calls == [eta7]
+        assert first.coeffs is second.coeffs
         assert first._kernels is second._kernels
 
 def _patterns(layout):
@@ -2141,6 +2186,20 @@ class TestValidation:
             SlabAssembly(SlabMesh(4, 2), asm_eta7.model, bad)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             step_transient(zero_state(asm_eta7), bad, "implicit-euler", asm_eta7)
+
+    @pytest.mark.parametrize("call", [
+        lambda asm: SlabAssembly(SlabMesh(4, 2), asm.model, 10**400),
+        lambda asm: step_transient(zero_state(asm), 10**400, "implicit-euler", asm),
+        lambda asm: transient_run(asm, zero_state(asm), 10**400, 1),
+        lambda asm: convergence_study(asm.model, WallData.couette(), [2, 4, 8], kn=10**400),
+        lambda asm: WallData.couette(10**400),
+        lambda asm: WallData(theta_w=[10**400, 0], u_t=np.zeros((2, 2))),
+    ], ids=["kn", "dt", "run-dt", "study-kn", "couette", "theta_w"])
+    def test_integer_beyond_float_range_is_value_error(self, asm_eta7, call):
+        # float() of such an int once raised OverflowError, not the
+        # documented ValueError.
+        with pytest.raises(ValueError, match="finite"):
+            call(asm_eta7)
 
     def test_positive_knudsen_required(self, eta7):
         for kn in (0.0, float("nan"), float("inf")):
