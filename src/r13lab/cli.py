@@ -2,8 +2,9 @@
 
 Every command writes its outputs into one directory together with a
 manifest that records input hashes, library versions, and the seed, so a
-rerun with identical configuration and seed reproduces every file bit for
-bit (no timestamps anywhere).  Exit codes: 0 success, 2 configuration
+rerun with identical configuration, seed and BLAS thread count reproduces
+every file bit for bit (no timestamps anywhere); ``--threads 1`` pins the
+count.  Exit codes: 0 success, 2 configuration
 problem, 3 the requested audit found inconsistent model data, 4 numerical
 solver failure.
 

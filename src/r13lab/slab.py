@@ -504,11 +504,10 @@ class _SlabLayout:
     """The model-free structure of the assemblies on one (mesh, grouping):
     element matrices, dof tables, wall traces, essential and kept dofs, the
     trace map and the mass matrix; and, built on first use and kept in
-    the layout's one memo, one sparsity pattern per coupled-pair signature,
-    the mesh-only half of the coercivity probe (`_ProbeHalf`, DECISIONS.md
-    D22) and one probe plan per coupling signature of the symmetric part
-    (`_ProbePlan`).  Every array is read-only, so assemblies share the
-    layout.
+    the layout's one memo (`_keep`), what its callers key there: one
+    sparsity pattern per coupled-pair signature, and whatever else depends
+    on the mesh and such a signature alone.  Every array is read-only, so
+    assemblies share the layout.
     """
 
     def __init__(self, mesh: SlabMesh, formulation: str):
@@ -646,18 +645,6 @@ class _SlabLayout:
 
         return self._keep(("steady", *(sig.tobytes() for sig in (*a_sig, *c_sig))), build)
 
-    def probe_half(self, assembly: "SlabAssembly") -> "_ProbeHalf":
-        """The mesh-only half of coercivity_probe, built on the first probe
-        of the layout from that assembly: its t1 Gram, its pressure mass and
-        its form g (kernel p div v) read no model coefficient."""
-        return self._keep("probe", lambda: _ProbeHalf(self, assembly))
-
-    def probe_plan(self, half: "_ProbeHalf", sym: sp.csr_matrix, signature: tuple) -> "_ProbePlan":
-        """The _ProbePlan of the symmetric parts with the (coupled, walled)
-        signature of sym, built on the first probe of the signature."""
-        return self._keep(("probe", *(sig.tobytes() for sig in signature)),
-                          lambda: _ProbePlan(self, half, sym))
-
     def _keep(self, key, build):
         """build(), kept under key from its first use and counted in nbytes."""
         kept = self._kept.get(key)
@@ -715,15 +702,15 @@ class _SlabLayout:
 
 # Layouts depend on the mesh and the grouping alone: each is built once per
 # process and shared by every assembly on it, whatever its model and Kn.
-# The memo holds layouts, with their patterns and probe halves and plans,
-# up to _LAYOUT_MEMO_BYTES and drops the least recently used beyond that; a
+# The memo holds layouts, with their patterns and probe plans, up to
+# _LAYOUT_MEMO_BYTES and drops the least recently used beyond that; a
 # layout out of the memo lives, with what it keeps, as long as its
 # assemblies.  A coercive layout at n 64, degree 2, holds about 0.6 MiB once
 # a steady solve has built its patterns, about 10 KB per element, so steady
 # requests up to n 64 in both groupings fit.  A layout that only probes
-# coercivity, with the symmetric part's pattern, the probe's mesh-only half
-# and one plan, holds about 0.40 MiB at n 64 and 1.6 MiB at n 256 (eta7),
-# so the probes of a mesh ladder share one layout per mesh.
+# coercivity, with the symmetric part's pattern and one probe plan, holds
+# about 0.36 MiB at n 64 and 1.43 MiB at n 256 (eta7), so the probes of a
+# mesh ladder share one layout per mesh.
 _LAYOUT_MEMO_BYTES = 2 * 2**20
 _layouts: dict = {}  # (mesh, formulation) -> layout, least recently used first
 
@@ -761,9 +748,9 @@ class SlabAssembly:
     monitors alike, are probed once per (model, Kn, wall coefficients) in
     one memo, the mass kernel once and the Gauss rules once per order; the
     layout (dof tables, wall traces, mass matrix, trace map, sparsity
-    patterns and the mesh-only half of the coercivity probe, its inf-sup
-    constant included) once per (mesh, grouping) while the layout memo
-    keeps it; and the derivation and audits of the model's wall
+    patterns, and one coercivity probe plan per coupling signature, its
+    inf-sup constant included) once per (mesh, grouping) while the layout
+    memo keeps it; and the derivation and audits of the model's wall
     coefficients once per model per process, in the memo of
     `onsager.boundary_coefficients`.
     Each assembly builds its two spaces, which evaluate its states and give
@@ -815,7 +802,7 @@ class SlabAssembly:
     def form(self, name: str) -> sp.csr_matrix:
         """One bilinear form, rows on its first argument; built per call.
         Its pattern is not kept: in the package only the coercivity probe's
-        inf-sup solve, once per layout, reads a form alone."""
+        inf-sup solve, once per probe plan, reads a form alone."""
         coupled, walled, vals = self._layout.values(*self._placed({name: (1, 0)}))
         return self._layout._build_pattern(coupled, walled).matrix(vals)
 
@@ -919,7 +906,8 @@ class SlabAssembly:
     def t1_gram(self) -> sp.csr_matrix:
         """H1 Gram over the (s, u, sigma, theta) block, zeros elsewhere.
         Its pattern is not kept: the coercivity probe, which builds it once
-        per layout, keeps the Gram's parity-class blocks instead."""
+        per probe plan, keeps the values of the Gram's parity-class blocks
+        at their dense positions instead."""
         primary = [float(c != "p") for c in COMPONENTS]
         coupled, walled, vals = self._layout.values(np.diag(primary + primary))
         return self._layout._build_pattern(coupled, walled).matrix(vals)
@@ -1352,35 +1340,32 @@ class CoercivityReport:
     theta_bubble: float | None
 
 
-_ParityClass = namedtuple("_ParityClass", "q qt gram component")
-
-
-def _primary_free(layout: _SlabLayout):
-    """(dofs, component, sizes): the free dofs of the primary components
-    (all but p) in layout order, each component's run closed under the
-    wall reflection; the primary component of each; and each run's size."""
-    free = [layout.free([c]) for c in _PRIMARY]
-    sizes = [f.size for f in free]
-    return np.concatenate(free), np.repeat(np.arange(len(free)), sizes), sizes
-
-
-class _ProbeHalf:
-    """The mesh-only half of coercivity_probe on one layout, kept with the
-    layout (DECISIONS.md D22): the number of free primary dofs (t1 dofs);
-    per parity class of the wall reflection (D18) its basis q on the full
-    dof numbering, so that the class block of a matrix s is q.T s q, q.T,
-    the t1-Gram block, sparse and canonical, and the primary component of
-    each class column; and the inf-sup constant, solved from the same t1
-    Gram when the half is built.  Every array is read-only, and q.T shares
-    the arrays of q.
+class _ProbePlan:
+    """What coercivity_probe keeps per layout and coupling signature of the
+    symmetric part, under that signature in the layout's memo (DECISIONS.md
+    D22): the number of free primary dofs (t1 dofs); the inf-sup constant,
+    solved from the t1 Gram when the plan is built; and per parity class of
+    the wall reflection (D18) a tuple (q, q.T, blocks): its basis q on the
+    full dof numbering, so that the class block of a matrix s is q.T s q,
+    and the _ClassBlocks of the blocks that the nonzero entries of the
+    first symmetric part sym draw between the primary components, with the
+    class block of the t1 Gram.  A coupled component pair stores a nonzero
+    entry whatever the model, and the rest reads no model coefficient, so
+    every model with the signature has the same plan.  Every array is
+    read-only, and q.T shares the arrays of q.
     """
 
-    def __init__(self, layout: _SlabLayout, assembly: "SlabAssembly"):
-        gram = assembly.t1_gram()
+    def __init__(self, assembly: "SlabAssembly", sym: sp.csr_matrix):
+        layout, gram = assembly._layout, assembly.t1_gram()
         self.infsup = _infsup(assembly, gram)
-        t1, component, sizes = _primary_free(layout)
+        # Each primary component's free dofs, a run closed under the reflection.
+        free = [layout.free([c]) for c in _PRIMARY]
+        sizes = [f.size for f in free]
+        t1, component = np.concatenate(free), np.repeat(np.arange(len(free)), sizes)
         self.n_dofs = t1.size
-        g_t1 = gram[t1][:, t1]
+        g_t1, a_t1 = gram[t1][:, t1], sym[t1][:, t1]
+        a_t1.eliminate_zeros()
+        lowest, empty = _component_blocks(a_t1, component)
         classes = []
         for q in parity_bases(sizes, [-1.0 if c in _MIRROR_ODD else 1.0 for c in _PRIMARY]):
             g_q = q.T @ g_t1 @ q
@@ -1389,31 +1374,12 @@ class _ProbeHalf:
             coo = q.tocoo()
             column = np.empty(q.shape[1], dtype=component.dtype)
             column[coo.col] = component[coo.row]
-            q = sp.csr_matrix((coo.data, (t1[coo.row], coo.col)), shape=(layout.ndof, q.shape[1]))
-            classes.append(_ParityClass(_frozen(q), q.T, _frozen(g_q), _read_only(column)))
+            q = _frozen(sp.csr_matrix((coo.data, (t1[coo.row], coo.col)),
+                                      shape=(layout.ndof, q.shape[1])))
+            classes.append((q, q.T, _ClassBlocks(lowest[column], empty, g_q)))
         self.classes = tuple(classes)
-        self.nbytes = sum(arr.nbytes for cls in classes for arr in (
-            cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
-            cls.gram.indptr, cls.component))
-
-
-class _ProbePlan:
-    """What coercivity_probe needs beyond the half that the coupling
-    signature of the symmetric part fixes, kept with the layout under that
-    signature (DECISIONS.md D22): per parity class, the _ClassBlocks of the
-    blocks that the nonzero entries of one symmetric part sym draw between
-    the primary components.  A coupled component pair stores a nonzero
-    entry whatever the model, so every model with the signature has the
-    same blocks."""
-
-    def __init__(self, layout: _SlabLayout, half: _ProbeHalf, sym: sp.csr_matrix):
-        t1, component, _ = _primary_free(layout)
-        a_t1 = sym[t1][:, t1]
-        a_t1.eliminate_zeros()
-        lowest, empty = _component_blocks(a_t1, component)
-        self.classes = tuple(_ClassBlocks(lowest[cls.component], empty, cls.gram)
-                             for cls in half.classes)
-        self.nbytes = sum(blocks.nbytes for blocks in self.classes)
+        self.nbytes = sum(q.data.nbytes + q.indices.nbytes + q.indptr.nbytes + blocks.nbytes
+                          for q, _, blocks in classes)
 
 
 def _infsup(assembly: SlabAssembly, gram: sp.csr_matrix) -> float | None:
@@ -1455,7 +1421,8 @@ def _component_blocks(a: sp.csr_matrix, component: np.ndarray):
 
 
 class _ClassBlocks:
-    """Where the entries of one class pencil (a, g) go in its dense blocks.
+    """Where the entries of one class pencil (a, g) go in its dense blocks,
+    g fixed when they are built.
 
     The columns fall into blocks that neither matrix couples, group[j]
     naming the block of column j and empty[group[j]] saying whether a
@@ -1465,8 +1432,8 @@ class _ClassBlocks:
     `dense` among the first `area` values of one flat buffer, and its g
     block `area` values later.  Entry (i, j) of an a block goes to
     rows_at[i] + local[j]; g_at holds the position of each stored entry of
-    g, the one slot past both halves for an entry of an empty block.  Every
-    array is read-only int32.
+    g, the one slot past both halves for an entry of an empty block, and
+    g_data its value.  Every array is read-only, the positions int32.
     """
 
     def __init__(self, group: np.ndarray, empty: np.ndarray, g):
@@ -1487,30 +1454,22 @@ class _ClassBlocks:
         self.rows_at, self.local = _int32(rows_at), _int32(local)
         self.g_at = _int32(np.where(zero[labels[coo.row]], 2 * self.area,
                                     self.area + rows_at[coo.row] + local[coo.col]))
-        self.nbytes = self.rows_at.nbytes + self.local.nbytes + self.g_at.nbytes
+        self.g_data = _read_only(coo.data.copy())
+        self.nbytes = sum(arr.nbytes for arr in (self.rows_at, self.local, self.g_at, self.g_data))
 
-    def blocks(self, a, g) -> list:
+    def blocks(self, a) -> list:
         """The dense pair (a_b, g_b) of every block with an entry of a; a
-        stores no entry twice, and g is the matrix the plan was built on."""
+        stores no entry twice.  The spectrum of the pencil is the union of
+        the block spectra, with one zero per column counted in n_zero."""
         coo = a.tocoo()
         # One buffer for both halves: with two large buffers alive at once,
         # the allocator handed out fresh pages on every call (at n 64,
         # about 0.8 ms a class against 0.12 ms).
         buf = np.zeros(2 * self.area + 1)
         buf[self.rows_at[coo.row] + self.local[coo.col]] = coo.data
-        buf[self.g_at] = g.data
+        buf[self.g_at] = self.g_data
         return [(buf[o:o + k * k].reshape(k, k), buf[self.area + o:self.area + o + k * k]
                  .reshape(k, k)) for o, k in self.dense]
-
-
-def _pencil_blocks(a: sp.csr_matrix, g: sp.csr_matrix, group: np.ndarray,
-                   empty: np.ndarray):
-    """(n_zero, blocks) of the symmetric pencil (a, g), neither storing an
-    entry twice, by a _ClassBlocks built on g: the spectrum of the pencil
-    is the union of the block spectra, with one zero per column counted in
-    n_zero."""
-    blocks = _ClassBlocks(group, empty, g)
-    return blocks.n_zero, blocks.blocks(a, g)
 
 
 def _block_spectrum(i: int, a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1538,45 +1497,41 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
 
     The symmetric part is one scatter of the symmetrized A kernels,
     (K + K^T) / 2 with (W + W^T) / 2 walls: the A placements are disjoint,
-    so it is (A + A^T) / 2 bit for bit.  What depends on the mesh alone is
-    built on the first probe of a layout and kept with it (`_ProbeHalf`,
-    DECISIONS.md D22): the class bases, their t1-Gram blocks and the
-    inf-sup constant; and what the symmetric part's coupling signature
-    fixes, the blocks and where each stored entry goes in them
-    (`_ProbePlan`), on the first probe of the signature.  Each call builds
-    the symmetric part, its class projections and their dense blocks.
+    so it is (A + A^T) / 2 bit for bit.  Everything else is built on the
+    first probe of a layout with the symmetric part's coupling signature
+    and kept in the layout's memo under that signature (`_ProbePlan`,
+    DECISIONS.md D22): the class bases, the inf-sup constant, the blocks,
+    and where each stored entry goes in them.  Each call builds the
+    symmetric part, its class projections and their dense blocks.
     """
     if (isinstance(n_report, bool) or not isinstance(n_report, numbers.Integral)
             or n_report < 0):
         raise ValueError(f"n_report must be a non-negative integer, got {n_report!r}")
     layout = assembly._layout
-    half = layout.probe_half(assembly)
     kern, walls = assembly._placed(A_PLACEMENTS[assembly.formulation])
     coupled, walled, vals = layout.values(0.5 * (kern + kern.transpose(2, 3, 0, 1)),
                                           0.5 * (walls + walls.transpose(0, 2, 1)))
     sym = layout.pattern(coupled, walled).matrix(vals)
-    plan = layout.probe_plan(half, sym, (coupled, walled))
+    plan = layout._keep(("probe", coupled.tobytes(), walled.tobytes()),
+                        lambda: _ProbePlan(assembly, sym))
     sym_csc = sym.tocsc()  # q.T is CSC, so each class product reads sym by columns
     keep = max(n_report, 1)
     low = np.empty(0)
     # One class at a time, so that only one class's blocks are alive.
-    for cls, where in zip(half.classes, plan.classes):
-        low = np.sort(np.concatenate([low, np.zeros(where.n_zero)]))[:keep]
-        low = merge_lowest(low, where.blocks(cls.qt @ sym_csc @ cls.q, cls.gram), keep,
-                           _block_spectrum)
+    for q, qt, blocks in plan.classes:
+        low = np.sort(np.concatenate([low, np.zeros(blocks.n_zero)]))[:keep]
+        low = merge_lowest(low, blocks.blocks(qt @ sym_csc @ q), keep, _block_spectrum)
     low_eigs = tuple(float(v) for v in low[:n_report])
 
     theta_bubble = None
     if assembly.model.is_maxwell:
         vec = np.zeros(assembly.ndof)
-        th_space = assembly.spaces["theta"]
         # Any interior basis function has zero wall trace at degree 2.
-        mid = assembly.offsets["theta"] + th_space.ndof // 2
-        vec[mid] = 1.0
+        vec[layout.offsets["theta"] + layout.sizes["theta"] // 2] = 1.0
         theta_bubble = float(vec @ (sym @ vec))
     return CoercivityReport(
-        formulation=assembly.formulation, n_dofs=half.n_dofs,
-        min_eig=float(low[0]), low_eigs=low_eigs, infsup=half.infsup,
+        formulation=assembly.formulation, n_dofs=plan.n_dofs,
+        min_eig=float(low[0]), low_eigs=low_eigs, infsup=plan.infsup,
         theta_bubble=theta_bubble,
     )
 

@@ -1275,9 +1275,9 @@ class TestCoercivity:
         asm = SlabAssembly(SlabMesh(8, 2), maxwell, KN, "maxwell")
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         report = coercivity_probe(asm, n_report=_t1_dofs(asm).size)
-        # On a cold layout the last call is the inf-sup pencil on the pressure
-        # complement (D22).
-        pencil = solved[:-1]
+        # On a cold layout the first call is the inf-sup pencil on the
+        # pressure complement, solved as the probe plan is built (D22).
+        pencil = solved[1:]
         assert pencil and all(a.any() for a in pencil)
         assert sum(len(a) for a in pencil) < report.n_dofs
         assert report.min_eig == 0.0
@@ -1326,7 +1326,7 @@ class TestCoercivity:
         monkeypatch.setattr(fe1d, "pencil_above", certifying)
         coercivity_probe(asm)
         # On a cold layout the first call is the inf-sup pencil on the
-        # pressure complement, solved as the probe half is built (D22).
+        # pressure complement, solved as the probe plan is built (D22).
         assert calls["eigh"][1:] == solved
         assert sum(calls["above"]) == certified
 
@@ -1465,11 +1465,12 @@ def _raw_dense(arr):
     return arr.shape, arr.tobytes()
 
 
-class TestProbeHalf:
-    """The layout keeps the mesh-only half of the coercivity probe (D22):
-    the class bases, their t1-Gram blocks and the inf-sup constant, which
-    no model coefficient reaches; each probe builds only the symmetric part
-    and its blocks, which come from component coupling."""
+class TestProbePlan:
+    """The layout keeps one coercivity probe plan per coupling signature of
+    the symmetric part (D22): the class bases, the inf-sup constant and the
+    dense positions of the blocks, which come from component coupling, with
+    the class t1-Gram values; no model coefficient reaches them.  Each probe
+    builds only the symmetric part and its blocks."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
     @pytest.mark.parametrize("degree", [1, 2])
@@ -1508,7 +1509,8 @@ class TestProbeHalf:
             coo = q.tocoo()
             column = np.empty(q.shape[1], dtype=int)
             column[coo.col] = component[coo.row]
-            n_zero, blocks = slab._pencil_blocks(a_q.copy(), g_q.copy(), lowest[column], empty)
+            where = slab._ClassBlocks(lowest[column], empty, g_q)
+            n_zero, blocks = where.n_zero, where.blocks(a_q)
             n_ref, labels = connected_components(abs(a_q) + abs(g_q), directed=False)
             ref = [np.flatnonzero(labels == k) for k in range(n_ref)]
             dense = [cols for cols in ref if a_q[cols][:, cols].nnz]
@@ -1523,7 +1525,8 @@ class TestProbeHalf:
         # The inf-sup constant of D22 is solved on the first probe of the
         # layout alone, with the parent's arithmetic, from the one t1 Gram
         # that also gives the class blocks, and shared by every model and
-        # Kn; a warm probe builds nothing mesh-only again.
+        # Kn of the coupling signature; a warm probe builds nothing
+        # mesh-only again.
         mesh = SlabMesh(8, 2)
         calls = []
         real_eigh = scipy.linalg.eigh
@@ -1569,33 +1572,29 @@ class TestProbeHalf:
                                                   eigvals_only=True)[0], 0.0)))
         assert {report.infsup for report in reports} == {ref}
 
-    def test_probe_half_is_read_only_and_counted(self, eta7, maxwell, cold_memos):
+    def test_probe_plan_is_read_only_and_counted(self, eta7, maxwell, cold_memos):
         for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
             asm = SlabAssembly(SlabMesh(8, 2), model, KN, formulation)
             layout = asm._layout
             before = layout.nbytes
             coercivity_probe(asm)
-            half = layout._kept["probe"]
-            # The probe keeps the symmetric part's pattern, the half and one
-            # plan; every array the half and the plan hold, q.T's being views
-            # of q's.
+            # The probe keeps the symmetric part's pattern and one plan;
+            # every array the plan holds, q.T's being views of q's.
             (pattern,) = _patterns(layout)
-            (plan,) = [kept for kept in layout._kept.values()
-                       if isinstance(kept, slab._ProbePlan)]
-            arrays = [*(arr for cls in half.classes for arr in (
-                cls.q.data, cls.q.indices, cls.q.indptr, cls.gram.data, cls.gram.indices,
-                cls.gram.indptr, cls.component)), *(
-                arr for blocks in plan.classes for arr in (
-                    blocks.rows_at, blocks.local, blocks.g_at))]
+            (plan,) = _plans(layout)
+            arrays = [arr for q, _, blocks in plan.classes for arr in (
+                q.data, q.indices, q.indptr, blocks.rows_at, blocks.local, blocks.g_at,
+                blocks.g_data)]
             assert layout.nbytes - before == pattern.nbytes + sum(arr.nbytes for arr in arrays)
             for arr in arrays:
                 assert not arr.flags.writeable
-            for cls in half.classes:
+            for q, qt, blocks in plan.classes:
                 for key in ("data", "indices", "indptr"):
-                    assert np.shares_memory(getattr(cls.qt, key), getattr(cls.q, key))
-                assert cls.gram.has_canonical_format
+                    assert np.shares_memory(getattr(qt, key), getattr(q, key))
+                # One value per stored entry of the canonical class Gram.
+                assert blocks.g_data.shape == blocks.g_at.shape
             coercivity_probe(asm)
-            assert layout._kept["probe"] is half and layout.nbytes - before == (
+            assert _plans(layout) == [plan] and layout.nbytes - before == (
                 pattern.nbytes + sum(arr.nbytes for arr in arrays))
 
     def test_second_probe_of_a_signature_builds_no_plan(self, eta7, monkeypatch, cold_memos):
@@ -1624,23 +1623,25 @@ class TestProbeHalf:
     def test_other_couplings_get_their_own_plan(self, eta7, maxwell, n, degree, cold_memos):
         # On the coercive layout maxwell's symmetric part couples fewer
         # component pairs than eta7's (f, h, j and z vanish): its probe
-        # builds a second plan, reports the sliced reference's bits, and
-        # leaves eta7's plan as it was.
+        # builds a second plan, which solves its own inf-sup to the same
+        # bits, reports the sliced reference's bits, and leaves eta7's plan
+        # as it was.
         mesh = SlabMesh(n, degree)
         first = coercivity_probe(SlabAssembly(mesh, eta7, KN))
         asm = SlabAssembly(mesh, maxwell, KN)
         ref = _sliced_block_spectrum(asm)
         report = coercivity_probe(asm, n_report=ref.size)
-        plans = [kept for kept in asm._layout._kept.values()
-                 if isinstance(kept, slab._ProbePlan)]
+        plans = _plans(asm._layout)
         assert len(plans) == 2
         assert report.low_eigs == tuple(float(v) for v in ref)
+        assert report.infsup == first.infsup and report.n_dofs == first.n_dofs
+        assert plans[0].infsup == plans[1].infsup and plans[0].n_dofs == plans[1].n_dofs
         assert coercivity_probe(SlabAssembly(mesh, eta7, KN)) == first
 
-    def test_probe_keeps_only_the_a_pattern(self, eta7, maxwell, cold_memos):
-        # The cold inf-sup solve reads form("g") once per layout, built into
-        # a pattern the layout does not keep, so a probed layout holds one
-        # pattern: the A pattern every probe scatters into.
+    def test_probe_keeps_one_pattern(self, eta7, maxwell, cold_memos):
+        # The cold inf-sup solve reads form("g") once per plan, built into a
+        # pattern the layout does not keep, so a probed layout holds one
+        # pattern: the symmetric part's, which every probe scatters into.
         for model, formulation in ((eta7, "nonmaxwell"), (maxwell, "maxwell")):
             for degree in (1, 2):
                 asm = SlabAssembly(SlabMesh(8, degree), model, KN, formulation)
@@ -1650,19 +1651,19 @@ class TestProbeHalf:
                 assert len(_patterns(asm._layout)) == 1
 
     def test_memo_of_probed_layouts_is_bounded_by_bytes(self, eta7, monkeypatch, cold_memos):
-        # Room for the n 4 or the n 8 probed layout, not for both, but for
-        # either beside the other without its half.
+        # Room for the n 4 or the n 8 probed layout, not for both: each
+        # probe leaves its own layout alone in the memo.
         budget = 10**5
         monkeypatch.setattr(slab, "_LAYOUT_MEMO_BYTES", budget)
         ref = {}
         for n in (4, 8, 4, 8):
             asm = SlabAssembly(SlabMesh(n, 2), eta7, KN)
-            # With its patterns built first, the half is the last thing the
+            # With its patterns built first, the plan is the last thing the
             # probe adds to the layout.
             asm.a_operator(), asm.form("g")
             report = coercivity_probe(asm)
             memo = list(slab._layouts.values())
-            assert memo == [asm._layout] and "probe" in asm._layout._kept
+            assert memo == [asm._layout] and len(_plans(asm._layout)) == 1
             assert asm._layout.nbytes <= budget
             assert ref.setdefault(n, report) == report
 
@@ -1902,6 +1903,11 @@ class TestKernelMemo:
 def _patterns(layout):
     """The sparsity patterns a layout keeps."""
     return [kept for kept in layout._kept.values() if isinstance(kept, slab._Pattern)]
+
+
+def _plans(layout):
+    """The coercivity probe plans a layout keeps, in the order it built them."""
+    return [kept for kept in layout._kept.values() if isinstance(kept, slab._ProbePlan)]
 
 
 def _layout_arrays(layout):
