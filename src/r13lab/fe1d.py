@@ -2,9 +2,9 @@
 uniform mesh of [0, 1] and its scalar spaces, which only this module knows,
 a Gauss rule, a Lagrange tabulator, element points and matrices, a scatter
 that repeats one element matrix over every element, the parity bases of
-the mirror x -> 1 - x, the global CG matrices of the cube forms, and the
+the mirror x -> 1 - x, the global CG matrices of the cube forms, the
 block loop of both spectral probes with the inertia certificate by which
-it skips a block.
+it skips a block, and the byte bound of the slab and Korn memos.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ def read_only(*arrays) -> tuple:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def trim_lru(memo: dict, budget: int, nbytes) -> None:
+    """Drop every entry of memo whose nbytes alone exceed budget, then the
+    first, least recently used, entries until the nbytes of its values add
+    up to at most budget; so an entry too large to keep drops no other."""
+    for key in [key for key, value in memo.items() if nbytes(value) > budget]:
+        del memo[key]
+    while sum(map(nbytes, memo.values())) > budget:
+        del memo[next(iter(memo))]
 
 
 @functools.lru_cache(maxsize=16)

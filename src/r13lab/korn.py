@@ -54,7 +54,9 @@ and odd under a swap.  Their bases are orbit sums, signed orbit sums and
 (1 + tau)(2 - rho - rho^2) applied to one or two orbit members, normalized
 (`_irreducible_bases`); a block of a 2-dim irrep stands for both partners.
 The class block is built once and every block projected from it through
-one side of the projection only (`Irrep`).
+one side of the projection only (`Irrep`).  The dense blocks depend on the
+mesh alone, so they are kept per mesh, class and form sums, under a byte
+bound: a repeated dense probe of a mesh runs only its eigensolves.
 `korn_constants` runs a dense solve of each such block and skips none: it
 reports whole spectral tails, the largest stf eigenvalue and the size of
 the stf kernel, which need every block's spectrum, and the 10-fold
@@ -81,7 +83,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fe1d import ScalarSpace, SlabMesh, cg_line_matrices, merge_lowest, parity_bases, read_only
+from .fe1d import (ScalarSpace, SlabMesh, cg_line_matrices, merge_lowest, parity_bases, read_only,
+                   trim_lru)
 
 # Size cap of the dense eigensolves of korn_constants (and the korn CLI).
 MAX_DENSE_DOFS = 6000
@@ -94,6 +97,12 @@ MAX_SPARSE_DOFS = 80_000
 # spectra of the blocks, and a dense solve of the lowest eigenvalue alone is
 # faster up to blocks of about this size (DECISIONS.md D20).
 DENSE_CLASS_ROWS = 500
+
+# The dense irreducible blocks of each solved class, kept per (n, degree,
+# sums, class) up to _BLOCK_MEMO_BYTES, the least recently used dropped
+# first; both probes of the benchmark meshes fit (DECISIONS.md D24).
+_BLOCK_MEMO_BYTES = 4 * 2**20
+_block_memo: dict = {}  # (n, degree, sums, s) -> ((dim, stack), ...), least recently used first
 
 # Seed of the start vectors of the boundary probe's sparse route, one stream
 # per irreducible block.  Fixed random vectors, not symmetric ones such as
@@ -573,15 +582,24 @@ class CubeForms:
 
     def irreducible_blocks(self, sums: tuple, s: tuple, dense: bool) -> list:
         """The form sums on each irreducible block of class s, as
-        (dim, mats) in the order of `_irreducible_bases`: a stack of dense
-        matrices if dense, else a list of CSR matrices.  The class blocks are
-        built once, dense or sparse, and each is projected as q^T a y."""
+        (dim, mats) in the order of `_irreducible_bases`: a read-only stack
+        of dense matrices if dense, else a list of CSR matrices.  The class
+        blocks are built once, dense or sparse, and each is projected as
+        q^T a y.  The dense stacks depend on the mesh alone, and are kept
+        in `_block_memo` (DECISIONS.md D24); the sparse ones are built on
+        every call."""
         bases = _irreducible_bases(len(self.lines["M"]), s)
         if not dense:
             mats = self.sparse_blocks(sums, s)
             return [(b.dim, [b.qt @ a @ b.yt.T for a in mats]) for b in bases]
-        rows_of = self.dense_blocks(sums, s).transpose(1, 0, 2)
-        return [(b.dim, b.project(rows_of)) for b in bases]
+        key = (self.mesh.n, self.mesh.degree, sums, s)
+        kept = _block_memo.pop(key, None)
+        if kept is None:
+            rows_of = self.dense_blocks(sums, s).transpose(1, 0, 2)
+            kept = tuple((b.dim, *read_only(b.project(rows_of))) for b in bases)
+        _block_memo[key] = kept
+        trim_lru(_block_memo, _BLOCK_MEMO_BYTES, lambda blocks: sum(a.nbytes for _, a in blocks))
+        return list(kept)
 
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:

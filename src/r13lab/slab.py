@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fe1d import (DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, merge_lowest,
-                   parity_bases, read_only)
+                   parity_bases, read_only, trim_lru)
 from .models import MolecularModel, thermo_discriminants
 from .onsager import BoundaryCoeffs, boundary_coefficients
 from .state import StateVector, entropy_density, mass_inner, physical_fluxes
@@ -651,7 +652,7 @@ class _SlabLayout:
         if kept is None:
             kept = self._kept[key] = build()
             self.nbytes += kept.nbytes
-            _trim_layouts()
+            trim_lru(_layouts, _LAYOUT_MEMO_BYTES, operator.attrgetter("nbytes"))
         return kept
 
     def _build_pattern(self, coupled, walled) -> _Pattern:
@@ -718,15 +719,8 @@ _layouts: dict = {}  # (mesh, formulation) -> layout, least recently used first
 def _slab_layout(mesh: SlabMesh, formulation: str) -> _SlabLayout:
     key = (mesh, formulation)
     layout = _layouts[key] = _layouts.pop(key, None) or _SlabLayout(mesh, formulation)
-    _trim_layouts()
+    trim_lru(_layouts, _LAYOUT_MEMO_BYTES, operator.attrgetter("nbytes"))
     return layout
-
-
-def _trim_layouts():
-    """Drop least recently used layouts until the memo holds at most
-    _LAYOUT_MEMO_BYTES."""
-    while sum(layout.nbytes for layout in _layouts.values()) > _LAYOUT_MEMO_BYTES:
-        del _layouts[next(iter(_layouts))]
 
 
 # ---------------------------------------------------------------------------

@@ -385,3 +385,13 @@ def test_merge_lowest_carries_low_across_calls():
     assert merge_lowest(kept[:3], blocks, 4, _recording(solved)).tobytes() == _union(
         blocks, 4, kept[:3]).tobytes()
     assert solved == [1]
+
+
+def test_trim_lru_drops_an_entry_above_the_budget_alone():
+    # Sizes stand for the values' bytes.  The entry too large for the
+    # budget goes and the older ones stay; then the oldest go first.
+    memo = {"a": 3, "b": 4, "big": 11, "c": 2}
+    fe1d.trim_lru(memo, 10, lambda size: size)
+    assert list(memo) == ["a", "b", "c"]
+    fe1d.trim_lru(memo, 6, lambda size: size)
+    assert list(memo) == ["b", "c"]

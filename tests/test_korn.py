@@ -463,7 +463,7 @@ class TestBoundaryProbeRoutes:
             assert boundary_korn_eigenvalue(mesh) == lams[name], name
         assert lams["sparse"] == pytest.approx(lams["dense"], rel=1e-12)
 
-    def test_mixed_routes_match_dense_route(self, monkeypatch):
+    def test_mixed_routes_match_dense_route(self, monkeypatch, cold_korn_memo):
         # cube(8,1) classes have 300, 285, 264 and 240 rows, all above 120,
         # so each is built sparse.  Its irreducible blocks have 60, 40 and
         # 100 rows in {+++}, 155 and 130 in {-++}, 140 and 124 in {--+}, and
@@ -825,6 +825,15 @@ class TestClassBlocks:
             assemble_cube_forms(mesh).stf
 
 
+def assert_same_report(report, ref):
+    """Every field and tail of two KornReports, bit for bit."""
+    for name in ("n", "degree", "n_dofs", "lambda_min_classical", "lambda_min_boundary",
+                 "stf_kernel_dim", "stf_eig_max", "kernel_threshold"):
+        assert getattr(report, name) == getattr(ref, name), name
+    for name in ("classical_tail", "boundary_tail", "stf_tail"):
+        assert getattr(report, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
 def class_block_spectra(forms, q):
     """Dense spectra of the three Korn pencils on one class block."""
     l2, h1, stf, bdry = ((q.T @ f @ q).toarray()
@@ -862,7 +871,7 @@ class TestAxisPermutationSplit:
                 for ref, eigs in zip(first, class_block_spectra(forms, q)):
                     np.testing.assert_allclose(eigs, ref, rtol=0.0, atol=1e-12 * ref[-1])
 
-    def test_korn_constants_solves_one_class_per_orbit(self, monkeypatch):
+    def test_korn_constants_solves_one_class_per_orbit(self, monkeypatch, cold_korn_memo):
         eigh = scipy.linalg.eigh
         calls = []
 
@@ -884,7 +893,10 @@ class TestAxisPermutationSplit:
         for name in ("classical_tail", "boundary_tail", "stf_tail"):
             assert np.array_equal(getattr(again, name), getattr(first, name)), name
 
-    def test_probes_evaluate_each_solved_class_once(self, monkeypatch, route):
+    def test_probes_evaluate_each_solved_class_once(self, monkeypatch, route, cold_korn_memo):
+        # The dense irreducible blocks are kept per mesh (DECISIONS.md D24):
+        # a repeated dense probe, on a freshly built equal mesh, evaluates
+        # no class; the sparse route evaluates each class on every call.
         evaluate = korn.CubeForms._evaluate
         calls = []
 
@@ -894,19 +906,18 @@ class TestAxisPermutationSplit:
 
         monkeypatch.setattr(korn.CubeForms, "_evaluate", counting)
         orbits = list(korn._CLASS_ORBITS)
-        forms = assemble_cube_forms(build_cube_mesh(2, 2))
-        korn_constants(forms)
+        first = korn_constants(assemble_cube_forms(build_cube_mesh(2, 2)))
         assert calls == orbits
-        korn_constants(forms)
-        assert calls == 2 * orbits
+        again = korn_constants(assemble_cube_forms(build_cube_mesh(2, 2)))
+        assert calls == orbits
+        assert_same_report(again, first)
         calls.clear()
-        mesh = build_cube_mesh(3, 1)
-        first = boundary_korn_eigenvalue(mesh)
+        lam = boundary_korn_eigenvalue(build_cube_mesh(3, 1))
         assert calls == orbits
-        assert boundary_korn_eigenvalue(mesh) == first
-        assert calls == 2 * orbits
+        assert boundary_korn_eigenvalue(build_cube_mesh(3, 1)) == lam
+        assert calls == (orbits if route == "dense" else 2 * orbits)
 
-    def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch, route):
+    def test_boundary_probe_solves_one_class_per_orbit(self, monkeypatch, route, cold_korn_memo):
         # cube(3,1) has 10 irreducible blocks in the 4 solved classes, of 6,
         # 2 and 8 rows, 14 and 10, 14 and 10, and 6, 2 and 8.  The sparse
         # route solves every block.  The dense route solves or certifies
@@ -922,6 +933,118 @@ class TestAxisPermutationSplit:
         assert boundary_korn_eigenvalue(mesh) == first
         assert len(calls[solver]) == 2 * solved
         assert calls[other] == []
+
+
+def kept_bytes(blocks):
+    return sum(stack.nbytes for _, stack in blocks)
+
+
+def probe(kind, n, degree):
+    """korn_constants ("korn") or boundary_korn_eigenvalue ("boundary") on
+    a freshly built cube(n, degree)."""
+    mesh = build_cube_mesh(n, degree)
+    return korn_constants(assemble_cube_forms(mesh)) if kind == "korn" else (
+        boundary_korn_eigenvalue(mesh))
+
+
+def probe_keys(kind, n, degree):
+    """The memo keys of a dense probe, one per solved class in turn."""
+    sums = korn._KORN_SUMS if kind == "korn" else korn._BOUNDARY_SUMS
+    return [(n, degree, sums, s) for s in korn._CLASS_ORBITS]
+
+
+class TestKeptBlocks:
+    """DECISIONS.md D24: the dense irreducible blocks of each solved class
+    are kept per (n, degree, sums, class), bounded by bytes, and every
+    eigensolve still runs on every call."""
+
+    def test_kept_stacks_are_read_only(self, cold_korn_memo):
+        forms = assemble_cube_forms(build_cube_mesh(2, 2))
+        s = (1, 1, 1)
+        blocks = forms.irreducible_blocks(korn._KORN_SUMS, s, True)
+        kept = korn._block_memo[2, 2, korn._KORN_SUMS, s]
+        # A caller gets its own list of the kept stacks.
+        blocks.clear()
+        again = forms.irreducible_blocks(korn._KORN_SUMS, s, True)
+        assert [dim for dim, _ in again] == [1, 1, 2]
+        assert all(got is stack for (_, got), (_, stack) in zip(again, kept))
+        for _, stack in kept:
+            assert stack.shape[0] == len(korn._KORN_SUMS)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                stack[1][...] = 0.0
+
+    def test_repeated_and_interleaved_probes_keep_their_bits(self, monkeypatch, cold_korn_memo):
+        # The reference keeps nothing, so it builds every block on each
+        # call, as the probes did before the keep.
+        budget = korn._BLOCK_MEMO_BYTES
+        monkeypatch.setattr(korn, "_BLOCK_MEMO_BYTES", 0)
+        ref = {args: probe(*args) for args in (("korn", 3, 2), ("boundary", 8, 1),
+                                               ("korn", 2, 2))}
+        assert not korn._block_memo
+        monkeypatch.setattr(korn, "_BLOCK_MEMO_BYTES", budget)
+        order = [("korn", 3, 2), ("korn", 3, 2), ("boundary", 8, 1), ("korn", 3, 2),
+                 ("boundary", 8, 1), ("korn", 2, 2), ("boundary", 8, 1), ("korn", 3, 2)]
+        for args in order:
+            got = probe(*args)
+            if args[0] == "korn":
+                assert_same_report(got, ref[args])
+            else:
+                assert got.hex() == ref[args].hex()
+        # Both benchmark meshes fit in the memo beside cube(2,2).
+        assert set(korn._block_memo) == {key for args in ref for key in probe_keys(*args)}
+
+    def test_memo_is_bounded_by_bytes_least_recently_used_first(self, monkeypatch,
+                                                                cold_korn_memo):
+        order = [("korn", 2, 2), ("boundary", 4, 1), ("korn", 3, 2), ("boundary", 8, 1),
+                 ("korn", 2, 2), ("boundary", 4, 1), ("korn", 4, 2), ("korn", 5, 2)]
+        default = korn._BLOCK_MEMO_BYTES
+        # The bytes of every entry, from a memo that keeps everything.
+        monkeypatch.setattr(korn, "_BLOCK_MEMO_BYTES", 2**40)
+        for args in order:
+            probe(*args)
+        sizes = {key: kept_bytes(blocks) for key, blocks in korn._block_memo.items()}
+        # At cube(5,2) the {-++} class alone holds more than the default
+        # budget, so it is not kept at all.
+        oversized = (5, 2, korn._KORN_SUMS, (-1, 1, 1))
+        assert sizes[oversized] > default
+        for budget in (2**20, default):
+            korn._block_memo.clear()
+            monkeypatch.setattr(korn, "_BLOCK_MEMO_BYTES", budget)
+            expected = []
+            for args in order:
+                probe(*args)
+                # Least recently used first: a probe moves each of its
+                # classes to the end in turn, and the oldest go first; a
+                # class alone above the budget is not kept and drops none.
+                for key in probe_keys(*args):
+                    expected = [k for k in expected if k != key]
+                    if sizes[key] <= budget:
+                        expected.append(key)
+                    while sum(sizes[k] for k in expected) > budget:
+                        expected.pop(0)
+                assert list(korn._block_memo) == expected, (budget, args)
+                assert sum(map(kept_bytes, korn._block_memo.values())) <= budget
+        # At the default budget cube(5,2) keeps its last class alone, and
+        # building its oversized class again drops nothing.
+        assert expected == probe_keys("korn", 5, 2)[-1:]
+        before = list(korn._block_memo)
+        assemble_cube_forms(build_cube_mesh(5, 2)).irreducible_blocks(
+            korn._KORN_SUMS, oversized[-1], True)
+        assert list(korn._block_memo) == before
+
+    def test_sparse_route_keeps_nothing(self, monkeypatch, cold_korn_memo):
+        mesh = build_cube_mesh(8, 1)
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 0)
+        lam = boundary_korn_eigenvalue(mesh)
+        assert not korn._block_memo
+        # cube(10,1) by default: the 540- and 516-row classes are sparse,
+        # and only the other two are kept.
+        monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 500)
+        boundary_korn_eigenvalue(build_cube_mesh(10, 1))
+        assert list(korn._block_memo) == probe_keys("boundary", 10, 1)[2:]
+        assert boundary_korn_eigenvalue(mesh) == pytest.approx(lam, rel=1e-12)
 
 
 # The axis permutations that fix each solved class, as (image of x, of y,

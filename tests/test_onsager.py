@@ -1,9 +1,11 @@
 """Wall coefficient pipeline: ratios, matching solves, final table, PSD audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from r13lab.models import bundled_model_path, bundled_models, load_model
+from r13lab.models import MTable, bundled_model_path, bundled_models, load_model, resolve_model
 from r13lab.onsager import (
     BoundaryCoeffs,
     boundary_coefficients,
@@ -365,6 +367,42 @@ class TestSyntheticTable:
         assert coeffs.S3 == pytest.approx(np.dot(p, p), rel=1e-12)
         assert coeffs.S4 == pytest.approx(np.dot(q, q), rel=1e-12)
         assert coeffs.T2 == pytest.approx(np.dot(p, q), rel=1e-12)
+
+
+# Relative bound of the tangential block identity: the measured gaps are at
+# most 3.1e-16 on the bundled models and 7.8e-16 at tangential_scale 0.1.
+TANGENTIAL_REL = 4e-15
+
+
+def tangential_case(name, scale):
+    """A bundled model, with its wall table rebuilt by synthetic_m_table at
+    the given tangential_scale unless that is None (the file's table, made
+    at scale 1)."""
+    model = resolve_model(name)
+    if scale is None:
+        return model, 1.0
+    table = synthetic_m_table(model.k, model.chi_tilde, tangential_scale=scale)
+    return dataclasses.replace(model, m=MTable(table)), scale
+
+
+class TestTangentialBlock:
+    """The synthetic wall table makes the tangential block of the boundary
+    coefficients s J P^2 J, with P = [[k3, k4], [k4, b]], b = 24 k7 / 25,
+    J the swap and s the table's tangential_scale: cond(W) = cond(P)^2."""
+
+    @pytest.mark.parametrize("name,scale", [(name, None) for name in BUNDLED]
+                             + [("eta7", 0.1), ("eta7", 10.0)])
+    def test_block_is_the_scaled_square_of_the_pair(self, name, scale):
+        model, s = tangential_case(name, scale)
+        c = boundary_coefficients(model)
+        k3, k4, b = model.k3, model.k4, 24.0 * model.k7 / 25.0
+        pair, swap = np.array([[k3, k4], [k4, b]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        block = np.array([[c.S1, c.T1], [c.T1, c.S2]])
+        ref = s * swap @ pair @ pair @ swap
+        assert np.abs(block - ref).max() <= TANGENTIAL_REL * np.abs(ref).max()
+        closed = s * np.array([k4**2 + b**2, k3**2 + k4**2, k4 * (k3 + b)])
+        gap = np.abs(np.array([c.S1, c.S2, c.T1]) - closed).max()
+        assert gap <= TANGENTIAL_REL * np.abs(closed).max()
 
 
 class TestCoefficientReport:
