@@ -726,8 +726,11 @@ def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
         for j, (_, (pencil, h1)) in enumerate(forms.irreducible_blocks(_BOUNDARY_SUMS, s, dense)):
             if h1.shape[0]:
                 index.append(j)
-                small = dense or h1.shape[0] > max(DENSE_CLASS_ROWS, 1)
-                blocks.append((pencil, h1) if small else (pencil.toarray(), h1.toarray()))
+                # Kept as built: a dense class's blocks, and a sparse one's
+                # above DENSE_CLASS_ROWS rows.  A one-row block is made dense
+                # whatever the threshold, since ARPACK cannot take it.
+                as_built = dense or h1.shape[0] > max(DENSE_CLASS_ROWS, 1)
+                blocks.append((pencil, h1) if as_built else (pencil.toarray(), h1.toarray()))
         # Seed streams: the index of s among all 8 classes, x fastest, and
         # the block's index in the class.
         k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)

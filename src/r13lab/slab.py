@@ -734,9 +734,13 @@ class SlabAssembly:
     its first argument, beside the monitor kernels.  Matrices are built from
     kernels per call by the layout, in the shared component dof layout; a
     system operator as one scatter of its placement table, the evolution
-    operator as the monitor stack's A operator plus its pressure coupling.
-    Across calls it keeps its A values, its monitor operators, whose stack
-    holds its only kept A, and the factorizations of its transient steps.
+    operator as the A rows of the transient stack plus its pressure
+    coupling rows.  Across calls it keeps its A values, its monitor
+    operators, whose stack holds its only kept A, and once it steps, the
+    transient stack [M; W; A; T; G], which takes over that A: the monitor
+    stack becomes a view of its leading rows.  Per (dt, scheme) of its
+    steps it keeps a factor, the load matrix and the kept dofs, but not
+    the factored matrix.
 
     Mostly the values are the assembly's own work.  Its kernels, forms and
     monitors alike, are probed once per (model, Kn, wall coefficients) in
@@ -878,16 +882,32 @@ class SlabAssembly:
 
     def transient_operator(self) -> sp.csr_matrix:
         """Weak operator of the evolution system (no zero-mean constraint):
-        the A rows of the monitor stack plus their pressure coupling, which
-        shares no entry with them.  The coupling's pattern is not kept, as
-        for `form`: a transient step builds the operator once per
-        factorization, so the layout keeps one A pattern.  Exact zeros are
-        not stored."""
+        the A rows of the transient stack plus its pressure coupling rows
+        G, which share no entry with them.  Built per call; a transient step
+        builds it once per factorization.  Exact zeros are not stored."""
         if self.formulation != "nonmaxwell":
             raise ValueError("transient stepping uses the coercive grouping spaces")
+        stack, n = self._transient_stack, self.ndof
+        return stack[2 * n:3 * n] + stack[-n:]
+
+    @functools.cached_property
+    def _transient_stack(self) -> sp.csr_matrix:
+        """[M; W; A; T; G], read-only: the monitor stack over the pressure
+        coupling G of the evolution operator, built on first use.  The
+        coupling's pattern is not kept, as for `form`.  One product of a
+        step with it gives the monitor rows and its residual check (see
+        step_transient)."""
         coupled, walled, vals = self._layout.values(*self._placed(TRANSIENT_PLACEMENTS))
-        a_rows = self._monitor_ops.products[2 * self.ndof:3 * self.ndof]
-        return a_rows + self._layout._build_pattern(coupled, walled).matrix(vals)
+        coupling = self._layout._build_pattern(coupled, walled).matrix(vals)
+        ops = self._monitor_ops
+        stack = _frozen(sp.vstack([ops.products, coupling], format="csr"))
+        # The monitor stack becomes a view of the leading rows, so the
+        # assembly keeps one copy of M, W, A and T.
+        rows, nnz = ops.products.shape[0], ops.products.nnz
+        self._monitor_ops = ops._replace(products=sp.csr_matrix(
+            (stack.data[:nnz], stack.indices[:nnz], stack.indptr[:rows + 1]),
+            shape=ops.products.shape))
+        return stack
 
     def _integral_vector(self, component: str) -> np.ndarray:
         """Integral functional of one component."""
@@ -1134,7 +1154,8 @@ def _f2_trace_value(model: MolecularModel, kn: float, frame: Frame, a: dict, b: 
 
 # Monitor forms on the coefficient vector x.  products stacks, by rows, the
 # mass matrix M, W, the A operator and the trace map T (sp.vstack of their
-# CSR arrays, so each row keeps its entry order), so y = products @ x
+# CSR arrays, so each row keeps its entry order; once the assembly steps, a
+# view of the leading rows of its transient stack), so y = products @ x
 # holds M x, W x, A x and the 4 m wall traces t = T x: energy = x.Mx / 2,
 # w1 = x.Wx and b_diag = x.Ax, while mass = mass.x (integral of rho = p -
 # theta) is a dense dot.  On t, index (wall, value | derivative,
@@ -1172,12 +1193,19 @@ def monitors(state: DiscreteState, assembly: SlabAssembly,
     kernel on the traces.  The mass is a dense dot of x.
     """
     x = _coefficients(state, assembly)
+    return _monitors(x, assembly._monitor_ops.products @ x, assembly, wall,
+                     residual, residual_rel)
+
+
+def _monitors(x: np.ndarray, y: np.ndarray, assembly: SlabAssembly, wall: WallData | None,
+              residual: float, residual_rel: float) -> SolveMonitors:
+    """The monitors of coefficient vector x, given y whose leading rows are
+    the monitor stack's product with x; rows past them are not read."""
     ops, n = assembly._monitor_ops, assembly.ndof
-    y = ops.products @ x
     energy = 0.5 * float(x @ y[:n])
     w1 = float(x @ y[n:2 * n])
     b_diag = float(x @ y[2 * n:3 * n])
-    t = y[3 * n:]
+    t = y[3 * n:ops.products.shape[0]]
     entropy = _ENTROPY_REFERENCE - energy
     mass = float(ops.mass @ x)
     i_bdry, f1, f2_trace = ((ops.wall @ t) @ t).tolist()
@@ -1203,26 +1231,39 @@ def _factor(red: sp.csc_matrix):
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
 
-def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray):
-    """(x, absolute, relative residual) of red x = b solved with its factor
-    lu, for one right-hand side or a block of them (Frobenius norms).
-    Raises SolverError on non-finite entries, a relative residual not
-    within RESIDUAL_RTOL or a load norm that overflows."""
+def _solve(lu, b: np.ndarray) -> np.ndarray:
+    """lu.solve(b); raises SolverError on non-finite entries."""
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("solution contains non-finite entries")
+    return x
+
+
+def _gate(lhs: np.ndarray, b: np.ndarray):
+    """(absolute, relative residual) of a solve whose factored matrix maps
+    its solution to lhs, against the load b (Frobenius norms).  Raises
+    SolverError on a relative residual not within RESIDUAL_RTOL or a load
+    norm that overflows."""
     # Norms of huge entries overflow to inf, and inf / inf is NaN: both fail
     # the gate.  Over an infinite load norm a finite residual reads 0, so an
     # overflowing load fails too.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = float(np.linalg.norm(red @ x - b))
+        res = float(np.linalg.norm(lhs - b))
         bnorm = float(np.linalg.norm(b))
     rel = res / bnorm if bnorm > 0 else 0.0
     if not rel <= RESIDUAL_RTOL:
         raise SolverError(f"residual {res:.3e} is not within {RESIDUAL_RTOL:.1e} * ||rhs||")
     if bnorm == np.inf:
         raise SolverError("load norm overflows: the relative residual cannot be checked")
-    return x, res, rel
+    return res, rel
+
+
+def _checked_solve(lu, red: sp.csc_matrix, b: np.ndarray):
+    """(x, absolute, relative residual) of red x = b solved with its factor
+    lu, for one right-hand side or a block of them; see _solve and _gate
+    for the checks."""
+    x = _solve(lu, b)
+    return (x, *_gate(red @ x, b))
 
 
 def solve_steady(assembly: SlabAssembly, wall: WallData):
@@ -1258,6 +1299,12 @@ def step_transient(state: DiscreteState, dt: float, scheme: str, assembly: SlabA
     operator; implicit Euler (theta = 1) is unconditionally dissipative,
     the trapezoidal scheme (theta = 1/2) nearly conserves for small dt.
     state must be a state of assembly.
+
+    The left matrix is factored once per (dt, scheme) and not kept.  A
+    step is the sparse product of its load, one LU solve and one sparse
+    product of the new coefficients with the assembly's transient stack
+    [M; W; A; T; G] (L = A + G), whose rows give both the monitors and
+    the residual check.
     """
     x = _coefficients(state, assembly)
     dt = _positive_float(dt, "dt")
@@ -1276,15 +1323,20 @@ def step_transient(state: DiscreteState, dt: float, scheme: str, assembly: SlabA
         # coefficient vector; every row keeps its entries and their order.
         right = sp.csr_matrix((right.data, keep[right.indices], right.indptr),
                               shape=(keep.size, assembly.ndof))
-        cached = (_factor(left), left, right, keep)
+        cached = (_factor(left), right, keep)
         assembly._factorizations[key] = cached
-    lu, left, right, keep = cached
-    xr, res, rel = _checked_solve(lu, left, right @ x)
+    lu, right, keep = cached
+    b = right @ x
     coeffs = np.zeros(assembly.ndof)
-    coeffs[keep] = xr
+    coeffs[keep] = _solve(lu, b)
+    n, y = assembly.ndof, assembly._transient_stack @ coeffs
+    # coeffs vanishes off keep, so on keep (M/dt + theta (A + G)) coeffs is
+    # the left matrix applied to the solution.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (y[:n] / dt + theta_s * (y[2 * n:3 * n] + y[-n:]))[keep]
+    res, rel = _gate(lhs, b)
     new_state = DiscreteState(assembly=assembly, coefficients=coeffs)
-    mon = monitors(new_state, assembly, residual=res, residual_rel=rel)
-    return new_state, mon
+    return new_state, _monitors(coeffs, y, assembly, None, res, rel)
 
 
 def transient_run(assembly: SlabAssembly, initial: DiscreteState, dt: float,

@@ -1,7 +1,7 @@
-"""Macroscopic R13 state: the 11-component state vector, the mass-weighted
+"""Macroscopic R13 state: the 13-component state vector, the mass-weighted
 inner product, relaxation, entropy density, and physical flux recovery.
 
-Canonical serialization order of the 11 scalar components:
+Canonical serialization order of the 13 scalar components:
 
     rho, theta, u1, u2, u3, s1, s2, s3, sig11, sig22, sig12, sig13, sig23
 
@@ -17,11 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensors import StfTensor3, slab_grad_vec, slab_grad_stf2
-
-COMPONENT_NAMES = (
-    "rho", "theta", "u1", "u2", "u3", "s1", "s2", "s3",
-    "sig11", "sig22", "sig12", "sig13", "sig23",
-)
 
 
 @dataclass(frozen=True)

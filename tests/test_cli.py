@@ -170,6 +170,29 @@ class TestSolves:
         e2 = read_csv(out2 / "monitors.csv")["energy"][0]
         assert e1 != e2
 
+    def test_zero_initial_state_stays_at_rest(self, tmp_path, outdir):
+        config = write_config(tmp_path, elements=8, steps=3, initial="zero")
+        code = run("solve-transient", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_OK
+        assert list(read_csv(outdir / "monitors.csv")["energy"]) == [0.0] * 4
+
+    def test_unknown_initial_state_is_config_error(self, tmp_path, outdir, capsys):
+        config = write_config(tmp_path, elements=8, steps=3, initial="gaussian")
+        code = run("solve-transient", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+        assert "unknown initial state 'gaussian'" in capsys.readouterr().err
+
+    def test_steady_fourier_problem(self, tmp_path, outdir):
+        config = write_config(tmp_path, problem="fourier", elements=8)
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_OK
+        monitors = json.loads((outdir / "monitors.json").read_text())
+        assert monitors["residual_rel"] <= 1e-8
+        assert monitors["wall_load"] != 0.0
+
     def test_converge_table(self, tmp_path, outdir):
         config = write_config(tmp_path, kn=1.0, levels=[4, 8, 16])
         code = run("converge", "--model", "eta7", "--config", config,
@@ -247,6 +270,30 @@ class TestPlumbing:
         code = run("solve-transient", "--model", "eta7", "--config", config,
                    "--out", str(outdir))
         assert code == EXIT_CONFIG
+
+    def test_zero_threads_is_config_error(self, outdir, capsys):
+        code = run("validate-params", "--model", "eta7", "--threads", "0",
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+        assert "--threads must be a positive integer" in capsys.readouterr().err
+
+    def test_empty_config_runs_with_the_defaults(self, tmp_path):
+        empty = tmp_path / "empty.yaml"
+        empty.write_text("")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("korn", "--config", str(empty), "--out", str(out1)) == EXIT_OK
+        assert run("korn", "--out", str(out2)) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["config"] == cli.CONFIG_DEFAULTS["korn"]
+        for name in ("korn_report.json", "korn_tails.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_unknown_formulation_is_config_error(self, tmp_path, outdir, capsys):
+        config = write_config(tmp_path, formulation="foo", elements=8)
+        code = run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(outdir))
+        assert code == EXIT_CONFIG
+        assert "unknown formulation 'foo'" in capsys.readouterr().err
 
     def test_unknown_problem_name(self, tmp_path, outdir):
         config = write_config(tmp_path, problem="vortex")

@@ -53,6 +53,11 @@ def test_gauss_tabulation_is_read_only(kind):
             arr[(0,) * arr.ndim] += 1.0
 
 
+def test_space_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown space kind 'hermite'"):
+        ScalarSpace(SlabMesh(4, 2), "hermite")
+
+
 NODE_SETS = {
     "equispaced-1": np.linspace(0.0, 1.0, 2),
     "equispaced-2": np.linspace(0.0, 1.0, 3),

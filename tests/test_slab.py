@@ -1162,6 +1162,71 @@ class TestTransient:
         with pytest.raises(slab.SolverError, match="residual"):
             slab._checked_solve(other, red, b)
 
+    def test_warm_step_makes_one_sparse_product_besides_its_load(self, eta7, monkeypatch):
+        # A factorization record keeps the factor, the load matrix and the
+        # kept dofs, not the factored matrix.  A warm step multiplies the
+        # load matrix and then the transient stack, nothing else.
+        asm = SlabAssembly(SlabMesh(8, 2), eta7, KN, "nonmaxwell")
+        state, _ = step_transient(random_state(asm, np.random.default_rng(5)), 0.05,
+                                  "implicit-euler", asm)
+        (record,) = asm._factorizations.values()
+        lu, right, keep = record
+        assert isinstance(lu, spla.SuperLU)
+        assert [mat.shape for mat in record if sp.issparse(mat)] == [(keep.size, asm.ndof)]
+        products = []
+        dispatch = sp._base._spbase._matmul_dispatch
+
+        def counting(mat, other):
+            products.append(mat)
+            return dispatch(mat, other)
+
+        monkeypatch.setattr(sp._base._spbase, "_matmul_dispatch", counting)
+        step_transient(state, 0.05, "implicit-euler", asm)
+        assert [id(mat) for mat in products] == [id(right), id(asm._transient_stack)]
+
+    @pytest.mark.parametrize("scheme,theta", [("implicit-euler", 1.0),
+                                              ("crank-nicolson", 0.5)])
+    def test_step_monitors_and_residual_read_the_stack_product(self, eta7, scheme, theta):
+        # The step's monitors are those of monitors() bit for bit, before
+        # and after the monitor stack became a view of the transient stack;
+        # its residual is that of the left matrix to roundoff.
+        asm = SlabAssembly(SlabMesh(16, 2), eta7, KN, "nonmaxwell")
+        state = random_state(asm, np.random.default_rng(6))
+        before = monitors(state, asm)
+        new, mon = step_transient(state, 0.02, scheme, asm)
+        stack, ops = asm._transient_stack, asm._monitor_ops
+        assert np.shares_memory(ops.products.data, stack.data)
+        assert monitors(state, asm) == before
+        assert monitors(new, asm, residual=mon.residual, residual_rel=mon.residual_rel) == mon
+        keep = asm._layout.free_dofs
+        mass, op = asm.mass_matrix(), asm.transient_operator()
+        left = (mass / 0.02 + theta * op)[keep][:, keep]
+        b = ((mass / 0.02 - (1.0 - theta) * op) @ state.coefficients)[keep]
+        res = np.linalg.norm(left @ new.coefficients[keep] - b)
+        assert abs(mon.residual - res) <= 1e-14 * np.linalg.norm(b)
+        assert 0.0 < mon.residual_rel <= 1e-14
+
+    def test_crank_nicolson_residual_gate(self, eta7, monkeypatch):
+        # test_step_residual_gate for the theta = 1/2 rows of the stack.
+        splu = slab.spla.splu
+        monkeypatch.setattr(slab, "spla",
+                            SimpleNamespace(splu=lambda mat: splu(1.001 * mat)))
+        asm = SlabAssembly(SlabMesh(4, 2), eta7, KN, "nonmaxwell")
+        state = random_state(asm, np.random.default_rng(1))
+        with pytest.raises(slab.SolverError, match="residual"):
+            step_transient(state, 0.05, "crank-nicolson", asm)
+
+    def test_non_finite_solution_is_solver_error(self, eta7, monkeypatch):
+        # A factor whose solve returns NaN fails before any residual is read.
+        factor = SimpleNamespace(solve=lambda b: np.full(np.shape(b), np.nan))
+        monkeypatch.setattr(slab, "spla", SimpleNamespace(splu=lambda mat: factor))
+        asm = SlabAssembly(SlabMesh(4, 2), eta7, KN, "nonmaxwell")
+        with pytest.raises(slab.SolverError, match="^solution contains non-finite entries$"):
+            solve_steady(asm, WallData.couette())
+        with pytest.raises(slab.SolverError, match="^solution contains non-finite entries$"):
+            step_transient(random_state(asm, np.random.default_rng(1)), 0.05,
+                           "implicit-euler", asm)
+
     @pytest.mark.parametrize("n,below", [(64, 13), (128, 3)])
     def test_default_mesh_slow_spectrum(self, eta7, n, below):
         # DECISIONS.md D19: at eta7, kn 0.1, degree 2 the default transient

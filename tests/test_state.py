@@ -69,6 +69,10 @@ class TestRelaxation:
         assert out.s_bar[0] == pytest.approx(-(4.0 / 15.0) * RELAX_MODEL.l1 / 0.5)
         assert out.sigma_bar.components[0] == pytest.approx(-0.5 * RELAX_MODEL.l2 / 0.5)
 
+    def test_rejects_nonpositive_kn(self):
+        with pytest.raises(ValueError, match="Kn must be positive"):
+            relaxation_apply(StateVector(), RELAX_MODEL, 0.0)
+
     def test_normalized_damping_rates(self):
         u = StateVector(s_bar=np.array([0.0, 1.0, 0.0]))
         out = relaxation_rates(u, RELAX_MODEL, kn=0.2)
@@ -151,6 +155,10 @@ class TestSerialization:
     def test_pressure_accessor(self):
         u = StateVector(rho=0.25, theta=-1.0)
         assert u.p == pytest.approx(-0.75)
+
+    def test_from_array_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 13 canonical components"):
+            StateVector.from_array(np.zeros(12))
 
 
 class TestBatching:
