@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -228,15 +227,13 @@ def parity_bases(sizes, signs) -> tuple:
     return tuple(bases)
 
 
-@functools.lru_cache(maxsize=16)
-def cg_line_matrices(n: int, degree: int) -> MappingProxyType:
+def cg_line_matrices(n: int, degree: int) -> dict:
     """Dense global matrices of degree-p continuous Lagrange elements on a
     uniform n-element mesh of [0, 1], nodes left to right: "M" mass, "K"
     stiffness, "G" the derivative coupling G[i, j] = int phi_i' phi_j, "GT"
     its transpose, and "T" the endpoint trace phi_i(0) phi_j(0) + phi_i(1) phi_j(1).
     The zero diagonal of G at interior nodes is exact (`element_matrices`).
-    Built once per (n, degree): a read-only mapping of read-only arrays,
-    shared by every caller.
+    Built afresh on every call.
     """
     cg = ScalarSpace(SlabMesh(n, degree), "cg")
     dofs = cg.all_element_dofs()
@@ -244,9 +241,9 @@ def cg_line_matrices(n: int, degree: int) -> MappingProxyType:
     for mat, elem in zip(mats, element_matrices(cg, cg)):
         rows, cols, vals = element_coo(dofs, dofs, elem)
         np.add.at(mat, (rows, cols), vals)
-    mass, _, g, stiff = read_only(mats)[0]
-    return MappingProxyType({"M": mass, "K": stiff, "G": g, "GT": g.T,
-                             "T": read_only(np.diag(np.r_[1.0, np.zeros(cg.ndof - 2), 1.0]))[0]})
+    mass, _, g, stiff = mats
+    return {"M": mass, "K": stiff, "G": g, "GT": g.T,
+            "T": np.diag(np.r_[1.0, np.zeros(cg.ndof - 2), 1.0])}
 
 
 def pencil_above(a: np.ndarray, g: np.ndarray, tau: float) -> bool:

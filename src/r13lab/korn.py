@@ -56,7 +56,10 @@ and odd under a swap.  Their bases are orbit sums, signed orbit sums and
 The class block is built once and every block projected from it through
 one side of the projection only (`Irrep`).  The dense blocks depend on the
 mesh alone, so they are kept per mesh, class and form sums, under a byte
-bound: a repeated dense probe of a mesh runs only its eigensolves.
+bound: a repeated dense probe of a mesh runs only its eigensolves.  They
+are the only state the module keeps between calls; the line matrices,
+their parity-projected factors, the term tables and the irreducible bases
+are built afresh by each call that needs them.
 `korn_constants` runs a dense solve of each such block and skips none: it
 reports whole spectral tails, the largest stf eigenvalue and the size of
 the stf kernel, which need every block's spectrum, and the 10-fold
@@ -76,7 +79,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -318,55 +320,47 @@ _FORM_TERMS["h1"] = _FORM_TERMS["l2"] + [(1.0, _on({a: "K"}), c, c)
 _LINES = ("M", "K", "G", "GT", "T")
 
 
-@functools.cache
 def _term_table(sums: tuple) -> dict:
     """The Kronecker terms of a tuple of form sums, such as (("boundary",
     "stf"), ("h1",)), grouped by component pair: (c, d) maps to the distinct
     factor triples, as indices into _LINES along (x, y, z), and to the
-    coefficient table with one row per sum and one column per triple, as
-    read-only arrays shared by every caller."""
+    coefficient table with one row per sum and one column per triple."""
     table = {}
     for k, names in enumerate(sums):
         for coef, factors, c, d in (t for name in names for t in _FORM_TERMS[name]):
             key = tuple(map(_LINES.index, factors))
             table.setdefault((c, d), {}).setdefault(key, np.zeros(len(sums)))[k] += coef
-    return {cd: read_only(np.array(list(terms)), np.array(list(terms.values())).T)
+    return {cd: (np.array(list(terms)), np.array(list(terms.values())).T)
             for cd, terms in sorted(table.items())}
 
 
-@functools.cache
-def _line_parity(m: int) -> dict:
-    """Dense even (+1) and odd (-1) bases on m mirror-symmetric nodes, and
-    the identity (0); read-only arrays, shared by every caller."""
-    even, odd = parity_bases([m], [1.0])
-    return dict(zip((1, -1, 0), read_only(even.toarray(), odd.toarray(), np.eye(m))))
-
-
-@functools.lru_cache(maxsize=16)
-def _line_factors(n: int, degree: int) -> MappingProxyType:
+def _line_factors(n: int, degree: int) -> dict:
     """Per parity pair (p, q), with 0 the unprojected identity basis: the
     union nonzero pattern (i, j) of the projected 1-D factors P_p^T F P_q
     of the lines F in _LINES of `fe1d.cg_line_matrices(n, degree)`, their
     values on it (exact zeros kept) with one row per line, and their
-    shape.  Built once per (n, degree), as read-only arrays shared by every
-    caller."""
+    shape.  P_1 and P_-1 are the dense even and odd bases of
+    `fe1d.parity_bases` on the mirror-symmetric line nodes."""
     lines = cg_line_matrices(n, degree)
-    parity = _line_parity(len(lines["M"]))
+    m = len(lines["M"])
+    even, odd = parity_bases([m], [1.0])
+    parity = {1: even.toarray(), -1: odd.toarray(), 0: np.eye(m)}
     factors = {}
     for p, q in ((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)):
         mats = np.stack([parity[p].T @ lines[f] @ parity[q] for f in _LINES])
         i, j = np.nonzero(np.any(mats != 0.0, axis=0))
-        factors[p, q] = (*read_only(i, j, mats[:, i, j]), mats.shape[1:])
-    return MappingProxyType(factors)
+        factors[p, q] = (i, j, mats[:, i, j], mats.shape[1:])
+    return factors
 
 
 def _class_layout(m: int, s: tuple) -> tuple:
     """Per component c, its parities along (x, y, z) in reflection class s
-    on m nodes per axis, and the offsets of the components' rows in the
-    class basis, the last one being the class size."""
+    on m nodes per axis, and their basis sizes, (m + 1) // 2 even and
+    m // 2 odd; and the offsets of the components' rows in the class
+    basis, the last one being the class size."""
     parity = [tuple(-sa if a == c else sa for a, sa in enumerate(s)) for c in range(3)]
-    dim = {p: basis.shape[1] for p, basis in _line_parity(m).items()}
-    return parity, np.cumsum([0] + [dim[px] * dim[py] * dim[pz] for px, py, pz in parity])
+    shape = np.array([[(m + 1) // 2 if p > 0 else m // 2 for p in pc] for pc in parity])
+    return parity, shape, np.cumsum([0, *shape.prod(axis=1)])
 
 
 def _stabilizer(m: int, s: tuple) -> np.ndarray:
@@ -381,11 +375,8 @@ def _stabilizer(m: int, s: tuple) -> np.ndarray:
     of a dof along axis a to axis sigma[a].  The 1-D bases are the same along
     every axis, so this is a plain permutation of the class dofs.
     """
-    parity, offset = _class_layout(m, s)
-    dim = {p: basis.shape[1] for p, basis in _line_parity(m).items()}
-    # Basis sizes along (x, y, z) per component, and each dof's component
-    # and indices along (x, y, z), x fastest.
-    shape = np.array([[dim[p] for p in parity[c]] for c in range(3)])
+    _, shape, offset = _class_layout(m, s)
+    # Each dof's component and indices along (x, y, z), x fastest.
     comp = np.repeat(np.arange(3), np.diff(offset))
     local = np.arange(offset[-1]) - offset[comp]
     nx, ny = shape[comp, 0], shape[comp, 1]
@@ -410,7 +401,7 @@ def _stabilizer(m: int, s: tuple) -> np.ndarray:
 class Irrep:
     """One irreducible block of a reflection class: the irrep's dimension
     `dim`, the transpose qt (k x n) of its orthonormal basis q, and the
-    transpose yt of its preimage columns y, both CSR and read-only.
+    transpose yt of its preimage columns y, both CSR.
 
     Each basis column is q_j = E y_j / |H| with E self-adjoint and
     E^2 = |H| E (`_IRREPS`), so E q_j = |H| q_j.  Every form a of the class
@@ -439,20 +430,16 @@ class Irrep:
         return (self.qt @ ay.reshape(n, -1)).reshape(self.rows, count, self.rows).transpose(1, 0, 2)
 
 
-def _read_only_rows(n: int, at: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_matrix:
+def _csr_rows(n: int, at: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_matrix:
     """The CSR matrix (k x n) whose row j has weights w[:, j] at columns
-    at[:, j], repeated columns adding up, with read-only arrays."""
-    rows = scipy.sparse.csr_matrix((w.T.ravel(), at.T.ravel(), np.arange(0, at.size + 1, len(at))),
+    at[:, j], repeated columns adding up."""
+    return scipy.sparse.csr_matrix((w.T.ravel(), at.T.ravel(), np.arange(0, at.size + 1, len(at))),
                                    shape=(at.shape[1], n))
-    read_only(rows.data, rows.indices, rows.indptr)
-    return rows
 
 
-@functools.lru_cache(maxsize=8)
 def _irreducible_bases(m: int, s: tuple) -> tuple:
     """The irreducible blocks of class s, on m nodes per axis, under its
-    stabilizer H, as `Irrep` records in the order of `_IRREPS`; the mesh
-    alone sets them, so the last two meshes' are kept.
+    stabilizer H, as `Irrep` records in the order of `_IRREPS`.
 
     The dofs fall into orbits under H, each named by its smallest dof x.
     Every basis row of `_IRREPS` gives a column q_x = E y_x / c_x per orbit
@@ -483,8 +470,8 @@ def _irreducible_bases(m: int, s: tuple) -> tuple:
         pre_at, pre_w = np.hstack(pre_at), np.hstack(pre_w)
         # A preimage on x alone gathers one row per column.
         terms = 2 if pre_w[1].any() else 1
-        bases.append(Irrep(dim, _read_only_rows(n, np.hstack(at), np.hstack(w)),
-                           _read_only_rows(n, pre_at[:terms], pre_w[:terms])))
+        bases.append(Irrep(dim, _csr_rows(n, np.hstack(at), np.hstack(w)),
+                           _csr_rows(n, pre_at[:terms], pre_w[:terms])))
     return tuple(bases)
 
 
@@ -497,15 +484,15 @@ def _global_gram(form: str):
 
 @dataclass(frozen=True)
 class CubeForms:
-    """The four quadratic forms of a cube mesh, kept as its 1-D line
-    matrices.  `l2`, `h1`, `stf` and `boundary` are the global Grams, built
-    on first access; `dense_blocks` and `sparse_blocks` build sums of forms
-    on one reflection class without any global Gram, `block(form, s)` one
-    form, and `irreducible_blocks` the sums on each irreducible block of a
-    class under its axis-permutation stabilizer."""
+    """The four quadratic forms of a cube mesh, evaluated from its
+    parity-projected 1-D line factors, built on first use.  `l2`, `h1`,
+    `stf` and `boundary` are the global Grams, built on first access;
+    `dense_blocks` and `sparse_blocks` build sums of forms on one
+    reflection class without any global Gram, and `irreducible_blocks` the
+    sums on each irreducible block of a class under its axis-permutation
+    stabilizer."""
 
     mesh: CubeMesh
-    lines: MappingProxyType = field(repr=False)
 
     l2 = _global_gram("l2")
     h1 = _global_gram("h1")
@@ -513,13 +500,13 @@ class CubeForms:
     boundary = _global_gram("boundary")
 
     @functools.cached_property
-    def _factors(self) -> MappingProxyType:
+    def _factors(self) -> dict:
         """The mesh's `_line_factors`."""
         return _line_factors(self.mesh.n, self.mesh.degree)
 
     def class_size(self, s: tuple) -> int:
         """Number of dofs in reflection class s = (s_x, s_y, s_z)."""
-        return int(_class_layout(len(self.lines["M"]), s)[1][-1])
+        return int(_class_layout(self.mesh.line.ndof, s)[2][-1])
 
     def _evaluate(self, sums: tuple, s: tuple | None):
         """The size of reflection class s = (s_x, s_y, s_z), or of all dofs
@@ -536,7 +523,7 @@ class CubeForms:
             parity, offset, stride = [(0, 0, 0)] * 3, range(3), 3
             size = self.mesh.n_dofs
         else:
-            parity, offset = _class_layout(len(self.lines["M"]), s)
+            parity, _, offset = _class_layout(self.mesh.line.ndof, s)
             stride, size = 1, offset[-1]
 
         def pairs():
@@ -576,27 +563,24 @@ class CubeForms:
             mats.append(mat)
         return mats
 
-    def block(self, form: str, s: tuple) -> scipy.sparse.csr_matrix:
-        """Gram of one form on reflection class s = (s_x, s_y, s_z)."""
-        return self.sparse_blocks(((form,),), s)[0]
-
     def irreducible_blocks(self, sums: tuple, s: tuple, dense: bool) -> list:
         """The form sums on each irreducible block of class s, as
         (dim, mats) in the order of `_irreducible_bases`: a read-only stack
         of dense matrices if dense, else a list of CSR matrices.  The class
         blocks are built once, dense or sparse, and each is projected as
         q^T a y.  The dense stacks depend on the mesh alone, and are kept
-        in `_block_memo` (DECISIONS.md D24); the sparse ones are built on
-        every call."""
-        bases = _irreducible_bases(len(self.lines["M"]), s)
+        in `_block_memo` (DECISIONS.md D24), the only state this module
+        keeps between calls; the sparse ones, and the bases, are built on
+        every call that needs them."""
+        m = self.mesh.line.ndof
         if not dense:
             mats = self.sparse_blocks(sums, s)
-            return [(b.dim, [b.qt @ a @ b.yt.T for a in mats]) for b in bases]
+            return [(b.dim, [b.qt @ a @ b.yt.T for a in mats]) for b in _irreducible_bases(m, s)]
         key = (self.mesh.n, self.mesh.degree, sums, s)
         kept = _block_memo.pop(key, None)
         if kept is None:
             rows_of = self.dense_blocks(sums, s).transpose(1, 0, 2)
-            kept = tuple((b.dim, *read_only(b.project(rows_of))) for b in bases)
+            kept = tuple((b.dim, *read_only(b.project(rows_of))) for b in _irreducible_bases(m, s))
         _block_memo[key] = kept
         trim_lru(_block_memo, _BLOCK_MEMO_BYTES, lambda blocks: sum(a.nbytes for _, a in blocks))
         return list(kept)
@@ -604,7 +588,7 @@ class CubeForms:
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:
     """The L2, H1, stf-gradient and boundary forms of a cube mesh."""
-    return CubeForms(mesh=mesh, lines=cg_line_matrices(mesh.n, mesh.degree))
+    return CubeForms(mesh=mesh)
 
 
 def interpolate(mesh: CubeMesh, func) -> np.ndarray:

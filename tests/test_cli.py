@@ -260,6 +260,23 @@ class TestPlumbing:
             assert run(command, "--model", str(model), "--out", str(outdir)) == EXIT_CONFIG
             assert "maxwell: true needs the Maxwell limit" in capsys.readouterr().err
 
+    def test_inconsistent_matching_model(self, tmp_path, outdir, capsys):
+        # eta7 with m67 changed: every proportionality ratio agrees, the
+        # normal-stress matching does not.  A solve needs the strict table
+        # and exits 2; derive-bcs reports the table as inconsistent, exit 3.
+        doc = yaml.safe_load(bundled_model_path("eta7").read_text())
+        doc["m"][5][6] = 2.0
+        model = tmp_path / "eta7-m67.yaml"
+        model.write_text(yaml.safe_dump(doc))
+        assert run("solve-steady", "--model", str(model), "--out", str(outdir)) == EXIT_CONFIG
+        assert ("normal-stress matching system is inconsistent beyond tolerance"
+                in capsys.readouterr().err)
+        assert not (outdir / "monitors.json").exists()
+        assert run("derive-bcs", "--model", str(model), "--out", str(outdir)) == EXIT_DATA
+        report = json.loads((outdir / "boundary_coefficients.json").read_text())
+        assert report["matching"]["consistent"] is False and report["consistent"] is False
+        assert report["proportionality"]["inconsistent"] == []
+
     def test_unknown_bundled_model(self, outdir):
         code = run("validate-params", "--model", "nosuch", "--out", str(outdir))
         assert code == EXIT_CONFIG

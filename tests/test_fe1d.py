@@ -152,18 +152,6 @@ def test_cg_line_matrices_integrate_polynomials(n, degree):
     assert np.array_equal(lines["T"], np.diag(np.abs(ends)))
 
 
-def test_cg_line_matrices_are_shared_and_read_only():
-    # Built once per (n, degree) and handed to every caller, so no caller
-    # can edit another's matrices.
-    lines = cg_line_matrices(3, 2)
-    assert cg_line_matrices(3, 2) is lines
-    with pytest.raises(TypeError):
-        lines["M"] = np.eye(7)
-    for arr in lines.values():
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1.0
-
-
 def test_mesh_rejects_counts_beyond_exact_float_nodes():
     # Node and point arithmetic is in floats, exact up to 2**53 nodes.
     assert SlabMesh(2**53 - 1, 1).n_elements == 2**53 - 1

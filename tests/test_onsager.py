@@ -272,6 +272,20 @@ class TestBoundaryCoefficients:
         coeffs = boundary_coefficients(load_model(doc), strict=False)
         assert np.isfinite(coeffs.S1)
 
+    def test_strict_mode_rejects_inconsistent_matching(self):
+        # C7 reads m63-m65 only, so a changed m67 leaves every ratio in
+        # agreement and breaks the normal-stress matching system alone.
+        model = resolve_model("eta7")
+        table = model.m.array.copy()
+        table[5, 6] = 2.0  # m67
+        model = dataclasses.replace(model, m=MTable(table))
+        assert proportionality_constants(model).inconsistent() == ()
+        assert not matching_solve(model).consistent()
+        with pytest.raises(ValueError, match="normal-stress matching system is inconsistent "
+                                             "beyond tolerance"):
+            boundary_coefficients(model)
+        assert np.isfinite(boundary_coefficients(model, strict=False).S1)
+
     def test_maxwell_momentum_path_collapses(self):
         model = load_model(bundled_model_path("maxwell"))
         match = matching_solve(model)

@@ -91,6 +91,10 @@ class TestRelaxation:
         with pytest.raises(ValueError):
             relaxation_apply(StateVector(), RELAX_MODEL, kn=0.0)
 
+    def test_rates_reject_nonpositive_kn(self):
+        with pytest.raises(ValueError, match="Kn must be positive"):
+            relaxation_rates(StateVector(), RELAX_MODEL, 0.0)
+
 
 class TestEntropy:
     def test_reference_value(self):
