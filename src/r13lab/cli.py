@@ -98,10 +98,9 @@ def _apply_thread_cap(threads: int | None) -> None:
 
 
 def _resolve_out_dir(flag: str | None) -> Path:
-    out = flag or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; made by the first output written into it, so a
+    run that fails before any output leaves none behind."""
+    return Path(flag or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT)
 
 
 def _load_config_file(path: str) -> dict:
@@ -197,10 +196,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output, making its directory first if need be."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     """Raises ValueError, writing nothing, if the payload holds a NaN or an
     infinity, which JSON cannot represent."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -213,7 +218,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     else:
         lines += [",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
                   for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _finish(out_dir: Path, command: str, cfg: dict, args,

@@ -246,9 +246,11 @@ def cg_line_matrices(n: int, degree: int) -> dict:
             "T": np.diag(np.r_[1.0, np.zeros(cg.ndof - 2), 1.0])}
 
 
-def pencil_above(a: np.ndarray, g: np.ndarray, tau: float) -> bool:
+def pencil_above(a: np.ndarray, g: np.ndarray | None, tau: float) -> bool:
     """True iff the dense Cholesky factorization (LAPACK potrf) of
-    a - tau * g succeeds, g symmetric positive definite.
+    a - tau * g succeeds, g symmetric positive definite; with g None, a is
+    a pencil in standard form and potrf factors a - tau * I.  Either reads
+    the lower triangle alone.
 
     By Sylvester's law of inertia a - tau * g is positive definite exactly
     when every eigenvalue of the symmetric pencil (a, g) exceeds tau, so a
@@ -258,25 +260,32 @@ def pencil_above(a: np.ndarray, g: np.ndarray, tau: float) -> bool:
     of the pencil.  A NaN fails: some LAPACK builds let one through potrf,
     but it always reaches the factor's diagonal.
     """
-    shifted = g * -tau
-    shifted += a
+    if g is None:
+        shifted = np.array(a)
+        shifted[np.diag_indices_from(shifted)] -= tau
+    else:
+        shifted = g * -tau
+        shifted += a
     # The transpose is a Fortran-ordered view, so potrf factors in place
-    # instead of in a copy; its upper triangle is the lower triangle of
-    # a - tau * g, the one scipy.linalg.eigh reads.
+    # instead of in a copy; its upper triangle is the lower triangle of the
+    # shifted matrix, the one scipy.linalg.eigh and LAPACK syevd read.
     factor, info = scipy.linalg.lapack.dpotrf(shifted.T, overwrite_a=True, clean=False)
     return info == 0 and bool(np.isfinite(np.diagonal(factor)).all())
 
 
 def merge_lowest(low: np.ndarray, blocks: list, keep: int, solve) -> np.ndarray:
     """The `keep` lowest of the ascending values `low` and the eigenvalues
-    of the symmetric pencils `blocks`, dense or CSR pairs (a, g) with g SPD.
+    of the symmetric pencils `blocks`: CSR pairs (a, g) with g SPD, dense
+    pairs (a, g), or dense standard forms (c, None), whose pencil is
+    (c, I) and of which only the lower triangle counts (DECISIONS.md D21).
     Only the blocks that can reach them are solved, by solve(i, a, g),
     which returns at least the `keep` lowest eigenvalues of block i; a dense
-    block may instead be certified above them or reuse a twin's outcome
-    (DECISIONS.md D21).  The blocks go in ascending Rayleigh bound
-    min(diag(a) / diag(g)), an upper bound on a block's lowest eigenvalue.
+    block may instead be certified above them or reuse a twin's outcome.
+    The blocks go in ascending Rayleigh bound min(diag(a) / diag(g)), or
+    min(diag(c)), an upper bound on a block's lowest eigenvalue.
     """
-    bounds = [np.min(a.diagonal() / g.diagonal()) for a, g in blocks]
+    bounds = [np.min(a.diagonal() if g is None else a.diagonal() / g.diagonal())
+              for a, g in blocks]
     # Twins have equal bounds, so `tied` holds the dense blocks handled at
     # the current bound with their values, None where certified.
     tied, bound = [], None
@@ -287,8 +296,8 @@ def merge_lowest(low: np.ndarray, blocks: list, keep: int, solve) -> np.ndarray:
         if sp.issparse(a):
             vals = solve(i, a, g)
         else:
-            twin = next((t for t in tied if np.array_equal(t[0], a) and np.array_equal(t[1], g)),
-                        None)
+            twin = next((t for t in tied if np.array_equal(t[0], a)
+                         and (g is None or np.array_equal(t[1], g))), None)
             if twin is not None:
                 vals = twin[2]
             elif low.size == keep and bound > low[-1] and pencil_above(a, g, low[-1]):

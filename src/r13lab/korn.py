@@ -54,12 +54,22 @@ and odd under a swap.  Their bases are orbit sums, signed orbit sums and
 (1 + tau)(2 - rho - rho^2) applied to one or two orbit members, normalized
 (`_irreducible_bases`); a block of a 2-dim irrep stands for both partners.
 The class block is built once and every block projected from it through
-one side of the projection only (`Irrep`).  The dense blocks depend on the
-mesh alone, so they are kept per mesh, class and form sums, under a byte
-bound: a repeated dense probe of a mesh runs only its eigensolves.  They
-are the only state the module keeps between calls; the line matrices,
-their parity-projected factors, the term tables and the irreducible bases
-are built afresh by each call that needs them.
+one side of the projection only (`Irrep`).
+
+Each probe solves a fixed set of pencils (a | b) on every dense block.
+Those depend on the mesh alone, so each is kept in the standard form of
+LAPACK sygst, C = L^-1 a L^-T with b = L L^T (lower triangle, potrf then
+sygst, itype 1; Anderson et al. 1999, LAPACK Users' Guide, 3rd ed.,
+2.3.5.1), per mesh, pencil set and class, under a byte bound: a repeated
+dense probe of a mesh runs one LAPACK eigensolve per block and pencil.
+LAPACK's sygvd and sygvx, which `scipy.linalg.eigh(a, b)` calls, are
+potrf, sygst and then syevd or syevx, and the probes call syevd and
+syevx on C with the workspaces those drivers pass, so every eigenvalue
+keeps the bits of `scipy.linalg.eigh(a, b)`.  The kept forms are the
+only state the module keeps between calls; the form blocks, the line
+matrices, their parity-projected factors, the term tables and the
+irreducible bases are built afresh by each call that needs them.
+
 `korn_constants` runs a dense solve of each such block and skips none: it
 reports whole spectral tails, the largest stf eigenvalue and the size of
 the stf kernel, which need every block's spectrum, and the 10-fold
@@ -68,10 +78,10 @@ from its internal seed, which would break run-to-run bit-identity.
 `boundary_korn_eigenvalue` needs only the smallest eigenvalue of an SPD
 pencil, and takes the minimum over the blocks by `fe1d.merge_lowest`, the
 block loop of the slab coercivity probe too.  A block of at most
-`DENSE_CLASS_ROWS` rows is solved densely for its lowest eigenvalue alone,
-unless certified above the running minimum; a larger one runs shift-invert
-Lanczos (ARPACK) on the sparse block, from one sparse LU and a fixed-seed
-start vector per block.
+`DENSE_CLASS_ROWS` rows is solved densely in standard form for its lowest
+eigenvalue alone, unless certified above the running minimum; a larger
+one runs shift-invert Lanczos (ARPACK) on the sparse block, from one
+sparse LU and a fixed-seed start vector per block.
 """
 
 from __future__ import annotations
@@ -100,11 +110,12 @@ MAX_SPARSE_DOFS = 80_000
 # faster up to blocks of about this size (DECISIONS.md D20).
 DENSE_CLASS_ROWS = 500
 
-# The dense irreducible blocks of each solved class, kept per (n, degree,
-# sums, class) up to _BLOCK_MEMO_BYTES, the least recently used dropped
-# first; both probes of the benchmark meshes fit (DECISIONS.md D24).
+# The standard forms of the pencils on the dense irreducible blocks of each
+# solved class, kept per (n, degree, pencil set, class) up to
+# _BLOCK_MEMO_BYTES, the least recently used dropped first; both probes of
+# the benchmark meshes fit (DECISIONS.md D24).
 _BLOCK_MEMO_BYTES = 4 * 2**20
-_block_memo: dict = {}  # (n, degree, sums, s) -> ((dim, stack), ...), least recently used first
+_block_memo: dict = {}  # (n, degree, pencils, s) -> ((dim, stack), ...), least recently used first
 
 # Seed of the start vectors of the boundary probe's sparse route, one stream
 # per irreducible block.  Fixed random vectors, not symmetric ones such as
@@ -145,6 +156,10 @@ _IRREPS = {
 # (boundary + stf) and h1.
 _KORN_SUMS = (("l2",), ("h1",), ("stf",), ("boundary",))
 _BOUNDARY_SUMS = (("boundary", "stf"), ("h1",))
+# The pencil sets (sums, pencils): per pencil (a | b), the indices of the
+# sums added in turn to make a on a block, and the index of b.
+_KORN_PENCILS = (_KORN_SUMS, (((0, 2), 1), ((3, 2), 1), ((2,), 0)))
+_BOUNDARY_PENCILS = (_BOUNDARY_SUMS, (((0,), 1),))
 
 # Near-zero eigenvalues below this multiple of the largest one count as kernel.
 KERNEL_REL_THRESHOLD = 1e-10
@@ -488,9 +503,10 @@ class CubeForms:
     parity-projected 1-D line factors, built on first use.  `l2`, `h1`,
     `stf` and `boundary` are the global Grams, built on first access;
     `dense_blocks` and `sparse_blocks` build sums of forms on one
-    reflection class without any global Gram, and `irreducible_blocks` the
+    reflection class without any global Gram, `irreducible_blocks` the
     sums on each irreducible block of a class under its axis-permutation
-    stabilizer."""
+    stabilizer, and `reduced_blocks` the probes' pencils on those blocks
+    in standard form."""
 
     mesh: CubeMesh
 
@@ -565,25 +581,49 @@ class CubeForms:
 
     def irreducible_blocks(self, sums: tuple, s: tuple, dense: bool) -> list:
         """The form sums on each irreducible block of class s, as
-        (dim, mats) in the order of `_irreducible_bases`: a read-only stack
-        of dense matrices if dense, else a list of CSR matrices.  The class
-        blocks are built once, dense or sparse, and each is projected as
-        q^T a y.  The dense stacks depend on the mesh alone, and are kept
-        in `_block_memo` (DECISIONS.md D24), the only state this module
-        keeps between calls; the sparse ones, and the bases, are built on
-        every call that needs them."""
-        m = self.mesh.line.ndof
+        (dim, mats) in the order of `_irreducible_bases`: a stack of dense
+        matrices if dense, else a list of CSR matrices.  The class blocks
+        are built once, dense or sparse, and each is projected as q^T a y.
+        Nothing is kept: the blocks and the bases are built on every call."""
+        bases = _irreducible_bases(self.mesh.line.ndof, s)
         if not dense:
             mats = self.sparse_blocks(sums, s)
-            return [(b.dim, [b.qt @ a @ b.yt.T for a in mats]) for b in _irreducible_bases(m, s)]
-        key = (self.mesh.n, self.mesh.degree, sums, s)
+            return [(b.dim, [b.qt @ a @ b.yt.T for a in mats]) for b in bases]
+        rows_of = self.dense_blocks(sums, s).transpose(1, 0, 2)
+        return [(b.dim, b.project(rows_of)) for b in bases]
+
+    def reduced_blocks(self, pencils: tuple, s: tuple) -> list:
+        """The pencils of a pencil set (sums, pencils) on each dense
+        irreducible block of class s, in standard form: (dim, stack) in
+        the order of `_irreducible_bases`, the stack (len(pencils), k, k)
+        read-only, one `_standard_form` per pencil.  They depend on the
+        mesh alone, and are kept in `_block_memo` (DECISIONS.md D24), the
+        only state this module keeps between calls."""
+        key = (self.mesh.n, self.mesh.degree, pencils, s)
         kept = _block_memo.pop(key, None)
         if kept is None:
-            rows_of = self.dense_blocks(sums, s).transpose(1, 0, 2)
-            kept = tuple((b.dim, *read_only(b.project(rows_of))) for b in _irreducible_bases(m, s))
+            sums, pairs = pencils
+            kept = tuple((dim, *read_only(np.stack([
+                _standard_form(functools.reduce(np.add, (mats[i] for i in a)), mats[b])
+                for a, b in pairs]))) for dim, mats in self.irreducible_blocks(sums, s, True))
         _block_memo[key] = kept
-        trim_lru(_block_memo, _BLOCK_MEMO_BYTES, lambda blocks: sum(a.nbytes for _, a in blocks))
+        trim_lru(_block_memo, _BLOCK_MEMO_BYTES, lambda blocks: sum(c.nbytes for _, c in blocks))
         return list(kept)
+
+
+def _standard_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lower triangle of C = L^-1 a L^-T, b = L L^T SPD, zeros above:
+    LAPACK potrf of b, then sygst (itype 1), as inside the sygvd and sygvx
+    drivers of `scipy.linalg.eigh(a, b)` (DECISIONS.md D24)."""
+    if not len(b):  # the dsygst wrapper takes no empty matrix
+        return np.zeros((0, 0))
+    lapack = scipy.linalg.lapack
+    factor, info = lapack.dpotrf(b, lower=1)
+    if info == 0:
+        c, info = lapack.dsygst(a, factor, itype=1, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"standard form of a pencil failed: LAPACK info {info}")
+    return np.tril(c)
 
 
 def assemble_cube_forms(mesh: CubeMesh) -> CubeForms:
@@ -650,6 +690,30 @@ def _check_size(n_dofs: int, sparse: bool = False) -> None:
         raise ValueError(f"mesh has {n_dofs} dofs; {kind} eigensolves support at most {cap}")
 
 
+def _spectrum(c: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a standard form c (`_standard_form`), ascending:
+    LAPACK syevd with the workspace the sygvd wrapper passes it (lwork
+    2n + 1, liwork 1), so the bits of `scipy.linalg.eigh(a, b,
+    eigvals_only=True)`."""
+    w, _, info = scipy.linalg.lapack.dsyevd(c, compute_v=0, lower=1, lwork=2 * len(c) + 1,
+                                            liwork=1)
+    if info:
+        raise np.linalg.LinAlgError(f"syevd failed: LAPACK info {info}")
+    return w
+
+
+def _lowest(c: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of a non-empty standard form c, as an array of
+    one: LAPACK syevx with the workspace of the sygvx query, so the bits of
+    `scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])`."""
+    lapack = scipy.linalg.lapack
+    lwork = int(lapack.dsygvx_lwork(len(c), uplo="L")[0])
+    w, _, _, _, info = lapack.dsyevx(c, compute_v=0, range="I", il=1, iu=1, lower=1, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"syevx failed: LAPACK info {info}")
+    return w[:1]
+
+
 def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     """Solve the three generalized eigenproblems and summarize.
 
@@ -666,9 +730,9 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     # partner of its irrep; an empty block has none.
     spectra = ([], [], [])
     for s, orbit in _CLASS_ORBITS.items():
-        for dim, (l2, h1, stf, boundary) in forms.irreducible_blocks(_KORN_SUMS, s, True):
-            for out, (a, b) in zip(spectra, ((l2 + stf, h1), (boundary + stf, h1), (stf, l2))):
-                out.append(np.tile(scipy.linalg.eigh(a, b, eigvals_only=True), orbit * dim))
+        for dim, reduced in forms.reduced_blocks(_KORN_PENCILS, s):
+            for out, c in zip(spectra, reduced):
+                out.append(np.tile(_spectrum(c), orbit * dim))
     classical, boundary, stf = (np.sort(np.concatenate(s)) for s in spectra)
     threshold = KERNEL_REL_THRESHOLD * stf[-1]
     kernel_dim = int(np.count_nonzero(stf < threshold))
@@ -695,7 +759,8 @@ def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     axis-permutation orbit, in `_CLASS_ORBITS` order.  A class of at most
     DENSE_CLASS_ROWS rows is built dense, a larger one sparse.  A block of
     at most DENSE_CLASS_ROWS rows, or of one, which ARPACK cannot take, is
-    made dense and solved for its lowest eigenvalue alone; a larger one by
+    solved densely for its lowest eigenvalue alone, in standard form (a
+    dense class's blocks are kept so, D24); a larger one by
     shift-invert Lanczos about 0, converged to machine precision from a
     fixed-seed start vector per block.  Either way repeated calls return
     the same bits, and the result agrees with a dense solve of the unsplit
@@ -705,23 +770,26 @@ def boundary_korn_eigenvalue(mesh: CubeMesh) -> float:
     forms = assemble_cube_forms(mesh)
     low = np.empty(0)
     for s in _CLASS_ORBITS:
-        dense = forms.class_size(s) <= DENSE_CLASS_ROWS
-        index, blocks = [], []
-        for j, (_, (pencil, h1)) in enumerate(forms.irreducible_blocks(_BOUNDARY_SUMS, s, dense)):
-            if h1.shape[0]:
-                index.append(j)
-                # Kept as built: a dense class's blocks, and a sparse one's
-                # above DENSE_CLASS_ROWS rows.  A one-row block is made dense
-                # whatever the threshold, since ARPACK cannot take it.
-                as_built = dense or h1.shape[0] > max(DENSE_CLASS_ROWS, 1)
-                blocks.append((pencil, h1) if as_built else (pencil.toarray(), h1.toarray()))
+        if forms.class_size(s) <= DENSE_CLASS_ROWS:
+            built = [(c, None) for _, (c,) in forms.reduced_blocks(_BOUNDARY_PENCILS, s)]
+        else:
+            # A sparse class's blocks above DENSE_CLASS_ROWS rows stay CSR;
+            # the others are made dense pairs, a one-row block whatever the
+            # threshold, since ARPACK cannot take it.
+            built = [(pencil, h1) if h1.shape[0] > max(DENSE_CLASS_ROWS, 1)
+                     else (pencil.toarray(), h1.toarray())
+                     for _, (pencil, h1) in forms.irreducible_blocks(_BOUNDARY_SUMS, s, False)]
+        index = [j for j, (pencil, _) in enumerate(built) if pencil.shape[0]]
+        blocks = [built[j] for j in index]
         # Seed streams: the index of s among all 8 classes, x fastest, and
         # the block's index in the class.
         k = sum(2 ** a for a, sa in enumerate(s) if sa < 0)
 
         def solve(i, pencil, h1):
+            if h1 is None:
+                return _lowest(pencil)
             if not scipy.sparse.issparse(pencil):
-                return scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])
+                return _lowest(_standard_form(pencil, h1))
             v0 = np.random.default_rng((_START_SEED, k, index[i])).standard_normal(h1.shape[0])
             return scipy.sparse.linalg.eigsh(pencil, k=1, M=h1, sigma=0.0, tol=0.0, v0=v0,
                                              return_eigenvectors=False)

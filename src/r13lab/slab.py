@@ -1456,16 +1456,16 @@ def _component_blocks(a: sp.csr_matrix, component: np.ndarray):
     the stored entries of a connect c to, itself included, and whether a
     stores no entry in the rows of c.  component is the primary component
     of each row and column of a."""
-    # Imported here, not with the module, since only the coercivity probe
-    # needs it: its ten extension modules raise peak RSS by 2 to 3 MiB.
-    from scipy.sparse.csgraph import connected_components
-
     m = len(COMPONENTS) - 1
     coo = a.tocoo()
     graph = np.zeros((m, m), dtype=bool)
     graph[component[coo.row], component[coo.col]] = True
-    _, labels = connected_components(graph, directed=False)
-    return np.unique(labels, return_index=True)[1][labels], ~graph.any(axis=1)
+    # The boolean closure of a graph this small (DECISIONS.md D22): each
+    # squaring doubles the path length reached.
+    reach = graph | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=0), ~graph.any(axis=1)
 
 
 class _ClassBlocks:

@@ -77,14 +77,20 @@ def mass_inner(u1: StateVector, u2: StateVector) -> float:
             + 0.4 * (u1.s_bar * u2.s_bar).sum(axis=-1) + 0.5 * sig)
 
 
+def _check_kn(kn: float) -> None:
+    """Reject a Knudsen number that is not positive and finite; NaN fails
+    the comparison."""
+    if not 0.0 < kn < np.inf:
+        raise ValueError(f"Kn must be positive and finite, got {kn!r}")
+
+
 def relaxation_apply(u: StateVector, model, kn: float) -> StateVector:
     """S U in the M-weighted convention of the compact system.
 
     The s_bar block is scaled by -(4/15) l1 / Kn and the sigma_bar block by
     -(1/2) l2 / Kn; rho, theta, u are conserved fields and get zero.
     """
-    if kn <= 0:
-        raise ValueError("Kn must be positive")
+    _check_kn(kn)
     return StateVector(
         rho=0.0, theta=0.0, u=np.zeros(3),
         s_bar=-(4.0 / 15.0) * model.l1 / kn * u.s_bar,
@@ -95,8 +101,7 @@ def relaxation_apply(u: StateVector, model, kn: float) -> StateVector:
 def relaxation_rates(u: StateVector, model, kn: float) -> StateVector:
     """M^{-1} S U: the damping terms as they appear in the evolution system,
     -(2 l1)/(3 Kn) s_bar and -(l2/Kn) sigma_bar."""
-    if kn <= 0:
-        raise ValueError("Kn must be positive")
+    _check_kn(kn)
     return StateVector(
         rho=0.0, theta=0.0, u=np.zeros(3),
         s_bar=-(2.0 * model.l1) / (3.0 * kn) * u.s_bar,

@@ -277,6 +277,19 @@ class TestPlumbing:
         assert report["matching"]["consistent"] is False and report["consistent"] is False
         assert report["proportionality"]["inconsistent"] == []
 
+    def test_config_error_leaves_no_out_directory(self, tmp_path, capsys):
+        # The output directory is made by the first output, so a run that
+        # exits 2 before writing one leaves a fresh --out path absent.
+        out = tmp_path / "fresh" / "out"
+        assert run("solve-steady", "--out", str(out)) == EXIT_CONFIG
+        config = write_config(tmp_path, problem="couette", elements=0)
+        assert run("solve-steady", "--model", "eta7", "--config", config,
+                   "--out", str(out)) == EXIT_CONFIG
+        config = write_config(tmp_path, degree=3)
+        assert run("korn", "--config", config, "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists() and not out.parent.exists()
+        capsys.readouterr()
+
     def test_unknown_bundled_model(self, outdir):
         code = run("validate-params", "--model", "nosuch", "--out", str(outdir))
         assert code == EXIT_CONFIG

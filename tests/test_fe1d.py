@@ -263,6 +263,23 @@ def test_pencil_above_brackets_the_lowest_eigenvalue(n, degree, shift):
     assert np.array_equal(a, a0) and np.array_equal(g, g0)
 
 
+def test_pencil_above_reads_a_standard_form_by_its_lower_triangle():
+    # (c, None) stands for the pencil (c, I), of which only the lower
+    # triangle counts: NaN above the diagonal changes no outcome.
+    rng = np.random.default_rng(6)
+    for n, shift in ((1, 2.0), (5, 0.0), (7, -3.0)):
+        c, _ = _standard(rng, n, shift)
+        lam = np.linalg.eigvalsh(c)[0]
+        step = 1e-9 * max(abs(lam), 1.0)
+        upper = c.copy()
+        upper[np.triu_indices(n, 1)] = np.nan
+        c0 = upper.copy()
+        assert pencil_above(upper, None, lam - step)
+        assert not pencil_above(upper, None, lam + step)
+        assert not pencil_above(upper, None, np.nan)
+        assert np.array_equal(upper, c0, equal_nan=True)
+
+
 def _block(rng, n, shift):
     """A random symmetric pencil (a, g) of n rows, g SPD, whose eigenvalues
     all lie above shift."""
@@ -271,7 +288,16 @@ def _block(rng, n, shift):
     return y @ y.T + shift * g, g
 
 
+def _standard(rng, n, shift):
+    """A random standard form (c, None) of n rows, the lower triangle of a
+    symmetric c with zeros above, whose eigenvalues all lie above shift."""
+    y = rng.standard_normal((n, n))
+    return np.tril(y @ y.T + shift * np.eye(n)), None
+
+
 def _spectrum(a, g):
+    if g is None:
+        return scipy.linalg.eigh(a, eigvals_only=True, lower=True)
     if sp.issparse(a):
         a, g = a.toarray(), g.toarray()
     return scipy.linalg.eigh(a, g, eigvals_only=True)
@@ -359,6 +385,37 @@ def test_merge_lowest_certifies_a_dense_block_above_the_kept_values(monkeypatch)
     assert merge_lowest(np.empty(0), diagonal, 2, _recording(solved)).tolist() == [1.0, 1.5]
     assert solved == [0, 1]
     assert certified == []
+
+
+@pytest.mark.parametrize("keep", [1, 3, 6, 21])
+def test_merge_lowest_takes_standard_forms(monkeypatch, keep):
+    # Blocks (c, None) go by their bound min(diag(c)), a twin compares c
+    # alone, and a block above the kept values is certified by potrf of
+    # c - tau * I.
+    rng = np.random.default_rng(7)
+    blocks = [_standard(rng, n, shift) for n, shift in SIZES_SHIFTS]
+    blocks.append((blocks[1][0].copy(), None))
+    certified, solved = [], []
+    above = fe1d.pencil_above
+
+    def certifying(a, g, tau):
+        assert g is None
+        certified.append(above(a, g, tau))
+        return certified[-1]
+
+    monkeypatch.setattr(fe1d, "pencil_above", certifying)
+    low = merge_lowest(np.empty(0), blocks, keep, _recording(solved))
+    assert low.tobytes() == _union(blocks, keep).tobytes()
+    # The twin of block 1 reuses its outcome; no block is handled twice.
+    assert 6 not in solved and len(set(solved)) == len(solved)
+    bounds = [np.min(c.diagonal()) for c, _ in blocks]
+    assert solved == sorted(solved, key=lambda i: bounds[i])
+    if keep < 6:
+        # The far blocks, at shifts 20 and above, are certified unsolved.
+        assert not {0, 2, 5} & set(solved)
+        assert certified.count(True) >= 3
+    if keep == 21:
+        assert sorted(solved) == list(range(6)) and certified == []
 
 
 def test_merge_lowest_carries_low_across_calls():

@@ -413,17 +413,17 @@ def route(request, monkeypatch):
 
 
 def counting_eigensolvers(monkeypatch):
-    """Record the block size of every dense eigh and sparse eigsh call, and
-    of every class block that `pencil_above` certifies, so that the probe
-    skips its solve."""
+    """Record the block size of every dense LAPACK syevx call on a standard
+    form and every sparse eigsh call, and of every class block that
+    `pencil_above` certifies, so that the probe skips its solve."""
     def recording(solve, sizes):
         def counting(*args, **kwargs):
             sizes.append(args[0].shape[0])
             return solve(*args, **kwargs)
         return counting
 
-    calls = {"eigh": [], "eigsh": [], "certified": []}
-    for module, name in ((scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
+    calls = {"dsyevx": [], "eigsh": [], "certified": []}
+    for module, name in ((scipy.linalg.lapack, "dsyevx"), (scipy.sparse.linalg, "eigsh")):
         monkeypatch.setattr(module, name, recording(getattr(module, name), calls[name]))
     above = fe1d.pencil_above
 
@@ -467,7 +467,7 @@ class TestBoundaryProbeRoutes:
         monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", 120)
         calls = counting_eigensolvers(monkeypatch)
         mixed = boundary_korn_eigenvalue(mesh)
-        assert calls == {"eigh": [40, 100, 60], "eigsh": [130, 155, 124, 140],
+        assert calls == {"dsyevx": [40, 100, 60], "eigsh": [130, 155, 124, 140],
                          "certified": [30, 80, 50]}
         assert mixed == pytest.approx(dense, rel=1e-12)
         assert boundary_korn_eigenvalue(mesh) == mixed
@@ -524,10 +524,10 @@ class TestBoundaryProbeRoutes:
 
     def test_runs_no_dense_eigensolve(self, monkeypatch):
         def no_dense(*args, **kwargs):
-            raise AssertionError("dense eigh called")
+            raise AssertionError("dense syevx called")
 
         monkeypatch.setattr(korn, "DENSE_CLASS_ROWS", ROUTE_ROWS["sparse"])
-        monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", no_dense)
         assert boundary_korn_eigenvalue(build_cube_mesh(3, 1)) > 0.0
 
 
@@ -852,14 +852,14 @@ class TestAxisPermutationSplit:
                     np.testing.assert_allclose(eigs, ref, rtol=0.0, atol=1e-12 * ref[-1])
 
     def test_korn_constants_solves_one_class_per_orbit(self, monkeypatch, cold_korn_memo):
-        eigh = scipy.linalg.eigh
+        syevd = scipy.linalg.lapack.dsyevd
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
+            return syevd(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", counting)
         forms = assemble_cube_forms(build_cube_mesh(2, 2))
         first = korn_constants(forms)
         # 4 orbits with 3, 2, 2 and 3 irreducible blocks x 3 pencils.
@@ -902,7 +902,7 @@ class TestAxisPermutationSplit:
         # 2 and 8 rows, 14 and 10, 14 and 10, and 6, 2 and 8.  The sparse
         # route solves every block.  The dense route solves or certifies
         # each, and solves the first.
-        solver, other = ("eigsh", "eigh") if route == "sparse" else ("eigh", "eigsh")
+        solver, other = ("eigsh", "dsyevx") if route == "sparse" else ("dsyevx", "eigsh")
         calls = counting_eigensolvers(monkeypatch)
         mesh = build_cube_mesh(3, 1)
         first = boundary_korn_eigenvalue(mesh)
@@ -929,31 +929,65 @@ def probe(kind, n, degree):
 
 def probe_keys(kind, n, degree):
     """The memo keys of a dense probe, one per solved class in turn."""
-    sums = korn._KORN_SUMS if kind == "korn" else korn._BOUNDARY_SUMS
-    return [(n, degree, sums, s) for s in korn._CLASS_ORBITS]
+    pencils = korn._KORN_PENCILS if kind == "korn" else korn._BOUNDARY_PENCILS
+    return [(n, degree, pencils, s) for s in korn._CLASS_ORBITS]
 
 
 class TestKeptBlocks:
-    """DECISIONS.md D24: the dense irreducible blocks of each solved class
-    are kept per (n, degree, sums, class), bounded by bytes, and every
-    eigensolve still runs on every call."""
+    """DECISIONS.md D24: the pencils of each probe on the dense irreducible
+    blocks of each solved class are kept in standard form per (n, degree,
+    pencil set, class), bounded by bytes, and every eigensolve still runs
+    on every call."""
 
-    def test_kept_stacks_are_read_only(self, cold_korn_memo):
+    def test_kept_forms_are_read_only(self, cold_korn_memo):
         forms = assemble_cube_forms(build_cube_mesh(2, 2))
         s = (1, 1, 1)
-        blocks = forms.irreducible_blocks(korn._KORN_SUMS, s, True)
-        kept = korn._block_memo[2, 2, korn._KORN_SUMS, s]
+        # The form blocks are built for the caller and not kept.
+        forms.irreducible_blocks(korn._KORN_SUMS, s, True)
+        assert not korn._block_memo
+        blocks = forms.reduced_blocks(korn._KORN_PENCILS, s)
+        kept = korn._block_memo[2, 2, korn._KORN_PENCILS, s]
         # A caller gets its own list of the kept stacks.
         blocks.clear()
-        again = forms.irreducible_blocks(korn._KORN_SUMS, s, True)
+        again = forms.reduced_blocks(korn._KORN_PENCILS, s)
         assert [dim for dim, _ in again] == [1, 1, 2]
         assert all(got is stack for (_, got), (_, stack) in zip(again, kept))
         for _, stack in kept:
-            assert stack.shape[0] == len(korn._KORN_SUMS)
+            # One lower triangle per pencil, zeros above.
+            assert stack.shape[0] == len(korn._KORN_PENCILS[1])
+            assert np.array_equal(stack, np.tril(stack))
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] += 1.0
             with pytest.raises(ValueError, match="read-only"):
                 stack[1][...] = 0.0
+
+    @pytest.mark.parametrize("kind,n,degree", [("korn", 2, 2), ("korn", 3, 2),
+                                               ("boundary", 4, 1), ("boundary", 8, 1)])
+    def test_kept_forms_solve_to_the_bits_of_eigh(self, kind, n, degree, cold_korn_memo):
+        # The warm solves read only the kept standard forms, and give the
+        # bits of scipy.linalg.eigh on the pencils of the form blocks: every
+        # eigenvalue for korn_constants, the lowest for the boundary probe.
+        forms = assemble_cube_forms(build_cube_mesh(n, degree))
+        pencils = korn._KORN_PENCILS if kind == "korn" else korn._BOUNDARY_PENCILS
+        solved = 0
+        for s in korn._CLASS_ORBITS:
+            built = forms.irreducible_blocks(pencils[0], s, True)
+            reduced = forms.reduced_blocks(pencils, s)
+            assert [dim for dim, _ in reduced] == [dim for dim, _ in built]
+            for (_, mats), (_, kept) in zip(built, reduced):
+                if kind == "korn":
+                    l2, h1, stf, bdry = mats
+                    for (a, b), c in zip(((l2 + stf, h1), (bdry + stf, h1), (stf, l2)), kept):
+                        ref = scipy.linalg.eigh(a, b, eigvals_only=True)
+                        assert korn._spectrum(c).tobytes() == ref.tobytes(), s
+                        solved += 1
+                else:
+                    (pencil, h1), (c,) = mats, kept
+                    ref = scipy.linalg.eigh(pencil, h1, eigvals_only=True, subset_by_index=[0, 0])
+                    assert korn._lowest(c).tobytes() == ref.tobytes(), s
+                    solved += 1
+        # 10 irreducible blocks, none empty, and 3 pencils on each in korn.
+        assert solved == (30 if kind == "korn" else 10)
 
     def test_only_the_block_memo_is_shared(self, cold_korn_memo):
         # The line factors, term tables and irreducible bases are built
@@ -1004,10 +1038,10 @@ class TestKeptBlocks:
         for args in order:
             probe(*args)
         sizes = {key: kept_bytes(blocks) for key, blocks in korn._block_memo.items()}
-        # At cube(5,2) the {-++} class alone holds more than the default
-        # budget, so it is not kept at all.
-        oversized = (5, 2, korn._KORN_SUMS, (-1, 1, 1))
-        assert sizes[oversized] > default
+        # At cube(5,2) the {-++} class alone holds more than 1 MiB, so at
+        # that budget it is not kept at all; the default budget holds it.
+        oversized = (5, 2, korn._KORN_PENCILS, (-1, 1, 1))
+        assert 2**20 < sizes[oversized] <= default
         for budget in (2**20, default):
             korn._block_memo.clear()
             monkeypatch.setattr(korn, "_BLOCK_MEMO_BYTES", budget)
@@ -1025,13 +1059,13 @@ class TestKeptBlocks:
                         expected.pop(0)
                 assert list(korn._block_memo) == expected, (budget, args)
                 assert sum(map(kept_bytes, korn._block_memo.values())) <= budget
-        # At the default budget cube(5,2) keeps its last class alone, and
-        # building its oversized class again drops nothing.
-        assert expected == probe_keys("korn", 5, 2)[-1:]
-        before = list(korn._block_memo)
-        assemble_cube_forms(build_cube_mesh(5, 2)).irreducible_blocks(
-            korn._KORN_SUMS, oversized[-1], True)
-        assert list(korn._block_memo) == before
+            if budget == 2**20:
+                # At 1 MiB cube(5,2) keeps its last class alone, and
+                # building its oversized class again drops nothing.
+                assert expected == probe_keys("korn", 5, 2)[-1:]
+                assemble_cube_forms(build_cube_mesh(5, 2)).reduced_blocks(
+                    korn._KORN_PENCILS, oversized[-1])
+                assert list(korn._block_memo) == expected
 
     def test_sparse_route_keeps_nothing(self, monkeypatch, cold_korn_memo):
         mesh = build_cube_mesh(8, 1)

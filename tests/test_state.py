@@ -87,9 +87,13 @@ class TestRelaxation:
             u = random_state(rng)
             assert mass_inner(u, relaxation_apply(u, RELAX_MODEL, kn=0.3)) <= 1e-14
 
-    def test_kn_must_be_positive(self):
-        with pytest.raises(ValueError):
-            relaxation_apply(StateVector(), RELAX_MODEL, kn=0.0)
+    @pytest.mark.parametrize("relax", [relaxation_apply, relaxation_rates])
+    @pytest.mark.parametrize("kn", [float("nan"), float("inf")])
+    def test_kn_must_be_finite(self, relax, kn):
+        # NaN fails every comparison and inf gives zero rates: neither is a
+        # Knudsen number.
+        with pytest.raises(ValueError, match="Kn must be positive"):
+            relax(StateVector(s_bar=np.ones(3)), RELAX_MODEL, kn)
 
     def test_rates_reject_nonpositive_kn(self):
         with pytest.raises(ValueError, match="Kn must be positive"):
