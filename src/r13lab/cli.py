@@ -4,9 +4,9 @@ Every command writes its outputs into one directory together with a
 manifest that records input hashes, library versions, and the seed, so a
 rerun with identical configuration, seed and BLAS thread count reproduces
 every file bit for bit (no timestamps anywhere); ``--threads 1`` pins the
-count.  Exit codes: 0 success, 2 configuration
-problem, 3 the requested audit found inconsistent model data, 4 numerical
-solver failure.
+count.  Exit codes: 0 success, 2 configuration problem (a run too large
+for memory included), 3 the requested audit found inconsistent model data,
+4 numerical solver failure.
 
 Numeric modules are imported only after the optional thread cap has been
 applied, so ``--threads`` can still influence the pool sizes of BLAS
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import yaml
 
-from . import __version__
+from . import __version__, inputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,18 +153,11 @@ def _model_file(source: str) -> tuple[Path, str]:
 
 
 def _positive_int(cfg: dict, key: str) -> int:
-    value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
-    return value
+    return inputs.count(cfg[key], f"'{key}'", 1)
 
 
 def _finite_float(cfg: dict, key: str) -> float:
-    value = cfg[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
-    return float(value)
+    return inputs.real(cfg[key], f"'{key}'")
 
 
 def _wall_from_config(cfg: dict):
@@ -329,10 +322,9 @@ def run_derive_bcs(cfg: dict, out_dir: Path, args) -> int:
 
 
 def run_korn(cfg: dict, out_dir: Path, args) -> int:
-    from .korn import _check_size, assemble_cube_forms, build_cube_mesh, korn_constants
+    from .korn import assemble_cube_forms, build_cube_mesh, korn_constants
 
     mesh = build_cube_mesh(_positive_int(cfg, "n"), _positive_int(cfg, "degree"))
-    _check_size(mesh.n_dofs)
     report = korn_constants(assemble_cube_forms(mesh),
                             n_tail=_positive_int(cfg, "tail"))
     payload = {
@@ -429,10 +421,9 @@ def run_converge(cfg: dict, out_dir: Path, args) -> int:
 
     model = resolve_model(_require_model(cfg))
     levels = cfg["levels"]
-    if (not isinstance(levels, (list, tuple))
-            or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
-                       for n in levels)):
-        raise ConfigError("'levels' must be a list of positive element counts")
+    if not isinstance(levels, (list, tuple)):
+        raise ConfigError(f"'levels' must be a list of element counts, got {levels!r}")
+    levels = [inputs.count(n, "each of 'levels'", 1) for n in levels]
     table = convergence_study(
         model, _wall_from_config(cfg), levels,
         degree=_positive_int(cfg, "degree"), kn=_finite_float(cfg, "kn"),
@@ -508,6 +499,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](cfg, out_dir, args)
     except (ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
         print(f"r13lab: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"r13lab: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:
         # SolverError and factorization failures from the sparse solver

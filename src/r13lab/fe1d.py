@@ -10,12 +10,13 @@ it skips a block, and the byte bound of the slab and Korn memos.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+
+from . import inputs
 
 DEFAULT_DEGREE = 2
 
@@ -77,10 +78,9 @@ class SlabMesh:
     degree: int = DEFAULT_DEGREE
 
     def __post_init__(self):
-        n, p = self.n_elements, self.degree
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_elements must be an integer of at least 1, got {n!r}")
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p not in (1, 2):
+        n = inputs.count(self.n_elements, "n_elements", 1)
+        p = inputs.count(self.degree, "degree", 1)
+        if p > 2:
             raise ValueError(f"degree must be 1 or 2, got {p!r}")
         # Node and point arithmetic runs in floats, which count dofs exactly
         # only up to 2**53.

@@ -87,7 +87,6 @@ sparse LU and a fixed-seed start vector per block.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +94,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import inputs
 from .fe1d import (ScalarSpace, SlabMesh, cg_line_matrices, merge_lowest, parity_bases, read_only,
                    trim_lru)
 
@@ -722,8 +722,7 @@ def korn_constants(forms: CubeForms, n_tail: int = 12) -> KornReport:
     reflection class per axis-permutation orbit; raises for oversized
     meshes.  n_tail must be a non-negative integer.
     """
-    if isinstance(n_tail, bool) or not isinstance(n_tail, numbers.Integral) or n_tail < 0:
-        raise ValueError(f"n_tail must be a non-negative integer, got {n_tail!r}")
+    inputs.count(n_tail, "n_tail", 0)
     mesh = forms.mesh
     _check_size(mesh.n_dofs)
     # Each block spectrum stands for its class's whole orbit, and for every

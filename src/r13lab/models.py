@@ -28,6 +28,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import inputs
+
 M_ROWS = 8
 M_COLS = 9
 
@@ -117,18 +119,6 @@ def _require(doc: dict, name: str):
     return doc[name]
 
 
-def _finite(raw, name: str) -> float:
-    """raw as a float; booleans, non-numbers, NaN and infinities raise a
-    ValueError that names the field."""
-    try:
-        value = math.nan if isinstance(raw, bool) else float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {raw!r}")
-    return value
-
-
 def _listed(raw, name: str) -> list:
     """raw as a list; anything but a list or tuple raises a ValueError that
     names the field."""
@@ -139,12 +129,9 @@ def _listed(raw, name: str) -> list:
 
 def _parse_eta(raw) -> float | str:
     """The label 'infinity' (or 'inf') is the only infinite eta."""
-    if isinstance(raw, str):
-        label = raw.strip().lower()
-        if label in ("infinity", "inf"):
-            return "infinity"
-        raise ValueError(f"eta must be a number or 'infinity', got {raw!r}")
-    return _finite(raw, "eta")
+    if isinstance(raw, str) and raw.strip().lower() in ("infinity", "inf"):
+        return "infinity"
+    return inputs.real(raw, "eta")
 
 
 def _parse_k(raw) -> dict[str, float]:
@@ -152,12 +139,12 @@ def _parse_k(raw) -> dict[str, float]:
         missing = [name for name in _K_NAMES if name not in raw]
         if missing:
             raise ValueError(f"missing field: k.{missing[0]}")
-        values = {name: _finite(raw[name], name) for name in _K_NAMES}
+        values = {name: inputs.real(raw[name], name) for name in _K_NAMES}
     else:
         seq = _listed(raw, "k")
         if len(seq) != len(_K_NAMES):
             raise ValueError(f"k must list {len(_K_NAMES)} values k0..k10, got {len(seq)}")
-        values = {name: _finite(v, name) for name, v in zip(_K_NAMES, seq)}
+        values = {name: inputs.real(v, name) for name, v in zip(_K_NAMES, seq)}
     for name, value in values.items():
         if value < 0.0:
             raise ValueError(f"{name} must be nonnegative")
@@ -170,7 +157,7 @@ def _parse_m(raw) -> MTable:
         raise ValueError(f"m must have {M_ROWS} rows, got {len(rows)}")
     data = np.zeros((M_ROWS, M_COLS))
     for j, row in enumerate(rows):
-        entries = [_finite(v, f"m[{j + 1}, {k + 1}]")
+        entries = [inputs.real(v, f"m[{j + 1}, {k + 1}]")
                    for k, v in enumerate(_listed(row, f"m row {j + 1}"))]
         if len(entries) > M_COLS:
             raise ValueError(f"m row {j + 1} has {len(entries)} entries, expected at most {M_COLS}")
@@ -213,13 +200,13 @@ def _model_from_doc(doc) -> MolecularModel:
 
     eta = _parse_eta(_require(doc, "eta"))
     kvals = _parse_k(_require(doc, "k"))
-    l1 = _finite(_require(doc, "l1"), "l1")
-    l2 = _finite(_require(doc, "l2"), "l2")
+    l1 = inputs.real(_require(doc, "l1"), "l1")
+    l2 = inputs.real(_require(doc, "l2"), "l2")
     if l1 <= 0.0:
         raise ValueError("l1 must be positive")
     if l2 <= 0.0:
         raise ValueError("l2 must be positive")
-    chi = _finite(_require(doc, "chi"), "chi")
+    chi = inputs.real(_require(doc, "chi"), "chi")
     if not 0.0 < chi <= 1.0:
         raise ValueError("chi must be in (0, 1]")
     m = _parse_m(_require(doc, "m"))

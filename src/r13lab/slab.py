@@ -31,9 +31,7 @@ pressure constraint.
 from __future__ import annotations
 
 import functools
-import numbers
 import operator
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -43,6 +41,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import inputs
 from .fe1d import (DEFAULT_DEGREE, ScalarSpace, SlabMesh, element_matrices, merge_lowest,
                    parity_bases, read_only, trim_lru)
 from .models import MolecularModel, thermo_discriminants
@@ -122,16 +121,6 @@ WALL_FRAMES = (
 
 class SolverError(RuntimeError):
     """Raised when a linear solve fails or misses the residual target."""
-
-
-def _positive_float(value, name: str) -> float:
-    """value as a float; ValueError unless it is a real number, not a bool,
-    in (0, the largest float].  The bound is compared before the
-    conversion, so an int beyond the float range fails here too."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 < value <= sys.float_info.max):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +747,7 @@ class SlabAssembly:
 
     def __init__(self, mesh: SlabMesh, model: MolecularModel, kn: float = DEFAULT_KN,
                  formulation: str = "nonmaxwell"):
-        kn = _positive_float(kn, "Kn")
+        kn = inputs.positive(kn, "Kn")
         if formulation == "maxwell" and not model.is_maxwell:
             raise ValueError("grouped degenerate solve requires a Maxwell-type model")
         if formulation == "nonmaxwell" and not model.is_maxwell:
@@ -1307,7 +1296,7 @@ def step_transient(state: DiscreteState, dt: float, scheme: str, assembly: SlabA
     the residual check.
     """
     x = _coefficients(state, assembly)
-    dt = _positive_float(dt, "dt")
+    dt = inputs.positive(dt, "dt")
     theta_s = {"implicit-euler": 1.0, "crank-nicolson": 0.5}.get(scheme)
     if theta_s is None:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -1346,8 +1335,7 @@ def transient_run(assembly: SlabAssembly, initial: DiscreteState, dt: float,
     The monitor list starts with the initial state so trajectories expose
     E^0 alongside every later step.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative and integral, got {n_steps!r}")
+    inputs.count(n_steps, "n_steps", 0)
     state = initial
     trace = [monitors(state, assembly)]
     for _ in range(n_steps):
@@ -1552,9 +1540,7 @@ def coercivity_probe(assembly: SlabAssembly, n_report: int = 6) -> CoercivityRep
     and where each stored entry goes in them.  Each call builds the
     symmetric part, its class projections and their dense blocks.
     """
-    if (isinstance(n_report, bool) or not isinstance(n_report, numbers.Integral)
-            or n_report < 0):
-        raise ValueError(f"n_report must be a non-negative integer, got {n_report!r}")
+    inputs.count(n_report, "n_report", 0)
     layout = assembly._layout
     kern, walls = assembly._placed(A_PLACEMENTS[assembly.formulation])
     coupled, walled, vals = layout.values(0.5 * (kern + kern.transpose(2, 3, 0, 1)),
@@ -1622,9 +1608,7 @@ def convergence_study(model: MolecularModel, wall: WallData, n_list,
         raise ValueError("need at least three meshes")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"mesh levels must be distinct, got {n_list}")
-    if (isinstance(ref_factor, bool) or not isinstance(ref_factor, numbers.Integral)
-            or ref_factor < 2):
-        raise ValueError(f"ref_factor must be an integer of at least 2, got {ref_factor!r}")
+    inputs.count(ref_factor, "ref_factor", 2)
     n_ref = n_list[-1] * ref_factor
     ref_state, _ = solve_steady(SlabAssembly(SlabMesh(n_ref, degree), model, kn, formulation),
                                 wall)

@@ -85,12 +85,22 @@ class TestAudits:
         assert stf[dim:] == [repr(float(v)) for v in report.stf_tail[dim:]]
 
     def test_oversized_korn_mesh_is_config_error(self, monkeypatch, outdir):
-        def no_assembly(mesh):
+        # The forms object is lazy: korn_constants checks the size before
+        # it builds any block.
+        def no_assembly(*args):
             raise AssertionError("assembled before the size check")
 
         monkeypatch.setattr(korn, "MAX_DENSE_DOFS", 10)
-        monkeypatch.setattr(korn, "assemble_cube_forms", no_assembly)
+        monkeypatch.setattr(korn.CubeForms, "reduced_blocks", no_assembly)
         assert run("korn", "--out", str(outdir)) == EXIT_CONFIG
+
+    def test_korn_mesh_beyond_dense_cap_names_its_size(self, tmp_path, outdir, capsys):
+        config = tmp_path / "korn.yaml"
+        config.write_text("n: 100\n")
+        assert run("korn", "--config", str(config), "--out", str(outdir)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "r13lab: mesh has 24361803 dofs; dense eigensolves support at most 6000\n")
+        assert not outdir.exists()
 
     def test_korn_rejects_model_flag(self, outdir):
         with pytest.raises(SystemExit) as err:
@@ -369,6 +379,57 @@ class TestPlumbing:
         code = run("solve-steady", "--model", "eta7", "--config", config,
                    "--out", str(outdir))
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,exponent,decimal,outputs", [
+        ("solve-steady", "kn: 1e-3", "kn: 0.001", ("profile.csv", "monitors.json")),
+        ("solve-transient", "dt: 5e-3", "dt: 0.005", ("monitors.csv", "final_profile.csv"))])
+    def test_exponent_float_reads_as_its_decimal(self, tmp_path, command, exponent, decimal,
+                                                 outputs):
+        # PyYAML reads an exponent without a dot as a string, which once
+        # failed as "must be a finite number".
+        assert isinstance(yaml.safe_load(exponent).popitem()[1], str)
+        texts = []
+        for name, line in (("exponent", exponent), ("decimal", decimal)):
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(f"elements: 8\nsteps: 4\n{line}\n" if command == "solve-transient"
+                              else f"elements: 8\n{line}\n")
+            out = tmp_path / name
+            assert run(command, "--model", "eta7", "--config", str(config),
+                       "--out", str(out)) == EXIT_OK
+            texts.append([(out / output).read_bytes() for output in outputs])
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("command,line", [("solve-steady", "kn: 1.0e-320"),
+                                              ("solve-transient", "dt: 1.0e-320")])
+    def test_subnormal_divisor_is_config_error(self, tmp_path, outdir, capsys, command, line):
+        # Kn and dt divide: a subnormal one once overflowed the relaxation
+        # term or M/dt and failed as a singular factorization (exit 4).
+        config = tmp_path / "config.yaml"
+        config.write_text(f"elements: 8\n{line}\n")
+        assert run(command, "--model", "eta7", "--config", str(config),
+                   "--out", str(outdir)) == EXIT_CONFIG
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_model_integer_beyond_float_range_is_config_error(self, tmp_path, outdir, capsys):
+        # float() of such an int once raised OverflowError: a traceback and
+        # exit 1.
+        doc = yaml.safe_load(bundled_model_path("eta7").read_text())
+        doc["k"]["k0"] = 10**400
+        path = tmp_path / "model.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert run("validate-params", "--model", str(path), "--out", str(outdir)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("r13lab: k0 must be a finite number, got 1000")
+
+    def test_out_of_memory_is_config_error(self, monkeypatch, outdir, capsys):
+        # A run too large for memory (elements: 10**12, say) once ended in
+        # a numpy traceback and exit 1; no test makes the allocation.
+        def too_large(assembly, wall):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(slab, "solve_steady", too_large)
+        assert run("solve-steady", "--model", "eta7", "--out", str(outdir)) == EXIT_CONFIG
+        assert capsys.readouterr().err == "r13lab: out of memory: Unable to allocate 7.28 TiB\n"
 
     def test_boolean_level_is_config_error(self, tmp_path, outdir):
         config = write_config(tmp_path, levels=[True, 2, 4])

@@ -390,7 +390,7 @@ class TestKornConstants:
         # A negative count once dropped the last value of each tail, True
         # gave one value, and 2.5 raised a TypeError from the slicing.
         forms = assemble_cube_forms(build_cube_mesh(1, 1))
-        with pytest.raises(ValueError, match="n_tail must be a non-negative integer"):
+        with pytest.raises(ValueError, match="n_tail must be an integer of at least 0"):
             korn_constants(forms, n_tail=n_tail)
 
     @pytest.mark.parametrize("n_tail,size", [(0, 0), (np.int64(5), 5), (30, 24)])

@@ -157,6 +157,14 @@ class TestLoadModel:
         with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a finite number"):
             load_model(doc)
 
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "-huge"])
+    def test_integer_beyond_float_range_named(self, value):
+        # float() of such an int once raised OverflowError.
+        doc = make_doc()
+        doc["k"]["k0"] = value
+        with pytest.raises(ValueError, match="^k0 must be a finite number"):
+            load_model(doc)
+
     def test_k_list_entry_named(self):
         k = [0.1] * 11
         k[7] = math.nan
@@ -233,6 +241,10 @@ class TestLoadModel:
 
     def test_eta_numeric(self):
         assert load_model(make_doc(eta=17)).eta == 17.0
+
+    def test_eta_exponent_float_string(self):
+        # PyYAML reads `eta: 1e1` as the string '1e1' (DECISIONS.md D26).
+        assert load_model(make_doc(eta=yaml.safe_load("eta: 1e1")["eta"])).eta == 10.0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
                                        True, False, None, [7]])

@@ -1074,7 +1074,7 @@ class TestTransient:
                 step_transient(state, dt, "implicit-euler", asm_eta7)
 
     def test_run_rejects_negative_step_count(self, asm_eta7):
-        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+        with pytest.raises(ValueError, match="n_steps must be an integer of at least 0"):
             transient_run(asm_eta7, zero_state(asm_eta7), dt=0.01, n_steps=-3)
 
     def test_a_operator_not_built_per_step(self, eta7, monkeypatch):

@@ -99,6 +99,15 @@ class TestRelaxation:
         with pytest.raises(ValueError, match="Kn must be positive"):
             relaxation_rates(StateVector(), RELAX_MODEL, 0.0)
 
+    @pytest.mark.parametrize("relax", [relaxation_apply, relaxation_rates])
+    @pytest.mark.parametrize("kn", [True, 10**400, 1e-320],
+                             ids=["bool", "huge-int", "subnormal"])
+    def test_kn_must_be_a_normal_float(self, relax, kn):
+        # True once passed as Kn 1, 10**400 raised OverflowError, and the
+        # subnormal 1e-320 gave infinite rates with a RuntimeWarning.
+        with pytest.raises(ValueError, match="Kn must be positive and finite"):
+            relax(StateVector(s_bar=np.ones(3)), RELAX_MODEL, kn)
+
 
 class TestEntropy:
     def test_reference_value(self):
